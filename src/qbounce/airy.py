@@ -29,6 +29,7 @@ _C2 = np.longdouble("0.258819403792806798405183560189203963479091138354934582210
 
 _SERIES_CUTOFF = 8.0
 _SERIES_MAX_TERMS = 120
+_NEWTON_MAX_ITER = 20
 
 
 def _series_ai(x):
@@ -164,8 +165,8 @@ def airy_ai_prime(x):
 def airy_zeros(m: int) -> np.ndarray:
     """First ``m`` magnitudes z_i of the zeros of Ai (Ai(-z_i) = 0), ascending.
 
-    Asymptotic initial guess (DLMF 9.9.18) followed by a safeguarded
-    Newton polish on :func:`airy_ai`; each zero accurate to < 1e-10.
+    Asymptotic initial guess (DLMF 9.9.18) followed by Newton iterations on
+    all zeros at once, until every step is below 1e-13 z_i.
     """
     if not 1 <= m <= 400:
         raise ValueError(f"zero count must be in [1, 400], got {m}")
@@ -173,31 +174,12 @@ def airy_zeros(m: int) -> np.ndarray:
     i = np.arange(1, m + 1)
     t = 3.0 * math.pi * (4 * i - 1) / 8.0
     z = t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t ** 2) - 5.0 / (36.0 * t ** 4))
-
-    zeros = np.empty(m)
-    for idx, z0 in enumerate(z):
-        # bracket scaled to the local zero spacing ~ pi/sqrt(z)
-        gap = math.pi / math.sqrt(z0)
-        lo, hi = z0 - 0.25 * gap, z0 + 0.25 * gap
-        flo, fhi = airy_ai(-lo), airy_ai(-hi)
-        if flo * fhi > 0:
-            lo, hi = z0 - 0.45 * gap, z0 + 0.45 * gap
-            flo, fhi = airy_ai(-lo), airy_ai(-hi)
-        zk = z0
-        for _ in range(60):
-            f = airy_ai(-zk)
-            # keep the bracket valid
-            if f * flo < 0:
-                hi, fhi = zk, f
-            else:
-                lo, flo = zk, f
-            step = f / airy_ai_prime(-zk)  # d/dz Ai(-z) = -Ai'(-z)
-            znew = zk + step
-            if not (lo < znew < hi):
-                znew = 0.5 * (lo + hi)
-            if abs(znew - zk) < 1e-13 * max(1.0, zk):
-                zk = znew
-                break
-            zk = znew
-        zeros[idx] = zk
-    return zeros
+    for _ in range(_NEWTON_MAX_ITER):
+        ai, aip = _airy_both(-z)
+        step = ai / aip  # d/dz Ai(-z) = -Ai'(-z)
+        z += step
+        if np.all(np.abs(step) < 1e-13 * z):
+            return z
+    raise ArithmeticError(
+        f"Airy zero Newton iteration did not converge in {_NEWTON_MAX_ITER} "
+        f"steps: largest step {np.max(np.abs(step)):.3e}")

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import airy_ai, airy_ai_prime, airy_zeros
-from .quadrature import (GAUSS_SLOTS as _GAUSS_SLOTS, GAUSS_W as _GAUSS_W,
-                         KRONROD_W as _KRONROD_W, KRONROD_X as _KRONROD_X,
-                         QuadratureError, adaptive_quadrature)
 
-__all__ = ["UnitSystem", "EigenBasis", "BasisProjectionError", "build_basis"]
+__all__ = ["UnitSystem", "EigenBasis", "BasisProjectionError", "QuadratureError",
+           "build_basis"]
 
 HBAR = 1.054571817e-34       # J s
 NEUTRON_MASS = 1.67492749804e-27  # kg
@@ -34,6 +32,37 @@ NEUTRON_MOMENT = 9.6623651e-27    # J/T  (|mu_n| = 60.3 neV/T)
 # integration window extends this far past the last turning point; the
 # eigenfunction tail beyond decays like exp(-2/3 * 15^(3/2)) ~ 1e-17
 _TAIL = 15.0
+
+# absolute tolerance on each overlap integral <psi_i | f>
+_OVERLAP_TOL = 1e-12
+
+# Kronrod-15 abscissae/weights and the embedded Gauss-7 weights (QUADPACK).
+_KRONROD_X = np.array([
+    -0.991455371120813, -0.949107912342759, -0.864864423359769,
+    -0.741531185599394, -0.586087235467691, -0.405845151377397,
+    -0.207784955007898, 0.0,
+    0.207784955007898, 0.405845151377397, 0.586087235467691,
+    0.741531185599394, 0.864864423359769, 0.949107912342759,
+    0.991455371120813,
+])
+_KRONROD_W = np.array([
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728,
+    0.204432940075298, 0.190350578064785, 0.169004726639267,
+    0.140653259715525, 0.104790010322250, 0.063092092629979,
+    0.022935322010529,
+])
+_GAUSS_W = np.array([
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.417959183673469, 0.381830050505119, 0.279705391489277,
+    0.129484966168870,
+])
+_GAUSS_SLOTS = np.arange(1, 15, 2)  # Gauss-7 points sit at the odd Kronrod slots
+
+
+class QuadratureError(RuntimeError):
+    """Raised when panel refinement fails to reach the tolerance."""
 
 
 class BasisProjectionError(ValueError):
@@ -125,8 +154,7 @@ class EigenBasis:
         """z_i - z_1 for i = 2..m (dimensionless angular frequencies)."""
         return self.zeros[1:] - self.zeros[0]
 
-    def project_gaussian(self, mu_z: float, sigma_z: float,
-                         quad_tol: float = 1e-12):
+    def project_gaussian(self, mu_z: float, sigma_z: float):
         """Expand the displaced Gaussian (2/pi sigma^2)^(1/4) exp[-(z-mu)^2/sigma^2].
 
         Returns (coefficients renormalized to unit norm, captured norm before
@@ -140,7 +168,7 @@ class EigenBasis:
             return amp * np.exp(-((z - mu_z) / sigma_z) ** 2)
 
         coeffs = _overlap_integrals(self.zeros, self.norms, packet,
-                                    0.0, self.z_max, tol=quad_tol)
+                                    0.0, self.z_max)
         captured = float(np.sum(coeffs ** 2))
         if captured < 0.95:
             raise BasisProjectionError(
@@ -153,14 +181,21 @@ class EigenBasis:
         return coeffs / math.sqrt(captured), captured
 
 
-def _overlap_integrals(zeros, norms, func, a, b, tol=1e-12,
+def _overlap_integrals(zeros, norms, func, a, b,
                        max_panels: int = 8192) -> np.ndarray:
-    """<psi_i | func> for all i at once, shared adaptive panel set."""
+    """<psi_i | func> for all i at once, shared adaptive panel set.
+
+    Gauss-Kronrod (G7, K15) panels are bisected until every integral's summed
+    Kronrod/Gauss discrepancy is below ``_OVERLAP_TOL``.
+    """
     edges = np.linspace(a, b, max(16, 2 * int(b - a)) + 1)
     lo, hi = edges[:-1], edges[1:]
 
     def panel_integrals(lo, hi):
-        x, half, psi = _eval_states_on_panels(zeros, norms, lo, hi)
+        half = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi)[:, None] + half[:, None] * _KRONROD_X[None, :]
+        arg = x[:, :, None] - zeros[None, None, :]
+        psi = airy_ai(arg.ravel()).reshape(arg.shape) * norms[None, None, :]
         fx = func(x)
         k = np.einsum('pk,pki->pi', _KRONROD_W[None, :] * fx * half[:, None], psi)
         g = np.einsum('pk,pki->pi', _GAUSS_W[None, :] * fx[:, _GAUSS_SLOTS] * half[:, None],
@@ -170,15 +205,16 @@ def _overlap_integrals(zeros, norms, func, a, b, tol=1e-12,
     vals, errs = panel_integrals(lo, hi)
     while True:
         worst = float(errs.sum(axis=0).max())
-        if worst <= tol:
+        if worst <= _OVERLAP_TOL:
             return vals.sum(axis=0)
         if len(lo) >= max_panels:
             i = int(np.argmax(errs.sum(axis=0)))
             raise QuadratureError(
                 f"overlap with state {i + 1} did not converge: "
-                f"error {worst:.3e} > tol {tol:.3e}")
+                f"error {worst:.3e} > tol {_OVERLAP_TOL:.3e}")
         panel_err = errs.max(axis=1)
-        split = panel_err >= max(tol / (4.0 * len(lo)), 0.25 * panel_err.max())
+        split = panel_err >= max(_OVERLAP_TOL / (4.0 * len(lo)),
+                                 0.25 * panel_err.max())
         keep = ~split
         mid = 0.5 * (lo[split] + hi[split])
         new_vals, new_errs = panel_integrals(
@@ -189,78 +225,18 @@ def _overlap_integrals(zeros, norms, func, a, b, tol=1e-12,
         hi = np.concatenate([hi[keep], mid, hi[split]])
 
 
-def _eval_states_on_panels(zeros, norms, lo, hi):
-    """psi_i at the Kronrod nodes of each panel; shape (panels, 15, m)."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _KRONROD_X[None, :]
-    arg = x[:, :, None] - zeros[None, None, :]
-    psi = airy_ai(arg.ravel()).reshape(arg.shape) * norms[None, None, :]
-    return x, half, psi
+def build_basis(m: int) -> EigenBasis:
+    """Construct the truncated eigenbasis with M = ``m`` states.
 
-
-def position_matrix(zeros: np.ndarray, norms: np.ndarray,
-                    tol: float = 1e-10, max_panels: int = 8192) -> np.ndarray:
-    """<i|z|j> by adaptive Gauss-Kronrod quadrature on [0, z_M + 15].
-
-    All matrix elements share one adaptively refined panel set (the
-    eigenfunctions are evaluated once per panel), with the Kronrod/Gauss
-    error tracked per element.  Symmetric by construction.
+    Z has the closed form of the exact eigenfunctions (DLMF 9.11):
+    <i|z|i> = 2 z_i / 3 and <i|z|j> = 2 (-1)^(i+j+1) / (z_i - z_j)^2 for
+    i != j, with N_i = 1/|Ai'(-z_i)|.  Exactly symmetric.
     """
-    m = len(zeros)
-    upper = float(zeros[-1] + _TAIL)
-    edges = np.linspace(0.0, upper, max(16, 2 * int(upper)) + 1)
-    lo, hi = edges[:-1], edges[1:]
-
-    def panel_integrals(lo, hi):
-        x, half, psi = _eval_states_on_panels(zeros, norms, lo, hi)
-        wz_k = _KRONROD_W[None, :] * x * half[:, None]
-        k = np.einsum('pk,pki,pkj->pij', wz_k, psi, psi, optimize=True)
-        xg = x[:, _GAUSS_SLOTS]
-        wz_g = _GAUSS_W[None, :] * xg * half[:, None]
-        g = np.einsum('pk,pki,pkj->pij', wz_g, psi[:, _GAUSS_SLOTS], psi[:, _GAUSS_SLOTS],
-                      optimize=True)
-        return k, np.abs(k - g)
-
-    vals, errs = panel_integrals(lo, hi)
-    while True:
-        per_element = errs.sum(axis=0)
-        worst = float(per_element.max())
-        if worst <= tol:
-            break
-        if len(lo) >= max_panels:
-            i, j = np.unravel_index(np.argmax(per_element), per_element.shape)
-            raise QuadratureError(
-                f"position matrix element ({i + 1}, {j + 1}) did not converge: "
-                f"error {worst:.3e} > tol {tol:.3e} with {len(lo)} panels")
-        panel_err = errs.max(axis=(1, 2))
-        split = panel_err >= max(tol / (4.0 * len(lo)), 0.25 * panel_err.max())
-        keep = ~split
-        mid = 0.5 * (lo[split] + hi[split])
-        new_vals, new_errs = panel_integrals(
-            np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        lo = np.concatenate([lo[keep], lo[split], mid])
-        hi = np.concatenate([hi[keep], mid, hi[split]])
-
-    z_mat = vals.sum(axis=0)
-    return 0.5 * (z_mat + z_mat.T)
-
-
-def build_basis(m: int, quad_tol: float = 1e-10) -> EigenBasis:
-    """Construct the truncated eigenbasis with M = ``m`` states."""
     zeros = airy_zeros(m)
     norms = 1.0 / np.abs(airy_ai_prime(-zeros))
-    z_mat = position_matrix(zeros, norms, tol=quad_tol)
+    n = np.arange(m)
+    diff = zeros[:, None] - zeros[None, :]
+    np.fill_diagonal(diff, 1.0)
+    z_mat = np.where((n[:, None] + n[None, :]) % 2, 2.0, -2.0) / diff ** 2
+    np.fill_diagonal(z_mat, 2.0 * zeros / 3.0)
     return EigenBasis(m=m, zeros=zeros, norms=norms, z_matrix=z_mat)
-
-
-def diagonal_position_closed_form(zeros: np.ndarray) -> np.ndarray:
-    """Closed form <i|z|i> = 2 z_i / 3 (test oracle)."""
-    return 2.0 * np.asarray(zeros) / 3.0
-
-
-def offdiagonal_position_magnitude(z_i: float, z_j: float) -> float:
-    """Closed-form |<i|z|j>| = 2/(z_i - z_j)^2 for i != j (test oracle)."""
-    return 2.0 / (z_i - z_j) ** 2

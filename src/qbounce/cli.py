@@ -19,12 +19,12 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .basis import BasisProjectionError, UnitSystem, build_basis
+from .basis import (BasisProjectionError, QuadratureError, UnitSystem,
+                    build_basis)
 from .classical import mean_height_series, propagate, sample_initial
 from .pulses import KickPulse
 from .quantum import (NormDriftError, StateVector, ground_state,
                       mean_height_trace)
-from .quadrature import QuadratureError
 from .spectroscopy import (DelayScan, find_peaks_and_match,
                            retrieve_amplitudes, scan_delay, spectrum)
 
@@ -444,8 +444,6 @@ def build_parser():
     parser = _Parser(prog="qbounce",
                      description="Quantum bouncer echoes and kick spectroscopy")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread count (best effort, via env)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("basis", help="eigenbasis table (energies, frequencies)")
@@ -506,10 +504,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -25,8 +25,7 @@ from .pulses import KickPulse, merged_windows
 
 __all__ = ["StateVector", "ground_state", "free_evolve", "evolve_pulsed",
            "impulsive_kick", "impulsive_kick_matrix", "pulse_propagator",
-           "expectation_z", "shake_potential_coefficient", "mean_height_trace",
-           "forcing"]
+           "expectation_z", "mean_height_trace", "forcing"]
 
 DEFAULT_STEPS_PER_SIGMA = 500
 
@@ -77,17 +76,6 @@ def forcing(pulses, spin: int, t):
         else:
             f = f + 0.5 * p.envelope_second_derivative(t)
     return f
-
-
-def shake_potential_coefficient(pulses, t):
-    """Effective dimensionless gravity g_eff(t) = 1 + h''(t)/2 under a shake."""
-    t = np.asarray(t, dtype=np.float64)
-    g = np.ones_like(t)
-    for p in pulses:
-        if p.kind != "shake":
-            raise ValueError("shake coefficient requested for non-shake pulse")
-        g = g + 0.5 * p.envelope_second_derivative(t)
-    return g if g.ndim else float(g)
 
 
 class _ZDecomposition:

@@ -3,6 +3,8 @@ import pytest
 
 from qbounce.basis import build_basis
 
+from helpers import quadrature_z_columns
+
 
 @pytest.fixture(scope="session")
 def basis20():
@@ -12,6 +14,12 @@ def basis20():
 @pytest.fixture(scope="session")
 def basis50():
     return build_basis(50)
+
+
+@pytest.fixture(scope="session")
+def z_quadrature50(basis50):
+    """<i|z|j> of ``basis50`` by adaptive quadrature (oracle for Z)."""
+    return quadrature_z_columns(basis50)
 
 
 @pytest.fixture(scope="session")

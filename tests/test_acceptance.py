@@ -15,8 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from qbounce.basis import (diagonal_position_closed_form,
-                           offdiagonal_position_magnitude)
 from qbounce.classical import mean_height_series
 from qbounce.cli import main
 from qbounce.pulses import KickPulse
@@ -24,9 +22,10 @@ from qbounce.quantum import (StateVector, evolve_pulsed, ground_state,
                              impulsive_kick_matrix, mean_height_trace,
                              pulse_propagator)
 from qbounce.spectroscopy import (find_peaks_and_match,
-                                  impulsive_scan_analytic, oscillation_envelope,
-                                  perturbative_scan, retrieve_amplitudes,
-                                  scan_delay, spectrum)
+                                  impulsive_scan_analytic, perturbative_scan,
+                                  retrieve_amplitudes, scan_delay, spectrum)
+
+from helpers import oscillation_envelope
 
 ENVELOPE_WINDOW = 9.0  # about one bounce period 2 sqrt(20)
 
@@ -166,7 +165,8 @@ def test_criterion_6_classical_echo():
                f"3 t_k recurrence {recurrence:.2f}x dead zone")
 
 
-def test_criterion_7_oracle_equivalences(basis50, fig2_trace, fig5_trace):
+def test_criterion_7_oracle_equivalences(basis50, z_quadrature50, fig2_trace,
+                                        fig5_trace):
     """Five cross-oracle identities at their stated tolerances."""
     delays = 2.0 + 0.05 * np.arange(961)
 
@@ -189,16 +189,11 @@ def test_criterion_7_oracle_equivalences(basis50, fig2_trace, fig5_trace):
         perturbative_scan(basis50, p, p, delays).populations)))
     assert dev_b < 1e-3
 
-    # (c) position-matrix quadrature against the closed forms, 1e-6
-    diag = np.diag(basis50.z_matrix)[:20]
-    dev_c = float(np.max(np.abs(
-        diag / diagonal_position_closed_form(basis50.zeros[:20]) - 1.0)))
-    for i in range(20):
-        for j in range(i + 1, 20):
-            expected = offdiagonal_position_magnitude(basis50.zeros[i],
-                                                      basis50.zeros[j])
-            dev_c = max(dev_c, abs(abs(basis50.z_matrix[i, j]) / expected - 1))
+    # (c) closed-form position matrix against quadrature, 1e-6, same signs
+    closed, quad = basis50.z_matrix[:20, :20], z_quadrature50[:20, :20]
+    dev_c = float(np.max(np.abs(closed / quad - 1.0)))
     assert dev_c < 1e-6
+    assert np.array_equal(np.sign(closed), np.sign(quad))
 
     # (d) unitarity drift below 1e-9 over the full echo runs
     dev_d = max(fig2_trace[2], fig5_trace[2])
@@ -237,3 +232,18 @@ def test_criterion_8_resolution_scaling(basis50, fig4_errors):
     improvement = [f"{abs(fig4_errors[i]):.1e}->{abs(doubled[i]):.1e}"
                    for i in sorted(fig4_errors)]
     _report(8, "all 5 |rel errors|% strictly reduced: " + ", ".join(improvement))
+
+
+def test_envelope_matches_rolling_max_loop(fig2_trace):
+    """The vectorised envelope equals a per-sample rolling max, bit for bit."""
+    times, avg, _ = fig2_trace
+    env = oscillation_envelope(times, avg, window=ENVELOPE_WINDOW)
+    n = int(round(ENVELOPE_WINDOW / (times[1] - times[0])))
+    kernel = np.ones(n) / n
+    padded = np.concatenate([avg[n - 1:0:-1], avg, avg[-2:-n - 1:-1]])
+    baseline = np.convolve(padded, kernel, mode="same")[n - 1:n - 1 + len(avg)]
+    resid = np.abs(avg - baseline)
+    half = n // 2
+    loop = np.array([resid[max(0, k - half):k + half + 1].max()
+                     for k in range(len(resid))])
+    assert np.array_equal(env, loop)

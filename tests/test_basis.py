@@ -1,31 +1,11 @@
 """Eigenbasis construction: orthonormality, matrix elements, units."""
 
-import math
-
 import numpy as np
 import pytest
 
-from qbounce.basis import (BasisProjectionError, UnitSystem, build_basis,
-                           diagonal_position_closed_form,
-                           offdiagonal_position_magnitude)
-from qbounce.quadrature import adaptive_quadrature
+from qbounce.basis import BasisProjectionError, UnitSystem, build_basis
 
-
-# ----------------------------------------------------------- quadrature
-
-def test_quadrature_polynomial_exact():
-    val = adaptive_quadrature(lambda x: x ** 2, 0.0, 1.0)
-    assert val == pytest.approx(1.0 / 3.0, abs=1e-14)
-
-
-def test_quadrature_oscillatory():
-    val = adaptive_quadrature(np.sin, 0.0, 50.0, tol=1e-12)
-    assert val == pytest.approx(1.0 - math.cos(50.0), abs=1e-11)
-
-
-def test_quadrature_gaussian_tail():
-    val = adaptive_quadrature(lambda x: np.exp(-x * x), -10.0, 10.0)
-    assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+from helpers import quadrature_z_columns
 
 
 # ---------------------------------------------------------------- basis
@@ -38,8 +18,8 @@ def test_energies_are_airy_zero_magnitudes(basis20):
 def test_orthonormality(basis50):
     """Gram matrix of the eigenfunctions equals the identity.
 
-    The position matrix itself is built from the same quadrature, so this
-    recomputes overlaps <i|j> independently on a fixed fine grid.
+    Recomputes the overlaps <i|j> on a fixed fine grid, independently of
+    the adaptive quadrature used for projections.
     """
     zs = np.linspace(0.0, basis50.z_max, 200001)
     psi = np.empty((len(zs), basis50.m))
@@ -64,19 +44,31 @@ def test_eigenfunctions_satisfy_stationary_equation(basis20):
         assert np.max(np.abs(resid)) < 1e-5, f"state {i}"
 
 
-def test_position_matrix_diagonal_closed_form(basis20):
-    expected = diagonal_position_closed_form(basis20.zeros)
-    actual = np.diag(basis20.z_matrix)
-    assert np.max(np.abs(actual / expected - 1.0)) < 1e-6
+def test_position_matrix_diagonal_closed_form(basis50, z_quadrature50):
+    """<i|z|i> = 2 z_i / 3 against quadrature of the eigenfunctions."""
+    diff = np.diag(basis50.z_matrix) - np.diag(z_quadrature50)
+    assert np.max(np.abs(diff)) <= 1e-10
 
 
-def test_position_matrix_offdiagonal_closed_form(basis20):
-    for i in range(20):
-        for j in range(i + 1, 20):
-            expected = offdiagonal_position_magnitude(basis20.zeros[i],
-                                                      basis20.zeros[j])
-            actual = abs(basis20.z_matrix[i, j])
-            assert actual == pytest.approx(expected, rel=1e-6), (i, j)
+def test_position_matrix_offdiagonal_closed_form(basis50, z_quadrature50):
+    """2 (-1)^(i+j+1) / (z_i - z_j)^2 against quadrature, signs included."""
+    off = ~np.eye(basis50.m, dtype=bool)
+    actual, expected = basis50.z_matrix[off], z_quadrature50[off]
+    assert np.max(np.abs(actual - expected)) <= 1e-10
+    assert np.array_equal(np.sign(actual), np.sign(expected))
+
+
+@pytest.mark.parametrize("m, columns", [
+    (6, range(6)),
+    # the full M = 150 oracle takes minutes; first, middle and last columns
+    (150, [0, 1, 74, 75, 148, 149]),
+], ids=["M6", "M150"])
+def test_position_matrix_matches_quadrature(m, columns):
+    basis = build_basis(m)
+    actual = basis.z_matrix[:, columns]
+    expected = quadrature_z_columns(basis, columns)
+    assert np.max(np.abs(actual - expected)) <= 1e-10
+    assert np.array_equal(np.sign(actual), np.sign(expected))
 
 
 def test_position_matrix_symmetric(basis50):

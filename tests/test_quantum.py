@@ -10,9 +10,9 @@ from qbounce.pulses import KickPulse
 from qbounce.quantum import (NormDriftError, StateVector, evolve_pulsed,
                              expectation_z, free_evolve, ground_state,
                              impulsive_kick, impulsive_kick_matrix,
-                             mean_height_trace, pulse_propagator,
-                             shake_potential_coefficient)
-from qbounce.spectroscopy import oscillation_envelope
+                             mean_height_trace, pulse_propagator)
+
+from helpers import oscillation_envelope, shake_potential_coefficient
 
 
 def _two_state(basis):

@@ -54,6 +54,13 @@ def test_nonuniform_grid_rejected():
         DelayScan(np.array([0.0, 1.0, 3.0]), np.ones(3), "magnetic")
 
 
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9])
+def test_population_outside_unit_interval_rejected(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        DelayScan(np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, 0.5]),
+                  "magnetic")
+
+
 # ------------------------------------------------------- impulsive oracle
 
 def test_impulsive_scan_matches_paper_sum(basis20):
