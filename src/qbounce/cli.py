@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from importlib import resources
@@ -295,19 +294,21 @@ def cmd_quantum_echo(args):
 
     spins = (1, -1) if (cfg["spin_average"] and cfg["kind"] == "magnetic") \
         else (1,)
-    traces, norms = {}, 1.0
+    traces, norms = {}, []
     for s in spins:
         traces[s], final = mean_height_trace(
             basis, state, pulses, s, times,
             steps_per_sigma=cfg["steps_per_sigma"])
-        norms = final.norm
+        norms.append(final.norm)
     z_plus = traces[spins[0]]
     z_minus = traces[spins[-1]]
     avg = 0.5 * (z_plus + z_minus)
-    rows = [(t, zp, zm, za, norms)
-            for t, zp, zm, za in zip(times, z_plus, z_minus, avg)]
-    write_csv(_resolve_out(args, args.out), sorted(cfg.items()),
-              ["t", "z_plus", "z_minus", "z_avg", "norm"], rows)
+    norm_keys = (["final_norm_plus", "final_norm_minus"] if len(spins) == 2
+                 else ["final_norm"])
+    write_csv(_resolve_out(args, args.out),
+              sorted(cfg.items()) + list(zip(norm_keys, norms)),
+              ["t", "z_plus", "z_minus", "z_avg"],
+              list(zip(times, z_plus, z_minus, avg)))
     _maybe_plot(args, _resolve_out(args, "quantum_echo.svg"),
                 lambda ax: (ax.plot(times, avg), ax.set_xlabel("t"),
                             ax.set_ylabel("mean height")))

@@ -8,8 +8,10 @@ the Hamiltonian is diag(z_i) + f(t) * Z with a scalar forcing f(t):
 
 The default pulse stepper is a Strang splitting between the diagonal part
 and the Z part (Z is diagonalized once), which is exactly unitary at every
-step; a classical RK4 stepper with per-step renormalization is available
-as a cross-check.
+step.  One kernel, `strang_steps`, runs it for pulse windows, propagators
+and delay scans, on one vector or a block of columns with per-column
+forcing.  A classical RK4 stepper with per-step renormalization is
+available as a cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .pulses import KickPulse, merged_windows
 
 __all__ = ["StateVector", "ground_state", "free_evolve", "evolve_pulsed",
            "impulsive_kick", "impulsive_kick_matrix", "pulse_propagator",
-           "expectation_z", "mean_height_trace", "forcing"]
+           "step_grid", "strang_steps", "expectation_z", "mean_height_trace",
+           "forcing"]
 
 DEFAULT_STEPS_PER_SIGMA = 500
 
@@ -133,31 +136,58 @@ def _dmul(d, c):
     return d[:, None] * c if c.ndim == 2 else d * c
 
 
-def _strang_steps(c, t0, n, h, basis, dec, pulses, spin):
-    """n Strang steps of size h starting at t0; exactly unitary."""
-    half_phase = np.exp(-0.5j * basis.zeros * h)
-    v = dec.eigvecs
-    vt = v.T  # Z is real symmetric, eigenvectors are real
-    t_mid = t0 + (np.arange(n) + 0.5) * h
-    f_mid = forcing(pulses, spin, t_mid)
-    for k in range(n):
-        c = _dmul(half_phase, c)
-        c = v @ _dmul(np.exp(-1j * f_mid[k] * h * dec.eigvals), vt @ c)
-        c = _dmul(half_phase, c)
-    return c
+def step_grid(lo: float, hi: float, width: float,
+              steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA):
+    """Midpoints and size of the steps across [lo, hi].
+
+    The step h is the largest one that is at most width / steps_per_sigma
+    and divides hi - lo into whole steps.  Returns (t_mid, h).
+    """
+    dt = width / steps_per_sigma
+    n = max(1, math.ceil((hi - lo) / dt))
+    h = (hi - lo) / n
+    return lo + (np.arange(n) + 0.5) * h, h
 
 
-def _rk4_steps(c, t0, n, h, basis, dec, pulses, spin):
-    """n RK4 steps with post-step renormalization."""
+def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
+                 h: float) -> np.ndarray:
+    """One Strang step of size h per forcing sample; exactly unitary.
+
+    Step k is H V E_k V^T H with H = exp(-i z h/2), Z = V diag(lambda) V^T
+    and E_k = exp(-i f_mid[k] h lambda).  Adjacent half phases merge into
+    G = V^T exp(-i z h) V, so in the eigenbasis of Z each step is one
+    product with G and one elementwise phase.  ``c`` is a vector (M,) or a
+    block of columns (M, B); ``f_mid`` of shape (n,) drives every column,
+    shape (n, B) drives each column with its own forcing.
+    """
+    dec = _zdecomp(basis)
+    v = dec.eigvecs  # Z is real symmetric, eigenvectors are real
+    half = np.exp(-0.5j * basis.zeros * h)
+    g = v.T @ (np.exp(-1j * basis.zeros * h)[:, None] * v)
+    lam = -1j * h * dec.eigvals
+    if c.ndim == 2:
+        half, lam = half[:, None], lam[:, None]
+    y = np.exp(lam * f_mid[0]) * (v.T @ (half * c))
+    for f in f_mid[1:]:
+        y = np.exp(lam * f) * (g @ y)
+    return half * (v @ y)
+
+
+def _strang_window(c, t_mid, h, basis, pulses, spin):
+    return strang_steps(basis, c, forcing(pulses, spin, t_mid), h)
+
+
+def _rk4_window(c, t_mid, h, basis, pulses, spin):
+    """RK4 steps centred on t_mid, with post-step renormalization."""
     d = basis.zeros
+    dec = _zdecomp(basis)
 
     def rhs(t, c):
         f = float(forcing(pulses, spin, t))
         return -1j * (_dmul(d, c) +
                       f * (dec.eigvecs @ _dmul(dec.eigvals, dec.eigvecs.T @ c)))
 
-    t = t0
-    for _ in range(n):
+    for t in t_mid - 0.5 * h:
         k1 = rhs(t, c)
         k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
@@ -168,11 +198,10 @@ def _rk4_steps(c, t0, n, h, basis, dec, pulses, spin):
             raise NormDriftError(f"norm drifted to {np.max(nrm):.6e} in one "
                                  "RK4 step; reduce the step size")
         c = c / nrm
-        t += h
     return c
 
 
-_STEPPERS = {"strang": _strang_steps, "rk4": _rk4_steps}
+_STEPPERS = {"strang": _strang_window, "rk4": _rk4_window}
 
 
 def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
@@ -189,7 +218,6 @@ def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
     if t_to < state.time:
         raise ValueError("t_to must not precede the state time")
     stepper = _STEPPERS[method]
-    dec = _zdecomp(basis)
 
     windows = merged_windows(pulses, state.time, t_to)
     c, t = state.coeffs.copy(), state.time
@@ -197,17 +225,13 @@ def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
         if lo > t:
             c = c * np.exp(-1j * basis.zeros * (lo - t))
             t = lo
-        dt = min(p.width for p in active) / steps_per_sigma
-        n = max(1, math.ceil((hi - t) / dt))
-        c = stepper(c, t, n, (hi - t) / n, basis, dec, active, spin)
+        t_mid, h = step_grid(t, hi, min(p.width for p in active),
+                             steps_per_sigma)
+        c = stepper(c, t_mid, h, basis, active, spin)
         t = hi
     if t_to > t:
         c = c * np.exp(-1j * basis.zeros * (t_to - t))
     return StateVector(c, t_to)
-
-
-_propagator_cache: "weakref.WeakKeyDictionary[EigenBasis, dict]" = \
-    weakref.WeakKeyDictionary()
 
 
 def pulse_propagator(basis: EigenBasis, pulse: KickPulse, spin: int = 1,
@@ -216,25 +240,13 @@ def pulse_propagator(basis: EigenBasis, pulse: KickPulse, spin: int = 1,
     """Full propagator matrix across one pulse window.
 
     The Hamiltonian depends on time only through t - t_k, so the matrix is
-    independent of the pulse center and can be reused across a delay scan
-    (results are memoized on the pulse shape).
+    independent of the pulse center.  It is the window's steps applied to
+    the identity.
     """
-    key = (pulse.amplitude, pulse.width, pulse.kind, spin,
-           steps_per_sigma, method)
-    per_basis = _propagator_cache.setdefault(basis, {})
-    cached = per_basis.get(key)
-    if cached is not None:
-        return cached
     centered = KickPulse(pulse.amplitude, pulse.width, 0.0, pulse.kind)
-    lo, hi = centered.window
-    stepper = _STEPPERS[method]
-    dec = _zdecomp(basis)
-    dt = pulse.width / steps_per_sigma
-    n = max(1, math.ceil((hi - lo) / dt))
-    w = np.eye(basis.m, dtype=np.complex128)
-    w = stepper(w, lo, n, (hi - lo) / n, basis, dec, [centered], spin)
-    per_basis[key] = w
-    return w
+    t_mid, h = step_grid(*centered.window, pulse.width, steps_per_sigma)
+    return _STEPPERS[method](np.eye(basis.m, dtype=np.complex128), t_mid, h,
+                             basis, [centered], spin)
 
 
 def expectation_z(state: StateVector, basis: EigenBasis) -> float:

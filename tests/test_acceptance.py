@@ -18,9 +18,8 @@ import pytest
 from qbounce.classical import mean_height_series
 from qbounce.cli import main
 from qbounce.pulses import KickPulse
-from qbounce.quantum import (StateVector, evolve_pulsed, ground_state,
-                             impulsive_kick_matrix, mean_height_trace,
-                             pulse_propagator)
+from qbounce.quantum import (StateVector, ground_state, impulsive_kick_matrix,
+                             mean_height_trace)
 from qbounce.spectroscopy import (find_peaks_and_match,
                                   impulsive_scan_analytic, perturbative_scan,
                                   retrieve_amplitudes, scan_delay, spectrum)

@@ -204,11 +204,33 @@ dt_sample = 0.5
     out = tmp_path / "series.csv"
     assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 0
     header, columns, rows = _read_csv(out)
-    assert columns == ["t", "z_plus", "z_minus", "z_avg", "norm"]
-    norms = [float(r[4]) for r in rows]
-    assert max(abs(n - 1.0) for n in norms) < 1e-9
+    assert columns == ["t", "z_plus", "z_minus", "z_avg"]
+    for key in ("final_norm_plus", "final_norm_minus"):
+        assert abs(float(header[key]) - 1.0) < 1e-9, key
+    assert "final_norm" not in header
     # spin branches split only after the kick
     assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), abs=1e-12)
+
+
+def test_quantum_echo_single_spin_norm(tmp_path):
+    cfg = tmp_path / "qe.cfg"
+    cfg.write_text("""\
+basis_size = 10
+kind = shake
+initial = ground
+amplitude1 = 0.5
+width1 = 0.5
+time1 = 5.0
+t_max = 10.0
+dt_sample = 0.5
+spin_average = false
+""")
+    out = tmp_path / "series.csv"
+    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 0
+    header, columns, _ = _read_csv(out)
+    assert columns == ["t", "z_plus", "z_minus", "z_avg"]
+    assert abs(float(header["final_norm"]) - 1.0) < 1e-9
+    assert "final_norm_plus" not in header
 
 
 def test_quantum_echo_bad_initial_state(tmp_path):

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbounce.basis import build_basis
 from qbounce.pulses import KickPulse
 from qbounce.quantum import (NormDriftError, StateVector, evolve_pulsed,
-                             expectation_z, free_evolve, ground_state,
+                             expectation_z, forcing, free_evolve, ground_state,
                              impulsive_kick, impulsive_kick_matrix,
-                             mean_height_trace, pulse_propagator)
+                             mean_height_trace, pulse_propagator, step_grid,
+                             strang_steps)
 
 from helpers import oscillation_envelope, shake_potential_coefficient
 
@@ -107,6 +110,51 @@ def test_pulse_propagator_matches_evolve_pulsed(basis20):
     lo, hi = pulse.window
     direct = evolve_pulsed(StateVector(s.coeffs, lo), basis20, [pulse], 1, hi)
     assert np.max(np.abs(w @ s.coeffs - direct.coeffs)) < 1e-11
+
+
+@pytest.mark.parametrize("kind", ["magnetic", "shake"])
+def test_reversed_steps_give_first_row_of_propagator(basis20, kind):
+    """e_1^T W from stepping e_1 with the forcing samples reversed."""
+    pulse = KickPulse(0.8, 0.3, 0.0, kind)
+    t_mid, h = step_grid(*pulse.window, pulse.width)
+    row = strang_steps(basis20, ground_state(basis20).coeffs,
+                       forcing([pulse], -1, t_mid)[::-1], h)
+    w = pulse_propagator(basis20, pulse, spin=-1)
+    assert np.max(np.abs(row - w[0, :])) < 1e-12
+
+
+def test_reversed_steps_transpose_asymmetric_forcing(basis20):
+    """Each Strang step is complex symmetric, so reversing the steps
+    transposes the product even when the forcing has no time symmetry."""
+    pulses = [KickPulse(1.0, 0.2, -0.5), KickPulse(-0.6, 0.3, 0.4)]
+    t_mid, h = step_grid(-1.7, 2.2, 0.2, 100)
+    f = forcing(pulses, 1, t_mid)
+    w = strang_steps(basis20, np.eye(basis20.m, dtype=complex), f, h)
+    assert np.max(np.abs(w - w.T)) > 1e-3
+    row = strang_steps(basis20, ground_state(basis20).coeffs, f[::-1], h)
+    assert np.max(np.abs(row - w[0, :])) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(amplitude=st.floats(-3.0, 3.0), sigma=st.floats(0.05, 0.5),
+       kind=st.sampled_from(["magnetic", "shake"]),
+       spin=st.sampled_from([1, -1]))
+def test_block_steps_equal_column_steps(basis20, amplitude, sigma, kind,
+                                        spin):
+    """A block of columns, each with its own forcing, steps like each
+    column on its own."""
+    t_mid, h = step_grid(-6.0 * sigma, 8.0 * sigma, sigma, 50)
+    f = np.stack([forcing([KickPulse(amplitude * w, sigma, t0, kind)], spin,
+                          t_mid)
+                  for w, t0 in ((1.0, 0.0), (-0.5, sigma), (0.25, 2 * sigma))],
+                 axis=1)
+    c = np.zeros((basis20.m, 3), dtype=complex)
+    c[0, 0] = c[1, 1] = 1.0
+    c[:, 2] = _two_state(basis20).coeffs
+    block = strang_steps(basis20, c, f, h)
+    for j in range(3):
+        alone = strang_steps(basis20, c[:, j], f[:, j], h)
+        assert np.max(np.abs(block[:, j] - alone)) < 1e-13
 
 
 # -------------------------------------------------------- impulsive kicks

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbounce.pulses import KickPulse
-from qbounce.quantum import impulsive_kick_matrix
+from qbounce.quantum import evolve_pulsed, ground_state, impulsive_kick_matrix
 from qbounce.spectroscopy import (DelayScan, SpectrumResult,
                                   find_peaks_and_match,
                                   impulsive_scan_analytic, perturbative_scan,
@@ -59,6 +59,42 @@ def test_population_outside_unit_interval_rejected(bad):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         DelayScan(np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, 0.5]),
                   "magnetic")
+
+
+# ------------------------------------------------------- stepping oracle
+
+def _direct_population(basis, pulse1, pulse2, tau, spin):
+    """|c_1|^2 from one evolve_pulsed run that starts and ends far outside
+    both pulse windows."""
+    kicks = [KickPulse(pulse1.amplitude, pulse1.width, 0.0, pulse1.kind),
+             KickPulse(pulse2.amplitude, pulse2.width, tau, pulse2.kind)]
+    st = evolve_pulsed(ground_state(basis, time=-10.0), basis, kicks, spin,
+                       tau + 10.0)
+    return st.population(1)
+
+
+@pytest.mark.parametrize("kind,spin,a1,a2", [("magnetic", 1, 2.0, 1.0),
+                                             ("magnetic", -1, 2.0, 1.0),
+                                             ("shake", 1, 0.6, 0.1)])
+def test_scan_matches_per_delay_evolution(basis20, kind, spin, a1, a2):
+    """Stacked overlapping delays (tau < 2.4) and one separated delay
+    against one evolve_pulsed run per delay."""
+    p1, p2 = KickPulse(a1, 0.2, kind=kind), KickPulse(a2, 0.2, kind=kind)
+    delays = 0.3 + 0.5 * np.arange(6)  # the last one, 2.8, is separated
+    scan = scan_delay(basis20, p1, p2, delays, spin_average=False, spin=spin)
+    direct = [_direct_population(basis20, p1, p2, tau, spin) for tau in delays]
+    assert np.max(np.abs(scan.populations - direct)) < 1e-10
+
+
+@pytest.mark.parametrize("sigma1,sigma2", [(0.1, 0.5), (0.5, 0.1)])
+def test_overlapping_scan_covers_both_pulses(basis20, sigma1, sigma2):
+    """Unequal widths: the run starts before the head of the earlier window
+    and ends after the tail of the later one."""
+    p1, p2 = KickPulse(2.0, sigma1), KickPulse(1.0, sigma2)
+    scan = scan_delay(basis20, p1, p2, np.array([0.5]))
+    direct = np.mean([_direct_population(basis20, p1, p2, 0.5, s)
+                      for s in (1, -1)])
+    assert abs(scan.populations[0] - direct) < 1e-10
 
 
 # ------------------------------------------------------- impulsive oracle
