@@ -3,9 +3,10 @@
 Dimensionless Newton equation matching the quantum unit system:
 z'' = -2 + 2 s beta(t) (the same scales that make the quantum equation
 -psi'' + z psi = E psi give the classical particle acceleration -2; the
-algebra is in the README).  Between pulses the flight is integrated
-exactly, bounce by bounce; inside a pulse window a velocity-Verlet stepper
-takes over.  Reflection off the floor is specular and lossless.
+algebra is in the README).  Between pulses a particle of energy
+e = v^2/2 + 2z bounces with period u = sqrt(2e), its floor speed, so a whole
+sample grid is one closed-form expression; inside a pulse window a
+velocity-Verlet stepper takes over.  Reflection is specular and lossless.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
            "propagate", "mean_height_series", "particle_energy"]
 
 DEFAULT_STEPS_PER_SIGMA = 200
-_REST_SPEED = 1e-12  # below this a particle on the floor is considered at rest
+_CHUNK_ELEMENTS = 1 << 17  # sample rows x particles per free-flight chunk
 
 
 @dataclass(frozen=True)
@@ -84,51 +85,30 @@ def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
     rng = np.random.default_rng(seed)
     z = mu_z + sigma_z * rng.standard_normal(n)
     v = mu_v + sigma_v * rng.standard_normal(n)
-    for _ in range(200):
-        bad = z < 0
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            break
-        z[bad] = mu_z + sigma_z * rng.standard_normal(n_bad)
-    else:  # pragma: no cover - geometric decay makes this unreachable
-        raise RuntimeError("floor rejection sampling failed to converge")
+    while (bad := z < 0).any():  # at most 25% redrawn: decays geometrically
+        z[bad] = mu_z + sigma_z * rng.standard_normal(int(bad.sum()))
     return ClassicalEnsemble(z, v, spin=spin, seed=seed)
 
 
+def _orbit(z, v):
+    """Floor speed u, 1/u (0 for a particle at rest) and the phase in periods."""
+    u = np.sqrt(np.square(v, dtype=np.float64) + np.multiply(4.0, z))
+    inv_u = np.divide(1.0, u, out=np.zeros_like(u), where=u > 0)
+    return u, inv_u, 0.5 * (u - v) * inv_u
+
+
 def ballistic_flight(z, v, dt: float):
-    """Exact flight under z'' = -2 with specular floor bounces.
+    """Exact flight under z'' = -2 with specular floor bounces (heights z >= 0).
 
-    Works on arrays; returns (z, v) after time dt.  Bounce times are the
-    positive roots of z + v t - t^2 = 0, resolved particle by particle
-    until the interval is exhausted.
+    Works on arrays; returns (z, v) after time dt.  A particle leaves the
+    floor with speed u = sqrt(v^2 + 4z) and is back after time u; with phi
+    the time since its last floor contact, z = phi (u - phi), v = u - 2 phi.
+    A particle on the floor comes back as leaving it (v >= 0).
     """
-    z = np.array(z, dtype=np.float64)
-    v = np.array(v, dtype=np.float64)
-    rem = np.full_like(z, float(dt))
-    active = rem > 0
-    while active.any():
-        idx = np.nonzero(active)[0]
-        zi, vi, ri = z[idx], v[idx], rem[idx]
-        t_hit = 0.5 * (vi + np.sqrt(np.maximum(vi * vi + 4.0 * zi, 0.0)))
-        resting = (zi <= 0) & (np.abs(vi) <= _REST_SPEED)
-        bounce = (t_hit < ri) & ~resting
-        fly = ~bounce & ~resting
-
-        t_f = ri[fly]
-        z[idx[fly]] = zi[fly] + vi[fly] * t_f - t_f * t_f
-        v[idx[fly]] -= 2.0 * t_f
-        rem[idx[fly]] = 0.0
-
-        t_b = t_hit[bounce]
-        z[idx[bounce]] = 0.0
-        v[idx[bounce]] = 2.0 * t_b - vi[bounce]  # reflect the impact velocity
-        rem[idx[bounce]] = ri[bounce] - t_b
-
-        rem[idx[resting]] = 0.0
-        v[idx[resting]] = 0.0
-        active = rem > 0
-    np.clip(z, 0.0, None, out=z)
-    return z, v
+    u, inv_u, phase = _orbit(z, v)
+    phase = phase + dt * inv_u
+    phi = u * (phase - np.floor(phase))
+    return phi * (u - phi), u - 2.0 * phi
 
 
 def _verlet(z, v, t0, t1, pulses, spin, dt):
@@ -139,21 +119,11 @@ def _verlet(z, v, t0, t1, pulses, spin, dt):
     the impact velocity, finish the remainder of the step.  With beta = 0
     this reproduces the exact ballistic flight to rounding accuracy.
     """
-
-    def accel(t):
-        a = -2.0
-        for p in pulses:
-            if p.kind != "magnetic":
-                raise ValueError("classical propagation supports magnetic kicks only")
-            a = a + 2.0 * spin * float(p.envelope(t))
-        return a
-
     n = max(1, math.ceil((t1 - t0) / dt))
     h = (t1 - t0) / n
-    t = t0
-    a = accel(t)
-    for _ in range(n):
-        a_next = accel(t + h)
+    t = np.cumsum(np.r_[t0, np.full(n, h)])  # step times, accumulated as t += h
+    acc = -2.0 + sum(2.0 * spin * p.envelope(t) for p in pulses)
+    for a, a_next in zip(acc[:-1].tolist(), acc[1:].tolist()):
         z_new = z + v * h + 0.5 * a * h * h
         v_new = v + 0.5 * (a + a_next) * h
         below = z_new < 0
@@ -177,8 +147,6 @@ def _verlet(z, v, t0, t1, pulses, spin, dt):
             z_new[below] = z_ref
             v_new[below] = v_ref
         z, v = z_new, v_new
-        a = a_next
-        t += h
     return z, v
 
 
@@ -193,10 +161,11 @@ def propagate(ens: ClassicalEnsemble, t_to: float, pulses=(),
     """
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
+    if any(p.kind != "magnetic" for p in pulses):
+        raise ValueError("classical propagation supports magnetic kicks only")
     if t_to < ens.time:
         raise ValueError("t_to must not precede the ensemble time")
-    z, v = np.array(ens.z), np.array(ens.v)
-    t = ens.time
+    z, v, t = ens.z, ens.v, ens.time
     for lo, hi, active in merged_windows(pulses, t, t_to):
         if lo > t:
             z, v = ballistic_flight(z, v, lo - t)
@@ -206,10 +175,29 @@ def propagate(ens: ClassicalEnsemble, t_to: float, pulses=(),
         t = hi
     if t_to > t:
         z, v = ballistic_flight(z, v, t_to - t)
-    if z_cap is not None and np.any(z > z_cap):
-        warnings.warn(f"{int((z > z_cap).sum())} particle(s) above z_cap={z_cap}",
-                      stacklevel=2)
+    if z_cap is not None and (high := int((z > z_cap).sum())):
+        warnings.warn(f"{high} particle(s) above z_cap={z_cap}", stacklevel=2)
     return replace(ens, z=z, v=v, time=t_to)
+
+
+def _free_mean_height(ens: ClassicalEnsemble, times, z_cap: float):
+    """<z> at ``times`` (>= ens.time) in free flight, a few rows at a time.
+
+    With y = phase - 1/2 wrapped into [-1/2, 1/2], z = u^2 (1/4 - y^2).
+    Warns if an apex u^2/4 = e/2 exceeds ``z_cap``.
+    """
+    u, inv_u, phase = _orbit(ens.z, ens.v)
+    u2, phase = u * u, phase - 0.5
+    if len(times) and (high := int((u2 > 4.0 * z_cap).sum())):
+        warnings.warn(f"{high} particle(s) rise above z_cap={z_cap}", stacklevel=3)
+    out = np.empty(len(times))
+    rows = max(1, _CHUNK_ELEMENTS // ens.n)
+    for k in range(0, len(times), rows):
+        y = np.multiply.outer(times[k:k + rows] - ens.time, inv_u)
+        y += phase
+        y -= np.rint(y)
+        out[k:k + rows] = 0.25 * u2.mean() - (y * y) @ u2 / ens.n
+    return out
 
 
 def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
@@ -219,20 +207,27 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     """<z>(t) per spin branch on the sample grid ``times``.
 
     Every branch starts from the identical seeded sample (the branches
-    differ only in the sign of the kick force).  Returns a dict mapping
-    spin -> height series; average the values for the spin-averaged trace.
+    differ only in the sign of the kick force).  Free stretches are sampled
+    in closed form, pulse windows by the stepper; heights above 10 mu_z
+    warn.  Returns a dict spin -> series; average them for the spin average.
     """
     times = np.asarray(times, dtype=np.float64)
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("sample times must be ascending and non-negative")
+    z_cap = 10.0 * mu_z
     series = {}
     for s in spins:
         ens = sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed, spin=s)
         out = np.empty_like(times)
-        for k, t in enumerate(times):
-            ens = propagate(ens, float(t), pulses,
-                            steps_per_sigma=steps_per_sigma,
-                            z_cap=10.0 * mu_z)
-            out[k] = ens.mean_height
+        idx = 0
+        for lo, hi, _ in merged_windows(pulses, 0.0, float(times[-1])):
+            start, stop = np.searchsorted(times, (lo, hi), side="right")
+            out[idx:start] = _free_mean_height(ens, times[idx:start], z_cap)
+            for k in range(start, stop):  # land on each sample in the window
+                ens = propagate(ens, times[k], pulses, steps_per_sigma, z_cap)
+                out[k] = ens.mean_height
+            ens = propagate(ens, hi, pulses, steps_per_sigma, z_cap)
+            idx = stop
+        out[idx:] = _free_mean_height(ens, times[idx:], z_cap)
         series[s] = out
     return series

@@ -228,28 +228,31 @@ def cmd_basis(args):
 
 def cmd_classical_echo(args):
     cfg = load_config(args, "classical-echo")
+    try:  # checked before any computation
+        snaps = sorted(map(float, args.snapshot.split(","))) if args.snapshot else []
+    except ValueError:
+        raise ConfigError(f"--snapshot: not a list of numbers: {args.snapshot!r}") from None
+    if not all(0.0 <= t < np.inf for t in snaps):
+        raise ConfigError(f"--snapshot: times must be finite and >= 0: {args.snapshot!r}")
     pulse = KickPulse(cfg["kick_amplitude"], cfg["kick_width"],
                       cfg["kick_time"], "magnetic")
+    sample = [cfg[k] for k in ("n", "mu_z", "mu_v", "sigma_z", "sigma_v", "seed")]
     times = np.arange(0.0, cfg["t_max"] + 1e-9, cfg["dt_sample"])
-    series = mean_height_series(cfg["n"], cfg["mu_z"], cfg["mu_v"],
-                                cfg["sigma_z"], cfg["sigma_v"], cfg["seed"],
-                                [pulse], times,
+    series = mean_height_series(*sample, [pulse], times,
                                 steps_per_sigma=cfg["steps_per_sigma"])
     avg = 0.5 * (series[1] + series[-1])
     rows = list(zip(times, series[1], series[-1], avg))
     write_csv(_resolve_out(args, args.out), sorted(cfg.items()),
               ["t", "z_plus", "z_minus", "z_avg"], rows)
 
-    if args.snapshot:
-        snap_times = sorted(float(t) for t in args.snapshot.split(","))
+    if snaps:
         rows = []
         for s in (1, -1):
-            ens = sample_initial(cfg["n"], cfg["mu_z"], cfg["mu_v"],
-                                 cfg["sigma_z"], cfg["sigma_v"], cfg["seed"],
-                                 spin=s)
-            for t in snap_times:
-                ens = propagate(ens, t, [pulse],
-                                steps_per_sigma=cfg["steps_per_sigma"])
+            start = sample_initial(*sample, spin=s)
+            for t in snaps:  # restart only outside the window, keeping its steps
+                ens = propagate(start, t, [pulse], cfg["steps_per_sigma"])
+                if not pulse.window[0] < t < pulse.window[1]:
+                    start = ens
                 rows += [(t, float(z), float(v), s)
                          for z, v in zip(ens.z, ens.v)]
         write_csv(_resolve_out(args, "snapshots.csv"), sorted(cfg.items()),

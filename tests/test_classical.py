@@ -5,11 +5,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qbounce import classical
 from qbounce.classical import (ClassicalEnsemble, ballistic_flight,
                                mean_height_series, particle_energy,
                                propagate, sample_initial)
 from qbounce.pulses import KickPulse
+
+from helpers import bounce_flight, walk_mean_height_series
+
+FIG1_PULSE = KickPulse(0.5, 0.5, 60.0)
+
+
+def assert_same_states(z1, v1, z2, v2, tol):
+    """Equal phase-space points; on the floor v = -u and v = +u are one point."""
+    assert np.max(np.abs(z1 - z2)) < tol
+    on_floor = np.minimum(z1, z2) < tol
+    dv = np.where(on_floor, np.abs(np.abs(v1) - np.abs(v2)), np.abs(v1 - v2))
+    assert np.max(dv) < tol
 
 
 # ------------------------------------------------------------- sampling
@@ -91,14 +106,58 @@ def test_phase_space_volume_preserved():
         assert det == pytest.approx(1.0, abs=1e-6), (z0, v0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(z=st.floats(0.0, 50.0), v=st.floats(-15.0, 15.0),
+       dt=st.floats(0.0, 200.0))
+def test_flight_matches_bounce_by_bounce_oracle(z, v, dt):
+    assume(v * v + 4.0 * z >= 0.25)  # at most 400 bounces for the oracle
+    assert_same_states(*ballistic_flight([z], [v], dt),
+                       *bounce_flight([z], [v], dt), 1e-10)
+
+
+@pytest.mark.parametrize("v0", [-1.5, 1.5])
+@pytest.mark.parametrize("dt", [0.7, 2.5, 41.3])
+def test_flight_from_the_floor_matches_oracle(v0, dt):
+    assert_same_states(*ballistic_flight([0.0], [v0], dt),
+                       *bounce_flight([0.0], [v0], dt), 1e-10)
+
+
+def test_zero_time_flight_is_identity():
+    rng = np.random.default_rng(6)
+    z0 = np.r_[rng.uniform(0.0, 30.0, 500), 0.0]
+    v0 = np.r_[rng.uniform(-8.0, 8.0, 500), 2.0]
+    z, v = ballistic_flight(z0, v0, 0.0)
+    assert np.max(np.abs(z - z0)) < 1e-12 and np.max(np.abs(v - v0)) < 1e-12
+    # a particle arriving at the floor comes back as leaving it
+    z, v = ballistic_flight([0.0], [-2.0], 0.0)
+    assert z[0] == 0.0 and v[0] == 2.0
+
+
+def test_flight_splits_in_time():
+    rng = np.random.default_rng(7)
+    z0, v0 = rng.uniform(0.0, 30.0, 2000), rng.uniform(-8.0, 8.0, 2000)
+    for a, b in [(0.3, 0.4), (13.1, 77.7), (100.0, 99.9)]:
+        assert_same_states(*ballistic_flight(*ballistic_flight(z0, v0, a), b),
+                           *ballistic_flight(z0, v0, a + b), 1e-10)
+
+
+def test_flight_energy_conserved_to_rounding():
+    rng = np.random.default_rng(8)
+    z0, v0 = rng.uniform(0.0, 30.0, 2000), rng.uniform(-8.0, 8.0, 2000)
+    e0 = particle_energy(z0, v0)
+    for dt in (0.5, 37.3, 200.0):
+        e1 = particle_energy(*ballistic_flight(z0, v0, dt))
+        assert np.max(np.abs(e1 / e0 - 1.0)) < 1e-12
+
+
 # ------------------------------------------------------------- propagate
 
 def test_zero_amplitude_pulse_is_ballistic():
     ens = sample_initial(300, 20.0, 0.0, 4.0, 0.125, seed=9)
     kicked = propagate(ens, 30.0, [KickPulse(0.0, 0.5, 15.0)])
     free = propagate(ens, 30.0, [])
-    assert np.allclose(kicked.z, free.z, atol=1e-9)
-    assert np.allclose(kicked.v, free.v, atol=1e-9)
+    assert np.allclose(kicked.z, free.z, rtol=0, atol=1e-9)
+    assert np.allclose(kicked.v, free.v, rtol=0, atol=1e-9)
 
 
 def test_propagate_conserves_count_and_floor():
@@ -149,3 +208,39 @@ def test_spin_branches_identical_before_kick():
     series = mean_height_series(2000, 20.0, 0.0, 4.0, 0.125, 13,
                                 [KickPulse(0.5, 0.5, 60.0)], times)
     assert np.array_equal(series[1], series[-1])
+
+
+def test_series_matches_per_sample_walk(monkeypatch):
+    """Closed-form stretches against one propagate per sample, old flight."""
+    times = np.arange(0.0, 200.0 + 1e-9, 0.1)
+    series = mean_height_series(2000, 20.0, 0.0, 4.0, 0.125, 7, [FIG1_PULSE],
+                                times)
+    monkeypatch.setattr(classical, "ballistic_flight", bounce_flight)
+    walk = walk_mean_height_series(2000, 20.0, 0.0, 4.0, 0.125, 7,
+                                   [FIG1_PULSE], times)
+    for s in (1, -1):
+        assert np.max(np.abs(series[s] - walk[s])) < 1e-10
+
+
+def test_series_lands_on_samples_inside_the_window():
+    """Samples between lo and hi of the pulse window come from the stepper."""
+    lo, hi = FIG1_PULSE.window
+    times = np.array([0.0, 30.0, lo, lo + 0.05, 60.0, 61.7, hi, 90.0])
+    series = mean_height_series(500, 20.0, 0.0, 4.0, 0.125, 3, [FIG1_PULSE],
+                                times, spins=(-1,))
+    walk = walk_mean_height_series(500, 20.0, 0.0, 4.0, 0.125, 3,
+                                   [FIG1_PULSE], times, spins=(-1,))
+    assert np.max(np.abs(series[-1] - walk[-1])) < 1e-10
+
+
+def test_series_flags_escaping_particles():
+    times = np.arange(0.0, 10.0, 0.5)
+    with pytest.warns(UserWarning, match="z_cap"):
+        mean_height_series(200, 1.0, 10.0, 0.1, 0.1, 4, [], times)
+
+
+def test_series_without_escapes_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean_height_series(500, 20.0, 0.0, 4.0, 0.125, 4, [FIG1_PULSE],
+                           np.arange(0.0, 100.0, 0.5))

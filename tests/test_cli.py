@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from qbounce.classical import propagate, sample_initial
 from qbounce.cli import main, parse_config_text, read_scan_csv
+from qbounce.pulses import KickPulse
 
 # hard-coded preset parameter tables; any drift in the shipped config files
 # is a bug
@@ -118,7 +120,7 @@ def test_zero_kick_scan_is_flat(tmp_path):
     header, columns, data = read_scan_csv(str(out))
     assert columns == ["tau", "population", "overlap"]
     assert header["basis_size"] == "10"
-    assert np.allclose(data[:, 1], 1.0, atol=1e-12)
+    assert np.allclose(data[:, 1], 1.0, rtol=0, atol=1e-10)
 
 
 def test_scan_spectrum_retrieve_pipeline(tmp_path):
@@ -160,9 +162,7 @@ def test_out_dir_routes_outputs(tmp_path):
 
 # ---------------------------------------------------------- echo commands
 
-def test_classical_echo_csv_and_snapshots(tmp_path):
-    cfg = tmp_path / "ce.cfg"
-    cfg.write_text("""\
+CLASSICAL_CFG = """\
 n = 300
 mu_z = 20.0
 mu_v = 0.0
@@ -174,7 +174,12 @@ kick_width = 0.5
 kick_time = 10.0
 t_max = 20.0
 dt_sample = 0.5
-""")
+"""
+
+
+def test_classical_echo_csv_and_snapshots(tmp_path):
+    cfg = tmp_path / "ce.cfg"
+    cfg.write_text(CLASSICAL_CFG)
     out = tmp_path / "series.csv"
     assert main(["classical-echo", "--config", str(cfg), "--out", str(out),
                  "--out-dir", str(tmp_path), "--snapshot", "5,15"]) == 0
@@ -185,6 +190,36 @@ dt_sample = 0.5
     _, scols, srows = _read_csv(tmp_path / "snapshots.csv")
     assert scols == ["t", "z", "v", "s"]
     assert len(srows) == 2 * 2 * 300  # two times, two spins
+
+
+def test_snapshots_match_propagation_from_zero(tmp_path):
+    """Each snapshot equals propagate from t = 0, also past an in-window one."""
+    cfg = tmp_path / "ce.cfg"
+    cfg.write_text(CLASSICAL_CFG)
+    snaps = [5.0, 10.2, 15.0, 18.5]  # the kick window is [7, 13]
+    assert main(["classical-echo", "--config", str(cfg), "--out-dir",
+                 str(tmp_path), "--snapshot", ",".join(map(str, snaps))]) == 0
+    _, _, rows = _read_csv(tmp_path / "snapshots.csv")
+    data = np.array(rows, dtype=float)
+    pulse = KickPulse(0.5, 0.5, 10.0)
+    for s in (1, -1):
+        start = sample_initial(300, 20.0, 0.0, 4.0, 0.125, 3, spin=s)
+        for t in snaps:
+            block = data[(data[:, 0] == t) & (data[:, 3] == s)]
+            ref = propagate(start, t, [pulse])
+            assert np.max(np.abs(block[:, 1] - ref.z)) < 1e-10
+            assert np.max(np.abs(block[:, 2] - ref.v)) < 1e-10
+
+
+@pytest.mark.parametrize("snapshot", ["5,abc", "5,,15", "-1", "5,-0.5", "nan",
+                                      "inf"])
+def test_bad_snapshot_times_fail_before_the_run(tmp_path, capsys, snapshot):
+    cfg = tmp_path / "ce.cfg"
+    cfg.write_text(CLASSICAL_CFG)
+    assert main(["classical-echo", "--config", str(cfg), "--out-dir",
+                 str(tmp_path), "--snapshot", snapshot]) == 1
+    assert "--snapshot" in capsys.readouterr().err
+    assert not (tmp_path / "series.csv").exists()
 
 
 def test_quantum_echo_csv(tmp_path):
