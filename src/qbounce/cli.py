@@ -22,7 +22,7 @@ from .basis import (BasisProjectionError, QuadratureError, UnitSystem,
                     build_basis)
 from .classical import mean_height_series, propagate, sample_initial
 from .pulses import KickPulse
-from .quantum import (NormDriftError, StateVector, ground_state,
+from .quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector, ground_state,
                       mean_height_trace)
 from .spectroscopy import (DelayScan, find_peaks_and_match,
                            retrieve_amplitudes, scan_delay, spectrum)
@@ -77,7 +77,7 @@ _SCHEMAS = {
         "t_max": (float, REQUIRED),
         "dt_sample": (float, REQUIRED),
         "spin_average": (_parse_bool, True),
-        "steps_per_sigma": (int, 500),
+        "steps_per_sigma": (int, DEFAULT_STEPS_PER_SIGMA),
     },
     "scan": {
         "basis_size": (int, REQUIRED),
@@ -90,7 +90,7 @@ _SCHEMAS = {
         "tau_max": (float, REQUIRED),
         "dtau": (float, REQUIRED),
         "spin_average": (_parse_bool, True),
-        "steps_per_sigma": (int, 500),
+        "steps_per_sigma": (int, DEFAULT_STEPS_PER_SIGMA),
     },
 }
 
@@ -513,8 +513,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, NormDriftError, BasisProjectionError,
-            ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (QuadratureError, BasisProjectionError, ArithmeticError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -6,12 +6,11 @@ the Hamiltonian is diag(z_i) + f(t) * Z with a scalar forcing f(t):
 * magnetic gradient: f(t) = -s * beta(t)    (potential -s beta(t) z)
 * surface shake:     f(t) = h''(t) / 2      (comoving frame, see README)
 
-The default pulse stepper is a Strang splitting between the diagonal part
-and the Z part (Z is diagonalized once), which is exactly unitary at every
-step.  One kernel, `strang_steps`, runs it for pulse windows, propagators
-and delay scans, on one vector or a block of columns with per-column
-forcing.  A classical RK4 stepper with per-step renormalization is
-available as a cross-check.
+The pulse stepper is a Strang splitting between the diagonal part and the
+Z part (Z is diagonalized once), composed into Yoshida's fourth-order
+triple jump, and exactly unitary at every step.  One kernel,
+`strang_steps`, runs it for pulse windows, propagators and delay scans, on
+one vector or a block of columns with per-column forcing.
 """
 
 from __future__ import annotations
@@ -30,11 +29,13 @@ __all__ = ["StateVector", "ground_state", "free_evolve", "evolve_pulsed",
            "step_grid", "strang_steps", "expectation_z", "mean_height_trace",
            "forcing"]
 
-DEFAULT_STEPS_PER_SIGMA = 500
+DEFAULT_STEPS_PER_SIGMA = 40
 
-
-class NormDriftError(RuntimeError):
-    """Pulse integration lost more norm than the stepper tolerance allows."""
+# Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): the Strang steps of
+# sizes w1 h, w0 h, w1 h compose into one step of size h, fourth order in h
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+_WEIGHTS = (_W1, _W0, _W1)
 
 
 @dataclass(frozen=True)
@@ -131,93 +132,68 @@ def impulsive_kick(state: StateVector, basis: EigenBasis, alpha: float,
     return StateVector(dec.apply_expm(factor, state.coeffs), state.time)
 
 
-def _dmul(d, c):
-    """diag(d) @ c for c a vector or a matrix of stacked columns."""
-    return d[:, None] * c if c.ndim == 2 else d * c
-
-
 def step_grid(lo: float, hi: float, width: float,
               steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA):
-    """Midpoints and size of the steps across [lo, hi].
+    """Sub-step midpoints and step size across [lo, hi].
 
     The step h is the largest one that is at most width / steps_per_sigma
-    and divides hi - lo into whole steps.  Returns (t_mid, h).
+    and divides hi - lo into whole steps.  Each step is three sub-steps of
+    sizes w1 h, w0 h, w1 h.  Returns (t_mid, h), t_mid holding the 3n
+    sub-step midpoints; they are symmetric about the middle of [lo, hi].
     """
     dt = width / steps_per_sigma
     n = max(1, math.ceil((hi - lo) / dt))
     h = (hi - lo) / n
-    return lo + (np.arange(n) + 0.5) * h, h
+    offsets = np.array([0.5 * _W1, 0.5, 1.0 - 0.5 * _W1])
+    return lo + (np.arange(n)[:, None] + offsets).ravel() * h, h
 
 
 def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
                  h: float) -> np.ndarray:
-    """One Strang step of size h per forcing sample; exactly unitary.
+    """Composed steps of size h, one sub-step per forcing sample; unitary.
 
-    Step k is H V E_k V^T H with H = exp(-i z h/2), Z = V diag(lambda) V^T
-    and E_k = exp(-i f_mid[k] h lambda).  Adjacent half phases merge into
-    G = V^T exp(-i z h) V, so in the eigenbasis of Z each step is one
-    product with G and one elementwise phase.  ``c`` is a vector (M,) or a
-    block of columns (M, B); ``f_mid`` of shape (n,) drives every column,
-    shape (n, B) drives each column with its own forcing.
+    A step is S(w1 h) S(w0 h) S(w1 h), with the Strang step
+    S(h') = H V E V^T H, H = exp(-i z h'/2), Z = V diag(lambda) V^T and
+    E = exp(-i f h' lambda), f the forcing at the sub-step's own midpoint.
+    Adjacent half phases merge into G = V^T exp(-i z h'') V, so in the
+    eigenbasis of Z each sub-step is one product with G and one elementwise
+    phase.  A call builds two G, for h'' = (w1 + w0) h / 2 inside a step and
+    h'' = w1 h between steps.  ``c`` is a vector (M,) or a block of columns
+    (M, B); ``f_mid`` of shape (3n,) drives every column, shape (3n, B)
+    drives each column with its own forcing.  The sub-step sizes are
+    palindromic, so the forcing reversed gives the transposed product.
     """
+    if len(f_mid) % 3:
+        raise ValueError("the forcing needs three samples per step")
     dec = _zdecomp(basis)
     v = dec.eigvecs  # Z is real symmetric, eigenvectors are real
-    half = np.exp(-0.5j * basis.zeros * h)
-    g = v.T @ (np.exp(-1j * basis.zeros * h)[:, None] * v)
+    half = np.exp(-0.5j * _W1 * h * basis.zeros)
+    g_sub, g_step = (v.T @ (np.exp(-1j * hh * basis.zeros)[:, None] * v)
+                     for hh in (0.5 * (_W1 + _W0) * h, _W1 * h))
     lam = -1j * h * dec.eigvals
     if c.ndim == 2:
         half, lam = half[:, None], lam[:, None]
-    y = np.exp(lam * f_mid[0]) * (v.T @ (half * c))
-    for f in f_mid[1:]:
-        y = np.exp(lam * f) * (g @ y)
+    w = np.resize(_WEIGHTS, len(f_mid))
+    f_w = f_mid * (w[:, None] if f_mid.ndim == 2 else w)
+    y = np.exp(lam * f_w[0]) * (v.T @ (half * c))
+    for j in range(1, len(f_w)):
+        y = np.exp(lam * f_w[j]) * ((g_sub if j % 3 else g_step) @ y)
     return half * (v @ y)
 
 
-def _strang_window(c, t_mid, h, basis, pulses, spin):
-    return strang_steps(basis, c, forcing(pulses, spin, t_mid), h)
-
-
-def _rk4_window(c, t_mid, h, basis, pulses, spin):
-    """RK4 steps centred on t_mid, with post-step renormalization."""
-    d = basis.zeros
-    dec = _zdecomp(basis)
-
-    def rhs(t, c):
-        f = float(forcing(pulses, spin, t))
-        return -1j * (_dmul(d, c) +
-                      f * (dec.eigvecs @ _dmul(dec.eigvals, dec.eigvecs.T @ c)))
-
-    for t in t_mid - 0.5 * h:
-        k1 = rhs(t, c)
-        k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
-        k4 = rhs(t + h, c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        nrm = np.linalg.norm(c, axis=0)
-        if np.any(np.abs(nrm - 1.0) > 1e-6):
-            raise NormDriftError(f"norm drifted to {np.max(nrm):.6e} in one "
-                                 "RK4 step; reduce the step size")
-        c = c / nrm
-    return c
-
-
-_STEPPERS = {"strang": _strang_window, "rk4": _rk4_window}
-
-
 def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
-                  t_to: float, steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA,
-                  method: str = "strang") -> StateVector:
+                  t_to: float, steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA
+                  ) -> StateVector:
     """Evolve from ``state.time`` to ``t_to`` through any pulse windows.
 
     Outside every pulse window (|t - t_k| > 6 sigma_k) the evolution is the
-    exact free flight; inside, the chosen stepper integrates
+    exact free flight; inside, `strang_steps` integrates
     i dc/dt = (diag(z_i) + f(t) Z) c with step sigma_k / ``steps_per_sigma``.
     """
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
     if t_to < state.time:
         raise ValueError("t_to must not precede the state time")
-    stepper = _STEPPERS[method]
 
     windows = merged_windows(pulses, state.time, t_to)
     c, t = state.coeffs.copy(), state.time
@@ -227,7 +203,7 @@ def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
             t = lo
         t_mid, h = step_grid(t, hi, min(p.width for p in active),
                              steps_per_sigma)
-        c = stepper(c, t_mid, h, basis, active, spin)
+        c = strang_steps(basis, c, forcing(active, spin, t_mid), h)
         t = hi
     if t_to > t:
         c = c * np.exp(-1j * basis.zeros * (t_to - t))
@@ -235,8 +211,8 @@ def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
 
 
 def pulse_propagator(basis: EigenBasis, pulse: KickPulse, spin: int = 1,
-                     steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA,
-                     method: str = "strang") -> np.ndarray:
+                     steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA
+                     ) -> np.ndarray:
     """Full propagator matrix across one pulse window.
 
     The Hamiltonian depends on time only through t - t_k, so the matrix is
@@ -245,8 +221,8 @@ def pulse_propagator(basis: EigenBasis, pulse: KickPulse, spin: int = 1,
     """
     centered = KickPulse(pulse.amplitude, pulse.width, 0.0, pulse.kind)
     t_mid, h = step_grid(*centered.window, pulse.width, steps_per_sigma)
-    return _STEPPERS[method](np.eye(basis.m, dtype=np.complex128), t_mid, h,
-                             basis, [centered], spin)
+    return strang_steps(basis, np.eye(basis.m, dtype=np.complex128),
+                        forcing([centered], spin, t_mid), h)
 
 
 def expectation_z(state: StateVector, basis: EigenBasis) -> float:
@@ -268,8 +244,7 @@ def _expectation_z_free(basis, c0, t0, times):
 
 def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spin: int,
                       times: np.ndarray,
-                      steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA,
-                      method: str = "strang"):
+                      steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA):
     """<z> sampled on ``times`` (ascending, >= state.time).
 
     Returns (heights, final_state).  Free stretches are sampled analytically;
@@ -292,12 +267,11 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spin: int,
         # step through the window, landing on each interior sample time
         while idx < len(times) and times[idx] <= hi:
             cur = evolve_pulsed(cur, basis, pulses, spin, float(times[idx]),
-                                steps_per_sigma, method)
+                                steps_per_sigma)
             out[idx] = expectation_z(cur, basis)
             idx += 1
         if cur.time < hi:
-            cur = evolve_pulsed(cur, basis, pulses, spin, hi,
-                                steps_per_sigma, method)
+            cur = evolve_pulsed(cur, basis, pulses, spin, hi, steps_per_sigma)
     if idx < len(times):
         out[idx:] = _expectation_z_free(basis, cur.coeffs, cur.time, times[idx:])
         cur = free_evolve(cur, basis, float(times[-1]) - cur.time)

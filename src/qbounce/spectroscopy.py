@@ -17,7 +17,8 @@ import numpy as np
 
 from .basis import EigenBasis
 from .pulses import KickPulse
-from .quantum import forcing, impulsive_kick_matrix, step_grid, strang_steps
+from .quantum import (DEFAULT_STEPS_PER_SIGMA, forcing, impulsive_kick_matrix,
+                      step_grid, strang_steps)
 
 __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
            "impulsive_scan_analytic", "perturbative_scan", "spectrum",
@@ -41,9 +42,10 @@ class DelayScan:
         steps = np.diff(d)
         if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("delay grid must be uniform")
-        # zero-kick scans read 1 +/- 1.2e-11 (M = 20, 50): each Strang step
-        # is unitary only to rounding, and a sigma = 0.2 window takes 6000
-        # of them (12000 for a stacked run of overlapping delays)
+        # zero-kick scans read 1 +/- 1.1e-11 (M = 20, 50; widths 0.2/0.2 and
+        # 0.1/0.5): each Strang sub-step is unitary only to rounding, and a
+        # sigma = 0.2 window takes 1440 of them (more for a stacked run of
+        # overlapping delays)
         if np.any(p < -1e-10) or np.any(p > 1 + 1e-10):
             raise ValueError("populations must lie in [0, 1]")
         ov = self.overlap if self.overlap is not None else np.zeros(len(d), bool)
@@ -83,17 +85,19 @@ def _scan_grid(tau_min, tau_max, dtau):
 
 def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
                delays: np.ndarray, spin_average: bool = True,
-               spin: int = 1, steps_per_sigma: int = 500) -> DelayScan:
+               spin: int = 1,
+               steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA) -> DelayScan:
     """Ground-state population after two kicks, versus their delay.
 
     Kick 1 is centered at t = 0, kick 2 at t = tau.  For well-separated
     pulses c_1 = row . exp(-i z gap) v with v = W1 e_1 and row = e_1^T W2,
-    the pulse-window propagators W_k.  Each Strang step is complex
-    symmetric, so W2^T is W2's steps in reverse order and both v and row
-    are single vector runs.  Delays whose windows overlap are integrated
-    together as one run over stacked columns, each column driven by its
-    own two pulses inside its merged window and free outside it; |c_1|^2
-    is constant in free flight, so the shared end time does not matter.
+    the pulse-window propagators W_k.  Each Strang sub-step is complex
+    symmetric and their sizes are palindromic, so W2^T is W2's sub-steps
+    in reverse order and both v and row are single vector runs.  Delays
+    whose windows overlap are integrated together as one run over stacked
+    columns, each column driven by its own two pulses inside its merged
+    window and free outside it; |c_1|^2 is constant in free flight, so the
+    shared end time does not matter.
     Delays with tau < 3 (sigma_1 + sigma_2) are marked as overlapping.
     Magnetic scans average |c_1|^2 over s = +/-1 unless ``spin_average``
     is off.

@@ -1,11 +1,48 @@
 """Test-only helpers: reference oracles and trace diagnostics."""
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qbounce.airy import airy_ai
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import propagate, sample_initial
+from qbounce.quantum import forcing
+
+
+class NormDriftError(RuntimeError):
+    """An RK4 step lost more norm than the oracle's tolerance allows."""
+
+
+def rk4_window(c, basis, pulses, spin, lo, hi, steps_per_sigma=500):
+    """RK4 across [lo, hi] with post-step renormalization (oracle for
+    `strang_steps`).
+
+    Solves i dc/dt = (diag(z_i) + f(t) Z) c on its own grid of n equal steps
+    of at most sigma / ``steps_per_sigma``, sigma the narrowest pulse width.
+    Raises NormDriftError when one step moves the norm by more than 1e-6.
+    """
+    n = max(1, math.ceil((hi - lo) * steps_per_sigma /
+                         min(p.width for p in pulses)))
+    h = (hi - lo) / n
+
+    def rhs(t, c):
+        f = float(forcing(pulses, spin, t))
+        return -1j * (basis.zeros * c + f * (basis.z_matrix @ c))
+
+    for t in lo + h * np.arange(n):
+        k1 = rhs(t, c)
+        k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
+        k4 = rhs(t + h, c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        nrm = np.linalg.norm(c)
+        if abs(nrm - 1.0) > 1e-6:
+            raise NormDriftError(f"norm drifted to {nrm:.6e} in one RK4 "
+                                 "step; reduce the step size")
+        c = c / nrm
+    return c
 
 
 def quadrature_z_columns(basis, columns=None):

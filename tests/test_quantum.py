@@ -4,18 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbounce.basis import build_basis
 from qbounce.pulses import KickPulse
-from qbounce.quantum import (NormDriftError, StateVector, evolve_pulsed,
-                             expectation_z, forcing, free_evolve, ground_state,
+from qbounce.quantum import (StateVector, evolve_pulsed, expectation_z,
+                             forcing, free_evolve, ground_state,
                              impulsive_kick, impulsive_kick_matrix,
                              mean_height_trace, pulse_propagator, step_grid,
                              strang_steps)
 
-from helpers import oscillation_envelope, shake_potential_coefficient
+from helpers import (NormDriftError, oscillation_envelope, rk4_window,
+                     shake_potential_coefficient)
 
 
 def _two_state(basis):
@@ -67,12 +68,22 @@ def test_zero_amplitude_pulse_equals_free_evolution(basis20):
 
 
 def test_strang_and_rk4_steppers_agree(basis20):
-    s = ground_state(basis20, time=0.0)
     pulse = KickPulse(0.5, 0.5, 10.0)
-    a = evolve_pulsed(s, basis20, [pulse], 1, 20.0, method="strang")
-    b = evolve_pulsed(s, basis20, [pulse], 1, 20.0, method="rk4")
-    # O(dt^2) splitting vs O(dt^4) RK4: agreement limited by the Strang step
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-7
+    lo, hi = pulse.window
+    a = evolve_pulsed(ground_state(basis20, lo), basis20, [pulse], 1, hi)
+    b = rk4_window(ground_state(basis20).coeffs, basis20, [pulse], 1, lo, hi)
+    # RK4 at 500 steps per sigma is good to ~1e-11: the agreement is the
+    # composed steps' error at the default step (measured 1.2e-9)
+    assert np.max(np.abs(a.coeffs - b)) < 1e-8
+
+
+def test_window_error_is_fourth_order(basis20):
+    """Halving the step cuts the window error 16x."""
+    pulse = KickPulse(2.0, 0.2, 0.0)
+    ref = pulse_propagator(basis20, pulse, steps_per_sigma=320)
+    err = [np.max(np.abs(pulse_propagator(basis20, pulse, steps_per_sigma=n)
+                         - ref)) for n in (10, 20)]
+    assert 12.0 < err[0] / err[1] < 20.0
 
 
 def test_unitarity_through_strong_pulse(basis50):
@@ -83,24 +94,40 @@ def test_unitarity_through_strong_pulse(basis50):
 
 
 def test_rk4_norm_drift_raises(basis20):
-    s = ground_state(basis20)
+    pulse = KickPulse(40.0, 0.5, 10.0)
     with pytest.raises(NormDriftError):
-        evolve_pulsed(s, basis20, [KickPulse(40.0, 0.5, 10.0)], 1, 20.0,
-                      steps_per_sigma=2, method="rk4")
+        rk4_window(ground_state(basis20).coeffs, basis20, [pulse], 1,
+                   *pulse.window, steps_per_sigma=2)
 
 
-def test_spin_flip_equals_field_flip(basis20):
-    """The s = -1 propagator is identical to s = +1 with beta -> -beta."""
-    pulse = KickPulse(0.7, 0.4, 0.0)
-    flipped = KickPulse(-0.7, 0.4, 0.0)
-    w_minus = pulse_propagator(basis20, pulse, spin=-1)
-    w_flip = pulse_propagator(basis20, flipped, spin=1)
-    assert np.max(np.abs(w_minus - w_flip)) < 1e-13
+_random_pulses = dict(m=st.integers(5, 30), amplitude=st.floats(-3.0, 3.0),
+                      sigma=st.floats(0.05, 1.0),
+                      kind=st.sampled_from(["magnetic", "shake"]),
+                      spin=st.sampled_from([1, -1]))
 
 
-def test_pulse_propagator_is_unitary(basis20):
-    w = pulse_propagator(basis20, KickPulse(1.0, 0.3, 0.0))
-    assert np.max(np.abs(w.conj().T @ w - np.eye(basis20.m))) < 1e-10
+@settings(max_examples=25, deadline=None)
+@given(**_random_pulses)
+@example(m=20, amplitude=0.7, sigma=0.4, kind="magnetic", spin=-1)
+def test_spin_flip_equals_field_flip(m, amplitude, sigma, kind, spin):
+    """The -s propagator is the s one with beta -> -beta (magnetic); a
+    shake does not couple to the spin."""
+    basis = build_basis(m)
+    pulse = KickPulse(amplitude, sigma, 0.0, kind)
+    flipped = KickPulse(-amplitude, sigma, 0.0, kind) \
+        if kind == "magnetic" else pulse
+    w = pulse_propagator(basis, pulse, spin=spin)
+    w_flip = pulse_propagator(basis, flipped, spin=-spin)
+    assert np.max(np.abs(w - w_flip)) < 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_random_pulses)
+@example(m=20, amplitude=1.0, sigma=0.3, kind="magnetic", spin=1)
+def test_pulse_propagator_is_unitary(m, amplitude, sigma, kind, spin):
+    basis = build_basis(m)
+    w = pulse_propagator(basis, KickPulse(amplitude, sigma, 0.0, kind), spin)
+    assert np.max(np.abs(w.conj().T @ w - np.eye(m))) < 1e-11
 
 
 def test_pulse_propagator_matches_evolve_pulsed(basis20):
@@ -124,8 +151,9 @@ def test_reversed_steps_give_first_row_of_propagator(basis20, kind):
 
 
 def test_reversed_steps_transpose_asymmetric_forcing(basis20):
-    """Each Strang step is complex symmetric, so reversing the steps
-    transposes the product even when the forcing has no time symmetry."""
+    """Each Strang sub-step is complex symmetric and the sub-step sizes are
+    palindromic, so reversing the forcing transposes the product even when
+    the forcing has no time symmetry."""
     pulses = [KickPulse(1.0, 0.2, -0.5), KickPulse(-0.6, 0.3, 0.4)]
     t_mid, h = step_grid(-1.7, 2.2, 0.2, 100)
     f = forcing(pulses, 1, t_mid)
@@ -133,6 +161,11 @@ def test_reversed_steps_transpose_asymmetric_forcing(basis20):
     assert np.max(np.abs(w - w.T)) > 1e-3
     row = strang_steps(basis20, ground_state(basis20).coeffs, f[::-1], h)
     assert np.max(np.abs(row - w[0, :])) < 1e-12
+
+
+def test_steps_need_three_forcing_samples_each(basis20):
+    with pytest.raises(ValueError, match="three samples"):
+        strang_steps(basis20, ground_state(basis20).coeffs, np.zeros(4), 0.1)
 
 
 @settings(max_examples=25, deadline=None)
