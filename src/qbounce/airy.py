@@ -86,7 +86,7 @@ def _asymptotic_pos(x):
     """Decaying expansion for x >= 8 (DLMF 9.7.5/9.7.6)."""
     x = np.asarray(x, dtype=np.float64)
     zeta = (2.0 / 3.0) * x ** 1.5
-    # optimal truncation: stop before terms start growing
+    # terms never grow: for x >= 8, |u_k/u_{k-1}|/zeta <= 0.76 up to k = 24
     s_ai = np.ones_like(x)
     s_aip = np.ones_like(x)
     term_a = np.ones_like(x)
@@ -94,9 +94,8 @@ def _asymptotic_pos(x):
     for k in range(1, len(_UK)):
         term_a = -term_a * _UK[k] / _UK[k - 1] / zeta
         term_p = -term_p * _VK[k] / _VK[k - 1] / zeta
-        grow = np.abs(_UK[k] / zeta ** k) > np.abs(_UK[k - 1] / zeta ** (k - 1))
-        s_ai += np.where(grow, 0.0, term_a)
-        s_aip += np.where(grow, 0.0, term_p)
+        s_ai += term_a
+        s_aip += term_p
     with np.errstate(under="ignore"):
         pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     ai = pref * s_ai / x ** 0.25
@@ -114,11 +113,9 @@ def _asymptotic_neg(x):
     odd_a = _UK[1] / zeta      # sum (-1)^k u_{2k+1} zeta^{-2k-1}
     even_p = np.ones_like(t)
     odd_p = _VK[1] / zeta
-    for k in range(1, 12):
+    for k in range(1, 12):  # 2k + 1 <= 23 < len(_UK) = 25
         fe = (-1.0) ** k / zeta ** (2 * k)
         fo = (-1.0) ** k / zeta ** (2 * k + 1)
-        if 2 * k + 1 >= len(_UK):
-            break
         even_a += _UK[2 * k] * fe
         odd_a += _UK[2 * k + 1] * fo
         even_p += _VK[2 * k] * fe

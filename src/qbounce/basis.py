@@ -121,19 +121,25 @@ class UnitSystem:
 class EigenBasis:
     """Truncated eigenbasis: zeros z_i, norms N_i, position matrix Z.
 
-    Immutable after construction; safe to share across workers.  Compared
-    by identity (eq=False) so instances can key weak caches.
+    Also holds Z's eigenpairs Z = V diag(lambda) V^T, computed once here
+    for the pulse stepper and the impulsive kicks.  Immutable after
+    construction (every array is read-only); safe to share across workers.
+    Compared by identity (eq=False).
     """
 
     m: int
     zeros: np.ndarray   # (m,) Airy-zero magnitudes = dimensionless energies
     norms: np.ndarray   # (m,) N_i = 1/|Ai'(-z_i)|
     z_matrix: np.ndarray  # (m, m) <i|z|j>, symmetric
+    z_eigvals: np.ndarray = field(init=False)  # (m,) lambda, ascending
+    z_eigvecs: np.ndarray = field(init=False)  # (m, m) V, real orthogonal
 
     def __post_init__(self):
-        self.zeros.setflags(write=False)
-        self.norms.setflags(write=False)
-        self.z_matrix.setflags(write=False)
+        eigvals, eigvecs = np.linalg.eigh(self.z_matrix)
+        object.__setattr__(self, "z_eigvals", eigvals)
+        object.__setattr__(self, "z_eigvecs", eigvecs)
+        for a in (self.zeros, self.norms, self.z_matrix, eigvals, eigvecs):
+            a.setflags(write=False)
 
     @property
     def z_max(self) -> float:

@@ -21,7 +21,7 @@ from . import __version__
 from .basis import (BasisProjectionError, QuadratureError, UnitSystem,
                     build_basis)
 from .classical import mean_height_series, propagate, sample_initial
-from .pulses import KickPulse
+from .pulses import KickPulse, spin_branches
 from .quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector, ground_state,
                       mean_height_trace)
 from .spectroscopy import (DelayScan, find_peaks_and_match,
@@ -44,51 +44,65 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite(s):
+    x = float(s)
+    if not np.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
+    return x
+
+
+def _positive(s):
+    x = _finite(s)
+    if x <= 0:
+        raise ValueError(f"not positive: {s!r}")
+    return x
+
+
 # schema: key -> (type, default); REQUIRED means no default
 REQUIRED = object()
 
 _SCHEMAS = {
     "classical-echo": {
         "n": (int, REQUIRED),
-        "mu_z": (float, REQUIRED),
-        "mu_v": (float, REQUIRED),
-        "sigma_z": (float, REQUIRED),
-        "sigma_v": (float, REQUIRED),
+        "mu_z": (_finite, REQUIRED),
+        "mu_v": (_finite, REQUIRED),
+        "sigma_z": (_finite, REQUIRED),
+        "sigma_v": (_finite, REQUIRED),
         "seed": (int, REQUIRED),
-        "kick_amplitude": (float, REQUIRED),
-        "kick_width": (float, REQUIRED),
-        "kick_time": (float, REQUIRED),
-        "t_max": (float, REQUIRED),
-        "dt_sample": (float, REQUIRED),
+        "kick_amplitude": (_finite, REQUIRED),
+        "kick_width": (_positive, REQUIRED),
+        "kick_time": (_finite, REQUIRED),
+        "t_max": (_finite, REQUIRED),
+        "dt_sample": (_positive, REQUIRED),
         "steps_per_sigma": (int, 200),
     },
     "quantum-echo": {
         "basis_size": (int, REQUIRED),
         "kind": (str, REQUIRED),
         "initial": (str, REQUIRED),
-        "mu_z": (float, 0.0),
-        "sigma_z": (float, 0.0),
-        "amplitude1": (float, REQUIRED),
-        "width1": (float, REQUIRED),
-        "time1": (float, REQUIRED),
-        "amplitude2": (float, 0.0),
-        "width2": (float, 1.0),
-        "time2": (float, 0.0),
-        "t_max": (float, REQUIRED),
-        "dt_sample": (float, REQUIRED),
+        "mu_z": (_finite, 0.0),
+        "sigma_z": (_finite, 0.0),
+        "amplitude1": (_finite, REQUIRED),
+        "width1": (_positive, REQUIRED),
+        "time1": (_finite, REQUIRED),
+        "amplitude2": (_finite, 0.0),
+        "width2": (_positive, 1.0),
+        "time2": (_finite, 0.0),
+        "t_max": (_finite, REQUIRED),
+        "dt_sample": (_positive, REQUIRED),
         "spin_average": (_parse_bool, True),
         "steps_per_sigma": (int, DEFAULT_STEPS_PER_SIGMA),
     },
     "scan": {
         "basis_size": (int, REQUIRED),
         "kind": (str, REQUIRED),
-        "amplitude1": (float, REQUIRED),
-        "width1": (float, REQUIRED),
-        "amplitude2": (float, REQUIRED),
-        "width2": (float, REQUIRED),
-        "tau_min": (float, REQUIRED),
-        "tau_max": (float, REQUIRED),
-        "dtau": (float, REQUIRED),
+        "amplitude1": (_finite, REQUIRED),
+        "width1": (_positive, REQUIRED),
+        "amplitude2": (_finite, REQUIRED),
+        "width2": (_positive, REQUIRED),
+        "tau_min": (_positive, REQUIRED),
+        "tau_max": (_finite, REQUIRED),
+        "dtau": (_positive, REQUIRED),
         "spin_average": (_parse_bool, True),
         "steps_per_sigma": (int, DEFAULT_STEPS_PER_SIGMA),
     },
@@ -116,15 +130,10 @@ def parse_config_text(text, mode):
             raw[key] = conv(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    cfg = {}
     for key, (_, default) in schema.items():
-        if key in raw:
-            cfg[key] = raw[key]
-        elif default is REQUIRED:
+        if default is REQUIRED and key not in raw:
             raise ConfigError(f"missing required key {key!r} for mode {mode!r}")
-        else:
-            cfg[key] = default
-    return cfg
+    return {key: raw.get(key, default) for key, (_, default) in schema.items()}
 
 
 def load_config(args, mode):
@@ -145,6 +154,13 @@ def load_config(args, mode):
     return cfg
 
 
+def _check_span(cfg, start, stop_key):
+    """A sample grid from ``start`` to cfg[stop_key] must not run backwards."""
+    if cfg[stop_key] < start:
+        raise ConfigError(f"{stop_key} = {cfg[stop_key]!r} precedes the grid "
+                          f"start {start!r}")
+
+
 # ---------------------------------------------------------------- output
 
 def _resolve_out(args, path):
@@ -162,7 +178,11 @@ def write_csv(path, header_items, columns, rows):
     for row in rows:
         lines.append(",".join(
             f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    _emit(path, "\n".join(lines) + "\n")
+
+
+def _emit(path, text):
+    """Write ``text`` to ``path``, or to standard output if it is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -191,8 +211,7 @@ def read_scan_csv(path):
                 rows.append([float(x) for x in line.split(",")])
     if columns is None or not rows:
         raise ConfigError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    return header, columns, data
+    return header, columns, np.asarray(rows)
 
 
 def _maybe_plot(args, path, plot_fn):
@@ -234,6 +253,7 @@ def cmd_classical_echo(args):
         raise ConfigError(f"--snapshot: not a list of numbers: {args.snapshot!r}") from None
     if not all(0.0 <= t < np.inf for t in snaps):
         raise ConfigError(f"--snapshot: times must be finite and >= 0: {args.snapshot!r}")
+    _check_span(cfg, 0.0, "t_max")
     pulse = KickPulse(cfg["kick_amplitude"], cfg["kick_width"],
                       cfg["kick_time"], "magnetic")
     sample = [cfg[k] for k in ("n", "mu_z", "mu_v", "sigma_z", "sigma_v", "seed")]
@@ -277,26 +297,25 @@ def cmd_quantum_echo(args):
     cfg = load_config(args, "quantum-echo")
     if cfg["kind"] not in ("magnetic", "shake"):
         raise ConfigError(f"unknown kind {cfg['kind']!r}")
-    basis = build_basis(cfg["basis_size"])
     pulses = _quantum_pulses(cfg)
+    # start early enough that the first pulse window is fully covered
+    t_start = min(0.0, min(p.window[0] for p in pulses))
+    _check_span(cfg, t_start, "t_max")
+    basis = build_basis(cfg["basis_size"])
 
     if cfg["initial"] == "gaussian":
         if cfg["mu_z"] <= 0 or cfg["sigma_z"] <= 0:
             raise ConfigError("gaussian initial state needs mu_z, sigma_z > 0")
         coeffs, _ = basis.project_gaussian(cfg["mu_z"], cfg["sigma_z"])
-        coeffs = coeffs.astype(np.complex128)
     elif cfg["initial"] == "ground":
         coeffs = ground_state(basis).coeffs
     else:
         raise ConfigError(f"unknown initial state {cfg['initial']!r}")
 
-    # start early enough that the first pulse window is fully covered
-    t_start = min(0.0, min(p.window[0] for p in pulses))
     times = np.arange(t_start, cfg["t_max"] + 1e-9, cfg["dt_sample"])
     state = StateVector(coeffs, t_start)
 
-    spins = (1, -1) if (cfg["spin_average"] and cfg["kind"] == "magnetic") \
-        else (1,)
+    spins = spin_branches(cfg["kind"], cfg["spin_average"])
     traces, norms = {}, []
     for s in spins:
         traces[s], final = mean_height_trace(
@@ -322,6 +341,7 @@ def cmd_scan(args):
     cfg = load_config(args, "scan")
     if cfg["kind"] not in ("magnetic", "shake"):
         raise ConfigError(f"unknown kind {cfg['kind']!r}")
+    _check_span(cfg, cfg["tau_min"], "tau_max")
     basis = build_basis(cfg["basis_size"])
     p1 = KickPulse(cfg["amplitude1"], cfg["width1"], 0.0, cfg["kind"])
     p2 = KickPulse(cfg["amplitude2"], cfg["width2"], 0.0, cfg["kind"])
@@ -370,13 +390,7 @@ def cmd_spectrum(args):
               "omega_theory": m.omega_theory,
               "rel_error_percent": m.rel_error_percent}
              for m in spec.matches]
-    peaks_path = _resolve_out(args, args.peaks)
-    if peaks_path is None:
-        json.dump(peaks, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(peaks_path, "w") as fh:
-            json.dump(peaks, fh, indent=2)
+    _emit(_resolve_out(args, args.peaks), json.dumps(peaks, indent=2) + "\n")
     _maybe_plot(args, _resolve_out(args, "spectrum.svg"),
                 lambda ax: (ax.semilogy(spec.frequencies, spec.amplitudes),
                             ax.set_xlabel("angular frequency"),
@@ -394,13 +408,7 @@ def cmd_retrieve(args):
         "fit_residual_rms": residual,
         "version": __version__,
     }
-    out = _resolve_out(args, args.out)
-    if out is None:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+    _emit(_resolve_out(args, args.out), json.dumps(payload, indent=2) + "\n")
     return 0
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KickPulse", "WINDOW_SIGMAS", "merged_windows"]
+__all__ = ["KickPulse", "WINDOW_SIGMAS", "merged_windows", "spin_branches"]
 
 # a pulse acts on |t - t_k| <= 6 sigma; the Gaussian tail beyond is < 1e-15
 WINDOW_SIGMAS = 6.0
@@ -53,6 +53,11 @@ class KickPulse:
         t = np.asarray(t, dtype=np.float64)
         u = (t - self.center) / self.width
         return self.amplitude / self.width ** 2 * (4.0 * u ** 2 - 2.0) * np.exp(-u ** 2)
+
+
+def spin_branches(kind: str, spin_average: bool, spin: int = 1):
+    """Both spins for spin-averaged magnetic kicks, else ``spin`` alone."""
+    return (1, -1) if spin_average and kind == "magnetic" else (spin,)
 
 
 def merged_windows(pulses, t_from, t_to):

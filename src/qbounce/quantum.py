@@ -7,16 +7,17 @@ the Hamiltonian is diag(z_i) + f(t) * Z with a scalar forcing f(t):
 * surface shake:     f(t) = h''(t) / 2      (comoving frame, see README)
 
 The pulse stepper is a Strang splitting between the diagonal part and the
-Z part (Z is diagonalized once), composed into Yoshida's fourth-order
-triple jump, and exactly unitary at every step.  One kernel,
+Z part (Z's eigenpairs live on the basis), composed into Yoshida's
+fourth-order triple jump, and exactly unitary at every step.  One kernel,
 `strang_steps`, runs it for pulse windows, propagators and delay scans, on
-one vector or a block of columns with per-column forcing.
+one vector or a block of columns with per-column forcing.  One walk
+through the merged pulse windows gives the state at each requested time;
+`evolve_pulsed` and `mean_height_trace` both take it.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,35 +83,6 @@ def forcing(pulses, spin: int, t):
     return f
 
 
-class _ZDecomposition:
-    """Cached eigendecomposition of the symmetric position matrix."""
-
-    def __init__(self, basis: EigenBasis):
-        self.eigvals, self.eigvecs = np.linalg.eigh(basis.z_matrix)
-
-    def expm(self, factor: complex) -> np.ndarray:
-        """exp(factor * Z)."""
-        v = self.eigvecs
-        return (v * np.exp(factor * self.eigvals)) @ v.conj().T
-
-    def apply_expm(self, factor: complex, c: np.ndarray) -> np.ndarray:
-        v = self.eigvecs
-        return v @ (np.exp(factor * self.eigvals) * (v.conj().T @ c))
-
-
-# weak keys: cache entries die with their basis (an id() key could be
-# recycled by a new object at the same address)
-_zdecomp_cache: "weakref.WeakKeyDictionary[EigenBasis, _ZDecomposition]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _zdecomp(basis: EigenBasis) -> _ZDecomposition:
-    dec = _zdecomp_cache.get(basis)
-    if dec is None:
-        dec = _zdecomp_cache[basis] = _ZDecomposition(basis)
-    return dec
-
-
 def impulsive_kick_matrix(basis: EigenBasis, alpha: float, spin: int = 1,
                           kind: str = "magnetic") -> np.ndarray:
     """P = exp[-i alpha V(z)] in the eigenbasis.
@@ -119,17 +91,16 @@ def impulsive_kick_matrix(basis: EigenBasis, alpha: float, spin: int = 1,
     V(z) = +z for a generic linear jolt (P = exp(-i alpha Z)).  Unitary by
     construction via the eigendecomposition of Z.
     """
-    dec = _zdecomp(basis)
     factor = 1j * alpha * spin if kind == "magnetic" else -1j * alpha
-    return dec.expm(factor)
+    v = basis.z_eigvecs
+    return (v * np.exp(factor * basis.z_eigvals)) @ v.T
 
 
 def impulsive_kick(state: StateVector, basis: EigenBasis, alpha: float,
                    spin: int = 1, kind: str = "magnetic") -> StateVector:
     """Apply the impulsive kick operator to the state (zero duration)."""
-    dec = _zdecomp(basis)
-    factor = 1j * alpha * spin if kind == "magnetic" else -1j * alpha
-    return StateVector(dec.apply_expm(factor, state.coeffs), state.time)
+    return StateVector(impulsive_kick_matrix(basis, alpha, spin, kind) @
+                       state.coeffs, state.time)
 
 
 def step_grid(lo: float, hi: float, width: float,
@@ -165,12 +136,11 @@ def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
     """
     if len(f_mid) % 3:
         raise ValueError("the forcing needs three samples per step")
-    dec = _zdecomp(basis)
-    v = dec.eigvecs  # Z is real symmetric, eigenvectors are real
+    v = basis.z_eigvecs  # Z is real symmetric, eigenvectors are real
     half = np.exp(-0.5j * _W1 * h * basis.zeros)
     g_sub, g_step = (v.T @ (np.exp(-1j * hh * basis.zeros)[:, None] * v)
                      for hh in (0.5 * (_W1 + _W0) * h, _W1 * h))
-    lam = -1j * h * dec.eigvals
+    lam = -1j * h * basis.z_eigvals
     if c.ndim == 2:
         half, lam = half[:, None], lam[:, None]
     w = np.resize(_WEIGHTS, len(f_mid))
@@ -181,33 +151,46 @@ def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
     return half * (v @ y)
 
 
+def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spin: int,
+          times: np.ndarray, steps_per_sigma: int) -> np.ndarray:
+    """Coefficients at each of ``times`` (ascending, >= t0), shape (T, M).
+
+    Outside every pulse window (|t - t_k| > 6 sigma_k) the exact phases
+    c e^{-i z (t - t0)} cover a whole free stretch at once.  Inside each
+    merged window `strang_steps` integrates i dc/dt = (diag(z_i) + f(t) Z) c
+    from sample to sample and on to the window's end, with step
+    sigma / ``steps_per_sigma``, sigma the narrowest active pulse width.
+    """
+    out = np.empty((len(times), basis.m), dtype=np.complex128)
+    k = 0
+    for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
+        n = int(np.searchsorted(times, lo, side="right"))
+        out[k:n] = c * np.exp(-1j * np.outer(times[k:n] - t0, basis.zeros))
+        c, t0, k = c * np.exp(-1j * basis.zeros * (lo - t0)), lo, n
+        width = min(p.width for p in active)
+        while t0 < hi:  # hi <= times[-1], so times[k] exists
+            t = min(float(times[k]), hi)
+            t_mid, h = step_grid(t0, t, width, steps_per_sigma)
+            c, t0 = strang_steps(basis, c, forcing(active, spin, t_mid), h), t
+            if times[k] == t:
+                out[k] = c
+                k += 1
+    out[k:] = c * np.exp(-1j * np.outer(times[k:] - t0, basis.zeros))
+    return out
+
+
 def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
                   t_to: float, steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA
                   ) -> StateVector:
-    """Evolve from ``state.time`` to ``t_to`` through any pulse windows.
-
-    Outside every pulse window (|t - t_k| > 6 sigma_k) the evolution is the
-    exact free flight; inside, `strang_steps` integrates
-    i dc/dt = (diag(z_i) + f(t) Z) c with step sigma_k / ``steps_per_sigma``.
-    """
+    """Evolve from ``state.time`` to ``t_to`` through any pulse windows:
+    the walk of `mean_height_trace` at the single time ``t_to``."""
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
     if t_to < state.time:
         raise ValueError("t_to must not precede the state time")
-
-    windows = merged_windows(pulses, state.time, t_to)
-    c, t = state.coeffs.copy(), state.time
-    for lo, hi, active in windows:
-        if lo > t:
-            c = c * np.exp(-1j * basis.zeros * (lo - t))
-            t = lo
-        t_mid, h = step_grid(t, hi, min(p.width for p in active),
-                             steps_per_sigma)
-        c = strang_steps(basis, c, forcing(active, spin, t_mid), h)
-        t = hi
-    if t_to > t:
-        c = c * np.exp(-1j * basis.zeros * (t_to - t))
-    return StateVector(c, t_to)
+    c = _walk(basis, state.coeffs, state.time, pulses, spin,
+              np.array([t_to], dtype=np.float64), steps_per_sigma)
+    return StateVector(c[0], t_to)
 
 
 def pulse_propagator(basis: EigenBasis, pulse: KickPulse, spin: int = 1,
@@ -225,21 +208,19 @@ def pulse_propagator(basis: EigenBasis, pulse: KickPulse, spin: int = 1,
                         forcing([centered], spin, t_mid), h)
 
 
+def _mean_z(basis: EigenBasis, c: np.ndarray) -> np.ndarray:
+    """<z> = c^dag Z c of each row of ``c``; each imaginary residual <= 1e-12."""
+    val = np.einsum('ti,ti->t', c.conj(), c @ basis.z_matrix)
+    worst = float(np.max(np.abs(val.imag)))
+    if worst > 1e-12:
+        raise ArithmeticError(f"<z> has imaginary residual {worst:.3e}; "
+                              "Hermitian invariant broken")
+    return val.real
+
+
 def expectation_z(state: StateVector, basis: EigenBasis) -> float:
     """<z> = c^dag Z c; the imaginary residual must be at rounding level."""
-    val = np.vdot(state.coeffs, basis.z_matrix @ state.coeffs)
-    if abs(val.imag) > 1e-12:
-        raise ArithmeticError(f"<z> has imaginary residual {val.imag:.3e}; "
-                              "Hermitian invariant broken")
-    return float(val.real)
-
-
-def _expectation_z_free(basis, c0, t0, times):
-    """Vectorized <z>(t) under free evolution from (c0, t0)."""
-    phases = np.exp(-1j * np.outer(times - t0, basis.zeros))
-    ct = phases * c0[None, :]
-    return np.einsum('ti,ij,tj->t', ct.conj(), basis.z_matrix, ct,
-                     optimize=True).real
+    return float(_mean_z(basis, state.coeffs[None, :])[0])
 
 
 def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spin: int,
@@ -254,25 +235,6 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spin: int,
     if np.any(np.diff(times) <= 0) or times[0] < state.time:
         raise ValueError("sample times must be ascending and start at or "
                          "after the state time")
-    out = np.empty_like(times)
-    windows = merged_windows(pulses, state.time, float(times[-1]))
-    cur = state
-    idx = 0
-    for lo, hi, _ in windows:
-        free_sel = slice(idx, idx + int(np.searchsorted(times[idx:], lo, side="right")))
-        if free_sel.stop > free_sel.start:
-            out[free_sel] = _expectation_z_free(basis, cur.coeffs, cur.time,
-                                                times[free_sel])
-            idx = free_sel.stop
-        # step through the window, landing on each interior sample time
-        while idx < len(times) and times[idx] <= hi:
-            cur = evolve_pulsed(cur, basis, pulses, spin, float(times[idx]),
-                                steps_per_sigma)
-            out[idx] = expectation_z(cur, basis)
-            idx += 1
-        if cur.time < hi:
-            cur = evolve_pulsed(cur, basis, pulses, spin, hi, steps_per_sigma)
-    if idx < len(times):
-        out[idx:] = _expectation_z_free(basis, cur.coeffs, cur.time, times[idx:])
-        cur = free_evolve(cur, basis, float(times[-1]) - cur.time)
-    return out, cur
+    c = _walk(basis, state.coeffs, state.time, pulses, spin, times,
+              steps_per_sigma)
+    return _mean_z(basis, c), StateVector(c[-1], float(times[-1]))

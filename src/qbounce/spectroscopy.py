@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import KickPulse
+from .pulses import KickPulse, spin_branches
 from .quantum import (DEFAULT_STEPS_PER_SIGMA, forcing, impulsive_kick_matrix,
                       step_grid, strang_steps)
 
@@ -78,11 +78,6 @@ class SpectrumResult:
     matches: list = field(default_factory=list)    # PeakMatch
 
 
-def _scan_grid(tau_min, tau_max, dtau):
-    n = int(round((tau_max - tau_min) / dtau)) + 1
-    return tau_min + dtau * np.arange(n)
-
-
 def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
                delays: np.ndarray, spin_average: bool = True,
                spin: int = 1,
@@ -110,7 +105,7 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
         raise ValueError("delays must be positive")
     overlap = delays < 3.0 * (pulse1.width + pulse2.width)
 
-    spins = (1, -1) if (spin_average and kind == "magnetic") else (spin,)
+    spins = spin_branches(kind, spin_average, spin)
     p1 = KickPulse(pulse1.amplitude, pulse1.width, 0.0, kind)
     p2 = KickPulse(pulse2.amplitude, pulse2.width, 0.0, kind)
     half1 = p1.window[1]
@@ -133,9 +128,8 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
         t2, h2 = step_grid(*p2.window, p2.width, steps_per_sigma)
         row = strang_steps(basis, ground_columns(len(spins)),
                            spin_columns(p2, t2)[::-1], h2)
-        gaps = delays[separated] - (half1 + half2)
-        c1 = np.exp(-1j * np.outer(gaps, basis.zeros)) @ (v * row)
-        pops[separated] = np.mean(np.abs(c1) ** 2, axis=1)
+        pops[separated] = _spin_mean_forward(
+            basis, delays[separated] - (half1 + half2), v * row)
 
     close = ~separated
     if np.any(close):
@@ -160,16 +154,18 @@ def impulsive_scan_analytic(basis: EigenBasis, alpha1: float, alpha2: float,
                             spin_average: bool = True, spin: int = 1) -> DelayScan:
     """Closed-form impulsive-limit scan: c_1(tau) = sum_i P2_1i e^{-i z_i tau} P1_i1."""
     delays = np.asarray(delays, dtype=np.float64)
-    spins = (1, -1) if (spin_average and kind == "magnetic") else (spin,)
-    pops = np.zeros(len(delays))
-    for s in spins:
-        p1 = impulsive_kick_matrix(basis, alpha1, s, kind)
-        p2 = impulsive_kick_matrix(basis, alpha2, s, kind)
-        amp = p2[0, :] * p1[:, 0]
-        c1 = np.exp(-1j * np.outer(delays, basis.zeros)) @ amp
-        pops += np.abs(c1) ** 2
-    pops /= len(spins)
-    return DelayScan(delays, pops, kind)
+    amps = np.stack([impulsive_kick_matrix(basis, alpha2, s, kind)[0, :] *
+                     impulsive_kick_matrix(basis, alpha1, s, kind)[:, 0]
+                     for s in spin_branches(kind, spin_average, spin)], axis=1)
+    return DelayScan(delays, _spin_mean_forward(basis, delays, amps), kind)
+
+
+def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
+                       amps: np.ndarray) -> np.ndarray:
+    """Spin mean of |sum_i A_i e^{-i z_i tau}|^2, one column of ``amps``
+    (M, S) per spin branch."""
+    c1 = np.exp(-1j * np.outer(tau, basis.zeros)) @ amps
+    return np.mean(np.abs(c1) ** 2, axis=1)
 
 
 def _first_order_amplitudes(basis: EigenBasis, pulse: KickPulse, spin: int):
@@ -200,7 +196,7 @@ def perturbative_scan(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     if pulse1.kind != pulse2.kind:
         raise ValueError("both kicks must share the same kind")
     delays = np.asarray(delays, dtype=np.float64)
-    spins = (1, -1) if (spin_average and pulse1.kind == "magnetic") else (spin,)
+    spins = spin_branches(pulse1.kind, spin_average, spin)
     w = basis.transition_frequencies()
     pops = np.zeros(len(delays))
     for s in spins:
@@ -227,7 +223,10 @@ def spectrum(scan: DelayScan, window: str = "hann",
         x = x * np.hanning(n)
     elif window != "none":
         raise ValueError(f"unknown window: {window!r}")
-    n_pad = n * max(1, int(zero_pad_factor))
+    if not isinstance(zero_pad_factor, (int, np.integer)) or zero_pad_factor < 1:
+        raise ValueError("zero_pad_factor must be an integer >= 1, got "
+                         f"{zero_pad_factor!r}")
+    n_pad = n * int(zero_pad_factor)
     amps = np.abs(np.fft.rfft(x, n_pad))
     freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, scan.delay_step)
     return SpectrumResult(freqs, amps)

@@ -8,7 +8,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from qbounce.airy import airy_ai
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import propagate, sample_initial
-from qbounce.quantum import forcing
+from qbounce.pulses import merged_windows
+from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, evolve_pulsed,
+                             expectation_z, forcing, free_evolve)
 
 
 class NormDriftError(RuntimeError):
@@ -143,3 +145,35 @@ def walk_mean_height_series(n, mu_z, mu_v, sigma_z, sigma_v, seed, pulses,
             out[k] = ens.mean_height
         series[s] = out
     return series
+
+
+def walk_mean_height_trace(basis, state, pulses, spin, times,
+                           steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
+    """<z>(t) by one ``evolve_pulsed`` per in-window sample (oracle for
+    mean_height_trace).
+
+    Free samples are free flights from the last state; each in-window
+    sample restarts ``evolve_pulsed`` from the one before.  Returns
+    (heights, final_state).
+    """
+    out = np.empty(len(times))
+    cur, idx = state, 0
+
+    def free_to(stop):
+        nonlocal idx
+        while idx < len(times) and times[idx] <= stop:
+            out[idx] = expectation_z(
+                free_evolve(cur, basis, float(times[idx]) - cur.time), basis)
+            idx += 1
+
+    for lo, hi, _ in merged_windows(pulses, state.time, float(times[-1])):
+        free_to(lo)
+        while idx < len(times) and times[idx] <= hi:
+            cur = evolve_pulsed(cur, basis, pulses, spin, float(times[idx]),
+                                steps_per_sigma)
+            out[idx] = expectation_z(cur, basis)
+            idx += 1
+        if cur.time < hi:
+            cur = evolve_pulsed(cur, basis, pulses, spin, hi, steps_per_sigma)
+    free_to(np.inf)
+    return out, free_evolve(cur, basis, float(times[-1]) - cur.time)

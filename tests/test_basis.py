@@ -75,6 +75,15 @@ def test_position_matrix_symmetric(basis50):
     assert np.array_equal(basis50.z_matrix, basis50.z_matrix.T)
 
 
+def test_z_eigenpairs_rebuild_z_and_are_read_only(basis50):
+    v, lam = basis50.z_eigvecs, basis50.z_eigvals
+    assert np.max(np.abs((v * lam) @ v.T - basis50.z_matrix)) < 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(basis50.m))) < 1e-13
+    for a in (v, lam):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_transition_frequencies(basis20):
     w = basis20.transition_frequencies()
     assert w[0] == pytest.approx(1.7498420336710, abs=1e-10)

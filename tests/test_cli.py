@@ -1,12 +1,18 @@
 """CLI plumbing: configs, presets, outputs, unit conversion, exit codes."""
 
 import json
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbounce.classical import propagate, sample_initial
-from qbounce.cli import main, parse_config_text, read_scan_csv
+from qbounce.cli import (_scan_from_csv, main, parse_config_text,
+                         read_scan_csv, write_csv)
 from qbounce.pulses import KickPulse
 
 # hard-coded preset parameter tables; any drift in the shipped config files
@@ -281,6 +287,85 @@ t_max = 25.0
 dt_sample = 0.5
 """)
     assert main(["quantum-echo", "--config", str(cfg)]) == 1
+
+
+QUANTUM_CFG = """\
+basis_size = 10
+kind = magnetic
+initial = ground
+amplitude1 = 0.3
+width1 = 0.5
+time1 = 10.0
+t_max = 25.0
+dt_sample = 0.5
+"""
+
+_BAD_CONFIGS = [
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "dtau", "-0.1"),
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "dtau", "0"),
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "tau_max", "1.0"),
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "tau_min", "0"),
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "tau_min", "-1.0"),
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "width1", "0"),
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "tau_max", "inf"),
+    ("quantum-echo", QUANTUM_CFG, "time1", "nan"),
+    ("quantum-echo", QUANTUM_CFG, "dt_sample", "0"),
+    ("quantum-echo", QUANTUM_CFG, "dt_sample", "-0.5"),
+    ("quantum-echo", QUANTUM_CFG, "t_max", "-20.0"),
+    ("quantum-echo", QUANTUM_CFG, "width1", "0"),
+    ("classical-echo", CLASSICAL_CFG, "kick_time", "nan"),
+    ("classical-echo", CLASSICAL_CFG, "kick_width", "0"),
+    ("classical-echo", CLASSICAL_CFG, "dt_sample", "0"),
+    ("classical-echo", CLASSICAL_CFG, "dt_sample", "-0.5"),
+    ("classical-echo", CLASSICAL_CFG, "t_max", "-1.0"),
+]
+
+
+@pytest.mark.parametrize("mode,text,key,value", _BAD_CONFIGS,
+                         ids=[f"{m}-{k}={v}" for m, _, k, v in _BAD_CONFIGS])
+def test_bad_numbers_fail_before_the_run(tmp_path, capsys, mode, text, key,
+                                         value):
+    """Non-finite values, empty or reversed grids, non-positive steps and
+    widths are config errors: exit 1 and no CSV."""
+    text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert n == 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main([mode, "--config", str(cfg), "--out-dir", str(tmp_path),
+                 "--out", "out.csv"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@settings(max_examples=50, deadline=None)
+@given(tau_min=st.floats(1e-3, 50.0), dtau=st.floats(1e-3, 1.0),
+       pops=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       flags=st.lists(st.booleans(), min_size=40, max_size=40),
+       basis_size=st.integers(2, 400),
+       kind=st.sampled_from(["magnetic", "shake"]),
+       extra=st.dictionaries(st.from_regex(r"[a-z][a-z0-9_]{0,11}",
+                                           fullmatch=True),
+                             st.from_regex(r"[A-Za-z0-9_.+-]{1,16}",
+                                           fullmatch=True), max_size=4))
+def test_scan_csv_round_trip(tau_min, dtau, pops, flags, basis_size, kind,
+                             extra):
+    """write_csv -> read_scan_csv -> _scan_from_csv returns the floats
+    bitwise and keeps every provenance key."""
+    delays = tau_min + dtau * np.arange(len(pops))
+    pops = np.array(pops)
+    flags = np.array(flags[:len(pops)])
+    header = {**extra, "basis_size": basis_size, "kind": kind}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scan.csv")
+        write_csv(path, sorted(header.items()), ["tau", "population", "overlap"],
+                  [(t, p, int(o)) for t, p, o in zip(delays, pops, flags)])
+        scan, m, back = _scan_from_csv(path)
+    assert scan.delays.tobytes() == delays.tobytes()
+    assert scan.populations.tobytes() == pops.tobytes()
+    assert np.array_equal(scan.overlap, flags)
+    assert (m, scan.kind) == (basis_size, kind)
+    assert back == {"version": back["version"],
+                    **{k: str(v) for k, v in header.items()}}
 
 
 # ----------------------------------------------------------------- units

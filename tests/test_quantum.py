@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbounce.basis import build_basis
+from qbounce.basis import EigenBasis, build_basis
 from qbounce.pulses import KickPulse
 from qbounce.quantum import (StateVector, evolve_pulsed, expectation_z,
                              forcing, free_evolve, ground_state,
@@ -16,7 +16,7 @@ from qbounce.quantum import (StateVector, evolve_pulsed, expectation_z,
                              strang_steps)
 
 from helpers import (NormDriftError, oscillation_envelope, rk4_window,
-                     shake_potential_coefficient)
+                     shake_potential_coefficient, walk_mean_height_trace)
 
 
 def _two_state(basis):
@@ -275,6 +275,55 @@ def test_mean_height_trace_matches_pointwise_evolution(basis20):
         assert trace[k] == pytest.approx(expectation_z(direct, basis20),
                                          abs=1e-9)
     assert final.time == times[-1]
+
+
+_WALK_CASES = {
+    "one kick": ([KickPulse(0.5, 0.5, 5.0)], 1, np.arange(0.0, 15.0, 0.25)),
+    # windows [2.2, 5.8] and [3.7, 7.3] merge
+    "merged equal widths": ([KickPulse(0.8, 0.3, 4.0),
+                             KickPulse(-0.6, 0.3, 5.5)], -1,
+                            np.arange(0.0, 12.0, 0.2)),
+    # the window is [2, 8]; the trace also ends on its upper edge
+    "samples on window edges": ([KickPulse(0.5, 0.5, 5.0)], 1,
+                                np.array([0.0, 2.0, 3.5, 5.0, 8.0])),
+    "single-spin shake": ([KickPulse(1.0, 0.4, 3.0, "shake")], 1,
+                          np.arange(0.0, 8.0, 0.3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def test_one_walk_matches_per_sample_restarts(basis20, case):
+    pulses, spin, times = _WALK_CASES[case]
+    s = _two_state(basis20)
+    trace, final = mean_height_trace(basis20, s, pulses, spin, times)
+    ref, ref_final = walk_mean_height_trace(basis20, s, pulses, spin, times)
+    assert np.max(np.abs(trace - ref)) < 1e-12
+    assert np.max(np.abs(final.coeffs - ref_final.coeffs)) < 1e-12
+    assert final.time == times[-1]
+
+
+def test_walk_through_mixed_widths_matches_rk4(basis20):
+    """In a merged window of a narrow and a wide pulse the walk steps at the
+    narrow width throughout."""
+    pulses = [KickPulse(0.8, 0.2, 5.0), KickPulse(-0.5, 0.4, 6.0)]
+    times = np.array([3.0, 4.1, 5.0, 5.9, 7.2, 8.4])  # window [3.6, 8.4]
+    s = _two_state(basis20)
+    trace, _ = mean_height_trace(basis20, s, pulses, 1, times)
+    c, t = free_evolve(s, basis20, 3.6).coeffs, 3.6
+    for k in range(1, len(times)):
+        c, t = rk4_window(c, basis20, pulses, 1, t, times[k]), times[k]
+        assert trace[k] == pytest.approx(
+            expectation_z(StateVector(c), basis20), abs=1e-8)
+
+
+def test_free_trace_checks_every_imaginary_residual(basis20):
+    """An asymmetric Z gives <z> an imaginary part, also in free flight."""
+    z = basis20.z_matrix.copy()
+    z[0, 1] += 1e-6
+    skewed = EigenBasis(basis20.m, basis20.zeros, basis20.norms, z)
+    with pytest.raises(ArithmeticError, match="imaginary residual"):
+        mean_height_trace(skewed, _two_state(skewed), [], 1,
+                          np.arange(0.0, 5.0, 0.5))
 
 
 def test_basis_size_convergence_on_echo_trace():

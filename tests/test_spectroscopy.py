@@ -205,6 +205,13 @@ def test_zero_padding_refines_frequency_grid(basis20):
     assert ratio == pytest.approx(8.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("factor", [0, -1, 2.5])
+def test_zero_padding_must_be_a_positive_integer(factor):
+    scan = DelayScan(DELAYS, 0.5 + 0.1 * np.cos(1.75 * DELAYS), "magnetic")
+    with pytest.raises(ValueError, match="zero_pad_factor"):
+        spectrum(scan, zero_pad_factor=factor)
+
+
 def test_doubling_tau_max_halves_grid_spacing(basis20):
     short = DelayScan(DELAYS, 0.5 + 0.5 * np.cos(DELAYS), "magnetic")
     longer_delays = 2.0 + 0.05 * np.arange(2 * len(DELAYS) - 40)
