@@ -2,17 +2,18 @@
 
 Evaluation strategy
 -------------------
-* |x| < 8: Maclaurin series of Ai = c1*f - c2*g, summed in extended
-  precision (numpy longdouble) to absorb the cancellation between the f
-  and g series.  At |x| = 8 the largest series term is ~1e6 times the
-  result, so 80-bit accumulation keeps the absolute error below ~1e-13.
-* |x| >= 8: asymptotic expansions (DLMF 9.7): the exponentially decaying
-  form for x > 0 and the trigonometric form for x < 0.  At the crossover
-  zeta = (2/3)*8^(3/2) ~ 15.1, the optimally truncated remainder is
-  ~exp(-2*zeta) ~ 1e-13.
+* |x| < 8: a Taylor table.  At import, the Maclaurin series of
+  Ai = c1*f - c2*g is summed in extended precision (numpy longdouble, which
+  absorbs the cancellation between the f and g series) at 129 nodes 1/8
+  apart; Ai'' = x Ai extends each node's Ai, Ai' to 16 Taylor coefficients.
+  A point costs one float64 Horner sum for Ai and one for Ai' about its
+  nearest node.
+* |x| >= 8: asymptotic expansions (DLMF 9.7) by Horner: the decaying form
+  for x > 0 in -1/zeta, the trigonometric form for x < 0 in -1/zeta^2.  At
+  zeta = (2/3)*8^(3/2) ~ 15.1 the remainder is ~exp(-2*zeta) ~ 1e-13.
 
-Both branches stay below 1e-12 absolute error on [-20, 20] (validated
-against mpmath in the test suite).
+Both stay below 1e-12 absolute error on [-100, 100] (validated against
+mpmath in the test suite).  Non-finite input raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ _C2 = np.longdouble("0.258819403792806798405183560189203963479091138354934582210
 
 _SERIES_CUTOFF = 8.0
 _SERIES_MAX_TERMS = 120
+_NODES = np.linspace(-8.0, 8.0, 129)  # Taylor nodes, 1/8 apart
+_TAYLOR_TERMS = 16  # at |x - node| <= 1/16, 10 (Ai) and 11 (Ai') reach rounding
 _NEWTON_MAX_ITER = 20
 
 
@@ -82,81 +85,85 @@ def _asymptotic_coeffs(n):
 _UK, _VK = _asymptotic_coeffs(24)
 
 
+def _taylor_table():
+    """Taylor coefficients of Ai and Ai' about each node, one row per power:
+    (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1} (Ai'' = x Ai) from the series."""
+    a = np.zeros((_TAYLOR_TERMS + 1, len(_NODES)))
+    a[0], a[1] = _series_ai(_NODES)
+    a[2] = _NODES * a[0] / 2
+    for n in range(1, _TAYLOR_TERMS - 1):
+        a[n + 2] = (_NODES * a[n] + a[n - 1]) / ((n + 2) * (n + 1))
+    return a[:-1], a[1:] * np.arange(1, _TAYLOR_TERMS + 1)[:, None]
+
+
+_TAYLOR = _taylor_table()
+
+
+def _horner(coeffs, x):
+    """sum_k c_k x^k, with ``coeffs`` given from the highest power down."""
+    acc = np.zeros_like(x)
+    for c in coeffs:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _taylor_ai(x):
+    """Ai and Ai' on |x| < 8 by Horner about the nearest Taylor node."""
+    j = np.rint(8.0 * (x + 8.0)).astype(np.intp)
+    h = x - _NODES[j]
+    return tuple(_horner((row[j] for row in rows[::-1]), h) for rows in _TAYLOR)
+
+
 def _asymptotic_pos(x):
-    """Decaying expansion for x >= 8 (DLMF 9.7.5/9.7.6)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Decaying expansion for x >= 8 (DLMF 9.7.5/9.7.6), u_0..u_24 in -1/zeta."""
     zeta = (2.0 / 3.0) * x ** 1.5
-    # terms never grow: for x >= 8, |u_k/u_{k-1}|/zeta <= 0.76 up to k = 24
-    s_ai = np.ones_like(x)
-    s_aip = np.ones_like(x)
-    term_a = np.ones_like(x)
-    term_p = np.ones_like(x)
-    for k in range(1, len(_UK)):
-        term_a = -term_a * _UK[k] / _UK[k - 1] / zeta
-        term_p = -term_p * _VK[k] / _VK[k - 1] / zeta
-        s_ai += term_a
-        s_aip += term_p
+    w = -1.0 / zeta
     with np.errstate(under="ignore"):
         pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    ai = pref * s_ai / x ** 0.25
-    aip = -pref * s_aip * x ** 0.25
+    ai = pref * _horner(_UK[::-1], w) / x ** 0.25
+    aip = -pref * _horner(_VK[::-1], w) * x ** 0.25
     return ai, aip
 
 
 def _asymptotic_neg(x):
-    """Oscillatory expansion for x <= -8 (DLMF 9.7.9/9.7.10)."""
-    t = -np.asarray(x, dtype=np.float64)
+    """Oscillatory expansion for x <= -8 (DLMF 9.7.9/9.7.10), u_0..u_23,
+    its even and odd parts summed in y = -1/zeta^2."""
+    t = -x
     zeta = (2.0 / 3.0) * t ** 1.5
+    y = -1.0 / zeta ** 2
+    even_a, odd_a = _horner(_UK[22::-2], y), _horner(_UK[23::-2], y) / zeta
+    even_p, odd_p = _horner(_VK[22::-2], y), _horner(_VK[23::-2], y) / zeta
     w = zeta - 0.25 * math.pi
-
-    even_a = np.ones_like(t)   # sum (-1)^k u_{2k} zeta^{-2k}
-    odd_a = _UK[1] / zeta      # sum (-1)^k u_{2k+1} zeta^{-2k-1}
-    even_p = np.ones_like(t)
-    odd_p = _VK[1] / zeta
-    for k in range(1, 12):  # 2k + 1 <= 23 < len(_UK) = 25
-        fe = (-1.0) ** k / zeta ** (2 * k)
-        fo = (-1.0) ** k / zeta ** (2 * k + 1)
-        even_a += _UK[2 * k] * fe
-        odd_a += _UK[2 * k + 1] * fo
-        even_p += _VK[2 * k] * fe
-        odd_p += _VK[2 * k + 1] * fo
-
-    pref = 1.0 / (math.sqrt(math.pi) * t ** 0.25)
-    ai = pref * (np.cos(w) * even_a + np.sin(w) * odd_a)
-    aip = (t ** 0.25 / math.sqrt(math.pi)) * (np.sin(w) * even_p - np.cos(w) * odd_p)
+    cos_w, sin_w = np.cos(w), np.sin(w)
+    ai = (cos_w * even_a + sin_w * odd_a) / (math.sqrt(math.pi) * t ** 0.25)
+    aip = (t ** 0.25 / math.sqrt(math.pi)) * (sin_w * even_p - cos_w * odd_p)
     return ai, aip
 
 
 def _airy_both(x):
     x = np.asarray(x, dtype=np.float64)
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-
-    small = np.abs(x) < _SERIES_CUTOFF
-    pos = (~small) & (x > 0)
-    neg = (~small) & (x < 0)
-
-    if np.any(small):
-        ai[small], aip[small] = _series_ai(x[small])
-    if np.any(pos):
-        ai[pos], aip[pos] = _asymptotic_pos(x[pos])
-    if np.any(neg):
-        ai[neg], aip[neg] = _asymptotic_neg(x[neg])
+    if not np.all(np.isfinite(x)):
+        raise ValueError("Airy function of a non-finite argument")
+    ai, aip = np.empty_like(x), np.empty_like(x)
+    for branch, sel in ((_taylor_ai, np.abs(x) < _SERIES_CUTOFF),
+                        (_asymptotic_pos, x >= _SERIES_CUTOFF),
+                        (_asymptotic_neg, x <= -_SERIES_CUTOFF)):
+        if np.any(sel):
+            ai[sel], aip[sel] = branch(x[sel])
     return ai, aip
 
 
 def airy_ai(x):
-    """Airy function Ai(x) for scalar or array input."""
-    scalar = np.isscalar(x)
+    """Airy function Ai(x) for scalar or array input; 0-d input gives a float."""
     ai, _ = _airy_both(np.atleast_1d(x))
-    return float(ai[0]) if scalar else ai
+    return float(ai[0]) if np.ndim(x) == 0 else ai
 
 
 def airy_ai_prime(x):
-    """Derivative Ai'(x) for scalar or array input."""
-    scalar = np.isscalar(x)
+    """Derivative Ai'(x) for scalar or array input; 0-d input gives a float."""
     _, aip = _airy_both(np.atleast_1d(x))
-    return float(aip[0]) if scalar else aip
+    return float(aip[0]) if np.ndim(x) == 0 else aip
 
 
 def airy_zeros(m: int) -> np.ndarray:

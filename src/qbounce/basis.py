@@ -35,29 +35,21 @@ _TAIL = 15.0
 
 # absolute tolerance on each overlap integral <psi_i | f>
 _OVERLAP_TOL = 1e-12
+_CHUNK_ELEMENTS = 1 << 17  # panels x Kronrod nodes x states per psi evaluation
 
-# Kronrod-15 abscissae/weights and the embedded Gauss-7 weights (QUADPACK).
-_KRONROD_X = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_KRONROD_W = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_GAUSS_W = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+# Kronrod-15 abscissae and weights and the embedded Gauss-7 weights, listed
+# from the left end to the centre as in QUADPACK's qk15 and mirrored
+_XGK = np.array([0.991455371120813, 0.949107912342759, 0.864864423359769,
+                 0.741531185599394, 0.586087235467691, 0.405845151377397,
+                 0.207784955007898, 0.0])
+_WGK = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250,
+                 0.140653259715525, 0.169004726639267, 0.190350578064785,
+                 0.204432940075298, 0.209482141084728])
+_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119,
+                0.417959183673469])
+_KRONROD_X = np.r_[-_XGK[:-1], _XGK[::-1]]
+_KRONROD_W = np.r_[_WGK, _WGK[-2::-1]]
+_GAUSS_W = np.r_[_WG, _WG[-2::-1]]
 _GAUSS_SLOTS = np.arange(1, 15, 2)  # Gauss-7 points sit at the odd Kronrod slots
 
 
@@ -197,15 +189,20 @@ def _overlap_integrals(zeros, norms, func, a, b,
     edges = np.linspace(a, b, max(16, 2 * int(b - a)) + 1)
     lo, hi = edges[:-1], edges[1:]
 
+    rows = max(1, _CHUNK_ELEMENTS // (len(_KRONROD_X) * len(zeros)))
+
     def panel_integrals(lo, hi):
-        half = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi)[:, None] + half[:, None] * _KRONROD_X[None, :]
-        arg = x[:, :, None] - zeros[None, None, :]
-        psi = airy_ai(arg.ravel()).reshape(arg.shape) * norms[None, None, :]
-        fx = func(x)
-        k = np.einsum('pk,pki->pi', _KRONROD_W[None, :] * fx * half[:, None], psi)
-        g = np.einsum('pk,pki->pi', _GAUSS_W[None, :] * fx[:, _GAUSS_SLOTS] * half[:, None],
-                      psi[:, _GAUSS_SLOTS])
+        k = np.empty((len(lo), len(zeros)))
+        g = np.empty_like(k)
+        for c in range(0, len(lo), rows):  # bounds the psi working set
+            p = slice(c, c + rows)
+            half = 0.5 * (hi[p] - lo[p])
+            x = 0.5 * (lo[p] + hi[p])[:, None] + half[:, None] * _KRONROD_X
+            psi = airy_ai(x[:, :, None] - zeros) * norms
+            fx = func(x)
+            k[p] = np.einsum('pk,pki->pi', _KRONROD_W * fx * half[:, None], psi)
+            g[p] = np.einsum('pk,pki->pi', _GAUSS_W * fx[:, _GAUSS_SLOTS] * half[:, None],
+                             psi[:, _GAUSS_SLOTS])
         return k, np.abs(k - g)
 
     vals, errs = panel_integrals(lo, hi)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -58,12 +59,23 @@ def _positive(s):
     return x
 
 
+def _count(s, top=math.inf):
+    n = int(s)
+    if not 1 <= n <= top:
+        raise ValueError(f"not an integer in [1, {top}]: {s!r}")
+    return n
+
+
+def _basis_size(s):
+    return _count(s, 400)  # airy_zeros returns at most 400 zeros
+
+
 # schema: key -> (type, default); REQUIRED means no default
 REQUIRED = object()
 
 _SCHEMAS = {
     "classical-echo": {
-        "n": (int, REQUIRED),
+        "n": (_count, REQUIRED),
         "mu_z": (_finite, REQUIRED),
         "mu_v": (_finite, REQUIRED),
         "sigma_z": (_finite, REQUIRED),
@@ -74,10 +86,10 @@ _SCHEMAS = {
         "kick_time": (_finite, REQUIRED),
         "t_max": (_finite, REQUIRED),
         "dt_sample": (_positive, REQUIRED),
-        "steps_per_sigma": (int, 200),
+        "steps_per_sigma": (_count, 200),
     },
     "quantum-echo": {
-        "basis_size": (int, REQUIRED),
+        "basis_size": (_basis_size, REQUIRED),
         "kind": (str, REQUIRED),
         "initial": (str, REQUIRED),
         "mu_z": (_finite, 0.0),
@@ -91,10 +103,10 @@ _SCHEMAS = {
         "t_max": (_finite, REQUIRED),
         "dt_sample": (_positive, REQUIRED),
         "spin_average": (_parse_bool, True),
-        "steps_per_sigma": (int, DEFAULT_STEPS_PER_SIGMA),
+        "steps_per_sigma": (_count, DEFAULT_STEPS_PER_SIGMA),
     },
     "scan": {
-        "basis_size": (int, REQUIRED),
+        "basis_size": (_basis_size, REQUIRED),
         "kind": (str, REQUIRED),
         "amplitude1": (_finite, REQUIRED),
         "width1": (_positive, REQUIRED),
@@ -104,7 +116,7 @@ _SCHEMAS = {
         "tau_max": (_finite, REQUIRED),
         "dtau": (_positive, REQUIRED),
         "spin_average": (_parse_bool, True),
-        "steps_per_sigma": (int, DEFAULT_STEPS_PER_SIGMA),
+        "steps_per_sigma": (_count, DEFAULT_STEPS_PER_SIGMA),
     },
 }
 
@@ -234,7 +246,11 @@ def _maybe_plot(args, path, plot_fn):
 # ---------------------------------------------------------------- commands
 
 def cmd_basis(args):
-    basis = build_basis(args.M)
+    try:
+        m = _basis_size(args.M)
+    except ValueError as exc:
+        raise ConfigError(f"--M: {exc}") from None
+    basis = build_basis(m)
     rows = []
     for i in range(1, basis.m + 1):
         omega = basis.zeros[i - 1] - basis.zeros[0]

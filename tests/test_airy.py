@@ -3,8 +3,12 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qbounce import airy
 from qbounce.airy import airy_ai, airy_ai_prime, airy_zeros
+from qbounce.basis import build_basis
 
 mpmath.mp.dps = 30
 
@@ -28,6 +32,37 @@ def test_ai_prime_values_dense_grid():
     assert np.max(np.abs(airy_ai_prime(x) - _mp_aip(x))) < 1e-12
 
 
+def test_values_over_the_projection_range():
+    # an M = 150 projection evaluates Ai from about -79 to +92
+    x = np.linspace(-100.0, 100.0, 1001)
+    assert np.max(np.abs(airy_ai(x) - _mp_ai(x))) < 1e-12
+    assert np.max(np.abs(airy_ai_prime(x) - _mp_aip(x))) < 1e-12
+
+
+# the Taylor nodes sit 1/8 apart on [-8, 8]; midpoints are farthest from one
+_NODE_MIDPOINTS = list(np.arange(-8.0, 8.0, 0.125) + 0.0625)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=50))
+@example(_NODE_MIDPOINTS)
+@example([-8.0 - 1e-9, -8.0 + 1e-9, 8.0 - 1e-9, 8.0 + 1e-9])
+def test_taylor_table_against_mpmath(x):
+    x = np.array(x)
+    assert np.max(np.abs(airy_ai(x) - _mp_ai(x))) < 1e-12
+    assert np.max(np.abs(airy_ai_prime(x) - _mp_aip(x))) < 1e-12
+
+
+def test_projection_matches_longdouble_series(monkeypatch):
+    """The M = 150 Gaussian projection with Ai from the Taylor table and
+    with Ai from the longdouble Maclaurin series it was built from."""
+    basis = build_basis(150)
+    table, _ = basis.project_gaussian(20.0, 8.0)
+    monkeypatch.setattr(airy, "_taylor_ai", airy._series_ai)
+    series, _ = basis.project_gaussian(20.0, 8.0)
+    assert np.max(np.abs(table - series)) < 1e-13
+
+
 def test_branch_crossover_is_seamless():
     x = np.array([-8.0 - 1e-9, -8.0 + 1e-9, 8.0 - 1e-9, 8.0 + 1e-9])
     assert np.max(np.abs(airy_ai(x) - _mp_ai(x))) < 1e-12
@@ -36,6 +71,22 @@ def test_branch_crossover_is_seamless():
 def test_scalar_input_returns_float():
     assert isinstance(airy_ai(1.0), float)
     assert isinstance(airy_ai_prime(-3.0), float)
+
+
+def test_zero_dimensional_array_returns_float():
+    for f in (airy_ai, airy_ai_prime):
+        out = f(np.array(1.0))
+        assert isinstance(out, float)
+        assert out == f(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(bad):
+    for f in (airy_ai, airy_ai_prime):
+        with pytest.raises(ValueError, match="non-finite"):
+            f(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            f(bad)
 
 
 def test_known_origin_values():

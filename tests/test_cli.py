@@ -318,6 +318,18 @@ _BAD_CONFIGS = [
     ("classical-echo", CLASSICAL_CFG, "dt_sample", "0"),
     ("classical-echo", CLASSICAL_CFG, "dt_sample", "-0.5"),
     ("classical-echo", CLASSICAL_CFG, "t_max", "-1.0"),
+    ("classical-echo", CLASSICAL_CFG, "n", "0"),
+    ("classical-echo", CLASSICAL_CFG + "steps_per_sigma = 200\n",
+     "steps_per_sigma", "-1"),
+    ("quantum-echo", QUANTUM_CFG + "steps_per_sigma = 40\n",
+     "steps_per_sigma", "-3"),
+    ("quantum-echo", QUANTUM_CFG + "steps_per_sigma = 40\n",
+     "steps_per_sigma", "0"),
+    ("quantum-echo", QUANTUM_CFG, "basis_size", "401"),
+    ("quantum-echo", QUANTUM_CFG, "basis_size", "0"),
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5) + "steps_per_sigma = 40\n",
+     "steps_per_sigma", "0"),
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "basis_size", "401"),
 ]
 
 
@@ -325,8 +337,9 @@ _BAD_CONFIGS = [
                          ids=[f"{m}-{k}={v}" for m, _, k, v in _BAD_CONFIGS])
 def test_bad_numbers_fail_before_the_run(tmp_path, capsys, mode, text, key,
                                          value):
-    """Non-finite values, empty or reversed grids, non-positive steps and
-    widths are config errors: exit 1 and no CSV."""
+    """Non-finite values, empty or reversed grids, non-positive steps,
+    widths and counts, and basis sizes outside [1, 400] are config errors:
+    exit 1 and no CSV."""
     text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     assert n == 1
     cfg = tmp_path / "bad.cfg"
@@ -335,6 +348,14 @@ def test_bad_numbers_fail_before_the_run(tmp_path, capsys, mode, text, key,
                  "--out", "out.csv"]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("m", ["0", "-2", "401"])
+def test_basis_size_out_of_range_fails_before_the_run(tmp_path, capsys, m):
+    out = tmp_path / "basis.csv"
+    assert main(["basis", "--M", m, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @settings(max_examples=50, deadline=None)
