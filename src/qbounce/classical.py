@@ -6,7 +6,11 @@ z'' = -2 + 2 s beta(t) (the same scales that make the quantum equation
 algebra is in the README).  Between pulses a particle of energy
 e = v^2/2 + 2z bounces with period u = sqrt(2e), its floor speed, so a whole
 sample grid is one closed-form expression; inside a pulse window a
-velocity-Verlet stepper takes over.  Reflection is specular and lossless.
+velocity-Verlet stepper takes over.  The kick force does not depend on z,
+so off the floor every particle follows one map built from prefix sums
+over the step grid, and the stepper runs in rounds of bounces rather than
+of steps: each round takes every particle to its next floor crossing.
+Reflection is specular and lossless.
 """
 
 from __future__ import annotations
@@ -111,43 +115,175 @@ def ballistic_flight(z, v, dt: float):
     return phi * (u - phi), u - 2.0 * phi
 
 
-def _verlet(z, v, t0, t1, pulses, spin, dt):
-    """Velocity-Verlet with z'' = -2 + 2 s beta(t); bounces off the floor.
+def _step_grid(edges, pulses, spin, steps_per_sigma):
+    """Steps of the stepper across ``edges``, one stretch after the other.
 
-    A step that would end below the floor is split at the crossing time
-    (exact for the step's constant acceleration): fly to the floor, reflect
-    the impact velocity, finish the remainder of the step.  With beta = 0
-    this reproduces the exact ballistic flight to rounding accuracy.
+    Each stretch between two edges gets the grid a run over it alone takes:
+    n = ceil(length / dt) equal steps, dt the narrowest width of the pulses
+    active in it over ``steps_per_sigma``, step times accumulated as t += h.
+    Returns the step sizes, the accelerations at the start and at the end of
+    each step, and the node index at which each stretch ends.
     """
-    n = max(1, math.ceil((t1 - t0) / dt))
-    h = (t1 - t0) / n
-    t = np.cumsum(np.r_[t0, np.full(n, h)])  # step times, accumulated as t += h
-    acc = -2.0 + sum(2.0 * spin * p.envelope(t) for p in pulses)
-    for a, a_next in zip(acc[:-1].tolist(), acc[1:].tolist()):
-        z_new = z + v * h + 0.5 * a * h * h
-        v_new = v + 0.5 * (a + a_next) * h
-        below = z_new < 0
-        if below.any():
-            zb, vb = z[below], v[below]
-            # smallest positive root of z + v tau + a tau^2 / 2 = 0
-            disc = np.sqrt(np.maximum(vb * vb - 2.0 * a * zb, 0.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = -0.5 * (vb + np.where(vb >= 0, disc, -disc))
-                r1 = np.where(a != 0.0, q / (0.5 * a), np.inf)
-                r2 = np.where(q != 0.0, zb / q, np.inf)
-            tau = np.where((r1 > 0) & ((r1 <= r2) | (r2 <= 0)), r1, r2)
-            tau = np.clip(tau, 0.0, h)
-            rem = h - tau
-            v_hit = vb + a * tau
-            z_ref = -v_hit * rem + 0.5 * a * rem * rem
-            v_ref = -v_hit + 0.5 * (a + a_next) * rem
-            settle = z_ref < 0  # no energy left to leave the floor this step
-            z_ref[settle] = 0.0
-            v_ref[settle] = 0.0
-            z_new[below] = z_ref
-            v_new[below] = v_ref
-        z, v = z_new, v_new
-    return z, v
+    hs, starts, finals, ends = [], [], [], [0]
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        (_, _, active), = merged_windows(pulses, t0, t1)
+        dt = min(p.width for p in active) / steps_per_sigma
+        n = max(1, math.ceil((t1 - t0) / dt))
+        h = (t1 - t0) / n
+        t = np.cumsum(np.r_[t0, np.full(n, h)])
+        acc = -2.0 + sum(2.0 * spin * p.envelope(t) for p in active)
+        hs.append(np.full(n, h))
+        starts.append(acc[:-1])
+        finals.append(acc[1:])
+        ends.append(ends[-1] + n)
+    return (np.concatenate(hs), np.concatenate(starts), np.concatenate(finals),
+            np.array(ends[1:]))
+
+
+def _floor_split(z, v, a, a_next, h):
+    """Split a step that ends below the floor at its crossing time.
+
+    Exact for the step's constant acceleration ``a``: fly to the floor,
+    reflect the impact velocity, finish the remainder of the step.  A
+    particle left without the energy to leave the floor settles at rest.
+    """
+    # smallest positive root of z + v tau + a tau^2 / 2 = 0
+    disc = np.sqrt(np.maximum(v * v - 2.0 * a * z, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (v + np.where(v >= 0, disc, -disc))
+        r1 = np.where(a != 0.0, q / (0.5 * a), np.inf)
+        r2 = np.where(q != 0.0, z / q, np.inf)
+    tau = np.where((r1 > 0) & ((r1 <= r2) | (r2 <= 0)), r1, r2)
+    tau = np.clip(tau, 0.0, h)
+    rem = h - tau
+    v_hit = v + a * tau
+    z_ref = -v_hit * rem + 0.5 * a * rem * rem
+    v_ref = -v_hit + 0.5 * (a + a_next) * rem
+    settle = z_ref < 0  # no energy left to leave the floor this step
+    return np.where(settle, 0.0, z_ref), np.where(settle, 0.0, v_ref)
+
+
+def _unimodal_ranges(a0, a1, h):
+    """Node ranges (lo, hi] on which every free height sequence is unimodal.
+
+    With D_k = v_k + a0_k h_k / 2 the height increment per unit time of step
+    k, D_k - D_{k-1} = (a1_{k-1} h_{k-1} + a0_k h_k) / 2 for every particle.
+    While that keeps its sign, heights rise then fall (concave) or fall then
+    rise (convex).  Returns (lo, hi, convex) triples covering (0, n_steps].
+    """
+    convex = a1[:-1] * h[:-1] + a0[1:] * h[1:] > 0  # node k = 1 .. n_steps - 1
+    bounds = np.r_[0, np.flatnonzero(convex[1:] != convex[:-1]) + 2, len(h)]
+    kinds = convex[np.maximum(bounds[:-1] - 1, 0)] if len(convex) else [False]
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), kinds))
+
+
+def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
+    """Velocity-Verlet with z'' = -2 + 2 s beta(t) across one pulse window.
+
+    The kick force does not depend on z, so off the floor the map from node
+    j to a later node k of the step grid (``_step_grid``) is the same for
+    every particle:
+        z_k = z_j + (v_j - C_j)(T_k - T_j) + P_k - P_j,  v_k = v_j + C_k - C_j,
+    with T, C and P prefix sums of h, (a0 + a1) h / 2 and C h + a0 h^2 / 2.
+    So the stepper runs in rounds of bounces, not of steps: each round finds
+    every particle's first step that ends below the floor, by bisection on a
+    range where its heights are unimodal, applies ``_floor_split`` at that
+    step and restarts the particle from the next node.  A particle with no
+    crossing left is done.  One whose floor speed is below |a| h under a
+    downward force rests at z = v = 0 until the force turns upward; a step
+    by step run micro-hops there instead, by a few h^2.
+
+    Returns z and v at edges[-1] and <z> at every edge after the first, from
+    per-edge sums of the coefficients of each free stretch.
+    """
+    h, a0, a1, ends = _step_grid(edges, pulses, spin, steps_per_sigma)
+    n_steps, n = len(h), len(z)
+    ranges = _unimodal_ranges(a0, a1, h)
+    # accumulated in extended precision, so each sum is rounded to double once
+    T = np.cumsum(np.r_[0.0, h], dtype=np.longdouble)
+    C = np.cumsum(np.r_[0.0, 0.5 * (a0 + a1) * h], dtype=np.longdouble)
+    P = np.cumsum(np.r_[0.0, C[:-1] * h + 0.5 * a0 * h * h])
+    T, C, P = T.astype(np.float64), C.astype(np.float64), P.astype(np.float64)
+    # first node at or after k where the force points up; none past the end
+    up = np.where(a0 >= 0, np.arange(n_steps), n_steps)
+    lift = np.r_[np.minimum.accumulate(up[::-1])[::-1], n_steps]
+    a0, h = np.r_[a0, 0.0], np.r_[h, 0.0]  # no force at the last node
+
+    sums = np.zeros((3, len(ends) + 1))  # per-edge deltas of z = b + c T + P
+    z_out, v_out = np.empty(n), np.empty(n)
+    idx, j = np.arange(n), np.zeros(n, dtype=np.intp)
+    z, v = np.array(z, dtype=np.float64), np.array(v, dtype=np.float64)
+    while idx.size:
+        a = a0[j]
+        rest = (a < 0) & (v * v - 2.0 * a * z <= (a * h[j]) ** 2)
+        z[rest], v[rest], j[rest] = 0.0, 0.0, lift[j[rest]]
+        parked = rest & (j == n_steps)
+        z_out[idx[parked]], v_out[idx[parked]] = 0.0, 0.0
+        keep = ~parked
+        idx, j, z, v = idx[keep], j[keep], z[keep], v[keep]
+
+        slope = v - C[j]  # free flight: z_k = base + slope T_k + P_k
+        base = z - slope * T[j] - P[j]
+        node, hit = np.full(len(j), n_steps), np.zeros(len(j), dtype=bool)
+        for lo, hi, convex in ranges:
+            sel = np.flatnonzero(~hit & (j < hi))
+            if not convex:  # heights rise, then fall: below only if at the end
+                sel = sel[base[sel] + slope[sel] * T[hi] + P[hi] < 0]
+            b, s = base[sel], slope[sel]
+            left, right = np.maximum(j[sel], lo), np.full(len(sel), hi)
+            while (gap := right - left > 1).any():
+                mid = (left + right) // 2
+                past = b + s * T[mid] + P[mid] < 0
+                if convex:  # or past the lowest height of the range
+                    past |= s + C[mid] + 0.5 * a0[mid] * h[mid] >= 0
+                right = np.where(gap & past, mid, right)
+                left = np.where(gap & ~past, mid, left)
+            below = b + s * T[right] + P[right] < 0
+            hit[sel[below]] = True
+            node[sel[below]] = right[below]
+
+        last = np.where(hit, node - 1, n_steps)  # last node of the free stretch
+        lo_e = np.searchsorted(ends, j)
+        hi_e = np.searchsorted(ends, last, "right")
+        for row, w in enumerate((base, slope, np.ones(len(j)))):
+            sums[row] += (np.bincount(lo_e, w, len(ends) + 1) -
+                          np.bincount(hi_e, w, len(ends) + 1))
+
+        done = ~hit
+        z_out[idx[done]] = base[done] + slope[done] * T[-1] + P[-1]
+        v_out[idx[done]] = slope[done] + C[-1]
+        m = node[hit] - 1
+        z, v = _floor_split(base[hit] + slope[hit] * T[m] + P[m],
+                            slope[hit] + C[m], a0[m], a1[m], h[m])
+        idx, j = idx[hit], node[hit]
+    coef = np.cumsum(sums[:, :-1], axis=1)
+    return z_out, v_out, (coef[0] + coef[1] * T[ends] + coef[2] * P[ends]) / n
+
+
+def _magnetic(pulses):
+    """The pulses as a list; the classical force knows magnetic kicks only."""
+    pulses = [pulses] if isinstance(pulses, KickPulse) else list(pulses)
+    if any(p.kind != "magnetic" for p in pulses):
+        raise ValueError("classical propagation supports magnetic kicks only")
+    return pulses
+
+
+def _warn_above(z, z_cap):
+    """Warn the caller's caller of particles above ``z_cap``."""
+    if z_cap is not None and (high := int((z > z_cap).sum())):
+        warnings.warn(f"{high} particle(s) above z_cap={z_cap}", stacklevel=3)
+
+
+def _cross_window(ens, edges, pulses, steps_per_sigma):
+    """Free flight to edges[0], then the stepper across one pulse window.
+
+    Returns the ensemble at edges[-1] and <z> at every edge after the first.
+    """
+    z, v = ens.z, ens.v
+    if edges[0] > ens.time:
+        z, v = ballistic_flight(z, v, edges[0] - ens.time)
+    z, v, means = _kick_flight(z, v, edges, pulses, ens.spin, steps_per_sigma)
+    return replace(ens, z=z, v=v, time=float(edges[-1])), means
 
 
 def propagate(ens: ClassicalEnsemble, t_to: float, pulses=(),
@@ -156,27 +292,19 @@ def propagate(ens: ClassicalEnsemble, t_to: float, pulses=(),
     """Advance the ensemble to ``t_to`` through any pulse windows.
 
     Exact ballistic flight outside the windows (|t - t_k| > 6 sigma_k),
-    velocity-Verlet with step sigma_k / ``steps_per_sigma`` inside.
+    velocity-Verlet with step sigma_k / ``steps_per_sigma`` inside, taken
+    in rounds of bounces (``_kick_flight``).
     Particles ending above ``z_cap`` trigger a warning (escape flag).
     """
-    if isinstance(pulses, KickPulse):
-        pulses = [pulses]
-    if any(p.kind != "magnetic" for p in pulses):
-        raise ValueError("classical propagation supports magnetic kicks only")
+    pulses = _magnetic(pulses)
     if t_to < ens.time:
         raise ValueError("t_to must not precede the ensemble time")
-    z, v, t = ens.z, ens.v, ens.time
-    for lo, hi, active in merged_windows(pulses, t, t_to):
-        if lo > t:
-            z, v = ballistic_flight(z, v, lo - t)
-            t = lo
-        dt = min(p.width for p in active) / steps_per_sigma
-        z, v = _verlet(z, v, t, hi, active, ens.spin, dt)
-        t = hi
-    if t_to > t:
-        z, v = ballistic_flight(z, v, t_to - t)
-    if z_cap is not None and (high := int((z > z_cap).sum())):
-        warnings.warn(f"{high} particle(s) above z_cap={z_cap}", stacklevel=2)
+    for lo, hi, active in merged_windows(pulses, ens.time, t_to):
+        ens, _ = _cross_window(ens, [lo, hi], active, steps_per_sigma)
+    z, v = ens.z, ens.v
+    if t_to > ens.time:
+        z, v = ballistic_flight(z, v, t_to - ens.time)
+    _warn_above(z, z_cap)
     return replace(ens, z=z, v=v, time=t_to)
 
 
@@ -208,12 +336,15 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
 
     Every branch starts from the identical seeded sample (the branches
     differ only in the sign of the kick force).  Free stretches are sampled
-    in closed form, pulse windows by the stepper; heights above 10 mu_z
-    warn.  Returns a dict spin -> series; average them for the spin average.
+    in closed form, each pulse window by one stepper run that lands on its
+    samples; heights above 10 mu_z (apexes of the free flight, and heights
+    at each window's end) warn.  Returns a dict spin -> series; average
+    them for the spin average.
     """
     times = np.asarray(times, dtype=np.float64)
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("sample times must be ascending and non-negative")
+    pulses = _magnetic(pulses)
     z_cap = 10.0 * mu_z
     series = {}
     for s in spins:
@@ -223,10 +354,12 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
         for lo, hi, _ in merged_windows(pulses, 0.0, float(times[-1])):
             start, stop = np.searchsorted(times, (lo, hi), side="right")
             out[idx:start] = _free_mean_height(ens, times[idx:start], z_cap)
-            for k in range(start, stop):  # land on each sample in the window
-                ens = propagate(ens, times[k], pulses, steps_per_sigma, z_cap)
-                out[k] = ens.mean_height
-            ens = propagate(ens, hi, pulses, steps_per_sigma, z_cap)
+            # one stepper run lands on every sample in the window
+            edges = np.r_[lo, times[start:stop]]
+            edges = edges if edges[-1] == hi else np.r_[edges, hi]
+            ens, means = _cross_window(ens, edges, pulses, steps_per_sigma)
+            out[start:stop] = means[:stop - start]
+            _warn_above(ens.z, z_cap)
             idx = stop
         out[idx:] = _free_mean_height(ens, times[idx:], z_cap)
         series[s] = out

@@ -182,24 +182,38 @@ def _resolve_out(args, path):
     return os.path.join(out_dir, path) if out_dir else path
 
 
+_CSV_BLOCK_ROWS = 4096  # rows formatted and written at a time
+
+
 def write_csv(path, header_items, columns, rows):
-    """CSV with '# key = value' provenance lines, full double precision."""
-    lines = [f"# version = {__version__}"]
-    lines += [f"# {k} = {v}" for k, v in header_items]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(
-            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    _emit(path, "\n".join(lines) + "\n")
+    """CSV with '# key = value' provenance lines, full double precision.
+
+    ``rows`` is a sequence of numeric rows, such as a list of tuples or a
+    2-d array.  Each value is written as its double with 17 significant
+    digits, so an integer column reads as the integers themselves.
+    """
+    head = [f"# version = {__version__}"]
+    head += [f"# {k} = {v}" for k, v in header_items]
+    head.append(",".join(columns))
+    line = ",".join(["%.17g"] * len(columns))
+
+    def blocks():
+        yield "\n".join(head) + "\n"
+        for k in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = np.asarray(rows[k:k + _CSV_BLOCK_ROWS], dtype=np.float64)
+            yield "".join([line % row + "\n"
+                           for row in map(tuple, block.tolist())])
+
+    _emit(path, blocks())
 
 
-def _emit(path, text):
-    """Write ``text`` to ``path``, or to standard output if it is None."""
+def _emit(path, chunks):
+    """Write the text ``chunks`` to ``path``, or to standard output if None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def read_scan_csv(path):
@@ -277,22 +291,22 @@ def cmd_classical_echo(args):
     series = mean_height_series(*sample, [pulse], times,
                                 steps_per_sigma=cfg["steps_per_sigma"])
     avg = 0.5 * (series[1] + series[-1])
-    rows = list(zip(times, series[1], series[-1], avg))
     write_csv(_resolve_out(args, args.out), sorted(cfg.items()),
-              ["t", "z_plus", "z_minus", "z_avg"], rows)
+              ["t", "z_plus", "z_minus", "z_avg"],
+              np.column_stack((times, series[1], series[-1], avg)))
 
     if snaps:
-        rows = []
+        blocks = []
         for s in (1, -1):
             start = sample_initial(*sample, spin=s)
             for t in snaps:  # restart only outside the window, keeping its steps
                 ens = propagate(start, t, [pulse], cfg["steps_per_sigma"])
                 if not pulse.window[0] < t < pulse.window[1]:
                     start = ens
-                rows += [(t, float(z), float(v), s)
-                         for z, v in zip(ens.z, ens.v)]
+                blocks.append(np.column_stack(
+                    (np.full(ens.n, t), ens.z, ens.v, np.full(ens.n, s))))
         write_csv(_resolve_out(args, "snapshots.csv"), sorted(cfg.items()),
-                  ["t", "z", "v", "s"], rows)
+                  ["t", "z", "v", "s"], np.concatenate(blocks))
 
     _maybe_plot(args, _resolve_out(args, "classical_echo.svg"),
                 lambda ax: (ax.plot(times, avg), ax.set_xlabel("t"),
@@ -346,7 +360,7 @@ def cmd_quantum_echo(args):
     write_csv(_resolve_out(args, args.out),
               sorted(cfg.items()) + list(zip(norm_keys, norms)),
               ["t", "z_plus", "z_minus", "z_avg"],
-              list(zip(times, z_plus, z_minus, avg)))
+              np.column_stack((times, z_plus, z_minus, avg)))
     _maybe_plot(args, _resolve_out(args, "quantum_echo.svg"),
                 lambda ax: (ax.plot(times, avg), ax.set_xlabel("t"),
                             ax.set_ylabel("mean height")))
@@ -366,10 +380,9 @@ def cmd_scan(args):
     scan = scan_delay(basis, p1, p2, delays,
                       spin_average=cfg["spin_average"],
                       steps_per_sigma=cfg["steps_per_sigma"])
-    rows = [(t, p, int(o)) for t, p, o
-            in zip(scan.delays, scan.populations, scan.overlap)]
     write_csv(_resolve_out(args, args.out), sorted(cfg.items()),
-              ["tau", "population", "overlap"], rows)
+              ["tau", "population", "overlap"],
+              np.column_stack((scan.delays, scan.populations, scan.overlap)))
     _maybe_plot(args, _resolve_out(args, "scan.svg"),
                 lambda ax: (ax.plot(scan.delays, scan.populations),
                             ax.set_xlabel("delay"),
@@ -383,10 +396,17 @@ def _scan_from_csv(path):
         raise ConfigError(f"{path}: expected scan columns tau,population")
     overlap = data[:, 2].astype(bool) if len(columns) > 2 else None
     kind = header.get("kind", "magnetic")
-    scan = DelayScan(data[:, 0], data[:, 1], kind, overlap)
+    try:
+        scan = DelayScan(data[:, 0], data[:, 1], kind, overlap)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if "basis_size" not in header:
         raise ConfigError(f"{path}: provenance header lacks basis_size")
-    return scan, int(header["basis_size"]), header
+    try:
+        basis_size = _basis_size(header["basis_size"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad basis_size in header: {exc}") from None
+    return scan, basis_size, header
 
 
 def cmd_spectrum(args):
@@ -398,15 +418,15 @@ def cmd_spectrum(args):
     if len(spec.matches) < args.count:
         print(f"warning: found {len(spec.matches)} of {args.count} peaks",
               file=sys.stderr)
-    rows = list(zip(spec.frequencies, spec.amplitudes))
     write_csv(_resolve_out(args, args.out),
               sorted(header.items()) + [("window", args.window)],
-              ["omega", "magnitude"], rows)
+              ["omega", "magnitude"],
+              np.column_stack((spec.frequencies, spec.amplitudes)))
     peaks = [{"i": m.state, "omega_measured": m.omega_measured,
               "omega_theory": m.omega_theory,
               "rel_error_percent": m.rel_error_percent}
              for m in spec.matches]
-    _emit(_resolve_out(args, args.peaks), json.dumps(peaks, indent=2) + "\n")
+    _emit(_resolve_out(args, args.peaks), [json.dumps(peaks, indent=2) + "\n"])
     _maybe_plot(args, _resolve_out(args, "spectrum.svg"),
                 lambda ax: (ax.semilogy(spec.frequencies, spec.amplitudes),
                             ax.set_xlabel("angular frequency"),
@@ -424,7 +444,7 @@ def cmd_retrieve(args):
         "fit_residual_rms": residual,
         "version": __version__,
     }
-    _emit(_resolve_out(args, args.out), json.dumps(payload, indent=2) + "\n")
+    _emit(_resolve_out(args, args.out), [json.dumps(payload, indent=2) + "\n"])
     return 0
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from qbounce import __version__
 from qbounce.airy import airy_ai
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import propagate, sample_initial
@@ -177,3 +178,72 @@ def walk_mean_height_trace(basis, state, pulses, spin, times,
             cur = evolve_pulsed(cur, basis, pulses, spin, hi, steps_per_sigma)
     free_to(np.inf)
     return out, free_evolve(cur, basis, float(times[-1]) - cur.time)
+
+
+def _verlet(z, v, t0, t1, pulses, spin, dt):
+    """Velocity-Verlet with z'' = -2 + 2 s beta(t); bounces off the floor
+    (oracle for `classical._kick_flight`).
+
+    A step that would end below the floor is split at the crossing time
+    (exact for the step's constant acceleration): fly to the floor, reflect
+    the impact velocity, finish the remainder of the step.  With beta = 0
+    this reproduces the exact ballistic flight to rounding accuracy.
+    """
+    n = max(1, math.ceil((t1 - t0) / dt))
+    h = (t1 - t0) / n
+    t = np.cumsum(np.r_[t0, np.full(n, h)])  # step times, accumulated as t += h
+    acc = -2.0 + sum(2.0 * spin * p.envelope(t) for p in pulses)
+    for a, a_next in zip(acc[:-1].tolist(), acc[1:].tolist()):
+        z_new = z + v * h + 0.5 * a * h * h
+        v_new = v + 0.5 * (a + a_next) * h
+        below = z_new < 0
+        if below.any():
+            zb, vb = z[below], v[below]
+            # smallest positive root of z + v tau + a tau^2 / 2 = 0
+            disc = np.sqrt(np.maximum(vb * vb - 2.0 * a * zb, 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = -0.5 * (vb + np.where(vb >= 0, disc, -disc))
+                r1 = np.where(a != 0.0, q / (0.5 * a), np.inf)
+                r2 = np.where(q != 0.0, zb / q, np.inf)
+            tau = np.where((r1 > 0) & ((r1 <= r2) | (r2 <= 0)), r1, r2)
+            tau = np.clip(tau, 0.0, h)
+            rem = h - tau
+            v_hit = vb + a * tau
+            z_ref = -v_hit * rem + 0.5 * a * rem * rem
+            v_ref = -v_hit + 0.5 * (a + a_next) * rem
+            settle = z_ref < 0  # no energy left to leave the floor this step
+            z_ref[settle] = 0.0
+            v_ref[settle] = 0.0
+            z_new[below] = z_ref
+            v_new[below] = v_ref
+        z, v = z_new, v_new
+    return z, v
+
+
+def verlet_flight(z, v, edges, pulses, spin, steps_per_sigma):
+    """`_kick_flight` by one step-by-step `_verlet` run per stretch (oracle).
+
+    Each stretch between two edges is one run on its own grid, forced by the
+    pulses active in it, as one ``propagate`` per stretch would take it.
+    Returns z and v at edges[-1] and <z> at every edge after the first.
+    """
+    z, v = np.asarray(z, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    means = []
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        (_, _, active), = merged_windows(pulses, t0, t1)
+        dt = min(p.width for p in active) / steps_per_sigma
+        z, v = _verlet(z, v, t0, t1, active, spin, dt)
+        means.append(z.mean())
+    return z, v, np.array(means)
+
+
+def legacy_csv_text(header_items, columns, rows):
+    """CSV text formatted one value at a time (oracle for `cli.write_csv`):
+    floats with 17 significant digits, anything else with ``str``."""
+    lines = [f"# version = {__version__}"]
+    lines += [f"# {k} = {v}" for k, v in header_items]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(
+            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"

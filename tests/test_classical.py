@@ -9,12 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbounce import classical
-from qbounce.classical import (ClassicalEnsemble, ballistic_flight,
+from qbounce.classical import (DEFAULT_STEPS_PER_SIGMA, ClassicalEnsemble,
+                               ballistic_flight,
                                mean_height_series, particle_energy,
                                propagate, sample_initial)
-from qbounce.pulses import KickPulse
+from qbounce.pulses import KickPulse, merged_windows
 
-from helpers import bounce_flight, walk_mean_height_series
+from helpers import (_verlet, bounce_flight, verlet_flight,
+                     walk_mean_height_series)
 
 FIG1_PULSE = KickPulse(0.5, 0.5, 60.0)
 
@@ -191,6 +193,86 @@ def test_kick_changes_energy_only_inside_window():
     after = propagate(before, pulse.window[1], [pulse])
     e_after = particle_energy(after.z, after.v)
     assert np.max(np.abs(e_after - e_before)) > 0.01  # kick did work
+
+
+# ------------------------------------------------ kick windows in rounds
+
+@st.composite
+def kicked_windows(draw):
+    """A merged window of one or two (overlapping) pulses, its stretches cut
+    at random times (grids of unequal h), and particles, some on the floor."""
+    spin = draw(st.sampled_from([1, -1]))
+    width = draw(st.floats(0.1, 0.5))
+    pulses = [KickPulse(draw(st.floats(0.0, 3.0)), width, 5.0)]
+    if draw(st.booleans()):
+        pulses.append(KickPulse(draw(st.floats(0.0, 3.0)),
+                                draw(st.floats(0.1, 0.5)),
+                                5.0 + draw(st.floats(-6.0, 6.0)) * width))
+    (lo, hi, _), = merged_windows(pulses, 0.0, 20.0)
+    cuts = draw(st.lists(st.floats(0.001, 0.999), max_size=6, unique=True))
+    edges = np.unique(np.r_[lo, lo + (hi - lo) * np.array(cuts), hi])
+    states = draw(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-9, 1e-3), st.floats(0.0, 5.0)),
+        st.floats(-5.0, 5.0)), min_size=1, max_size=20))
+    z, v = np.array(states).T
+    return pulses, spin, edges, z, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kicked_windows())
+def test_kick_rounds_match_step_by_step_oracle(case):
+    """Rounds of bounces against one Verlet step at a time (1e-10)."""
+    pulses, spin, edges, z, v = case
+    assume(np.all(v * v + 4.0 * z >= 0.04))  # away from micro-hops
+    ours = classical._kick_flight(z, v, edges, pulses, spin, 20)
+    ref = verlet_flight(z, v, edges, pulses, spin, 20)
+    assert_same_states(*ours[:2], *ref[:2], 1e-10)
+    assert np.max(np.abs(ours[2] - ref[2])) < 1e-10
+
+
+def _count_rounds(monkeypatch):
+    rounds = []
+    split = classical._floor_split
+    monkeypatch.setattr(classical, "_floor_split",
+                        lambda *args: rounds.append(1) or split(*args))
+    return rounds
+
+
+@pytest.mark.parametrize("amplitude,spin", [(0.5, 1), (1.5, -1)])
+def test_resting_particle_waits_out_a_weak_kick(monkeypatch, amplitude, spin):
+    """Under a net downward force a particle at rest stays on the floor in
+    one round; the step-by-step oracle micro-hops within a few h^2."""
+    pulse = KickPulse(amplitude, 0.5, 10.0)
+    edges = np.linspace(*pulse.window, 13)
+    h = pulse.width / DEFAULT_STEPS_PER_SIGMA
+    rounds = _count_rounds(monkeypatch)
+    z, v, means = classical._kick_flight(np.zeros(1), np.zeros(1), edges,
+                                         [pulse], spin, DEFAULT_STEPS_PER_SIGMA)
+    assert len(rounds) <= 1 and z[0] == 0.0 and v[0] == 0.0
+    assert np.all(means == 0.0)
+    ref = verlet_flight(np.zeros(1), np.zeros(1), edges, [pulse], spin,
+                        DEFAULT_STEPS_PER_SIGMA)
+    assert abs(ref[0][0]) < 4 * h * h and abs(ref[1][0]) < 4 * h
+    assert np.max(np.abs(ref[2])) < 4 * h * h
+
+
+def test_resting_particle_lifts_off_when_the_force_turns_up(monkeypatch):
+    """With a > 1 the net force turns upward mid-window: the particle rests
+    until the first step that starts with a >= 0, then flies and bounces."""
+    pulse = KickPulse(1.5, 0.5, 10.0)
+    lo, hi = pulse.window
+    h = pulse.width / DEFAULT_STEPS_PER_SIGMA
+    rounds = _count_rounds(monkeypatch)
+    z, v, _ = classical._kick_flight(np.zeros(1), np.zeros(1), [lo, hi],
+                                     [pulse], 1, DEFAULT_STEPS_PER_SIGMA)
+    assert len(rounds) <= 3 and z[0] >= 0.0
+    n = math.ceil((hi - lo) / h)  # the kernel's grid
+    t = np.cumsum(np.r_[lo, np.full(n, (hi - lo) / n)])
+    k = int(np.argmax(-2.0 + 2.0 * pulse.envelope(t) >= 0))
+    # the oracle from rest at that step, on the rest of the same grid
+    ref = _verlet(np.zeros(1), np.zeros(1), t[k], hi, [pulse], 1,
+                  (hi - t[k]) / (n - k - 0.5))
+    assert_same_states(z, v, *ref[:2], 1e-10)
 
 
 # ------------------------------------------------------- mean height

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbounce import classical, cli
 from qbounce.classical import propagate, sample_initial
 from qbounce.cli import (_scan_from_csv, main, parse_config_text,
                          read_scan_csv, write_csv)
 from qbounce.pulses import KickPulse
+
+from helpers import legacy_csv_text, verlet_flight
 
 # hard-coded preset parameter tables; any drift in the shipped config files
 # is a bug
@@ -217,6 +220,23 @@ def test_snapshots_match_propagation_from_zero(tmp_path):
             assert np.max(np.abs(block[:, 2] - ref.v)) < 1e-10
 
 
+def test_fig1_preset_matches_step_by_step_oracle(tmp_path, monkeypatch):
+    """The fig1 series and snapshots, one of them inside the kick window
+    [57, 63], against the same run stepped by the Verlet oracle (1e-10)."""
+    argv = ["classical-echo", "--preset", "fig1", "--snapshot", "55,60,65,120"]
+    runs = {}
+    for name, kernel in (("rounds", classical._kick_flight),
+                         ("oracle", verlet_flight)):
+        monkeypatch.setattr(classical, "_kick_flight", kernel)
+        (tmp_path / name).mkdir()
+        assert main(argv + ["--out-dir", str(tmp_path / name)]) == 0
+        runs[name] = [np.array(_read_csv(tmp_path / name / csv)[2], dtype=float)
+                      for csv in ("series.csv", "snapshots.csv")]
+    for ours, ref in zip(runs["rounds"], runs["oracle"]):
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) < 1e-10
+
+
 @pytest.mark.parametrize("snapshot", ["5,abc", "5,,15", "-1", "5,-0.5", "nan",
                                       "inf"])
 def test_bad_snapshot_times_fail_before_the_run(tmp_path, capsys, snapshot):
@@ -387,6 +407,57 @@ def test_scan_csv_round_trip(tau_min, dtau, pops, flags, basis_size, kind,
     assert (m, scan.kind) == (basis_size, kind)
     assert back == {"version": back["version"],
                     **{k: str(v) for k, v in header.items()}}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "retrieve"])
+@pytest.mark.parametrize("basis_size,top,what", [("401", 1.0, "basis_size"),
+                                                 ("abc", 1.0, "basis_size"),
+                                                 ("50", 1.5, "populations")])
+def test_bad_scan_csv_is_a_config_error(tmp_path, capsys, command,
+                                        basis_size, top, what):
+    """A scan CSV with a basis size outside [1, 400], or populations
+    outside [0, 1], exits 1 with a config error, not a traceback."""
+    scan_csv = tmp_path / "scan.csv"
+    delays = 2.0 + 0.1 * np.arange(300)
+    write_csv(str(scan_csv), [("basis_size", basis_size), ("kind", "magnetic")],
+              ["tau", "population", "overlap"],
+              np.column_stack((delays, top - 0.01 - 0.01 * np.sin(delays),
+                               np.zeros(300))))
+    assert main([command, "--in", str(scan_csv),
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and what in err
+
+
+def test_csv_bytes_match_the_per_value_formatter(tmp_path, monkeypatch):
+    """Every CSV a subcommand writes equals the text of formatting each value
+    on its own, with the integer columns (i, overlap, s) as Python ints."""
+    written = []
+
+    def record(path, header_items, columns, rows):
+        written.append((path, header_items, columns, rows))
+        write_csv(path, header_items, columns, rows)
+
+    monkeypatch.setattr(cli, "write_csv", record)
+    configs = {"ce.cfg": CLASSICAL_CFG, "qe.cfg": QUANTUM_CFG,
+               "scan.cfg": SCAN_CFG.format(a1=0.5, a2=0.5)}
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    for argv in (["basis", "--M", "6", "--out", "basis.csv"],
+                 ["classical-echo", "--config", str(tmp_path / "ce.cfg"),
+                  "--out", "ce.csv", "--snapshot", "5,12,15"],
+                 ["quantum-echo", "--config", str(tmp_path / "qe.cfg"),
+                  "--out", "qe.csv"],
+                 ["scan", "--config", str(tmp_path / "scan.cfg")],
+                 ["spectrum", "--in", str(tmp_path / "scan.csv")]):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert len(written) == 6
+    for path, header_items, columns, rows in written:
+        rows = [[int(x) if c in ("i", "overlap", "s") else x
+                 for c, x in zip(columns, row)] for row in rows]
+        expected = legacy_csv_text(header_items, columns, rows)
+        with open(path) as fh:
+            assert fh.read() == expected, path
 
 
 # ----------------------------------------------------------------- units
