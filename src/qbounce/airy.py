@@ -7,7 +7,8 @@ Evaluation strategy
   absorbs the cancellation between the f and g series) at 129 nodes 1/8
   apart; Ai'' = x Ai extends each node's Ai, Ai' to 16 Taylor coefficients.
   A point costs one float64 Horner sum for Ai and one for Ai' about its
-  nearest node.
+  nearest node; `airy_ai` skips the Ai' sums here and in the asymptotic
+  branches.
 * |x| >= 8: asymptotic expansions (DLMF 9.7) by Horner: the decaying form
   for x > 0 in -1/zeta, the trigonometric form for x < 0 in -1/zeta^2.  At
   zeta = (2/3)*8^(3/2) ~ 15.1 the remainder is ~exp(-2*zeta) ~ 1e-13.
@@ -35,8 +36,9 @@ _TAYLOR_TERMS = 16  # at |x - node| <= 1/16, 10 (Ai) and 11 (Ai') reach rounding
 _NEWTON_MAX_ITER = 20
 
 
-def _series_ai(x):
-    """Maclaurin series for Ai and Ai' on |x| < 8, in longdouble."""
+def _series_ai(x, derivative=True):
+    """Maclaurin series for Ai and Ai' on |x| < 8, in longdouble: (Ai, Ai'),
+    or (Ai,) without ``derivative``."""
     x = np.asarray(x, dtype=np.longdouble)
     x3 = x * x * x
 
@@ -68,7 +70,8 @@ def _series_ai(x):
 
     ai = _C1 * f - _C2 * g
     aip = _C1 * fp - _C2 * gp
-    return np.asarray(ai, dtype=np.float64), np.asarray(aip, dtype=np.float64)
+    return (np.asarray(ai, dtype=np.float64),
+            np.asarray(aip, dtype=np.float64))[:1 + derivative]
 
 
 def _asymptotic_coeffs(n):
@@ -108,61 +111,70 @@ def _horner(coeffs, x):
     return acc
 
 
-def _taylor_ai(x):
-    """Ai and Ai' on |x| < 8 by Horner about the nearest Taylor node."""
+def _taylor_ai(x, derivative=True):
+    """Ai and Ai' (Ai alone without ``derivative``) on |x| < 8 by Horner
+    about the nearest Taylor node."""
     j = np.rint(8.0 * (x + 8.0)).astype(np.intp)
     h = x - _NODES[j]
-    return tuple(_horner((row[j] for row in rows[::-1]), h) for rows in _TAYLOR)
+    return tuple(_horner((row[j] for row in rows[::-1]), h)
+                 for rows in _TAYLOR[:1 + derivative])
 
 
-def _asymptotic_pos(x):
+def _asymptotic_pos(x, derivative=True):
     """Decaying expansion for x >= 8 (DLMF 9.7.5/9.7.6), u_0..u_24 in -1/zeta."""
     zeta = (2.0 / 3.0) * x ** 1.5
     w = -1.0 / zeta
     with np.errstate(under="ignore"):
         pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     ai = pref * _horner(_UK[::-1], w) / x ** 0.25
+    if not derivative:
+        return (ai,)
     aip = -pref * _horner(_VK[::-1], w) * x ** 0.25
     return ai, aip
 
 
-def _asymptotic_neg(x):
+def _asymptotic_neg(x, derivative=True):
     """Oscillatory expansion for x <= -8 (DLMF 9.7.9/9.7.10), u_0..u_23,
     its even and odd parts summed in y = -1/zeta^2."""
     t = -x
     zeta = (2.0 / 3.0) * t ** 1.5
     y = -1.0 / zeta ** 2
     even_a, odd_a = _horner(_UK[22::-2], y), _horner(_UK[23::-2], y) / zeta
-    even_p, odd_p = _horner(_VK[22::-2], y), _horner(_VK[23::-2], y) / zeta
     w = zeta - 0.25 * math.pi
     cos_w, sin_w = np.cos(w), np.sin(w)
     ai = (cos_w * even_a + sin_w * odd_a) / (math.sqrt(math.pi) * t ** 0.25)
+    if not derivative:
+        return (ai,)
+    even_p, odd_p = _horner(_VK[22::-2], y), _horner(_VK[23::-2], y) / zeta
     aip = (t ** 0.25 / math.sqrt(math.pi)) * (sin_w * even_p - cos_w * odd_p)
     return ai, aip
 
 
-def _airy_both(x):
+def _airy(x, derivative=True):
+    """(Ai, Ai') of ``x``, or (Ai,) without ``derivative``; each branch then
+    skips the Ai' sums."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("Airy function of a non-finite argument")
-    ai, aip = np.empty_like(x), np.empty_like(x)
+    out = np.empty((1 + derivative,) + x.shape)
     for branch, sel in ((_taylor_ai, np.abs(x) < _SERIES_CUTOFF),
                         (_asymptotic_pos, x >= _SERIES_CUTOFF),
                         (_asymptotic_neg, x <= -_SERIES_CUTOFF)):
         if np.any(sel):
-            ai[sel], aip[sel] = branch(x[sel])
-    return ai, aip
+            for row, val in zip(out, branch(x[sel], derivative)):
+                row[sel] = val
+    return out
 
 
 def airy_ai(x):
     """Airy function Ai(x) for scalar or array input; 0-d input gives a float."""
-    ai, _ = _airy_both(np.atleast_1d(x))
+    ai, = _airy(np.atleast_1d(x), derivative=False)
     return float(ai[0]) if np.ndim(x) == 0 else ai
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x) for scalar or array input; 0-d input gives a float."""
-    _, aip = _airy_both(np.atleast_1d(x))
+    _, aip = _airy(np.atleast_1d(x))
     return float(aip[0]) if np.ndim(x) == 0 else aip
 
 
@@ -179,7 +191,7 @@ def airy_zeros(m: int) -> np.ndarray:
     t = 3.0 * math.pi * (4 * i - 1) / 8.0
     z = t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t ** 2) - 5.0 / (36.0 * t ** 4))
     for _ in range(_NEWTON_MAX_ITER):
-        ai, aip = _airy_both(-z)
+        ai, aip = _airy(-z)
         step = ai / aip  # d/dz Ai(-z) = -Ai'(-z)
         z += step
         if np.all(np.abs(step) < 1e-13 * z):

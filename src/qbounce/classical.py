@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulses import KickPulse, merged_windows
+from .pulses import KickPulse, check_step_count, merged_windows
 
 __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
            "propagate", "mean_height_series", "particle_energy"]
@@ -124,6 +124,7 @@ def _step_grid(edges, pulses, spin, steps_per_sigma):
     Returns the step sizes, the accelerations at the start and at the end of
     each step, and the node index at which each stretch ends.
     """
+    check_step_count(steps_per_sigma)
     hs, starts, finals, ends = [], [], [], [0]
     for t0, t1 in zip(edges[:-1], edges[1:]):
         (_, _, active), = merged_windows(pulses, t0, t1)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KickPulse", "WINDOW_SIGMAS", "merged_windows", "spin_branches"]
+__all__ = ["KickPulse", "WINDOW_SIGMAS", "check_step_count", "merged_windows",
+           "spin_branches"]
 
 # a pulse acts on |t - t_k| <= 6 sigma; the Gaussian tail beyond is < 1e-15
 WINDOW_SIGMAS = 6.0
@@ -28,6 +30,8 @@ class KickPulse:
     kind: str = "magnetic"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.width, self.center))):
+            raise ValueError("pulse amplitude, width and center must be finite")
         if self.width <= 0:
             raise ValueError("pulse width must be positive")
         if self.kind not in ("magnetic", "shake"):
@@ -53,6 +57,15 @@ class KickPulse:
         t = np.asarray(t, dtype=np.float64)
         u = (t - self.center) / self.width
         return self.amplitude / self.width ** 2 * (4.0 * u ** 2 - 2.0) * np.exp(-u ** 2)
+
+
+def check_step_count(steps_per_sigma):
+    """Raise ValueError unless ``steps_per_sigma`` is an integer >= 1."""
+    if (isinstance(steps_per_sigma, bool)
+            or not isinstance(steps_per_sigma, numbers.Integral)
+            or steps_per_sigma < 1):
+        raise ValueError("steps_per_sigma must be an integer >= 1, got "
+                         f"{steps_per_sigma!r}")
 
 
 def spin_branches(kind: str, spin_average: bool, spin: int = 1):

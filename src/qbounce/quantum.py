@@ -10,20 +10,24 @@ The pulse stepper is a Strang splitting between the diagonal part and the
 Z part (Z's eigenpairs live on the basis), composed into Yoshida's
 fourth-order triple jump, and exactly unitary at every step.  One kernel,
 `strang_steps`, runs it for pulse windows, propagators and delay scans, on
-one vector or a block of columns with per-column forcing.  One walk
-through the merged pulse windows gives the state at each requested time;
-`evolve_pulsed` and `mean_height_trace` both take it.
+one vector or a block of columns with per-column forcing; its operators
+depend on the step size alone and are formed in one place, `_operators`.
+One walk through the merged pulse windows gives the state at each
+requested time; `evolve_pulsed` and `mean_height_trace` both take it.
+Inside a window the walk steps from sample to sample, and the runs of one
+window reuse the operators of each step size they share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import KickPulse, merged_windows
+from .pulses import KickPulse, check_step_count, merged_windows
 
 __all__ = ["StateVector", "ground_state", "free_evolve", "evolve_pulsed",
            "impulsive_kick", "impulsive_kick_matrix", "pulse_propagator",
@@ -37,6 +41,10 @@ DEFAULT_STEPS_PER_SIGMA = 40
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 _WEIGHTS = (_W1, _W0, _W1)
+
+# step sizes whose operators a pulse window keeps; one G pair is 0.72 MB
+# at M = 150
+_OPERATOR_SETS = 8
 
 
 @dataclass(frozen=True)
@@ -112,11 +120,43 @@ def step_grid(lo: float, hi: float, width: float,
     sizes w1 h, w0 h, w1 h.  Returns (t_mid, h), t_mid holding the 3n
     sub-step midpoints; they are symmetric about the middle of [lo, hi].
     """
+    check_step_count(steps_per_sigma)
     dt = width / steps_per_sigma
     n = max(1, math.ceil((hi - lo) / dt))
     h = (hi - lo) / n
     offsets = np.array([0.5 * _W1, 0.5, 1.0 - 0.5 * _W1])
     return lo + (np.arange(n)[:, None] + offsets).ravel() * h, h
+
+
+def _operators(basis: EigenBasis, h: float):
+    """The operators of composed steps of size h: (half, G_sub, G_step, lam).
+
+    half = exp(-i z w1 h/2) and lam = -i h lambda; G = V^T exp(-i z h'') V
+    for h'' = (w1 + w0) h / 2 inside a step (G_sub) and h'' = w1 h between
+    steps (G_step).  The two G products are the only M^3 work of a run.
+    """
+    v = basis.z_eigvecs  # Z is real symmetric, eigenvectors are real
+    half = np.exp(-0.5j * _W1 * h * basis.zeros)
+    g_sub, g_step = (v.T @ (np.exp(-1j * hh * basis.zeros)[:, None] * v)
+                     for hh in (0.5 * (_W1 + _W0) * h, _W1 * h))
+    return half, g_sub, g_step, -1j * h * basis.z_eigvals
+
+
+def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
+               ops) -> np.ndarray:
+    """The sub-step loop of `strang_steps`, with the operators given."""
+    if len(f_mid) % 3:
+        raise ValueError("the forcing needs three samples per step")
+    v = basis.z_eigvecs
+    half, g_sub, g_step, lam = ops
+    if c.ndim == 2:
+        half, lam = half[:, None], lam[:, None]
+    w = np.resize(_WEIGHTS, len(f_mid))
+    f_w = f_mid * (w[:, None] if f_mid.ndim == 2 else w)
+    y = np.exp(lam * f_w[0]) * (v.T @ (half * c))
+    for j in range(1, len(f_w)):
+        y = np.exp(lam * f_w[j]) * ((g_sub if j % 3 else g_step) @ y)
+    return half * (v @ y)
 
 
 def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
@@ -128,27 +168,14 @@ def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
     E = exp(-i f h' lambda), f the forcing at the sub-step's own midpoint.
     Adjacent half phases merge into G = V^T exp(-i z h'') V, so in the
     eigenbasis of Z each sub-step is one product with G and one elementwise
-    phase.  A call builds two G, for h'' = (w1 + w0) h / 2 inside a step and
-    h'' = w1 h between steps.  ``c`` is a vector (M,) or a block of columns
+    phase.  The operators depend on h alone (`_operators`); a call builds
+    them once, and a trace's walk reuses them for every run of the same h
+    in a pulse window.  ``c`` is a vector (M,) or a block of columns
     (M, B); ``f_mid`` of shape (3n,) drives every column, shape (3n, B)
     drives each column with its own forcing.  The sub-step sizes are
     palindromic, so the forcing reversed gives the transposed product.
     """
-    if len(f_mid) % 3:
-        raise ValueError("the forcing needs three samples per step")
-    v = basis.z_eigvecs  # Z is real symmetric, eigenvectors are real
-    half = np.exp(-0.5j * _W1 * h * basis.zeros)
-    g_sub, g_step = (v.T @ (np.exp(-1j * hh * basis.zeros)[:, None] * v)
-                     for hh in (0.5 * (_W1 + _W0) * h, _W1 * h))
-    lam = -1j * h * basis.z_eigvals
-    if c.ndim == 2:
-        half, lam = half[:, None], lam[:, None]
-    w = np.resize(_WEIGHTS, len(f_mid))
-    f_w = f_mid * (w[:, None] if f_mid.ndim == 2 else w)
-    y = np.exp(lam * f_w[0]) * (v.T @ (half * c))
-    for j in range(1, len(f_w)):
-        y = np.exp(lam * f_w[j]) * ((g_sub if j % 3 else g_step) @ y)
-    return half * (v @ y)
+    return _sub_steps(basis, c, f_mid, _operators(basis, h))
 
 
 def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spin: int,
@@ -157,10 +184,17 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spin: int,
 
     Outside every pulse window (|t - t_k| > 6 sigma_k) the exact phases
     c e^{-i z (t - t0)} cover a whole free stretch at once.  Inside each
-    merged window `strang_steps` integrates i dc/dt = (diag(z_i) + f(t) Z) c
-    from sample to sample and on to the window's end, with step
-    sigma / ``steps_per_sigma``, sigma the narrowest active pulse width.
+    merged window the Strang steps integrate
+    i dc/dt = (diag(z_i) + f(t) Z) c from sample to sample and on to the
+    window's end, with step sigma / ``steps_per_sigma``, sigma the narrowest
+    active pulse width.  The runs of a window share a few step sizes, met
+    one after the other; the window keeps the operators of the last
+    ``_OPERATOR_SETS`` sizes, so each size is built once per window unless
+    more than that many interleave, and memory stays bounded however the
+    samples fall.
     """
+    if isinstance(pulses, KickPulse):
+        pulses = [pulses]
     out = np.empty((len(times), basis.m), dtype=np.complex128)
     k = 0
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
@@ -168,10 +202,12 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spin: int,
         out[k:n] = c * np.exp(-1j * np.outer(times[k:n] - t0, basis.zeros))
         c, t0, k = c * np.exp(-1j * basis.zeros * (lo - t0)), lo, n
         width = min(p.width for p in active)
+        ops = lru_cache(_OPERATOR_SETS)(partial(_operators, basis))
         while t0 < hi:  # hi <= times[-1], so times[k] exists
             t = min(float(times[k]), hi)
             t_mid, h = step_grid(t0, t, width, steps_per_sigma)
-            c, t0 = strang_steps(basis, c, forcing(active, spin, t_mid), h), t
+            c = _sub_steps(basis, c, forcing(active, spin, t_mid), ops(h))
+            t0 = t
             if times[k] == t:
                 out[k] = c
                 k += 1
@@ -184,8 +220,8 @@ def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
                   ) -> StateVector:
     """Evolve from ``state.time`` to ``t_to`` through any pulse windows:
     the walk of `mean_height_trace` at the single time ``t_to``."""
-    if isinstance(pulses, KickPulse):
-        pulses = [pulses]
+    if not math.isfinite(t_to):
+        raise ValueError(f"t_to must be finite, got {t_to}")
     if t_to < state.time:
         raise ValueError("t_to must not precede the state time")
     c = _walk(basis, state.coeffs, state.time, pulses, spin,
@@ -229,9 +265,13 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spin: int,
     """<z> sampled on ``times`` (ascending, >= state.time).
 
     Returns (heights, final_state).  Free stretches are sampled analytically;
-    samples inside pulse windows are hit exactly by the stepper.
+    samples inside pulse windows are hit exactly by the stepper.  ``pulses``
+    is one `KickPulse` or a sequence of them.
     """
     times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be a non-empty 1-d array of "
+                         "finite values")
     if np.any(np.diff(times) <= 0) or times[0] < state.time:
         raise ValueError("sample times must be ascending and start at or "
                          "after the state time")

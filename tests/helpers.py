@@ -10,8 +10,9 @@ from qbounce.airy import airy_ai
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import propagate, sample_initial
 from qbounce.pulses import merged_windows
-from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, evolve_pulsed,
-                             expectation_z, forcing, free_evolve)
+from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector, _mean_z,
+                             evolve_pulsed, expectation_z, forcing,
+                             free_evolve, step_grid, strang_steps)
 
 
 class NormDriftError(RuntimeError):
@@ -178,6 +179,31 @@ def walk_mean_height_trace(basis, state, pulses, spin, times,
             cur = evolve_pulsed(cur, basis, pulses, spin, hi, steps_per_sigma)
     free_to(np.inf)
     return out, free_evolve(cur, basis, float(times[-1]) - cur.time)
+
+
+def per_run_trace(basis, state, pulses, spin, times,
+                  steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
+    """<z>(t) by one `strang_steps` call per sample-to-sample run, each
+    building its own operators (oracle for the operator reuse in
+    `mean_height_trace`).  Returns (heights, final_state)."""
+    times = np.asarray(times, dtype=np.float64)
+    c, t0 = state.coeffs, state.time
+    out = np.empty((len(times), basis.m), dtype=np.complex128)
+    k = 0
+    for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
+        n = int(np.searchsorted(times, lo, side="right"))
+        out[k:n] = c * np.exp(-1j * np.outer(times[k:n] - t0, basis.zeros))
+        c, t0, k = c * np.exp(-1j * basis.zeros * (lo - t0)), lo, n
+        width = min(p.width for p in active)
+        while t0 < hi:
+            t = min(float(times[k]), hi)
+            t_mid, h = step_grid(t0, t, width, steps_per_sigma)
+            c, t0 = strang_steps(basis, c, forcing(active, spin, t_mid), h), t
+            if times[k] == t:
+                out[k] = c
+                k += 1
+    out[k:] = c * np.exp(-1j * np.outer(times[k:] - t0, basis.zeros))
+    return _mean_z(basis, out), StateVector(out[-1], float(times[-1]))
 
 
 def _verlet(z, v, t0, t1, pulses, spin, dt):

@@ -183,6 +183,13 @@ def test_propagate_rejects_backwards_time():
         propagate(moved, 1.0, [])
 
 
+@pytest.mark.parametrize("steps", [-3, 0, 2.5])
+def test_propagate_needs_a_whole_positive_step_count(steps):
+    ens = sample_initial(100, 20.0, 0.0, 4.0, 0.125, seed=3)
+    with pytest.raises(ValueError, match="steps_per_sigma"):
+        propagate(ens, 70.0, [FIG1_PULSE], steps_per_sigma=steps)
+
+
 def test_kick_changes_energy_only_inside_window():
     ens = sample_initial(200, 20.0, 0.0, 4.0, 0.125, seed=8)
     pulse = KickPulse(0.5, 0.5, 30.0)

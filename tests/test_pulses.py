@@ -39,6 +39,13 @@ def test_invalid_pulses_rejected():
         KickPulse(1.0, 0.5, kind="electric")
 
 
+@pytest.mark.parametrize("fields", [(1.0, math.nan), (1.0, math.inf),
+                                    (math.nan, 0.5), (1.0, 0.5, -math.inf)])
+def test_non_finite_pulse_fields_rejected(fields):
+    with pytest.raises(ValueError, match="finite"):
+        KickPulse(*fields)
+
+
 def test_merged_windows_disjoint():
     p1 = KickPulse(1.0, 0.5, 10.0)
     p2 = KickPulse(1.0, 0.5, 30.0)

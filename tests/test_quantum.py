@@ -7,16 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbounce import quantum
 from qbounce.basis import EigenBasis, build_basis
-from qbounce.pulses import KickPulse
+from qbounce.pulses import KickPulse, merged_windows
 from qbounce.quantum import (StateVector, evolve_pulsed, expectation_z,
                              forcing, free_evolve, ground_state,
                              impulsive_kick, impulsive_kick_matrix,
                              mean_height_trace, pulse_propagator, step_grid,
                              strang_steps)
 
-from helpers import (NormDriftError, oscillation_envelope, rk4_window,
-                     shake_potential_coefficient, walk_mean_height_trace)
+from helpers import (NormDriftError, oscillation_envelope, per_run_trace,
+                     rk4_window, shake_potential_coefficient,
+                     walk_mean_height_trace)
 
 
 def _two_state(basis):
@@ -316,6 +318,57 @@ def test_walk_through_mixed_widths_matches_rk4(basis20):
             expectation_z(StateVector(c), basis20), abs=1e-8)
 
 
+# fig2-like: samples every 0.1 through a width-0.5 window; fig5-like: a
+# shake window clipped at t = 0, then a narrow second one
+_REUSE_CASES = {
+    "fig2-like": (50, [KickPulse(0.5, 0.5, 20.0)], 1, np.arange(0.0, 30.0, 0.1)),
+    "two-window shake": (20, [KickPulse(1.5, 1.0, 0.0, "shake"),
+                              KickPulse(0.1, 0.16, 15.0, "shake")], 1,
+                         np.arange(0.0, 20.0, 0.1)),
+}
+
+
+def _reuse_case(basis20, basis50, case):
+    m, pulses, spin, times = _REUSE_CASES[case]
+    basis = basis50 if m == 50 else basis20
+    return basis, _two_state(basis), pulses, spin, times
+
+
+@pytest.mark.parametrize("case", sorted(_REUSE_CASES))
+def test_trace_equals_fresh_operators_per_run(basis20, basis50, case):
+    """Reusing a window's operators changes no bit of the trace."""
+    basis, s, pulses, spin, times = _reuse_case(basis20, basis50, case)
+    trace, final = mean_height_trace(basis, s, pulses, spin, times)
+    ref, ref_final = per_run_trace(basis, s, pulses, spin, times)
+    assert np.array_equal(trace, ref)
+    assert np.array_equal(final.coeffs, ref_final.coeffs)
+
+
+@pytest.mark.parametrize("case", sorted(_REUSE_CASES))
+def test_operators_built_once_per_step_size_and_window(basis20, basis50,
+                                                       monkeypatch, case):
+    basis, s, pulses, spin, times = _reuse_case(basis20, basis50, case)
+    built = []
+    build = quantum._operators
+
+    def spy(basis, h):
+        built.append(h)
+        return build(basis, h)
+
+    monkeypatch.setattr(quantum, "_operators", spy)
+    mean_height_trace(basis, s, pulses, spin, times)
+    distinct = runs = 0
+    for lo, hi, active in merged_windows(pulses, s.time, float(times[-1])):
+        inside = times[(times > lo) & (times < hi)]
+        edges = np.r_[lo, inside, hi]
+        width = min(p.width for p in active)
+        sizes = [step_grid(a, b, width)[1] for a, b in zip(edges[:-1], edges[1:])]
+        distinct += len(set(sizes))
+        runs += len(sizes)
+    assert len(built) <= distinct
+    assert runs >= 5 * distinct  # many runs share each step size
+
+
 def test_free_trace_checks_every_imaginary_residual(basis20):
     """An asymmetric Z gives <z> an imaginary part, also in free flight."""
     z = basis20.z_matrix.copy()
@@ -352,3 +405,41 @@ def test_expectation_z_two_level_maximum(basis20):
     expected = (0.5 * basis20.z_matrix[0, 0] + 0.5 * basis20.z_matrix[1, 1]
                 + abs(basis20.z_matrix[0, 1]))
     assert val == pytest.approx(expected, abs=1e-10)
+
+
+# ---------------------------------------------------------- input checks
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5, True])
+def test_step_grid_needs_a_whole_positive_step_count(steps):
+    with pytest.raises(ValueError, match="steps_per_sigma"):
+        step_grid(0.0, 1.0, 0.5, steps)
+
+
+def test_pulse_propagator_rejects_negative_step_count(basis20):
+    with pytest.raises(ValueError, match="steps_per_sigma"):
+        pulse_propagator(basis20, KickPulse(1.0, 0.5), 1, -1)
+
+
+def test_trace_and_evolve_accept_a_single_pulse(basis20):
+    pulse = KickPulse(0.5, 0.5, 5.0)
+    s, times = _two_state(basis20), np.arange(0.0, 10.0, 0.5)
+    one, one_final = mean_height_trace(basis20, s, pulse, 1, times)
+    listed, listed_final = mean_height_trace(basis20, s, [pulse], 1, times)
+    assert np.array_equal(one, listed)
+    assert np.array_equal(one_final.coeffs, listed_final.coeffs)
+    assert np.array_equal(evolve_pulsed(s, basis20, pulse, 1, 9.5).coeffs,
+                          evolve_pulsed(s, basis20, [pulse], 1, 9.5).coeffs)
+
+
+@pytest.mark.parametrize("times", [[], [0.0, np.nan, 2.0], [1.0, np.inf]])
+def test_trace_rejects_empty_or_non_finite_times(basis20, times):
+    with pytest.raises(ValueError, match="sample times"):
+        mean_height_trace(basis20, ground_state(basis20),
+                          KickPulse(0.5, 0.5, 5.0), 1, np.array(times))
+
+
+@pytest.mark.parametrize("t_to", [np.inf, np.nan])
+def test_evolve_rejects_non_finite_end_time(basis20, t_to):
+    with pytest.raises(ValueError, match="finite"):
+        evolve_pulsed(ground_state(basis20), basis20,
+                      KickPulse(0.5, 0.5, 5.0), 1, t_to)
