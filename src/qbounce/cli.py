@@ -240,23 +240,6 @@ def read_scan_csv(path):
     return header, columns, np.asarray(rows)
 
 
-def _maybe_plot(args, path, plot_fn):
-    if not getattr(args, "plot", False):
-        return
-    try:
-        import matplotlib
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("plotting requested but matplotlib is unavailable; skipped",
-              file=sys.stderr)
-        return
-    fig, ax = plt.subplots()
-    plot_fn(ax)
-    fig.savefig(path)
-    plt.close(fig)
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_basis(args):
@@ -307,10 +290,6 @@ def cmd_classical_echo(args):
                     (np.full(ens.n, t), ens.z, ens.v, np.full(ens.n, s))))
         write_csv(_resolve_out(args, "snapshots.csv"), sorted(cfg.items()),
                   ["t", "z", "v", "s"], np.concatenate(blocks))
-
-    _maybe_plot(args, _resolve_out(args, "classical_echo.svg"),
-                lambda ax: (ax.plot(times, avg), ax.set_xlabel("t"),
-                            ax.set_ylabel("mean height")))
     return 0
 
 
@@ -361,9 +340,6 @@ def cmd_quantum_echo(args):
               sorted(cfg.items()) + list(zip(norm_keys, norms)),
               ["t", "z_plus", "z_minus", "z_avg"],
               np.column_stack((times, z_plus, z_minus, avg)))
-    _maybe_plot(args, _resolve_out(args, "quantum_echo.svg"),
-                lambda ax: (ax.plot(times, avg), ax.set_xlabel("t"),
-                            ax.set_ylabel("mean height")))
     return 0
 
 
@@ -383,10 +359,6 @@ def cmd_scan(args):
     write_csv(_resolve_out(args, args.out), sorted(cfg.items()),
               ["tau", "population", "overlap"],
               np.column_stack((scan.delays, scan.populations, scan.overlap)))
-    _maybe_plot(args, _resolve_out(args, "scan.svg"),
-                lambda ax: (ax.plot(scan.delays, scan.populations),
-                            ax.set_xlabel("delay"),
-                            ax.set_ylabel("ground-state population")))
     return 0
 
 
@@ -427,10 +399,6 @@ def cmd_spectrum(args):
               "rel_error_percent": m.rel_error_percent}
              for m in spec.matches]
     _emit(_resolve_out(args, args.peaks), [json.dumps(peaks, indent=2) + "\n"])
-    _maybe_plot(args, _resolve_out(args, "spectrum.svg"),
-                lambda ax: (ax.semilogy(spec.frequencies, spec.amplitudes),
-                            ax.set_xlabel("angular frequency"),
-                            ax.set_ylabel("magnitude")))
     return 0
 
 
@@ -478,8 +446,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_io_flags(sp, default_out):
     sp.add_argument("--out", default=default_out, help="output CSV path")
     sp.add_argument("--out-dir", default=None, help="directory for outputs")
-    sp.add_argument("--plot", action="store_true",
-                    help="also write an SVG plot (requires matplotlib)")
 
 
 def _add_config_flags(sp):

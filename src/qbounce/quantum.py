@@ -122,7 +122,9 @@ def step_grid(lo: float, hi: float, width: float,
     """
     check_step_count(steps_per_sigma)
     dt = width / steps_per_sigma
-    n = max(1, math.ceil((hi - lo) / dt))
+    # a gap within a relative 1e-12 of whole steps takes that many steps:
+    # rounding in lo and hi must not add one
+    n = max(1, math.ceil((hi - lo) / dt * (1.0 - 1e-12)))
     h = (hi - lo) / n
     offsets = np.array([0.5 * _W1, 0.5, 1.0 - 0.5 * _W1])
     return lo + (np.arange(n)[:, None] + offsets).ravel() * h, h
@@ -143,8 +145,13 @@ def _operators(basis: EigenBasis, h: float):
 
 
 def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
-               ops) -> np.ndarray:
-    """The sub-step loop of `strang_steps`, with the operators given."""
+               ops, nodes=None) -> np.ndarray:
+    """The sub-step loop of `strang_steps`, with the operators given.
+
+    With ``nodes``, distinct ascending step counts in [0, n], it returns
+    the states after that many composed steps, stacked on a new first
+    axis, instead of the final state.
+    """
     if len(f_mid) % 3:
         raise ValueError("the forcing needs three samples per step")
     v = basis.z_eigvecs
@@ -153,10 +160,19 @@ def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
         half, lam = half[:, None], lam[:, None]
     w = np.resize(_WEIGHTS, len(f_mid))
     f_w = f_mid * (w[:, None] if f_mid.ndim == 2 else w)
+    keep = set() if nodes is None else set(map(int, nodes))
+    kept = [c] if 0 in keep else []
     y = np.exp(lam * f_w[0]) * (v.T @ (half * c))
     for j in range(1, len(f_w)):
+        if j % 3 == 0 and j // 3 in keep:  # y is the state after j/3 steps
+            kept.append(half * (v @ y))
         y = np.exp(lam * f_w[j]) * ((g_sub if j % 3 else g_step) @ y)
-    return half * (v @ y)
+    c = half * (v @ y)
+    if nodes is None:
+        return c
+    if len(f_w) // 3 in keep:
+        kept.append(c)
+    return np.stack(kept)
 
 
 def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .basis import EigenBasis
 from .pulses import KickPulse, spin_branches
-from .quantum import (DEFAULT_STEPS_PER_SIGMA, forcing, impulsive_kick_matrix,
-                      step_grid, strang_steps)
+from .quantum import (DEFAULT_STEPS_PER_SIGMA, _operators, _sub_steps,
+                      forcing, impulsive_kick_matrix, step_grid, strang_steps)
 
 __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
            "impulsive_scan_analytic", "perturbative_scan", "spectrum",
@@ -42,10 +42,10 @@ class DelayScan:
         steps = np.diff(d)
         if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("delay grid must be uniform")
-        # zero-kick scans read 1 +/- 1.1e-11 (M = 20, 50; widths 0.2/0.2 and
-        # 0.1/0.5): each Strang sub-step is unitary only to rounding, and a
-        # sigma = 0.2 window takes 1440 of them (more for a stacked run of
-        # overlapping delays)
+        # zero-kick scans read 1 +/- 2.3e-12 (M = 20, 50; widths 0.2/0.2,
+        # 0.1/0.5 and 0.5/0.1; tau in [0.05, 20]): each Strang sub-step is
+        # unitary only to rounding, and a sigma = 0.2 window takes 1440 of
+        # them (an overlapping delay adds one run across its overlap)
         if np.any(p < -1e-10) or np.any(p > 1 + 1e-10):
             raise ValueError("populations must lie in [0, 1]")
         ov = self.overlap if self.overlap is not None else np.zeros(len(d), bool)
@@ -84,15 +84,19 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
                steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA) -> DelayScan:
     """Ground-state population after two kicks, versus their delay.
 
-    Kick 1 is centered at t = 0, kick 2 at t = tau.  For well-separated
-    pulses c_1 = row . exp(-i z gap) v with v = W1 e_1 and row = e_1^T W2,
-    the pulse-window propagators W_k.  Each Strang sub-step is complex
-    symmetric and their sizes are palindromic, so W2^T is W2's sub-steps
-    in reverse order and both v and row are single vector runs.  Delays
-    whose windows overlap are integrated together as one run over stacked
-    columns, each column driven by its own two pulses inside its merged
-    window and free outside it; |c_1|^2 is constant in free flight, so the
-    shared end time does not matter.
+    Kick 1 is centered at t = 0, kick 2 at t = tau.  Two vector runs serve
+    every delay: v = W1 e_1 and row = e_1^T W2, the pulse-window
+    propagators W_k.  Each Strang sub-step is complex symmetric and their
+    sizes are palindromic, so W2^T is W2's sub-steps in reverse order and
+    the row is a vector run too.  For well-separated pulses
+    c_1 = row . exp(-i z gap) v.  Where the windows overlap, the runs also
+    keep their states at the step nodes each delay needs, and
+    c_1 = row(b) . U v(a): a is the last kick-1 node at or before the start
+    of kick 2's window, b the first kick-2 node at or after the end of
+    kick 1's, and U steps across [a, b] with each kick's forcing inside its
+    own window.  The state is the ground state before kick 1's window and
+    the row is e_1^T after kick 2's, so a and b clamp to those ends.
+    Every run steps at min(sigma_1, sigma_2) / ``steps_per_sigma``.
     Delays with tau < 3 (sigma_1 + sigma_2) are marked as overlapping.
     Magnetic scans average |c_1|^2 over s = +/-1 unless ``spin_average``
     is off.
@@ -111,41 +115,44 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     half1 = p1.window[1]
     half2 = p2.window[1]
     separated = delays >= (half1 + half2)
-
-    def ground_columns(n):
-        c = np.zeros((basis.m, n), dtype=np.complex128)
-        c[0] = 1.0
-        return c
+    tau = delays[~separated]
 
     def spin_columns(pulse, t):
         return np.stack([forcing([pulse], s, t) for s in spins], axis=1)
 
-    pops = np.zeros(len(delays))
-    if np.any(separated):
-        t1, h1 = step_grid(*p1.window, p1.width, steps_per_sigma)
-        v = strang_steps(basis, ground_columns(len(spins)),
-                         spin_columns(p1, t1), h1)   # state at t = +6 sigma_1
-        t2, h2 = step_grid(*p2.window, p2.width, steps_per_sigma)
-        row = strang_steps(basis, ground_columns(len(spins)),
-                           spin_columns(p2, t2)[::-1], h2)
-        pops[separated] = _spin_mean_forward(
-            basis, delays[separated] - (half1 + half2), v * row)
+    width = min(p1.width, p2.width)
+    t1, h1 = step_grid(*p1.window, width, steps_per_sigma)
+    t2, h2 = step_grid(*p2.window, width, steps_per_sigma)
+    n1, n2 = len(t1) // 3, len(t2) // 3
+    # nodes within a relative 1e-12 of kick 2's start or kick 1's end
+    # count as on it, as in `step_grid`
+    k1 = np.clip(np.floor((tau - half2 + half1) / h1 * (1.0 + 1e-12)),
+                 0, n1).astype(int)
+    k2 = np.clip(np.ceil((half1 + half2 - tau) / h2 * (1.0 - 1e-12)),
+                 0, n2).astype(int)
+    ground = np.zeros((basis.m, len(spins)), dtype=np.complex128)
+    ground[0] = 1.0
+    nodes1, at1 = np.unique(np.r_[k1, n1], return_inverse=True)
+    nodes2, at2 = np.unique(np.r_[n2 - k2, n2], return_inverse=True)
+    v = _sub_steps(basis, ground, spin_columns(p1, t1),
+                   _operators(basis, h1), nodes1)
+    row = _sub_steps(basis, ground, spin_columns(p2, t2)[::-1],
+                     _operators(basis, h2), nodes2)
 
-    close = ~separated
-    if np.any(close):
-        tau = delays[close]
-        lo = np.minimum(-half1, tau - half2)
-        hi = np.maximum(half1, tau + half2)
-        t, h = step_grid(lo.min(), hi.max(),
-                         min(p1.width, p2.width), steps_per_sigma)
-        t = t[:, None]
-        inside = (t >= lo) & (t <= hi)
-        f = np.concatenate([np.where(inside, forcing([p1], s, t) +
-                                     forcing([p2], s, t - tau), 0.0)
-                            for s in spins], axis=1)
-        c = strang_steps(basis, ground_columns(f.shape[1]), f, h)
-        pops[close] = np.mean(np.abs(c[0].reshape(len(spins), -1)) ** 2,
-                              axis=0)
+    pops = np.empty(len(delays))
+    pops[separated] = _spin_mean_forward(
+        basis, delays[separated] - (half1 + half2), v[-1] * row[-1])
+    start = np.where(k1 > 0, -half1 + k1 * h1, np.minimum(-half1, tau - half2))
+    stop = np.where(k2 < n2, tau - half2 + k2 * h2,
+                    np.maximum(half1, tau + half2))
+    c1 = np.empty((len(tau), len(spins)), dtype=np.complex128)
+    for i, d in enumerate(tau):
+        t, h = step_grid(start[i], stop[i], width, steps_per_sigma)
+        f = (spin_columns(p1, t) * (np.abs(t) <= half1)[:, None] +
+             spin_columns(p2, t - d) * (np.abs(t - d) <= half2)[:, None])
+        c = strang_steps(basis, v[at1[i]], f, h)
+        c1[i] = np.sum(row[at2[i]] * c, axis=0)
+    pops[~separated] = np.mean(np.abs(c1) ** 2, axis=1)
     return DelayScan(delays, pops, kind, overlap)
 
 
@@ -164,7 +171,9 @@ def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
                        amps: np.ndarray) -> np.ndarray:
     """Spin mean of |sum_i A_i e^{-i z_i tau}|^2, one column of ``amps``
     (M, S) per spin branch."""
-    c1 = np.exp(-1j * np.outer(tau, basis.zeros)) @ amps
+    # in place: this (T, M) matrix is the largest array a scan makes
+    phase = np.outer(tau, -1j * basis.zeros)
+    c1 = np.exp(phase, out=phase) @ amps
     return np.mean(np.abs(c1) ** 2, axis=1)
 
 

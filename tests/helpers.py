@@ -9,7 +9,7 @@ from qbounce import __version__
 from qbounce.airy import airy_ai
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import propagate, sample_initial
-from qbounce.pulses import merged_windows
+from qbounce.pulses import KickPulse, merged_windows, spin_branches
 from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector, _mean_z,
                              evolve_pulsed, expectation_z, forcing,
                              free_evolve, step_grid, strang_steps)
@@ -261,6 +261,36 @@ def verlet_flight(z, v, edges, pulses, spin, steps_per_sigma):
         z, v = _verlet(z, v, t0, t1, active, spin, dt)
         means.append(z.mean())
     return z, v, np.array(means)
+
+
+def stacked_overlap_scan(basis, pulse1, pulse2, delays, spin_average=True,
+                         spin=1, steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
+    """|c_1|^2 of overlapping delays from one run over stacked columns
+    (oracle for the overlap runs of `scan_delay`).
+
+    Kick 1 is centered at t = 0, kick 2 at t = tau.  One `strang_steps` run
+    spans every delay's merged window; each column is driven by its own two
+    pulses inside that window and is free outside it.  Returns the spin
+    mean of |c_1|^2 for each delay.
+    """
+    spins = spin_branches(pulse1.kind, spin_average, spin)
+    p1 = KickPulse(pulse1.amplitude, pulse1.width, 0.0, pulse1.kind)
+    p2 = KickPulse(pulse2.amplitude, pulse2.width, 0.0, pulse2.kind)
+    half1, half2 = p1.window[1], p2.window[1]
+    tau = np.asarray(delays, dtype=np.float64)
+    lo = np.minimum(-half1, tau - half2)
+    hi = np.maximum(half1, tau + half2)
+    t, h = step_grid(lo.min(), hi.max(), min(p1.width, p2.width),
+                     steps_per_sigma)
+    t = t[:, None]
+    inside = (t >= lo) & (t <= hi)
+    f = np.concatenate([np.where(inside, forcing([p1], s, t) +
+                                 forcing([p2], s, t - tau), 0.0)
+                        for s in spins], axis=1)
+    c = np.zeros((basis.m, f.shape[1]), dtype=np.complex128)
+    c[0] = 1.0
+    c = strang_steps(basis, c, f, h)
+    return np.mean(np.abs(c[0].reshape(len(spins), -1)) ** 2, axis=0)
 
 
 def legacy_csv_text(header_items, columns, rows):

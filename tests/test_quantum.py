@@ -409,6 +409,20 @@ def test_expectation_z_two_level_maximum(basis20):
 
 # ---------------------------------------------------------- input checks
 
+def test_step_grid_takes_whole_steps_despite_rounding():
+    """Gaps an ulp over a whole number of steps take that number: a
+    sigma = 0.2 window, and every 0.1 sample run in the fig2 window."""
+    t_mid, _ = step_grid(*KickPulse(1.0, 0.2).window, 0.2)
+    assert len(t_mid) == 3 * 480
+    lo, hi = KickPulse(0.5, 0.5, 60.0).window
+    times = np.arange(0.0, 200.0 + 1e-9, 0.1)
+    edges = np.r_[lo, times[(times > lo) & (times < hi)], hi]
+    counts = [len(step_grid(a, b, 0.5)[0]) // 3
+              for a, b in zip(edges[:-1], edges[1:])]
+    assert len(counts) == 60 and set(counts) == {8}
+    assert len(step_grid(0.0, 1.0 + 1e-9, 0.5, 4)[0]) == 3 * 9
+
+
 @pytest.mark.parametrize("steps", [0, -1, 2.5, True])
 def test_step_grid_needs_a_whole_positive_step_count(steps):
     with pytest.raises(ValueError, match="steps_per_sigma"):

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qbounce import quantum, spectroscopy
 from qbounce.pulses import KickPulse
-from qbounce.quantum import evolve_pulsed, ground_state, impulsive_kick_matrix
+from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, evolve_pulsed,
+                             ground_state, impulsive_kick_matrix)
 from qbounce.spectroscopy import (DelayScan, SpectrumResult,
                                   find_peaks_and_match,
                                   impulsive_scan_analytic, perturbative_scan,
                                   retrieve_amplitudes, scan_delay, spectrum)
+
+from helpers import stacked_overlap_scan
 
 DELAYS = 2.0 + 0.05 * np.arange(961)  # tau in [2, 50]
 
@@ -63,22 +69,25 @@ def test_population_outside_unit_interval_rejected(bad):
 
 # ------------------------------------------------------- stepping oracle
 
-def _direct_population(basis, pulse1, pulse2, tau, spin):
+def _direct_population(basis, pulse1, pulse2, tau, spin,
+                       steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
     """|c_1|^2 from one evolve_pulsed run that starts and ends far outside
     both pulse windows."""
     kicks = [KickPulse(pulse1.amplitude, pulse1.width, 0.0, pulse1.kind),
              KickPulse(pulse2.amplitude, pulse2.width, tau, pulse2.kind)]
-    st = evolve_pulsed(ground_state(basis, time=-10.0), basis, kicks, spin,
-                       tau + 10.0)
-    return st.population(1)
+    state = evolve_pulsed(ground_state(basis, time=-10.0), basis, kicks, spin,
+                          tau + 10.0, steps_per_sigma)
+    return state.population(1)
 
 
-@pytest.mark.parametrize("kind,spin,a1,a2", [("magnetic", 1, 2.0, 1.0),
-                                             ("magnetic", -1, 2.0, 1.0),
-                                             ("shake", 1, 0.6, 0.1)])
+PER_DELAY_KICKS = [("magnetic", 1, 2.0, 1.0), ("magnetic", -1, 2.0, 1.0),
+                   ("shake", 1, 0.6, 0.1)]
+
+
+@pytest.mark.parametrize("kind,spin,a1,a2", PER_DELAY_KICKS)
 def test_scan_matches_per_delay_evolution(basis20, kind, spin, a1, a2):
-    """Stacked overlapping delays (tau < 2.4) and one separated delay
-    against one evolve_pulsed run per delay."""
+    """Overlapping delays (tau < 2.4) and one separated delay against one
+    evolve_pulsed run per delay."""
     p1, p2 = KickPulse(a1, 0.2, kind=kind), KickPulse(a2, 0.2, kind=kind)
     delays = 0.3 + 0.5 * np.arange(6)  # the last one, 2.8, is separated
     scan = scan_delay(basis20, p1, p2, delays, spin_average=False, spin=spin)
@@ -95,6 +104,71 @@ def test_overlapping_scan_covers_both_pulses(basis20, sigma1, sigma2):
     direct = np.mean([_direct_population(basis20, p1, p2, 0.5, s)
                       for s in (1, -1)])
     assert abs(scan.populations[0] - direct) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(PER_DELAY_KICKS), sigma1=st.floats(0.1, 0.5),
+       sigma2=st.floats(0.1, 0.5),
+       share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_any_overlapping_delay_matches_per_delay_evolution(
+        basis20, case, sigma1, sigma2, share):
+    """Any widths and any overlapping delay, on or off the step nodes.
+
+    Both sides take 100 steps per sigma: at 40 the shake kicks' step error
+    is ~1e-7, and two runs whose step grids are offset differ by up to
+    ~1e-9 of it."""
+    kind, spin, a1, a2 = case
+    p1, p2 = KickPulse(a1, sigma1, kind=kind), KickPulse(a2, sigma2, kind=kind)
+    tau = share * (p1.window[1] + p2.window[1])
+    scan = scan_delay(basis20, p1, p2, np.array([tau]), spin_average=False,
+                      spin=spin, steps_per_sigma=100)
+    direct = _direct_population(basis20, p1, p2, tau, spin, 100)
+    assert abs(scan.populations[0] - direct) < 1e-10
+
+
+STRONGEST_KICKS = [("magnetic", 2.5, 1.25), ("shake", 0.75, 0.125)]
+CLOSE_GRIDS = [2.0 + 0.05 * np.arange(8), 2.0123 + 0.05 * np.arange(8),
+               np.array([2.4 - 1e-9])]
+
+
+@pytest.mark.parametrize("kind,a1,a2", STRONGEST_KICKS)
+def test_overlap_runs_match_stacked_run(basis50, kind, a1, a2):
+    """The strongest benchmark kicks on tau in [2, 2.4), on and off the step
+    nodes: within 2e-9 of one stacked run over every delay, and no farther
+    from a 200-steps-per-sigma scan than that run is."""
+    p1, p2 = KickPulse(a1, 0.2, kind=kind), KickPulse(a2, 0.2, kind=kind)
+    for delays in CLOSE_GRIDS:
+        new = scan_delay(basis50, p1, p2, delays).populations
+        old = stacked_overlap_scan(basis50, p1, p2, delays)
+        fine = scan_delay(basis50, p1, p2, delays,
+                          steps_per_sigma=200).populations
+        assert np.max(np.abs(new - old)) < 2e-9
+        assert (np.max(np.abs(new - fine)) <=
+                1.1 * np.max(np.abs(old - fine)))
+
+
+def test_overlap_runs_step_an_eighth_of_the_stacked_run(basis20, monkeypatch):
+    """Sub-steps x columns of the overlapping delays in a fig4-like scan,
+    against one stacked run over the same delays."""
+    seen = []
+    sub_steps = quantum._sub_steps
+
+    def spy(basis, c, f_mid, ops, nodes=None):
+        if nodes is None:  # not the v or row run, which every delay shares
+            seen.append(len(f_mid) * (c.shape[1] if c.ndim == 2 else 1))
+        return sub_steps(basis, c, f_mid, ops, nodes)
+
+    monkeypatch.setattr(quantum, "_sub_steps", spy)
+    monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
+    p1, p2 = KickPulse(2.0, 0.2), KickPulse(1.0, 0.2)
+    delays = DELAYS[DELAYS <= 3.0]
+    close = delays[delays < p1.window[1] + p2.window[1]]
+    assert len(close) == 9
+    scan_delay(basis20, p1, p2, delays)
+    steps = sum(seen)
+    seen.clear()
+    stacked_overlap_scan(basis20, p1, p2, close)
+    assert 0 < steps <= sum(seen) / 8
 
 
 # ------------------------------------------------------- impulsive oracle
