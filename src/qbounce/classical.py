@@ -4,13 +4,16 @@ Dimensionless Newton equation matching the quantum unit system:
 z'' = -2 + 2 s beta(t) (the same scales that make the quantum equation
 -psi'' + z psi = E psi give the classical particle acceleration -2; the
 algebra is in the README).  Between pulses a particle of energy
-e = v^2/2 + 2z bounces with period u = sqrt(2e), its floor speed, so a whole
-sample grid is one closed-form expression; inside a pulse window a
+e = v^2/2 + 2z bounces with period u = sqrt(2e), its floor speed, and
+between bounces flies a parabola in t; inside a pulse window a
 velocity-Verlet stepper takes over.  The kick force does not depend on z,
 so off the floor every particle follows one map built from prefix sums
 over the step grid, and the stepper runs in rounds of bounces rather than
 of steps: each round takes every particle to its next floor crossing.
-Reflection is specular and lossless.
+Either way a particle's path is a chain of free stretches
+z = base + slope T + P(T), with P = -T^2 in free flight, and <z> on a
+sample grid is a sum over the stretches' coefficients (bounce sums), not
+over sample x particle pairs.  Reflection is specular and lossless.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulses import KickPulse, check_step_count, merged_windows
+from .pulses import KickPulse, check_step_count, merged_windows, whole_steps
 
 __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
            "propagate", "mean_height_series", "particle_energy"]
 
 DEFAULT_STEPS_PER_SIGMA = 200
-_CHUNK_ELEMENTS = 1 << 17  # sample rows x particles per free-flight chunk
+# free-flight samples summed about one origin; rounding grows as its span^2
+_BLOCK_SAMPLES, _BLOCK_SPAN = 160, 16.0
+_LANES = 32  # accumulators per node in the stretch sums, a power of 2
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,9 @@ def _step_grid(edges, pulses, spin, steps_per_sigma):
     """Steps of the stepper across ``edges``, one stretch after the other.
 
     Each stretch between two edges gets the grid a run over it alone takes:
-    n = ceil(length / dt) equal steps, dt the narrowest width of the pulses
-    active in it over ``steps_per_sigma``, step times accumulated as t += h.
+    ``whole_steps(length, dt)`` equal steps, dt the narrowest width of the
+    pulses active in it over ``steps_per_sigma``, step times accumulated as
+    t += h.
     Returns the step sizes, the accelerations at the start and at the end of
     each step, and the node index at which each stretch ends.
     """
@@ -129,7 +135,7 @@ def _step_grid(edges, pulses, spin, steps_per_sigma):
     for t0, t1 in zip(edges[:-1], edges[1:]):
         (_, _, active), = merged_windows(pulses, t0, t1)
         dt = min(p.width for p in active) / steps_per_sigma
-        n = max(1, math.ceil((t1 - t0) / dt))
+        n = whole_steps(t1 - t0, dt)
         h = (t1 - t0) / n
         t = np.cumsum(np.r_[t0, np.full(n, h)])
         acc = -2.0 + sum(2.0 * spin * p.envelope(t) for p in active)
@@ -178,6 +184,29 @@ def _unimodal_ranges(a0, a1, h):
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), kinds))
 
 
+def _stretch_means(start, stop, base, slope, t, p, n):
+    """<z> of n particles at each node from their free stretches.
+
+    Stretch i holds z = base_i + slope_i t + p at the nodes start_i <= k <
+    stop_i, node k at time t_k with force term p_k; a particle without a
+    stretch at a node, one at rest on the floor, adds 0 there.  Each node's
+    sums are split over ``_LANES`` accumulators, so that no double sum runs
+    over thousands of like-signed terms, and are combined in long double.
+    """
+    size = len(t) + 1
+    at = np.arange(len(start)) & (_LANES - 1)
+    to = at + stop * _LANES
+    at += start * _LANES
+
+    def total(w):
+        d = np.bincount(at, w, size * _LANES) - np.bincount(to, w, size * _LANES)
+        return np.cumsum(d.reshape(size, _LANES).sum(1, dtype=np.longdouble))[:-1]
+
+    count = np.cumsum(np.bincount(start, None, size) -
+                      np.bincount(stop, None, size))[:-1]
+    return ((total(base) + total(slope) * t + count * p) / n).astype(np.float64)
+
+
 def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
     """Velocity-Verlet with z'' = -2 + 2 s beta(t) across one pulse window.
 
@@ -195,7 +224,7 @@ def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
     by step run micro-hops there instead, by a few h^2.
 
     Returns z and v at edges[-1] and <z> at every edge after the first, from
-    per-edge sums of the coefficients of each free stretch.
+    the free stretches (``_stretch_means``).
     """
     h, a0, a1, ends = _step_grid(edges, pulses, spin, steps_per_sigma)
     n_steps, n = len(h), len(z)
@@ -210,7 +239,7 @@ def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
     lift = np.r_[np.minimum.accumulate(up[::-1])[::-1], n_steps]
     a0, h = np.r_[a0, 0.0], np.r_[h, 0.0]  # no force at the last node
 
-    sums = np.zeros((3, len(ends) + 1))  # per-edge deltas of z = b + c T + P
+    means = np.zeros(len(ends))
     z_out, v_out = np.empty(n), np.empty(n)
     idx, j = np.arange(n), np.zeros(n, dtype=np.intp)
     z, v = np.array(z, dtype=np.float64), np.array(v, dtype=np.float64)
@@ -244,11 +273,9 @@ def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
             node[sel[below]] = right[below]
 
         last = np.where(hit, node - 1, n_steps)  # last node of the free stretch
-        lo_e = np.searchsorted(ends, j)
-        hi_e = np.searchsorted(ends, last, "right")
-        for row, w in enumerate((base, slope, np.ones(len(j)))):
-            sums[row] += (np.bincount(lo_e, w, len(ends) + 1) -
-                          np.bincount(hi_e, w, len(ends) + 1))
+        means += _stretch_means(np.searchsorted(ends, j),
+                                np.searchsorted(ends, last, "right"), base,
+                                slope, T[ends], P[ends], n)
 
         done = ~hit
         z_out[idx[done]] = base[done] + slope[done] * T[-1] + P[-1]
@@ -257,8 +284,7 @@ def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
         z, v = _floor_split(base[hit] + slope[hit] * T[m] + P[m],
                             slope[hit] + C[m], a0[m], a1[m], h[m])
         idx, j = idx[hit], node[hit]
-    coef = np.cumsum(sums[:, :-1], axis=1)
-    return z_out, v_out, (coef[0] + coef[1] * T[ends] + coef[2] * P[ends]) / n
+    return z_out, v_out, means
 
 
 def _magnetic(pulses):
@@ -298,6 +324,8 @@ def propagate(ens: ClassicalEnsemble, t_to: float, pulses=(),
     Particles ending above ``z_cap`` trigger a warning (escape flag).
     """
     pulses = _magnetic(pulses)
+    if not math.isfinite(t_to):
+        raise ValueError(f"t_to must be finite, got {t_to}")
     if t_to < ens.time:
         raise ValueError("t_to must not precede the ensemble time")
     for lo, hi, active in merged_windows(pulses, ens.time, t_to):
@@ -309,23 +337,76 @@ def propagate(ens: ClassicalEnsemble, t_to: float, pulses=(),
     return replace(ens, z=z, v=v, time=t_to)
 
 
-def _free_mean_height(ens: ClassicalEnsemble, times, z_cap: float):
-    """<z> at ``times`` (>= ens.time) in free flight, a few rows at a time.
+def _locate(tau, keys):
+    """``np.searchsorted(tau, keys)`` for an ascending ``tau`` from 0.
 
-    With y = phase - 1/2 wrapped into [-1/2, 1/2], z = u^2 (1/4 - y^2).
-    Warns if an apex u^2/4 = e/2 exceeds ``z_cap``.
+    Guesses each index as if ``tau`` were evenly spaced and leaves the keys
+    that ``tau`` puts elsewhere to a search.
+    """
+    ext = np.r_[-np.inf, tau, np.inf]  # ext[g] = tau[g - 1]
+    scale = (len(tau) - 1) / tau[-1] if tau[-1] > 0 else 0.0
+    g = np.clip(np.ceil(keys * scale), 0, len(tau)).astype(np.intp)
+    off = (ext[g] >= keys) | (ext[g + 1] < keys)
+    if off.any():
+        g[off] = np.searchsorted(tau, keys[off])
+    return g
+
+
+def _flight_means(ens: ClassicalEnsemble, times, z_cap: float):
+    """<z> at ``times`` (>= ens.time) in free flight, from bounce sums.
+
+    The samples go in blocks of at most ``_BLOCK_SAMPLES`` samples and
+    ``_BLOCK_SPAN`` time units.  With tau the time since a block's first
+    sample, a particle of floor speed u that bounced at tau_k flies
+    z = -tau_k (u + tau_k) + (u + 2 tau_k) tau - tau^2 until its next bounce
+    at tau_k + u: a free stretch.  Each particle's stretches in a block, from
+    its last bounce before the block on, go to one ``_stretch_means`` call.
+    A particle with more bounces in a block than the block has samples is
+    summed sample by sample instead.  Warns if an apex u^2/4 = e/2 exceeds
+    ``z_cap``.
     """
     u, inv_u, phase = _orbit(ens.z, ens.v)
-    u2, phase = u * u, phase - 0.5
-    if len(times) and (high := int((u2 > 4.0 * z_cap).sum())):
+    if len(times) and (high := int((u * u > 4.0 * z_cap).sum())):
         warnings.warn(f"{high} particle(s) rise above z_cap={z_cap}", stacklevel=3)
+    moving = u > 0  # a particle at rest on the floor adds 0
+    u, inv_u, phase = u[moving], inv_u[moving], phase[moving]
     out = np.empty(len(times))
-    rows = max(1, _CHUNK_ELEMENTS // ens.n)
-    for k in range(0, len(times), rows):
-        y = np.multiply.outer(times[k:k + rows] - ens.time, inv_u)
-        y += phase
-        y -= np.rint(y)
-        out[k:k + rows] = 0.25 * u2.mean() - (y * y) @ u2 / ens.n
+    a = 0
+    while a < len(times):
+        b = min(a + _BLOCK_SAMPLES,
+                int(np.searchsorted(times, times[a] + _BLOCK_SPAN)))
+        tau = times[a:b] - times[a]
+        fast = tau[-1] > (b - a) * u  # more bounces than samples
+        out[a:b] = 0.0
+        if fast.any():
+            dt = (times[a:b] - ens.time)[:, None]
+            z, v = ens.z[moving][fast], ens.v[moving][fast]
+            out[a:b] = ballistic_flight(z, v, dt)[0].sum(1) / ens.n
+        ph = phase[~fast] + (times[a] - ens.time) * inv_u[~fast]
+        u_k = u[~fast]
+        first = u_k * (np.floor(ph) + 1.0 - ph)  # time to the next bounce
+        # stretches per particle: the one open at tau = 0, one per bounce
+        k = np.maximum(np.floor((tau[-1] - first) / u_k), -1.0)
+        k = k.astype(np.intp) + 2
+        ends = np.cumsum(k)
+        # stretch i of a particle opens with the bounce at first + (i - 1) u
+        t_k = np.arange(k.sum(), dtype=np.float64)
+        t_k -= np.repeat(ends - k + 1, k)
+        u_k = np.repeat(u_k, k)
+        t_k *= u_k
+        t_k += np.repeat(first, k)
+        start = _locate(tau, t_k)
+        stop = start.copy()
+        stop[:-1] = start[1:]
+        stop[ends - 1] = b - a
+        # sum -z = t_k (u + t_k) - (u + 2 t_k) tau + tau^2, in place
+        slope = -2.0 * t_k
+        slope -= u_k
+        u_k += t_k
+        u_k *= t_k
+        out[a:b] -= _stretch_means(start, stop, u_k, slope, tau, tau * tau,
+                                   ens.n)
+        a = b
     return out
 
 
@@ -336,13 +417,17 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     """<z>(t) per spin branch on the sample grid ``times``.
 
     Every branch starts from the identical seeded sample (the branches
-    differ only in the sign of the kick force).  Free stretches are sampled
-    in closed form, each pulse window by one stepper run that lands on its
-    samples; heights above 10 mu_z (apexes of the free flight, and heights
-    at each window's end) warn.  Returns a dict spin -> series; average
-    them for the spin average.
+    differ only in the sign of the kick force).  Free flight between the
+    pulse windows is summed bounce by bounce (``_flight_means``), each pulse
+    window by one stepper run that lands on its samples; both sum free
+    stretches, never sample x particle pairs.  Heights above 10 mu_z
+    (apexes of the free flight, and heights at each window's end) warn.
+    Returns a dict spin -> series; average them for the spin average.
     """
     times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be a non-empty 1-d array of "
+                         "finite values")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("sample times must be ascending and non-negative")
     pulses = _magnetic(pulses)
@@ -354,7 +439,7 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
         idx = 0
         for lo, hi, _ in merged_windows(pulses, 0.0, float(times[-1])):
             start, stop = np.searchsorted(times, (lo, hi), side="right")
-            out[idx:start] = _free_mean_height(ens, times[idx:start], z_cap)
+            out[idx:start] = _flight_means(ens, times[idx:start], z_cap)
             # one stepper run lands on every sample in the window
             edges = np.r_[lo, times[start:stop]]
             edges = edges if edges[-1] == hi else np.r_[edges, hi]
@@ -362,6 +447,6 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
             out[start:stop] = means[:stop - start]
             _warn_above(ens.z, z_cap)
             idx = stop
-        out[idx:] = _free_mean_height(ens, times[idx:], z_cap)
+        out[idx:] = _flight_means(ens, times[idx:], z_cap)
         series[s] = out
     return series

@@ -201,8 +201,7 @@ def write_csv(path, header_items, columns, rows):
         yield "\n".join(head) + "\n"
         for k in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = np.asarray(rows[k:k + _CSV_BLOCK_ROWS], dtype=np.float64)
-            yield "".join([line % row + "\n"
-                           for row in map(tuple, block.tolist())])
+            yield (line + "\n") * len(block) % tuple(block.ravel().tolist())
 
     _emit(path, blocks())
 

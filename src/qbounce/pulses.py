@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["KickPulse", "WINDOW_SIGMAS", "check_step_count", "merged_windows",
-           "spin_branches"]
+           "spin_branches", "whole_steps"]
 
 # a pulse acts on |t - t_k| <= 6 sigma; the Gaussian tail beyond is < 1e-15
 WINDOW_SIGMAS = 6.0
@@ -66,6 +66,13 @@ def check_step_count(steps_per_sigma):
             or steps_per_sigma < 1):
         raise ValueError("steps_per_sigma must be an integer >= 1, got "
                          f"{steps_per_sigma!r}")
+
+
+def whole_steps(length: float, dt: float) -> int:
+    """Equal steps of at most ``dt`` across ``length``: ceil(length / dt),
+    but a length within a relative 1e-12 of whole steps takes that many,
+    so rounding in the ends of the span does not add one."""
+    return max(1, math.ceil(length / dt * (1.0 - 1e-12)))
 
 
 def spin_branches(kind: str, spin_average: bool, spin: int = 1):

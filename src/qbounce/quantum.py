@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import KickPulse, check_step_count, merged_windows
+from .pulses import KickPulse, check_step_count, merged_windows, whole_steps
 
 __all__ = ["StateVector", "ground_state", "free_evolve", "evolve_pulsed",
            "impulsive_kick", "impulsive_kick_matrix", "pulse_propagator",
@@ -121,10 +121,7 @@ def step_grid(lo: float, hi: float, width: float,
     sub-step midpoints; they are symmetric about the middle of [lo, hi].
     """
     check_step_count(steps_per_sigma)
-    dt = width / steps_per_sigma
-    # a gap within a relative 1e-12 of whole steps takes that many steps:
-    # rounding in lo and hi must not add one
-    n = max(1, math.ceil((hi - lo) / dt * (1.0 - 1e-12)))
+    n = whole_steps(hi - lo, width / steps_per_sigma)
     h = (hi - lo) / n
     offsets = np.array([0.5 * _W1, 0.5, 1.0 - 0.5 * _W1])
     return lo + (np.arange(n)[:, None] + offsets).ravel() * h, h

@@ -1,6 +1,7 @@
 """Test-only helpers: reference oracles and trace diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -8,8 +9,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from qbounce import __version__
 from qbounce.airy import airy_ai
 from qbounce.basis import _overlap_integrals
-from qbounce.classical import propagate, sample_initial
-from qbounce.pulses import KickPulse, merged_windows, spin_branches
+from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
+                               sample_initial)
+from qbounce.pulses import KickPulse, merged_windows, spin_branches, whole_steps
 from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector, _mean_z,
                              evolve_pulsed, expectation_z, forcing,
                              free_evolve, step_grid, strang_steps)
@@ -134,6 +136,30 @@ def bounce_flight(z, v, dt):
     return z, v
 
 
+_CHUNK_ELEMENTS = 1 << 17  # sample rows x particles per free-flight chunk
+
+
+def _free_mean_height(ens: ClassicalEnsemble, times, z_cap: float):
+    """<z> at ``times`` (>= ens.time) in free flight, a few rows at a time
+    (oracle for `classical._flight_means`).
+
+    With y = phase - 1/2 wrapped into [-1/2, 1/2], z = u^2 (1/4 - y^2).
+    Warns if an apex u^2/4 = e/2 exceeds ``z_cap``.
+    """
+    u, inv_u, phase = _orbit(ens.z, ens.v)
+    u2, phase = u * u, phase - 0.5
+    if len(times) and (high := int((u2 > 4.0 * z_cap).sum())):
+        warnings.warn(f"{high} particle(s) rise above z_cap={z_cap}", stacklevel=3)
+    out = np.empty(len(times))
+    rows = max(1, _CHUNK_ELEMENTS // ens.n)
+    for k in range(0, len(times), rows):
+        y = np.multiply.outer(times[k:k + rows] - ens.time, inv_u)
+        y += phase
+        y -= np.rint(y)
+        out[k:k + rows] = 0.25 * u2.mean() - (y * y) @ u2 / ens.n
+    return out
+
+
 def walk_mean_height_series(n, mu_z, mu_v, sigma_z, sigma_v, seed, pulses,
                             times, spins=(1, -1), steps_per_sigma=200):
     """<z>(t) by one ``propagate`` per sample (oracle for mean_height_series)."""
@@ -215,7 +241,7 @@ def _verlet(z, v, t0, t1, pulses, spin, dt):
     the impact velocity, finish the remainder of the step.  With beta = 0
     this reproduces the exact ballistic flight to rounding accuracy.
     """
-    n = max(1, math.ceil((t1 - t0) / dt))
+    n = whole_steps(t1 - t0, dt)
     h = (t1 - t0) / n
     t = np.cumsum(np.r_[t0, np.full(n, h)])  # step times, accumulated as t += h
     acc = -2.0 + sum(2.0 * spin * p.envelope(t) for p in pulses)

@@ -13,10 +13,10 @@ from qbounce.classical import (DEFAULT_STEPS_PER_SIGMA, ClassicalEnsemble,
                                ballistic_flight,
                                mean_height_series, particle_energy,
                                propagate, sample_initial)
-from qbounce.pulses import KickPulse, merged_windows
+from qbounce.pulses import KickPulse, merged_windows, whole_steps
 
-from helpers import (_verlet, bounce_flight, verlet_flight,
-                     walk_mean_height_series)
+from helpers import (_free_mean_height, _verlet, bounce_flight,
+                     verlet_flight, walk_mean_height_series)
 
 FIG1_PULSE = KickPulse(0.5, 0.5, 60.0)
 
@@ -176,6 +176,13 @@ def test_propagate_flags_escaping_particles():
         propagate(ens, 10.0, [], z_cap=50.0)
 
 
+@pytest.mark.parametrize("t_to", [math.nan, math.inf])
+def test_propagate_rejects_non_finite_time(t_to):
+    ens = sample_initial(10, 20.0, 0.0, 4.0, 0.125, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        propagate(ens, t_to, [FIG1_PULSE])
+
+
 def test_propagate_rejects_backwards_time():
     ens = sample_initial(10, 20.0, 0.0, 4.0, 0.125, seed=1)
     moved = propagate(ens, 5.0, [])
@@ -273,13 +280,124 @@ def test_resting_particle_lifts_off_when_the_force_turns_up(monkeypatch):
     z, v, _ = classical._kick_flight(np.zeros(1), np.zeros(1), [lo, hi],
                                      [pulse], 1, DEFAULT_STEPS_PER_SIGMA)
     assert len(rounds) <= 3 and z[0] >= 0.0
-    n = math.ceil((hi - lo) / h)  # the kernel's grid
+    n = whole_steps(hi - lo, h)  # the kernel's grid
     t = np.cumsum(np.r_[lo, np.full(n, (hi - lo) / n)])
     k = int(np.argmax(-2.0 + 2.0 * pulse.envelope(t) >= 0))
     # the oracle from rest at that step, on the rest of the same grid
     ref = _verlet(np.zeros(1), np.zeros(1), t[k], hi, [pulse], 1,
                   (hi - t[k]) / (n - k - 0.5))
     assert_same_states(z, v, *ref[:2], 1e-10)
+
+
+# -------------------------------------------- free flight by bounce sums
+
+def assert_flight_means_match_oracle(ens, times, tol=1e-12):
+    ours = classical._flight_means(ens, times, math.inf)
+    ref = _free_mean_height(ens, times, math.inf)
+    assert np.max(np.abs(ours - ref)) < tol
+
+
+@st.composite
+def free_ensembles(draw):
+    """Particles at rest, on the floor, near it and in flight, and an
+    ascending sample grid from the ensemble time, evenly spaced or not."""
+    states = draw(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-9, 1e-3), st.floats(0.0, 50.0)),
+        st.one_of(st.just(0.0), st.floats(-15.0, 15.0))),
+        min_size=1, max_size=30))
+    z, v = np.array(states).T
+    t0 = draw(st.floats(0.0, 100.0))
+    if draw(st.booleans()):
+        times = t0 + draw(st.floats(0.0, 1.0)) + np.arange(
+            draw(st.integers(1, 400))) * draw(st.floats(0.01, 0.5))
+    else:
+        times = t0 + np.unique(draw(st.lists(st.floats(0.0, 200.0),
+                                             min_size=1, max_size=200)))
+    return ClassicalEnsemble(z, v, time=t0), times
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=free_ensembles())
+def test_flight_means_match_sample_by_sample_oracle(case):
+    assert_flight_means_match_oracle(*case)
+
+
+def test_flight_means_of_the_fig1_ensemble_match_the_oracle():
+    """n = 20000, both spins, before and after the kick, t in [0, 200]."""
+    times = np.arange(0.0, 200.0 + 1e-9, 0.1)
+    for s in (1, -1):
+        ens = sample_initial(20000, 20.0, 0.0, 4.0, 0.125, 7, spin=s)
+        for start in (ens, propagate(ens, FIG1_PULSE.window[1], [FIG1_PULSE])):
+            assert_flight_means_match_oracle(start, times[times >= start.time])
+
+
+def test_flight_means_with_resting_particles():
+    """Particles at z = v = 0 add 0 but count in the mean."""
+    z, v = np.array([0.0, 7.0, 0.0, 3.0]), np.array([0.0, 1.5, 0.0, -2.0])
+    times = np.linspace(0.0, 40.0, 333)
+    ours = classical._flight_means(ClassicalEnsemble(z, v), times, math.inf)
+    moving = classical._flight_means(ClassicalEnsemble(z[1::2], v[1::2]),
+                                     times, math.inf)
+    assert np.max(np.abs(ours - 0.5 * moving)) < 1e-13
+    resting = ClassicalEnsemble(np.zeros(3), np.zeros(3))
+    assert np.all(classical._flight_means(resting, times, math.inf) == 0.0)
+
+
+def test_flight_means_of_particles_on_the_floor():
+    """Leaving (v > 0) and arriving (v < 0) at the floor: both leave it."""
+    ens = ClassicalEnsemble(np.zeros(2), np.array([3.0, -5.0]))
+    times = np.linspace(0.0, 30.0, 301)
+    exact = np.mean([ballistic_flight(ens.z, ens.v, t)[0] for t in times],
+                    axis=1)
+    ours = classical._flight_means(ens, times, math.inf)
+    assert np.max(np.abs(ours - exact)) < 1e-12
+    assert_flight_means_match_oracle(ens, times)
+
+
+def test_flight_means_on_bounce_times():
+    """From z = 4 at rest (u = 4): bounces at t = 2, 6, 10 exactly, and
+    z = (t - t_k)(4 - t + t_k) after the bounce at t_k."""
+    ens = ClassicalEnsemble(np.array([4.0]), np.array([0.0]))
+    times = np.array([0.0, 1.0, 2.0, 3.0, 6.0, 10.0, 10.5])
+    exact = np.array([4.0, 3.0, 0.0, 3.0, 0.0, 0.0, 1.75])
+    ours = classical._flight_means(ens, times, math.inf)
+    assert np.max(np.abs(ours - exact)) < 1e-13
+
+
+def test_flight_means_at_the_ensemble_time_and_one_sample():
+    ens = propagate(sample_initial(500, 20.0, 0.0, 4.0, 0.125, seed=2),
+                    71.3, [FIG1_PULSE])
+    at_start = classical._flight_means(ens, np.array([ens.time]), math.inf)
+    assert abs(at_start[0] - ens.mean_height) < 1e-12
+    assert_flight_means_match_oracle(ens, np.array([ens.time + 37.9]))
+
+
+@pytest.mark.parametrize("step", [0.01, 0.1, 7.3])
+def test_flight_means_across_many_blocks(step):
+    """Grids limited by the block's sample count, by its span, and sparse."""
+    ens = sample_initial(3000, 20.0, 0.0, 4.0, 0.125, seed=5)
+    times = np.arange(0.0, 200.0, step)
+    blocks = max(len(times) / classical._BLOCK_SAMPLES,
+                 times[-1] / classical._BLOCK_SPAN)
+    assert blocks > 10
+    assert_flight_means_match_oracle(ens, times)
+
+
+def test_flight_means_of_particles_faster_than_the_samples():
+    """Periods below the sample step are summed sample by sample."""
+    z, v = np.array([1e-6, 2e-4, 12.0]), np.array([0.0, -0.01, 1.0])
+    times = np.arange(0.0, 50.0, 0.5)
+    assert_flight_means_match_oracle(ClassicalEnsemble(z, v), times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.floats(1e-3, 5.0), max_size=300),
+       keys=st.lists(st.floats(-10.0, 400.0), min_size=1, max_size=50))
+def test_locate_matches_searchsorted(steps, keys):
+    tau = np.cumsum(np.r_[0.0, steps])
+    keys = np.array(keys + [0.0, float(tau[-1])] + tau[::7].tolist())
+    assert np.array_equal(classical._locate(tau, keys),
+                          np.searchsorted(tau, keys))
 
 
 # ------------------------------------------------------- mean height
@@ -320,6 +438,14 @@ def test_series_lands_on_samples_inside_the_window():
     walk = walk_mean_height_series(500, 20.0, 0.0, 4.0, 0.125, 3,
                                    [FIG1_PULSE], times, spins=(-1,))
     assert np.max(np.abs(series[-1] - walk[-1])) < 1e-10
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [],
+                                   [0.0, 1.0, math.inf]])
+def test_series_rejects_bad_sample_times(times):
+    with pytest.raises(ValueError, match="sample times"):
+        mean_height_series(100, 20.0, 0.0, 4.0, 0.125, 1, [FIG1_PULSE],
+                           np.array(times))
 
 
 def test_series_flags_escaping_particles():

@@ -460,6 +460,19 @@ def test_csv_bytes_match_the_per_value_formatter(tmp_path, monkeypatch):
             assert fh.read() == expected, path
 
 
+def test_csv_blocks_match_the_per_value_formatter(tmp_path):
+    """Rows past one formatting block, signed zeros and non-finite values
+    come out as the per-value formatter writes them."""
+    rows = np.random.default_rng(2).standard_normal((2 * 4096 + 3, 3))
+    rows[::7] *= 1e300
+    rows[5] = [-0.0, np.inf, np.nan]
+    rows[6] = [1e-320, -np.inf, 3.0]
+    path = tmp_path / "blocks.csv"
+    write_csv(path, [("k", 1)], ["a", "b", "c"], rows)
+    expected = legacy_csv_text([("k", 1)], ["a", "b", "c"], rows.tolist())
+    assert path.read_text() == expected
+
+
 # ----------------------------------------------------------------- units
 
 def test_convert_length_to_si(capsys):
