@@ -36,6 +36,8 @@ _TAIL = 15.0
 # absolute tolerance on each overlap integral <psi_i | f>
 _OVERLAP_TOL = 1e-12
 _CHUNK_ELEMENTS = 1 << 17  # panels x Kronrod nodes x states per psi evaluation
+# a Gaussian packet is integrated out to this many widths from its center
+_PACKET_SIGMAS = 6.5
 
 # Kronrod-15 abscissae and weights and the embedded Gauss-7 weights, listed
 # from the left end to the centre as in QUADPACK's qk15 and mirrored
@@ -155,8 +157,11 @@ class EigenBasis:
     def project_gaussian(self, mu_z: float, sigma_z: float):
         """Expand the displaced Gaussian (2/pi sigma^2)^(1/4) exp[-(z-mu)^2/sigma^2].
 
-        Returns (coefficients renormalized to unit norm, captured norm before
-        renormalization).  Warns below 0.999 captured norm, raises below 0.95.
+        The overlaps are integrated over the packet's support within the
+        basis window, |z - mu| <= 6.5 sigma, where it is above
+        amp e^{-42.25}.  Returns (coefficients renormalized to unit norm,
+        captured norm before renormalization).  Warns below 0.999 captured
+        norm, raises below 0.95.
         """
         if mu_z <= 0 or sigma_z <= 0:
             raise ValueError("mu_z and sigma_z must be positive")
@@ -165,8 +170,10 @@ class EigenBasis:
         def packet(z):
             return amp * np.exp(-((z - mu_z) / sigma_z) ** 2)
 
+        half = _PACKET_SIGMAS * sigma_z
         coeffs = _overlap_integrals(self.zeros, self.norms, packet,
-                                    0.0, self.z_max)
+                                    max(0.0, mu_z - half),
+                                    min(self.z_max, mu_z + half))
         captured = float(np.sum(coeffs ** 2))
         if captured < 0.95:
             raise BasisProjectionError(

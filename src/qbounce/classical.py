@@ -161,6 +161,7 @@ def _floor_split(z, v, a, a_next, h):
         r1 = np.where(a != 0.0, q / (0.5 * a), np.inf)
         r2 = np.where(q != 0.0, z / q, np.inf)
     tau = np.where((r1 > 0) & ((r1 <= r2) | (r2 <= 0)), r1, r2)
+    del disc, q, r1, r2  # a round can split every particle: keep few arrays
     tau = np.clip(tau, 0.0, h)
     rem = h - tau
     v_hit = v + a * tau
@@ -207,6 +208,20 @@ def _stretch_means(start, stop, base, slope, t, p, n):
     return ((total(base) + total(slope) * t + count * p) / n).astype(np.float64)
 
 
+def _advance(sums, j, k, z, v):
+    """The stepper's free flight from node j, where it is at (z, v), to
+    node k: z + v (T_k - T_j) + P_k - P_j - C_j (T_k - T_j) and
+    v + C_k - C_j, from the long-double prefix sums (T, C, P) of
+    `_kick_flight`.  Near the floor z is small beside each term of
+    base + slope T_k + P_k, so that double form loses about eps |P_k| on
+    every bounce, and a slow bouncer's chain of bounces can amplify it.
+    """
+    T, C, P = sums
+    dt = T[k] - T[j]
+    return ((z + v * dt + (P[k] - P[j] - C[j] * dt)).astype(np.float64),
+            (v + (C[k] - C[j])).astype(np.float64))
+
+
 def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
     """Velocity-Verlet with z'' = -2 + 2 s beta(t) across one pulse window.
 
@@ -223,6 +238,8 @@ def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
     downward force rests at z = v = 0 until the force turns upward; a step
     by step run micro-hops there instead, by a few h^2.
 
+    A round's end state, at the floor crossing or at the last node, is
+    taken from its start state (``_advance``).
     Returns z and v at edges[-1] and <z> at every edge after the first, from
     the free stretches (``_stretch_means``).
     """
@@ -233,6 +250,7 @@ def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
     T = np.cumsum(np.r_[0.0, h], dtype=np.longdouble)
     C = np.cumsum(np.r_[0.0, 0.5 * (a0 + a1) * h], dtype=np.longdouble)
     P = np.cumsum(np.r_[0.0, C[:-1] * h + 0.5 * a0 * h * h])
+    sums = T, C, P  # kept in long double for `_advance`
     T, C, P = T.astype(np.float64), C.astype(np.float64), P.astype(np.float64)
     # first node at or after k where the force points up; none past the end
     up = np.where(a0 >= 0, np.arange(n_steps), n_steps)
@@ -278,11 +296,11 @@ def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
                                 slope, T[ends], P[ends], n)
 
         done = ~hit
-        z_out[idx[done]] = base[done] + slope[done] * T[-1] + P[-1]
-        v_out[idx[done]] = slope[done] + C[-1]
+        z_out[idx[done]], v_out[idx[done]] = _advance(
+            sums, j[done], n_steps, z[done], v[done])
         m = node[hit] - 1
-        z, v = _floor_split(base[hit] + slope[hit] * T[m] + P[m],
-                            slope[hit] + C[m], a0[m], a1[m], h[m])
+        z, v = _floor_split(*_advance(sums, j[hit], m, z[hit], v[hit]),
+                            a0[m], a1[m], h[m])
         idx, j = idx[hit], node[hit]
     return z_out, v_out, means
 
@@ -417,11 +435,13 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     """<z>(t) per spin branch on the sample grid ``times``.
 
     Every branch starts from the identical seeded sample (the branches
-    differ only in the sign of the kick force).  Free flight between the
-    pulse windows is summed bounce by bounce (``_flight_means``), each pulse
-    window by one stepper run that lands on its samples; both sum free
-    stretches, never sample x particle pairs.  Heights above 10 mu_z
-    (apexes of the free flight, and heights at each window's end) warn.
+    differ only in the sign of the kick force), so the free flight before
+    the first pulse window is summed once for all of them.  Free flight
+    between the pulse windows is summed bounce by bounce
+    (``_flight_means``), each pulse window by one stepper run that lands on
+    its samples; both sum free stretches, never sample x particle pairs.
+    Heights above 10 mu_z (apexes of the free flight, and heights at each
+    window's end) warn; the flight before the first window warns once.
     Returns a dict spin -> series; average them for the spin average.
     """
     times = np.asarray(times, dtype=np.float64)
@@ -432,12 +452,18 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
         raise ValueError("sample times must be ascending and non-negative")
     pulses = _magnetic(pulses)
     z_cap = 10.0 * mu_z
+    windows = merged_windows(pulses, 0.0, float(times[-1]))
+    first = (int(np.searchsorted(times, windows[0][0], side="right"))
+             if windows else len(times))
+    head = _flight_means(sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed),
+                         times[:first], z_cap)
     series = {}
     for s in spins:
         ens = sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed, spin=s)
         out = np.empty_like(times)
-        idx = 0
-        for lo, hi, _ in merged_windows(pulses, 0.0, float(times[-1])):
+        out[:first] = head
+        idx = first
+        for lo, hi, _ in windows:
             start, stop = np.searchsorted(times, (lo, hi), side="right")
             out[idx:start] = _flight_means(ens, times[idx:start], z_cap)
             # one stepper run lands on every sample in the window

@@ -190,18 +190,24 @@ def write_csv(path, header_items, columns, rows):
 
     ``rows`` is a sequence of numeric rows, such as a list of tuples or a
     2-d array.  Each value is written as its double with 17 significant
-    digits, so an integer column reads as the integers themselves.
+    digits, so an integer column reads as the integers themselves.  A
+    column that holds one bit pattern throughout a block is formatted once,
+    into the block's line format.
     """
     head = [f"# version = {__version__}"]
     head += [f"# {k} = {v}" for k, v in header_items]
     head.append(",".join(columns))
-    line = ",".join(["%.17g"] * len(columns))
 
     def blocks():
         yield "\n".join(head) + "\n"
         for k in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = np.asarray(rows[k:k + _CSV_BLOCK_ROWS], dtype=np.float64)
-            yield (line + "\n") * len(block) % tuple(block.ravel().tolist())
+            bits = block.view(np.int64)  # -0.0 and 0.0 stay apart
+            same = np.all(bits == bits[0], axis=0)
+            line = ",".join("%.17g" % x if c else "%.17g"
+                            for x, c in zip(block[0].tolist(), same))
+            yield (line + "\n") * len(block) % tuple(
+                block[:, ~same].ravel().tolist())
 
     _emit(path, blocks())
 

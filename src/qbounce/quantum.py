@@ -15,7 +15,11 @@ depend on the step size alone and are formed in one place, `_operators`.
 One walk through the merged pulse windows gives the state at each
 requested time; `evolve_pulsed` and `mean_height_trace` both take it.
 Inside a window the walk steps from sample to sample, and the runs of one
-window reuse the operators of each step size they share.
+window reuse the operators of each step size they share.  Between windows
+the free phases c e^{-i z tau} of all samples come from one kernel,
+`_free_phases`, which the delay scans' forward sum takes too: an `exp`
+every 32nd sample, and between those, products with one factor e^{-i z g}
+per distinct gap g between samples.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ DEFAULT_STEPS_PER_SIGMA = 40
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 _WEIGHTS = (_W1, _W0, _W1)
+
+# rows of free phases chained by products from one exp anchor
+_ANCHOR_ROWS = 32
 
 # step sizes whose operators a pulse window keeps; one G pair is 0.72 MB
 # at M = 150
@@ -191,16 +198,43 @@ def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
     return _sub_steps(basis, c, f_mid, _operators(basis, h))
 
 
+def _free_phases(out: np.ndarray, c, zeros: np.ndarray,
+                 tau: np.ndarray) -> np.ndarray:
+    """Write c e^{-i z tau} into ``out`` (T, M) for ascending ``tau`` (T,).
+
+    Every ``_ANCHOR_ROWS``-th row is an anchor, taken by `exp`; each row
+    between anchors is the row before it times e^{-i z g}, g the gap
+    between their times, with one `exp` per distinct gap.  The products
+    chain down each block of rows in place.  A chain of at most 31 rounded
+    factors errs by a few ulp, below the error of `exp` at a large phase
+    z tau, and the anchors keep the rounding of a gap factor reused down a
+    long stretch from adding up.  Irregular grids only have more distinct
+    gaps.  Returns ``out``.
+    """
+    gaps, at = np.unique(np.diff(tau), return_inverse=True)
+    # unbuffered gather: row k >= 1 gets the factor of the gap before it
+    np.take(np.exp(-1j * np.outer(gaps, zeros)), at, axis=0, out=out[1:],
+            mode="clip")
+    anchors = tau[::_ANCHOR_ROWS]
+    out[::_ANCHOR_ROWS] = c * np.exp(-1j * np.outer(anchors, zeros))
+    full = len(tau) - len(tau) % _ANCHOR_ROWS
+    blocks = out[:full].reshape(-1, _ANCHOR_ROWS, len(zeros), copy=False)
+    np.multiply.accumulate(blocks, axis=1, out=blocks)
+    np.multiply.accumulate(out[full:], axis=0, out=out[full:])
+    return out
+
+
 def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spin: int,
           times: np.ndarray, steps_per_sigma: int) -> np.ndarray:
     """Coefficients at each of ``times`` (ascending, >= t0), shape (T, M).
 
     Outside every pulse window (|t - t_k| > 6 sigma_k) the exact phases
-    c e^{-i z (t - t0)} cover a whole free stretch at once.  Inside each
-    merged window the Strang steps integrate
+    c e^{-i z (t - t0)} cover a whole free stretch at once (`_free_phases`).
+    Inside each merged window the Strang steps integrate
     i dc/dt = (diag(z_i) + f(t) Z) c from sample to sample and on to the
     window's end, with step sigma / ``steps_per_sigma``, sigma the narrowest
-    active pulse width.  The runs of a window share a few step sizes, met
+    active pulse width; a sample within a relative 1e-12 of the end is
+    taken at the end.  The runs of a window share a few step sizes, met
     one after the other; the window keeps the operators of the last
     ``_OPERATOR_SETS`` sizes, so each size is built once per window unless
     more than that many interleave, and memory stays bounded however the
@@ -212,19 +246,22 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spin: int,
     k = 0
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
         n = int(np.searchsorted(times, lo, side="right"))
-        out[k:n] = c * np.exp(-1j * np.outer(times[k:n] - t0, basis.zeros))
+        _free_phases(out[k:n], c, basis.zeros, times[k:n] - t0)
         c, t0, k = c * np.exp(-1j * basis.zeros * (lo - t0)), lo, n
         width = min(p.width for p in active)
         ops = lru_cache(_OPERATOR_SETS)(partial(_operators, basis))
         while t0 < hi:  # hi <= times[-1], so times[k] exists
-            t = min(float(times[k]), hi)
-            t_mid, h = step_grid(t0, t, width, steps_per_sigma)
+            t = float(times[k])
+            # a sample within a relative 1e-12 of the window's end is the
+            # end, as in `whole_steps`: no run of a few ulp after it
+            end = hi if t > hi - 1e-12 * (hi - t0) else t
+            t_mid, h = step_grid(t0, end, width, steps_per_sigma)
             c = _sub_steps(basis, c, forcing(active, spin, t_mid), ops(h))
-            t0 = t
-            if times[k] == t:
+            t0 = end
+            if t <= end:
                 out[k] = c
                 k += 1
-    out[k:] = c * np.exp(-1j * np.outer(times[k:] - t0, basis.zeros))
+    _free_phases(out[k:], c, basis.zeros, times[k:] - t0)
     return out
 
 

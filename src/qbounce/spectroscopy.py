@@ -17,8 +17,9 @@ import numpy as np
 
 from .basis import EigenBasis
 from .pulses import KickPulse, spin_branches
-from .quantum import (DEFAULT_STEPS_PER_SIGMA, _operators, _sub_steps,
-                      forcing, impulsive_kick_matrix, step_grid, strang_steps)
+from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_phases, _operators,
+                      _sub_steps, forcing, impulsive_kick_matrix, step_grid,
+                      strang_steps)
 
 __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
            "impulsive_scan_analytic", "perturbative_scan", "spectrum",
@@ -170,10 +171,14 @@ def impulsive_scan_analytic(basis: EigenBasis, alpha1: float, alpha2: float,
 def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
                        amps: np.ndarray) -> np.ndarray:
     """Spin mean of |sum_i A_i e^{-i z_i tau}|^2, one column of ``amps``
-    (M, S) per spin branch."""
-    # in place: this (T, M) matrix is the largest array a scan makes
-    phase = np.outer(tau, -1j * basis.zeros)
-    c1 = np.exp(phase, out=phase) @ amps
+    (M, S) per spin branch.
+
+    The phases e^{-i z_i tau} fill one (T, M) matrix, the largest array a
+    scan makes, by `quantum._free_phases`: one `exp` per anchor row and
+    per distinct delay gap, products in between.
+    """
+    phases = np.empty((len(tau), basis.m), dtype=np.complex128)
+    c1 = _free_phases(phases, 1.0, basis.zeros, tau) @ amps
     return np.mean(np.abs(c1) ** 2, axis=1)
 
 

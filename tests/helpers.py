@@ -12,9 +12,10 @@ from qbounce.basis import _overlap_integrals
 from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
                                sample_initial)
 from qbounce.pulses import KickPulse, merged_windows, spin_branches, whole_steps
-from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector, _mean_z,
-                             evolve_pulsed, expectation_z, forcing,
-                             free_evolve, step_grid, strang_steps)
+from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector,
+                             _free_phases, _mean_z, evolve_pulsed,
+                             expectation_z, forcing, free_evolve, step_grid,
+                             strang_steps)
 
 
 class NormDriftError(RuntimeError):
@@ -207,28 +208,38 @@ def walk_mean_height_trace(basis, state, pulses, spin, times,
     return out, free_evolve(cur, basis, float(times[-1]) - cur.time)
 
 
+def direct_free_phases(c, zeros, tau):
+    """c e^{-i z tau} with one `exp` per sample and state (oracle for
+    `quantum._free_phases`)."""
+    return c * np.exp(-1j * np.outer(tau, zeros))
+
+
 def per_run_trace(basis, state, pulses, spin, times,
                   steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
     """<z>(t) by one `strang_steps` call per sample-to-sample run, each
     building its own operators (oracle for the operator reuse in
-    `mean_height_trace`).  Returns (heights, final_state)."""
+    `mean_height_trace`).  The free stretches take the package's
+    `_free_phases`, so only the windows are checked.  Returns (heights,
+    final_state)."""
     times = np.asarray(times, dtype=np.float64)
     c, t0 = state.coeffs, state.time
     out = np.empty((len(times), basis.m), dtype=np.complex128)
     k = 0
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
         n = int(np.searchsorted(times, lo, side="right"))
-        out[k:n] = c * np.exp(-1j * np.outer(times[k:n] - t0, basis.zeros))
+        _free_phases(out[k:n], c, basis.zeros, times[k:n] - t0)
         c, t0, k = c * np.exp(-1j * basis.zeros * (lo - t0)), lo, n
         width = min(p.width for p in active)
         while t0 < hi:
-            t = min(float(times[k]), hi)
-            t_mid, h = step_grid(t0, t, width, steps_per_sigma)
-            c, t0 = strang_steps(basis, c, forcing(active, spin, t_mid), h), t
-            if times[k] == t:
+            t = float(times[k])
+            end = hi if t > hi - 1e-12 * (hi - t0) else t
+            t_mid, h = step_grid(t0, end, width, steps_per_sigma)
+            c = strang_steps(basis, c, forcing(active, spin, t_mid), h)
+            t0 = end
+            if t <= end:
                 out[k] = c
                 k += 1
-    out[k:] = c * np.exp(-1j * np.outer(times[k:] - t0, basis.zeros))
+    _free_phases(out[k:], c, basis.zeros, times[k:] - t0)
     return _mean_z(basis, out), StateVector(out[-1], float(times[-1]))
 
 

@@ -1,9 +1,12 @@
 """Eigenbasis construction: orthonormality, matrix elements, units."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qbounce.basis import BasisProjectionError, UnitSystem, build_basis
+from qbounce.basis import (BasisProjectionError, UnitSystem,
+                           _overlap_integrals, build_basis)
 
 from helpers import quadrature_z_columns
 
@@ -112,6 +115,18 @@ def test_project_gaussian_captures_packet(basis50):
     # mean height of the packet ~ mu_z (small floor-truncation correction)
     mean_z = coeffs @ basis50.z_matrix @ coeffs
     assert mean_z == pytest.approx(20.0, abs=0.1)
+
+
+@pytest.mark.parametrize("mu,sigma", [(20.0, 8.0), (10.0, 2.0), (3.0, 1.5)])
+def test_project_gaussian_over_the_packet_support(basis50, mu, sigma):
+    """Overlaps cut at 6.5 sigma from the packet's center against the whole
+    basis window, within the quadrature tolerance (1e-12)."""
+    coeffs, captured = basis50.project_gaussian(mu, sigma)
+    amp = (2.0 / (math.pi * sigma ** 2)) ** 0.25
+    full = _overlap_integrals(basis50.zeros, basis50.norms,
+                              lambda z: amp * np.exp(-((z - mu) / sigma) ** 2),
+                              0.0, basis50.z_max)
+    assert np.max(np.abs(coeffs * math.sqrt(captured) - full)) < 1e-12
 
 
 def test_project_gaussian_rejects_unrepresentable(basis20):

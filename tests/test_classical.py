@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbounce import classical
@@ -232,8 +232,19 @@ def kicked_windows(draw):
     return pulses, spin, edges, z, v
 
 
+_SLOW_PULSES = [KickPulse(1.3950006868088876, 0.45270362237565853, 5.0),
+                KickPulse(0.974609375, 0.4807123577335163, 3.747991544367319)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=kicked_windows())
+# a slow bouncer (u = 0.24) kicked off the floor, whose chain of landings
+# amplifies any rounding in them: with eps |P| lost to cancellation on each
+# landing it read 6.3e-10 off
+@example(case=(_SLOW_PULSES, 1,
+               np.array(merged_windows(_SLOW_PULSES, 0.0, 20.0)[0][:2]),
+               np.array([0.0008046939042005748]),
+               np.array([0.23611430285773652])))
 def test_kick_rounds_match_step_by_step_oracle(case):
     """Rounds of bounces against one Verlet step at a time (1e-10)."""
     pulses, spin, edges, z, v = case
@@ -452,6 +463,17 @@ def test_series_flags_escaping_particles():
     times = np.arange(0.0, 10.0, 0.5)
     with pytest.warns(UserWarning, match="z_cap"):
         mean_height_series(200, 1.0, 10.0, 0.1, 0.1, 4, [], times)
+
+
+def test_flight_before_the_first_window_warns_once():
+    """Both spins fly the same sample until the first window: it is summed,
+    and its escapes flagged, once."""
+    times = np.arange(0.0, 10.0, 0.5)
+    with pytest.warns(UserWarning, match="z_cap") as record:
+        series = mean_height_series(200, 1.0, 10.0, 0.1, 0.1, 4,
+                                    [FIG1_PULSE], times)
+    assert len(record) == 1
+    assert np.array_equal(series[1], series[-1])
 
 
 def test_series_without_escapes_does_not_warn():

@@ -473,6 +473,24 @@ def test_csv_blocks_match_the_per_value_formatter(tmp_path):
     assert path.read_text() == expected
 
 
+def test_csv_constant_columns_match_the_per_value_formatter(tmp_path):
+    """Columns constant over a block, as the snapshot file's t and s are,
+    are formatted once per block; a signed zero in a column of zeros, a
+    column of -0.0 or of nan, and a column that changes only in the next
+    block still come out value by value."""
+    n = 2 * 4096 + 5
+    rows = np.column_stack((np.repeat([65.0, 120.0], [4100, n - 4100]),
+                            np.random.default_rng(3).standard_normal(n),
+                            np.zeros(n), np.full(n, -0.0), np.full(n, np.nan),
+                            np.full(n, -1.0)))
+    rows[4097, 2] = -0.0
+    path = tmp_path / "constant.csv"
+    columns = ["t", "z", "zero", "neg", "nan", "s"]
+    write_csv(path, [("k", 1)], columns, rows)
+    expected = legacy_csv_text([("k", 1)], columns, rows.tolist())
+    assert path.read_text() == expected
+
+
 # ----------------------------------------------------------------- units
 
 def test_convert_length_to_si(capsys):

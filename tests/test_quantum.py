@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,8 +17,8 @@ from qbounce.quantum import (StateVector, evolve_pulsed, expectation_z,
                              mean_height_trace, pulse_propagator, step_grid,
                              strang_steps)
 
-from helpers import (NormDriftError, oscillation_envelope, per_run_trace,
-                     rk4_window, shake_potential_coefficient,
+from helpers import (NormDriftError, direct_free_phases, oscillation_envelope,
+                     per_run_trace, rk4_window, shake_potential_coefficient,
                      walk_mean_height_trace)
 
 
@@ -405,6 +406,81 @@ def test_expectation_z_two_level_maximum(basis20):
     expected = (0.5 * basis20.z_matrix[0, 0] + 0.5 * basis20.z_matrix[1, 1]
                 + abs(basis20.z_matrix[0, 1]))
     assert val == pytest.approx(expected, abs=1e-10)
+
+
+# ------------------------------------------------------------ free phases
+
+@st.composite
+def free_grids(draw):
+    """Ascending sample times less t0: `np.arange` grids with odd starts,
+    or the same grids jittered, of the lengths around an anchor block."""
+    n = draw(st.sampled_from([1, 31, 32, 33, 65]) | st.integers(1, 200))
+    start = draw(st.floats(0.0, 40.0))
+    step = draw(st.sampled_from([0.1, 0.05, 1.0 / 3.0]) |
+                st.floats(0.01, 0.25))
+    times = np.arange(start, start + (n - 0.5) * step, step)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        times = times + rng.uniform(-0.4, 0.4, len(times)) * step
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return times - draw(st.floats(0.0, 1.0)) * start, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=free_grids())
+def test_free_phases_match_one_exp_per_sample(basis20, case):
+    """Anchors and per-gap products against one `exp` per sample and state:
+    1e-12 per coefficient (each `exp` of a phase z tau < 4096 errs by up
+    to half an ulp of it, 2.3e-13) and 1e-14 in each row's norm."""
+    tau, seed = case
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(basis20.m) + 1j * rng.standard_normal(basis20.m)
+    c /= np.linalg.norm(c)
+    out = np.empty((len(tau), basis20.m), dtype=np.complex128)
+    assert quantum._free_phases(out, c, basis20.zeros, tau) is out
+    direct = direct_free_phases(c, basis20.zeros, tau)
+    assert np.max(np.abs(out - direct)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-14
+
+
+def test_free_phases_on_a_long_grid_against_mpmath():
+    """The last 64 rows of a 4761-row grid (fig5's samples) at M = 150:
+    the products err no more than one `exp` per sample (measured 2.92e-13
+    against 2.97e-13), and no row's norm drifts past 1e-14."""
+    zeros = build_basis(150).zeros
+    tau = np.arange(-6.0, 470.0 + 1e-9, 0.1) + 6.0
+    assert len(tau) == 4761
+    c = np.full(150, 1.0 / math.sqrt(150.0), dtype=np.complex128)
+    out = quantum._free_phases(np.empty((len(tau), 150), dtype=np.complex128),
+                               c, zeros, tau)
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-14
+    rows = slice(len(tau) - 64, len(tau))
+    with mpmath.workdps(30):
+        exact = np.array([[complex(mpmath.mpf(c[0].real) *
+                                   mpmath.expj(-mpmath.mpf(z) * mpmath.mpf(t)))
+                           for z in zeros] for t in tau[rows]])
+    ours = np.max(np.abs(out[rows] - exact))
+    direct = np.max(np.abs(direct_free_phases(c, zeros, tau[rows]) - exact))
+    assert ours <= 1.1 * direct
+
+
+def test_sample_next_to_a_window_end_is_taken_at_the_end(basis20, monkeypatch):
+    """fig5's grid puts a sample 4.3e-14 before the end of the window
+    [-6, 6].  The walk takes it at the end, so no run a few ulp long and
+    no operator set of that step size follows it."""
+    pulses = [KickPulse(1.5, 1.0, 0.0, "shake")]
+    times = np.arange(-6.0, 10.0, 0.1)
+    assert 0.0 < 6.0 - times[120] < 1e-13
+    built = []
+    build = quantum._operators
+    monkeypatch.setattr(quantum, "_operators",
+                        lambda basis, h: built.append(h) or build(basis, h))
+    s = StateVector(_two_state(basis20).coeffs, -6.0)
+    trace, final = mean_height_trace(basis20, s, pulses, 1, times)
+    assert min(built) > 1e-3
+    ref, ref_final = walk_mean_height_trace(basis20, s, pulses, 1, times)
+    assert np.max(np.abs(trace - ref)) < 1e-12
+    assert np.max(np.abs(final.coeffs - ref_final.coeffs)) < 1e-12
 
 
 # ---------------------------------------------------------- input checks
