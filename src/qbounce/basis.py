@@ -116,7 +116,9 @@ class EigenBasis:
     """Truncated eigenbasis: zeros z_i, norms N_i, position matrix Z.
 
     Also holds Z's eigenpairs Z = V diag(lambda) V^T, computed once here
-    for the pulse stepper and the impulsive kicks.  Immutable after
+    for the pulse stepper and the impulsive kicks, and C-contiguous complex
+    copies of V and V^T, so that the stepper's products with complex states
+    do not cast V on every call.  Immutable after
     construction (every array is read-only); safe to share across workers.
     Compared by identity (eq=False).
     """
@@ -127,28 +129,25 @@ class EigenBasis:
     z_matrix: np.ndarray  # (m, m) <i|z|j>, symmetric
     z_eigvals: np.ndarray = field(init=False)  # (m,) lambda, ascending
     z_eigvecs: np.ndarray = field(init=False)  # (m, m) V, real orthogonal
+    v_complex: np.ndarray = field(init=False)  # (m, m) V as complex
+    vt_complex: np.ndarray = field(init=False)  # (m, m) V^T as complex
 
     def __post_init__(self):
         eigvals, eigvecs = np.linalg.eigh(self.z_matrix)
+        v_c = np.ascontiguousarray(eigvecs, dtype=np.complex128)
+        vt_c = np.ascontiguousarray(eigvecs.T, dtype=np.complex128)
         object.__setattr__(self, "z_eigvals", eigvals)
         object.__setattr__(self, "z_eigvecs", eigvecs)
-        for a in (self.zeros, self.norms, self.z_matrix, eigvals, eigvecs):
+        object.__setattr__(self, "v_complex", v_c)
+        object.__setattr__(self, "vt_complex", vt_c)
+        for a in (self.zeros, self.norms, self.z_matrix, eigvals, eigvecs,
+                  v_c, vt_c):
             a.setflags(write=False)
 
     @property
     def z_max(self) -> float:
         """Upper edge of the quadrature window used for this basis."""
         return float(self.zeros[-1] + _TAIL)
-
-    def eval_eigenstate(self, i: int, z):
-        """psi_i(z) = N_i Ai(z - z_i); 1-based state index, z >= 0."""
-        if not 1 <= i <= self.m:
-            raise IndexError(f"state index {i} outside 1..{self.m}")
-        z = np.asarray(z, dtype=np.float64)
-        if np.any(z < 0):
-            raise ValueError("height must be non-negative")
-        out = self.norms[i - 1] * airy_ai(np.atleast_1d(z) - self.zeros[i - 1])
-        return float(out[0]) if z.ndim == 0 else out
 
     def transition_frequencies(self) -> np.ndarray:
         """z_i - z_1 for i = 2..m (dimensionless angular frequencies)."""

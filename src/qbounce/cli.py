@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -222,27 +223,40 @@ def _emit(path, chunks):
 
 
 def read_scan_csv(path):
-    """Read a scan CSV back, including its provenance header."""
+    """Read a scan CSV back, including its provenance header.
+
+    The '# key = value' lines and the column line are parsed here, the data
+    rows by `np.loadtxt`.  A file that cannot be read, a ragged or
+    non-numeric row, rows that do not match the column line and a file
+    without data rows raise ConfigError naming the file.
+    """
     header = {}
-    rows = []
     columns = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    header[k.strip()] = v.strip()
-            elif columns is None:
-                columns = line.split(",")
-            else:
-                rows.append([float(x) for x in line.split(",")])
-    if columns is None or not rows:
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line.startswith("#"):
+                    k, eq, v = line[1:].partition("=")
+                    if eq:
+                        header[k.strip()] = v.strip()
+                elif line:
+                    columns = line.split(",")
+                    break
+            # numpy warns on a file without data rows; that raises below
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"cannot read scan CSV: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if columns is None or not len(data):
         raise ConfigError(f"{path}: no data rows")
-    return header, columns, np.asarray(rows)
+    if data.shape[1] != len(columns):
+        raise ConfigError(f"{path}: {len(columns)} columns named, but the "
+                          f"rows hold {data.shape[1]}")
+    return header, columns, data
 
 
 # ---------------------------------------------------------------- commands

@@ -33,10 +33,9 @@ import numpy as np
 from .basis import EigenBasis
 from .pulses import KickPulse, check_step_count, merged_windows, whole_steps
 
-__all__ = ["StateVector", "ground_state", "free_evolve", "evolve_pulsed",
-           "impulsive_kick", "impulsive_kick_matrix", "pulse_propagator",
-           "step_grid", "strang_steps", "expectation_z", "mean_height_trace",
-           "forcing"]
+__all__ = ["StateVector", "ground_state", "evolve_pulsed",
+           "impulsive_kick_matrix", "pulse_propagator", "step_grid",
+           "strang_steps", "expectation_z", "mean_height_trace", "forcing"]
 
 DEFAULT_STEPS_PER_SIGMA = 40
 
@@ -80,12 +79,6 @@ def ground_state(basis: EigenBasis, time: float = 0.0) -> StateVector:
     return StateVector(c, time)
 
 
-def free_evolve(state: StateVector, basis: EigenBasis, dt: float) -> StateVector:
-    """c_i <- c_i exp(-i z_i dt); exactly norm preserving."""
-    return StateVector(state.coeffs * np.exp(-1j * basis.zeros * dt),
-                       state.time + dt)
-
-
 def forcing(pulses, spin: int, t):
     """Scalar coefficient f(t) multiplying the position matrix."""
     t = np.asarray(t, dtype=np.float64)
@@ -109,13 +102,6 @@ def impulsive_kick_matrix(basis: EigenBasis, alpha: float, spin: int = 1,
     factor = 1j * alpha * spin if kind == "magnetic" else -1j * alpha
     v = basis.z_eigvecs
     return (v * np.exp(factor * basis.z_eigvals)) @ v.T
-
-
-def impulsive_kick(state: StateVector, basis: EigenBasis, alpha: float,
-                   spin: int = 1, kind: str = "magnetic") -> StateVector:
-    """Apply the impulsive kick operator to the state (zero duration)."""
-    return StateVector(impulsive_kick_matrix(basis, alpha, spin, kind) @
-                       state.coeffs, state.time)
 
 
 def step_grid(lo: float, hi: float, width: float,
@@ -158,7 +144,7 @@ def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
     """
     if len(f_mid) % 3:
         raise ValueError("the forcing needs three samples per step")
-    v = basis.z_eigvecs
+    v, vt = basis.v_complex, basis.vt_complex
     half, g_sub, g_step, lam = ops
     if c.ndim == 2:
         half, lam = half[:, None], lam[:, None]
@@ -166,7 +152,7 @@ def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
     f_w = f_mid * (w[:, None] if f_mid.ndim == 2 else w)
     keep = set() if nodes is None else set(map(int, nodes))
     kept = [c] if 0 in keep else []
-    y = np.exp(lam * f_w[0]) * (v.T @ (half * c))
+    y = np.exp(lam * f_w[0]) * (vt @ (half * c))
     for j in range(1, len(f_w)):
         if j % 3 == 0 and j // 3 in keep:  # y is the state after j/3 steps
             kept.append(half * (v @ y))

@@ -89,12 +89,13 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     every delay: v = W1 e_1 and row = e_1^T W2, the pulse-window
     propagators W_k.  Each Strang sub-step is complex symmetric and their
     sizes are palindromic, so W2^T is W2's sub-steps in reverse order and
-    the row is a vector run too.  For well-separated pulses
-    c_1 = row . exp(-i z gap) v.  Where the windows overlap, the runs also
-    keep their states at the step nodes each delay needs, and
-    c_1 = row(b) . U v(a): a is the last kick-1 node at or before the start
-    of kick 2's window, b the first kick-2 node at or after the end of
-    kick 1's, and U steps across [a, b] with each kick's forcing inside its
+    the row is a vector run too; when both windows share one step grid
+    (equal widths), the two runs step as one block of columns.  For
+    well-separated pulses c_1 = row . exp(-i z gap) v.  Where the windows
+    overlap, the runs also keep their states at the step nodes each delay
+    needs, and c_1 = row(b) . U v(a): a is the last kick-1 node at or
+    before the start of kick 2's window, b the first kick-2 node at or
+    after the end of kick 1's, and U steps across [a, b] with each kick's forcing inside its
     own window.  The state is the ground state before kick 1's window and
     the row is e_1^T after kick 2's, so a and b clamp to those ends.
     Every run steps at min(sigma_1, sigma_2) / ``steps_per_sigma``.
@@ -133,12 +134,23 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
                  0, n2).astype(int)
     ground = np.zeros((basis.m, len(spins)), dtype=np.complex128)
     ground[0] = 1.0
-    nodes1, at1 = np.unique(np.r_[k1, n1], return_inverse=True)
-    nodes2, at2 = np.unique(np.r_[n2 - k2, n2], return_inverse=True)
-    v = _sub_steps(basis, ground, spin_columns(p1, t1),
-                   _operators(basis, h1), nodes1)
-    row = _sub_steps(basis, ground, spin_columns(p2, t2)[::-1],
-                     _operators(basis, h2), nodes2)
+
+    def kept(c, f, h, nodes):
+        """The run's states after each of ``nodes`` composed steps."""
+        unique, at = np.unique(nodes, return_inverse=True)
+        return _sub_steps(basis, c, f, _operators(basis, h), unique)[at]
+
+    # v's nodes and the row's, one per close delay and the run's end
+    nodes1, nodes2 = np.r_[k1, n1], np.r_[n2 - k2, n2]
+    f1, f2 = spin_columns(p1, t1), spin_columns(p2, t2)[::-1]
+    if h1 == h2 and n1 == n2:
+        # one step grid: v and the row step as one block [v | row]
+        both = kept(np.hstack([ground, ground]), np.hstack([f1, f2]), h1,
+                    np.r_[nodes1, nodes2])
+        k, ns = len(nodes1), len(spins)
+        v, row = both[:k, :, :ns], both[k:, :, ns:]
+    else:
+        v, row = kept(ground, f1, h1, nodes1), kept(ground, f2, h2, nodes2)
 
     pops = np.empty(len(delays))
     pops[separated] = _spin_mean_forward(
@@ -151,8 +163,8 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
         t, h = step_grid(start[i], stop[i], width, steps_per_sigma)
         f = (spin_columns(p1, t) * (np.abs(t) <= half1)[:, None] +
              spin_columns(p2, t - d) * (np.abs(t - d) <= half2)[:, None])
-        c = strang_steps(basis, v[at1[i]], f, h)
-        c1[i] = np.sum(row[at2[i]] * c, axis=0)
+        c = strang_steps(basis, v[i], f, h)
+        c1[i] = np.sum(row[i] * c, axis=0)
     pops[~separated] = np.mean(np.abs(c1) ** 2, axis=1)
     return DelayScan(delays, pops, kind, overlap)
 

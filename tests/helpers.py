@@ -14,8 +14,31 @@ from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
 from qbounce.pulses import KickPulse, merged_windows, spin_branches, whole_steps
 from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector,
                              _free_phases, _mean_z, evolve_pulsed,
-                             expectation_z, forcing, free_evolve, step_grid,
-                             strang_steps)
+                             expectation_z, forcing, impulsive_kick_matrix,
+                             step_grid, strang_steps)
+
+
+def free_evolve(state, basis, dt):
+    """c_i <- c_i exp(-i z_i dt); exactly norm preserving."""
+    return StateVector(state.coeffs * np.exp(-1j * basis.zeros * dt),
+                       state.time + dt)
+
+
+def impulsive_kick(state, basis, alpha, spin=1, kind="magnetic"):
+    """Apply the impulsive kick operator to the state (zero duration)."""
+    return StateVector(impulsive_kick_matrix(basis, alpha, spin, kind) @
+                       state.coeffs, state.time)
+
+
+def eval_eigenstate(basis, i, z):
+    """psi_i(z) = N_i Ai(z - z_i); 1-based state index, z >= 0."""
+    if not 1 <= i <= basis.m:
+        raise IndexError(f"state index {i} outside 1..{basis.m}")
+    z = np.asarray(z, dtype=np.float64)
+    if np.any(z < 0):
+        raise ValueError("height must be non-negative")
+    out = basis.norms[i - 1] * airy_ai(np.atleast_1d(z) - basis.zeros[i - 1])
+    return float(out[0]) if z.ndim == 0 else out
 
 
 class NormDriftError(RuntimeError):
@@ -340,3 +363,26 @@ def legacy_csv_text(header_items, columns, rows):
         lines.append(",".join(
             f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def read_scan_csv_lines(path):
+    """A scan CSV read line by line, each value by ``float`` (oracle for
+    `cli.read_scan_csv`).  Returns (header, columns, data)."""
+    header = {}
+    rows = []
+    columns = None
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    k, _, v = body.partition("=")
+                    header[k.strip()] = v.strip()
+            elif columns is None:
+                columns = line.split(",")
+            else:
+                rows.append([float(x) for x in line.split(",")])
+    return header, columns, np.asarray(rows)

@@ -8,7 +8,7 @@ import pytest
 from qbounce.basis import (BasisProjectionError, UnitSystem,
                            _overlap_integrals, build_basis)
 
-from helpers import quadrature_z_columns
+from helpers import eval_eigenstate, quadrature_z_columns
 
 
 # ---------------------------------------------------------------- basis
@@ -27,7 +27,7 @@ def test_orthonormality(basis50):
     zs = np.linspace(0.0, basis50.z_max, 200001)
     psi = np.empty((len(zs), basis50.m))
     for i in range(1, basis50.m + 1):
-        psi[:, i - 1] = basis50.eval_eigenstate(i, zs)
+        psi[:, i - 1] = eval_eigenstate(basis50, i, zs)
     weights = np.full(len(zs), zs[1] - zs[0])
     weights[0] = weights[-1] = 0.5 * (zs[1] - zs[0])  # trapezoid rule
     gram = psi.T @ (psi * weights[:, None])
@@ -39,9 +39,9 @@ def test_eigenfunctions_satisfy_stationary_equation(basis20):
     h = 1e-3
     z = np.linspace(1.0, 12.0, 23)
     for i in (1, 3, 10):
-        psi = basis20.eval_eigenstate(i, z)
-        d2 = (basis20.eval_eigenstate(i, z + h) - 2 * psi
-              + basis20.eval_eigenstate(i, z - h)) / h ** 2
+        psi = eval_eigenstate(basis20, i, z)
+        d2 = (eval_eigenstate(basis20, i, z + h) - 2 * psi
+              + eval_eigenstate(basis20, i, z - h)) / h ** 2
         resid = -d2 + z * psi - basis20.zeros[i - 1] * psi
         # dominated by the O(h^2) truncation of the central difference
         assert np.max(np.abs(resid)) < 1e-5, f"state {i}"
@@ -81,9 +81,12 @@ def test_position_matrix_symmetric(basis50):
 
 def test_z_eigenpairs_rebuild_z_and_are_read_only(basis50):
     v, lam = basis50.z_eigvecs, basis50.z_eigvals
+    v_c, vt_c = basis50.v_complex, basis50.vt_complex
     assert np.max(np.abs((v * lam) @ v.T - basis50.z_matrix)) < 1e-12
     assert np.max(np.abs(v.T @ v - np.eye(basis50.m))) < 1e-13
-    for a in (v, lam):
+    assert np.array_equal(v_c, v) and np.array_equal(vt_c, v.T)
+    assert v_c.flags.c_contiguous and vt_c.flags.c_contiguous
+    for a in (v, lam, v_c, vt_c):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -96,14 +99,14 @@ def test_transition_frequencies(basis20):
 
 def test_eval_eigenstate_vanishes_at_floor(basis20):
     for i in (1, 5, 20):
-        assert abs(basis20.eval_eigenstate(i, 0.0)) < 1e-11
+        assert abs(eval_eigenstate(basis20, i, 0.0)) < 1e-11
 
 
 def test_eval_eigenstate_rejects_negative_height(basis20):
     with pytest.raises(ValueError):
-        basis20.eval_eigenstate(1, -0.5)
+        eval_eigenstate(basis20, 1, -0.5)
     with pytest.raises(IndexError):
-        basis20.eval_eigenstate(21, 1.0)
+        eval_eigenstate(basis20, 21, 1.0)
 
 
 # ------------------------------------------------------------ projection

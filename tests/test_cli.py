@@ -16,7 +16,7 @@ from qbounce.cli import (_scan_from_csv, main, parse_config_text,
                          read_scan_csv, write_csv)
 from qbounce.pulses import KickPulse
 
-from helpers import legacy_csv_text, verlet_flight
+from helpers import legacy_csv_text, read_scan_csv_lines, verlet_flight
 
 # hard-coded preset parameter tables; any drift in the shipped config files
 # is a bug
@@ -391,7 +391,8 @@ def test_basis_size_out_of_range_fails_before_the_run(tmp_path, capsys, m):
 def test_scan_csv_round_trip(tau_min, dtau, pops, flags, basis_size, kind,
                              extra):
     """write_csv -> read_scan_csv -> _scan_from_csv returns the floats
-    bitwise and keeps every provenance key."""
+    bitwise and keeps every provenance key; the reader agrees bitwise with
+    a line-by-line reader."""
     delays = tau_min + dtau * np.arange(len(pops))
     pops = np.array(pops)
     flags = np.array(flags[:len(pops)])
@@ -401,6 +402,10 @@ def test_scan_csv_round_trip(tau_min, dtau, pops, flags, basis_size, kind,
         write_csv(path, sorted(header.items()), ["tau", "population", "overlap"],
                   [(t, p, int(o)) for t, p, o in zip(delays, pops, flags)])
         scan, m, back = _scan_from_csv(path)
+        got, oracle = read_scan_csv(path), read_scan_csv_lines(path)
+    assert got[:2] == oracle[:2]
+    assert got[2].tobytes() == oracle[2].tobytes()
+    assert got[2].shape == oracle[2].shape
     assert scan.delays.tobytes() == delays.tobytes()
     assert scan.populations.tobytes() == pops.tobytes()
     assert np.array_equal(scan.overlap, flags)
@@ -409,24 +414,46 @@ def test_scan_csv_round_trip(tau_min, dtau, pops, flags, basis_size, kind,
                     **{k: str(v) for k, v in header.items()}}
 
 
+# a good scan CSV broken in one way, keyed by what the error must say;
+# None removes the file
+_BREAK_SCAN_CSV = {
+    "No such file": lambda text: None,
+    "number of columns": lambda text: text + "30.0,0.9\n",
+    "could not convert": lambda text: text.replace(",0\n", ",x\n", 1),
+    "no data rows": lambda text: text[:text.index("tau,")] + "tau,population\n",
+    "columns named": lambda text: text.replace("overlap\n", "overlap,s\n"),
+}
+
+
 @pytest.mark.parametrize("command", ["spectrum", "retrieve"])
 @pytest.mark.parametrize("basis_size,top,what", [("401", 1.0, "basis_size"),
                                                  ("abc", 1.0, "basis_size"),
-                                                 ("50", 1.5, "populations")])
+                                                 ("50", 1.5, "populations")] +
+                         [("50", 1.0, what) for what in _BREAK_SCAN_CSV])
+@pytest.mark.filterwarnings("error")
 def test_bad_scan_csv_is_a_config_error(tmp_path, capsys, command,
                                         basis_size, top, what):
-    """A scan CSV with a basis size outside [1, 400], or populations
-    outside [0, 1], exits 1 with a config error, not a traceback."""
+    """A missing scan CSV, one with a ragged or non-numeric row, with rows
+    that do not match its column line or with no data rows, a basis size
+    outside [1, 400], or populations outside [0, 1], exits 1 with a config
+    error naming the file, not a traceback, and writes nothing."""
     scan_csv = tmp_path / "scan.csv"
     delays = 2.0 + 0.1 * np.arange(300)
     write_csv(str(scan_csv), [("basis_size", basis_size), ("kind", "magnetic")],
               ["tau", "population", "overlap"],
               np.column_stack((delays, top - 0.01 - 0.01 * np.sin(delays),
                                np.zeros(300))))
+    if what in _BREAK_SCAN_CSV:
+        text = _BREAK_SCAN_CSV[what](scan_csv.read_text())
+        if text is None:
+            scan_csv.unlink()
+        else:
+            scan_csv.write_text(text)
     assert main([command, "--in", str(scan_csv),
                  "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and what in err
+    assert "config error" in err and what in err and str(scan_csv) in err
+    assert set(os.listdir(tmp_path)) <= {"scan.csv"}
 
 
 def test_csv_bytes_match_the_per_value_formatter(tmp_path, monkeypatch):

@@ -12,13 +12,13 @@ from qbounce import quantum
 from qbounce.basis import EigenBasis, build_basis
 from qbounce.pulses import KickPulse, merged_windows
 from qbounce.quantum import (StateVector, evolve_pulsed, expectation_z,
-                             forcing, free_evolve, ground_state,
-                             impulsive_kick, impulsive_kick_matrix,
+                             forcing, ground_state, impulsive_kick_matrix,
                              mean_height_trace, pulse_propagator, step_grid,
                              strang_steps)
 
-from helpers import (NormDriftError, direct_free_phases, oscillation_envelope,
-                     per_run_trace, rk4_window, shake_potential_coefficient,
+from helpers import (NormDriftError, direct_free_phases, free_evolve,
+                     impulsive_kick, oscillation_envelope, per_run_trace,
+                     rk4_window, shake_potential_coefficient,
                      walk_mean_height_trace)
 
 

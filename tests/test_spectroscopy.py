@@ -171,6 +171,59 @@ def test_overlap_runs_step_an_eighth_of_the_stacked_run(basis20, monkeypatch):
     assert 0 < steps <= sum(seen) / 8
 
 
+# fig4-like and fig6-like kicks, with and without the spin average
+BLOCK_CASES = [("magnetic", 2.0, 1.0, True), ("magnetic", 2.0, 1.0, False),
+               ("shake", 0.6, 0.1, False)]
+
+
+@pytest.mark.parametrize("kind,a1,a2,spin_average", BLOCK_CASES)
+def test_one_block_run_matches_two_runs(basis50, monkeypatch, kind, a1, a2,
+                                        spin_average):
+    """Equal widths: v and the row stepped as one block agree within 1e-13
+    with the two runs stepped apart, on close and separated delays, on and
+    off the step nodes."""
+    sub_steps = quantum._sub_steps
+    blocks = []
+
+    def two_runs(basis, c, f_mid, ops, nodes=None):
+        if nodes is None:
+            return sub_steps(basis, c, f_mid, ops)
+        blocks.append(c.shape[1])
+        s = c.shape[1] // 2
+        return np.concatenate([sub_steps(basis, c[:, :s], f_mid[:, :s], ops,
+                                         nodes),
+                               sub_steps(basis, c[:, s:], f_mid[:, s:], ops,
+                                         nodes)], axis=2)
+
+    p1, p2 = KickPulse(a1, 0.2, kind=kind), KickPulse(a2, 0.2, kind=kind)
+    for delays in (2.0 + 0.05 * np.arange(300), 2.0123 + 0.05 * np.arange(300)):
+        one = scan_delay(basis50, p1, p2, delays, spin_average=spin_average)
+        with monkeypatch.context() as m:
+            m.setattr(spectroscopy, "_sub_steps", two_runs)
+            two = scan_delay(basis50, p1, p2, delays,
+                             spin_average=spin_average)
+        assert np.max(np.abs(one.populations - two.populations)) < 1e-13
+    assert blocks == [2 * (1 + spin_average)] * 2
+
+
+@pytest.mark.parametrize("sigma2,runs", [(0.2, 1), (0.5, 2)])
+def test_equal_widths_keep_nodes_in_one_run(basis20, monkeypatch, sigma2,
+                                            runs):
+    """One node-keeping `_sub_steps` call for equal widths, two (v and the
+    row) for unequal widths."""
+    sub_steps = quantum._sub_steps
+    calls = []
+
+    def spy(basis, c, f_mid, ops, nodes=None):
+        calls.append(nodes is not None)
+        return sub_steps(basis, c, f_mid, ops, nodes)
+
+    monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
+    scan_delay(basis20, KickPulse(2.0, 0.2), KickPulse(1.0, sigma2),
+               2.0 + 0.05 * np.arange(40))
+    assert sum(calls) == runs
+
+
 # ------------------------------------------------------- impulsive oracle
 
 def test_impulsive_scan_matches_paper_sum(basis20):
