@@ -2,13 +2,16 @@
 
 Evaluation strategy
 -------------------
-* |x| < 8: a Taylor table.  At import, the Maclaurin series of
-  Ai = c1*f - c2*g is summed in extended precision (numpy longdouble, which
-  absorbs the cancellation between the f and g series) at 129 nodes 1/8
-  apart; Ai'' = x Ai extends each node's Ai, Ai' to 16 Taylor coefficients.
-  A point costs one float64 Horner sum for Ai and one for Ai' about its
-  nearest node; `airy_ai` skips the Ai' sums here and in the asymptotic
-  branches.
+* |x| < 8: a Taylor table on 129 nodes 1/8 apart.  Ai'' = x Ai (DLMF
+  9.2.1) gives every Taylor coefficient about a node from that node's Ai
+  and Ai'.  At import those values are walked out from Ai(0) = c1 and
+  Ai'(0) = -c2, node to node, each step a 16-term Taylor sum in extended
+  precision (numpy longdouble); the float64 table then takes 16
+  coefficients per node from them.  Over the table Ai and Ai' lie within
+  6e-15 and 1.7e-14 of mpmath, largest at x -> 8, where the walk runs
+  against the growing solution Bi.  A point costs one float64 Horner sum
+  for Ai and one for Ai' about its nearest node; `airy_ai` skips the Ai'
+  sums here and in the asymptotic branches.
 * |x| >= 8: asymptotic expansions (DLMF 9.7) by Horner: the decaying form
   for x > 0 in -1/zeta, the trigonometric form for x < 0 in -1/zeta^2.  At
   zeta = (2/3)*8^(3/2) ~ 15.1 the remainder is ~exp(-2*zeta) ~ 1e-13.
@@ -29,49 +32,19 @@ __all__ = ["airy_ai", "airy_ai_prime", "airy_zeros"]
 _C1 = np.longdouble("0.35502805388781723926006318600418317639797917419917724058332651030081004245")
 _C2 = np.longdouble("0.25881940379280679840518356018920396347909113835493458221000181385610277267")
 
-_SERIES_CUTOFF = 8.0
-_SERIES_MAX_TERMS = 120
+_TAYLOR_CUTOFF = 8.0
 _NODES = np.linspace(-8.0, 8.0, 129)  # Taylor nodes, 1/8 apart
-_TAYLOR_TERMS = 16  # at |x - node| <= 1/16, 10 (Ai) and 11 (Ai') reach rounding
+_TAYLOR_TERMS = 16  # the walk's 1/8 steps in longdouble settle by 16
 _NEWTON_MAX_ITER = 20
 
 
-def _series_ai(x, derivative=True):
-    """Maclaurin series for Ai and Ai' on |x| < 8, in longdouble: (Ai, Ai'),
-    or (Ai,) without ``derivative``."""
-    x = np.asarray(x, dtype=np.longdouble)
-    x3 = x * x * x
-
-    f = np.ones_like(x)          # sum of f series
-    g = x.copy()                 # sum of g series
-    fp = np.zeros_like(x)        # f'
-    gp = np.ones_like(x)         # g'
-
-    tf = np.ones_like(x)
-    tg = x.copy()
-    tfp = np.zeros_like(x)
-    tgp = np.ones_like(x)
-
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        tf = tf * x3 / ((3 * k) * (3 * k - 1))
-        tg = tg * x3 / ((3 * k + 1) * (3 * k))
-        if k == 1:
-            tfp = x * x / 2
-        else:
-            tfp = tfp * x3 / ((3 * k - 1) * (3 * k - 3))
-        tgp = tgp * x3 / ((3 * k - 2) * (3 * k))
-        f += tf
-        g += tg
-        fp += tfp
-        gp += tgp
-        # results are O(0.1..1); terms below 1e-22 cannot move the float64 output
-        if max(np.max(np.abs(tf)), np.max(np.abs(tg))) < 1e-22:
-            break
-
-    ai = _C1 * f - _C2 * g
-    aip = _C1 * fp - _C2 * gp
-    return (np.asarray(ai, dtype=np.float64),
-            np.asarray(aip, dtype=np.float64))[:1 + derivative]
+def _horner(coeffs, x):
+    """sum_k c_k x^k, with ``coeffs`` given from the highest power down."""
+    acc = np.zeros_like(x)
+    for c in coeffs:
+        acc *= x
+        acc += c
+    return acc
 
 
 def _asymptotic_coeffs(n):
@@ -88,27 +61,46 @@ def _asymptotic_coeffs(n):
 _UK, _VK = _asymptotic_coeffs(24)
 
 
-def _taylor_table():
-    """Taylor coefficients of Ai and Ai' about each node, one row per power:
-    (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1} (Ai'' = x Ai) from the series."""
-    a = np.zeros((_TAYLOR_TERMS + 1, len(_NODES)))
-    a[0], a[1] = _series_ai(_NODES)
-    a[2] = _NODES * a[0] / 2
+def _taylor_rows(x0, ai, aip):
+    """Taylor coefficients of Ai and of Ai' about ``x0``, powers 0..15, from
+    Ai(x0) and Ai'(x0): (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1} (Ai'' = x Ai)."""
+    a = [ai, aip, x0 * ai / 2]
     for n in range(1, _TAYLOR_TERMS - 1):
-        a[n + 2] = (_NODES * a[n] + a[n - 1]) / ((n + 2) * (n + 1))
-    return a[:-1], a[1:] * np.arange(1, _TAYLOR_TERMS + 1)[:, None]
+        a.append((x0 * a[n] + a[n - 1]) / ((n + 2) * (n + 1)))
+    return a[:-1], [k * c for k, c in enumerate(a) if k]
+
+
+def _node_values():
+    """Ai and Ai' at the nodes, walked out from Ai(0) = c1, Ai'(0) = -c2 in
+    longdouble, both sides at once.  A step to the next node out sums the
+    node's Taylor rows at h = +-1/8.  The step is linear in (Ai, Ai'), so
+    the rows are formed up front for unit values at every node, and each
+    step adds D (Ai, Ai'), D the step matrix less the identity: only that
+    last sum rounds at the size of Ai."""
+    steps = len(_NODES) // 2
+    # h has the full (unit value, side, step) shape of _horner's accumulator
+    h = np.broadcast_to(np.array([[0.125], [-0.125]], dtype=np.longdouble),
+                        (2, 2, steps))
+    unit = np.eye(2, dtype=np.longdouble)[:, :, None, None]
+    d = np.array([h * _horner(rows[:0:-1], h)
+                  for rows in _taylor_rows(h * np.arange(steps), *unit)])
+    v = np.array([[_C1, _C1], [-_C2, -_C2]])  # (Ai or Ai', side)
+    walk = [v]
+    for j in range(steps):
+        v = v + (d[..., j] * v).sum(axis=1)
+        walk.append(v)
+    w = np.array(walk, dtype=np.float64)
+    # nodes -8..8: the x < 0 side's walk reversed, then the x > 0 side's
+    return np.concatenate([w[:0:-1, :, 1], w[:, :, 0]]).T
+
+
+def _taylor_table():
+    """Taylor coefficients of Ai and Ai' about each node, one row per power,
+    in float64 from the walked node values."""
+    return tuple(np.array(rows) for rows in _taylor_rows(_NODES, *_node_values()))
 
 
 _TAYLOR = _taylor_table()
-
-
-def _horner(coeffs, x):
-    """sum_k c_k x^k, with ``coeffs`` given from the highest power down."""
-    acc = np.zeros_like(x)
-    for c in coeffs:
-        acc *= x
-        acc += c
-    return acc
 
 
 def _taylor_ai(x, derivative=True):
@@ -157,9 +149,9 @@ def _airy(x, derivative=True):
     if not np.all(np.isfinite(x)):
         raise ValueError("Airy function of a non-finite argument")
     out = np.empty((1 + derivative,) + x.shape)
-    for branch, sel in ((_taylor_ai, np.abs(x) < _SERIES_CUTOFF),
-                        (_asymptotic_pos, x >= _SERIES_CUTOFF),
-                        (_asymptotic_neg, x <= -_SERIES_CUTOFF)):
+    for branch, sel in ((_taylor_ai, np.abs(x) < _TAYLOR_CUTOFF),
+                        (_asymptotic_pos, x >= _TAYLOR_CUTOFF),
+                        (_asymptotic_neg, x <= -_TAYLOR_CUTOFF)):
         if np.any(sel):
             for row, val in zip(out, branch(x[sel], derivative)):
                 row[sel] = val

@@ -35,6 +35,7 @@ _TAIL = 15.0
 
 # absolute tolerance on each overlap integral <psi_i | f>
 _OVERLAP_TOL = 1e-12
+_MAX_PANELS = 8192  # panels one overlap integration may bisect to
 _CHUNK_ELEMENTS = 1 << 17  # panels x Kronrod nodes x states per psi evaluation
 # a Gaussian packet is integrated out to this many widths from its center
 _PACKET_SIGMAS = 6.5
@@ -185,8 +186,7 @@ class EigenBasis:
         return coeffs / math.sqrt(captured), captured
 
 
-def _overlap_integrals(zeros, norms, func, a, b,
-                       max_panels: int = 8192) -> np.ndarray:
+def _overlap_integrals(zeros, norms, func, a, b) -> np.ndarray:
     """<psi_i | func> for all i at once, shared adaptive panel set.
 
     Gauss-Kronrod (G7, K15) panels are bisected until every integral's summed
@@ -216,7 +216,7 @@ def _overlap_integrals(zeros, norms, func, a, b,
         worst = float(errs.sum(axis=0).max())
         if worst <= _OVERLAP_TOL:
             return vals.sum(axis=0)
-        if len(lo) >= max_panels:
+        if len(lo) >= _MAX_PANELS:
             i = int(np.argmax(errs.sum(axis=0)))
             raise QuadratureError(
                 f"overlap with state {i + 1} did not converge: "

@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulses import KickPulse, check_step_count, merged_windows, whole_steps
+from .pulses import (KickPulse, _check_sample_times, _check_target_time,
+                     check_step_count, merged_windows, whole_steps)
 
 __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
            "propagate", "mean_height_series", "particle_energy"]
@@ -42,7 +43,6 @@ class ClassicalEnsemble:
     z: np.ndarray
     v: np.ndarray
     spin: int = 1
-    seed: int | None = None
     time: float = 0.0
 
     def __post_init__(self):
@@ -96,7 +96,7 @@ def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
     v = mu_v + sigma_v * rng.standard_normal(n)
     while (bad := z < 0).any():  # at most 25% redrawn: decays geometrically
         z[bad] = mu_z + sigma_z * rng.standard_normal(int(bad.sum()))
-    return ClassicalEnsemble(z, v, spin=spin, seed=seed)
+    return ClassicalEnsemble(z, v, spin=spin)
 
 
 def _orbit(z, v):
@@ -342,10 +342,7 @@ def propagate(ens: ClassicalEnsemble, t_to: float, pulses=(),
     Particles ending above ``z_cap`` trigger a warning (escape flag).
     """
     pulses = _magnetic(pulses)
-    if not math.isfinite(t_to):
-        raise ValueError(f"t_to must be finite, got {t_to}")
-    if t_to < ens.time:
-        raise ValueError("t_to must not precede the ensemble time")
+    _check_target_time(t_to, ens.time)
     for lo, hi, active in merged_windows(pulses, ens.time, t_to):
         ens, _ = _cross_window(ens, [lo, hi], active, steps_per_sigma)
     z, v = ens.z, ens.v
@@ -359,11 +356,12 @@ def _locate(tau, keys):
     """``np.searchsorted(tau, keys)`` for an ascending ``tau`` from 0.
 
     Guesses each index as if ``tau`` were evenly spaced and leaves the keys
-    that ``tau`` puts elsewhere to a search.
+    that ``tau`` puts elsewhere to a search.  The keys are clipped to
+    [0, tau[-1]] before scaling: on a tiny tau[-1] the scale nears 1e308.
     """
     ext = np.r_[-np.inf, tau, np.inf]  # ext[g] = tau[g - 1]
     scale = (len(tau) - 1) / tau[-1] if tau[-1] > 0 else 0.0
-    g = np.clip(np.ceil(keys * scale), 0, len(tau)).astype(np.intp)
+    g = np.ceil(np.clip(keys, 0.0, tau[-1]) * scale).astype(np.intp)
     off = (ext[g] >= keys) | (ext[g + 1] < keys)
     if off.any():
         g[off] = np.searchsorted(tau, keys[off])
@@ -444,12 +442,7 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     window's end) warn; the flight before the first window warns once.
     Returns a dict spin -> series; average them for the spin average.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be a non-empty 1-d array of "
-                         "finite values")
-    if np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise ValueError("sample times must be ascending and non-negative")
+    times = _check_sample_times(times, 0.0)
     pulses = _magnetic(pulses)
     z_cap = 10.0 * mu_z
     windows = merged_windows(pulses, 0.0, float(times[-1]))

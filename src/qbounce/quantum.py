@@ -24,14 +24,14 @@ per distinct gap g between samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import KickPulse, check_step_count, merged_windows, whole_steps
+from .pulses import (KickPulse, _check_sample_times, _check_target_time,
+                     check_step_count, merged_windows, whole_steps)
 
 __all__ = ["StateVector", "ground_state", "evolve_pulsed",
            "impulsive_kick_matrix", "pulse_propagator", "step_grid",
@@ -256,10 +256,7 @@ def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
                   ) -> StateVector:
     """Evolve from ``state.time`` to ``t_to`` through any pulse windows:
     the walk of `mean_height_trace` at the single time ``t_to``."""
-    if not math.isfinite(t_to):
-        raise ValueError(f"t_to must be finite, got {t_to}")
-    if t_to < state.time:
-        raise ValueError("t_to must not precede the state time")
+    _check_target_time(t_to, state.time)
     c = _walk(basis, state.coeffs, state.time, pulses, spin,
               np.array([t_to], dtype=np.float64), steps_per_sigma)
     return StateVector(c[0], t_to)
@@ -304,13 +301,7 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spin: int,
     samples inside pulse windows are hit exactly by the stepper.  ``pulses``
     is one `KickPulse` or a sequence of them.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be a non-empty 1-d array of "
-                         "finite values")
-    if np.any(np.diff(times) <= 0) or times[0] < state.time:
-        raise ValueError("sample times must be ascending and start at or "
-                         "after the state time")
+    times = _check_sample_times(times, state.time)
     c = _walk(basis, state.coeffs, state.time, pulses, spin, times,
               steps_per_sigma)
     return _mean_z(basis, c), StateVector(c[-1], float(times[-1]))

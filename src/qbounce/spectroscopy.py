@@ -25,6 +25,9 @@ __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
            "impulsive_scan_analytic", "perturbative_scan", "spectrum",
            "find_peaks_and_match", "retrieve_amplitudes"]
 
+# a retrieval fit with a larger design-matrix condition number is refused
+_CONDITION_LIMIT = 1e8
+
 
 @dataclass(frozen=True)
 class DelayScan:
@@ -75,7 +78,6 @@ class PeakMatch:
 class SpectrumResult:
     frequencies: np.ndarray
     amplitudes: np.ndarray
-    peaks: list = field(default_factory=list)      # (omega, amplitude)
     matches: list = field(default_factory=list)    # PeakMatch
 
 
@@ -276,7 +278,7 @@ def find_peaks_and_match(spec: SpectrumResult, basis: EigenBasis, count: int,
 
     Local maxima above ``noise_floor`` x global max are refined by quadratic
     interpolation; each is matched to the nearest unmatched theoretical
-    transition.  Returns a SpectrumResult carrying peaks and matches; fewer
+    transition.  Returns a SpectrumResult carrying the matches; fewer
     than ``count`` peaks yields a partial result (the caller may warn).
     """
     if count > basis.m - 1:
@@ -305,8 +307,7 @@ def find_peaks_and_match(spec: SpectrumResult, basis: EigenBasis, count: int,
         matches.append(PeakMatch(state=j + 2, omega_measured=omega,
                                  omega_theory=float(theory[j]), amplitude=amp))
     matches.sort(key=lambda m: m.omega_theory)
-    peaks = sorted((m.omega_measured, m.amplitude) for m in matches)
-    return SpectrumResult(spec.frequencies, spec.amplitudes, peaks, matches)
+    return SpectrumResult(spec.frequencies, spec.amplitudes, matches)
 
 
 @dataclass(frozen=True)
@@ -317,8 +318,7 @@ class RetrievedAmplitude:
     phase_ambiguity: float = math.pi  # the fit cannot distinguish phase vs phase+pi
 
 
-def retrieve_amplitudes(scan: DelayScan, basis: EigenBasis, n_states: int,
-                        condition_limit: float = 1e8):
+def retrieve_amplitudes(scan: DelayScan, basis: EigenBasis, n_states: int):
     """Recover kick-operator amplitudes P_1i from a weak equal-kick scan.
 
     Fits |c_1|^2(tau) = const + sum_i A_i cos(w_i tau) + B_i sin(w_i tau)
@@ -339,7 +339,7 @@ def retrieve_amplitudes(scan: DelayScan, basis: EigenBasis, n_states: int,
         cols.append(np.sin(wi * tau))
     design = np.stack(cols, axis=1)
     cond = np.linalg.cond(design)
-    if cond > condition_limit:
+    if cond > _CONDITION_LIMIT:
         raise np.linalg.LinAlgError(
             f"retrieval fit ill-conditioned (cond {cond:.2e}); "
             "increase the maximal delay to resolve adjacent lines")

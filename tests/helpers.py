@@ -7,7 +7,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qbounce import __version__
-from qbounce.airy import airy_ai
+from qbounce.airy import _C1, _C2, airy_ai
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
                                sample_initial)
@@ -16,6 +16,44 @@ from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector,
                              _free_phases, _mean_z, evolve_pulsed,
                              expectation_z, forcing, impulsive_kick_matrix,
                              step_grid, strang_steps)
+
+
+def series_ai(x, derivative=True):
+    """Maclaurin series for Ai and Ai' on |x| < 8, in longdouble: (Ai, Ai'),
+    or (Ai,) without ``derivative`` (oracle for the Taylor table)."""
+    x = np.asarray(x, dtype=np.longdouble)
+    x3 = x * x * x
+
+    f = np.ones_like(x)          # sum of f series
+    g = x.copy()                 # sum of g series
+    fp = np.zeros_like(x)        # f'
+    gp = np.ones_like(x)         # g'
+
+    tf = np.ones_like(x)
+    tg = x.copy()
+    tfp = np.zeros_like(x)
+    tgp = np.ones_like(x)
+
+    for k in range(1, 121):
+        tf = tf * x3 / ((3 * k) * (3 * k - 1))
+        tg = tg * x3 / ((3 * k + 1) * (3 * k))
+        if k == 1:
+            tfp = x * x / 2
+        else:
+            tfp = tfp * x3 / ((3 * k - 1) * (3 * k - 3))
+        tgp = tgp * x3 / ((3 * k - 2) * (3 * k))
+        f += tf
+        g += tg
+        fp += tfp
+        gp += tgp
+        # results are O(0.1..1); terms below 1e-22 cannot move the float64 output
+        if max(np.max(np.abs(tf)), np.max(np.abs(tg))) < 1e-22:
+            break
+
+    ai = _C1 * f - _C2 * g
+    aip = _C1 * fp - _C2 * gp
+    return (np.asarray(ai, dtype=np.float64),
+            np.asarray(aip, dtype=np.float64))[:1 + derivative]
 
 
 def free_evolve(state, basis, dt):

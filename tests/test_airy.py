@@ -10,6 +10,8 @@ from qbounce import airy
 from qbounce.airy import airy_ai, airy_ai_prime, airy_zeros
 from qbounce.basis import build_basis
 
+from helpers import series_ai
+
 mpmath.mp.dps = 30
 
 
@@ -53,12 +55,20 @@ def test_taylor_table_against_mpmath(x):
     assert np.max(np.abs(airy_ai_prime(x) - _mp_aip(x))) < 1e-12
 
 
+def test_walked_node_values_against_mpmath():
+    # the walk from x = 0 sets Ai and Ai' at every node; the Maclaurin
+    # series it replaced was 6.9e-14 and 2.2e-13 off
+    ai, aip = airy._TAYLOR[0][0], airy._TAYLOR[1][0]
+    assert np.max(np.abs(ai - _mp_ai(airy._NODES))) < 3e-14
+    assert np.max(np.abs(aip - _mp_aip(airy._NODES))) < 1e-13
+
+
 def test_projection_matches_longdouble_series(monkeypatch):
     """The M = 150 Gaussian projection with Ai from the Taylor table and
-    with Ai from the longdouble Maclaurin series it was built from."""
+    with Ai from the longdouble Maclaurin series, an independent oracle."""
     basis = build_basis(150)
     table, _ = basis.project_gaussian(20.0, 8.0)
-    monkeypatch.setattr(airy, "_taylor_ai", airy._series_ai)
+    monkeypatch.setattr(airy, "_taylor_ai", series_ai)
     series, _ = basis.project_gaussian(20.0, 8.0)
     assert np.max(np.abs(table - series)) < 1e-13
 

@@ -183,6 +183,12 @@ def test_propagate_rejects_non_finite_time(t_to):
         propagate(ens, t_to, [FIG1_PULSE])
 
 
+def test_propagate_rejects_shake_pulses():
+    ens = sample_initial(10, 20.0, 0.0, 4.0, 0.125, seed=1)
+    with pytest.raises(ValueError, match="magnetic kicks only"):
+        propagate(ens, 5.0, [KickPulse(0.5, 0.5, 2.0, "shake")])
+
+
 def test_propagate_rejects_backwards_time():
     ens = sample_initial(10, 20.0, 0.0, 4.0, 0.125, seed=1)
     moved = propagate(ens, 5.0, [])
@@ -329,6 +335,9 @@ def free_ensembles(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=free_ensembles())
+# a block of span 2^-1023: its index scale (len - 1) / tau[-1] is ~9e307
+@example(case=(ClassicalEnsemble(np.array([4.0]), np.array([0.0])),
+               np.array([0.0, 2.0 ** -1023])))
 def test_flight_means_match_sample_by_sample_oracle(case):
     assert_flight_means_match_oracle(*case)
 
@@ -452,7 +461,7 @@ def test_series_lands_on_samples_inside_the_window():
 
 
 @pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [],
-                                   [0.0, 1.0, math.inf]])
+                                   [0.0, 1.0, math.inf], [0.0, 2.0, 1.0]])
 def test_series_rejects_bad_sample_times(times):
     with pytest.raises(ValueError, match="sample times"):
         mean_height_series(100, 20.0, 0.0, 4.0, 0.125, 1, [FIG1_PULSE],

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbounce import classical, cli
+from qbounce.basis import build_basis
 from qbounce.classical import propagate, sample_initial
 from qbounce.cli import (_scan_from_csv, main, parse_config_text,
                          read_scan_csv, write_csv)
 from qbounce.pulses import KickPulse
+from qbounce.quantum import ground_state, mean_height_trace
 
 from helpers import legacy_csv_text, read_scan_csv_lines, verlet_flight
 
@@ -237,6 +239,19 @@ def test_fig1_preset_matches_step_by_step_oracle(tmp_path, monkeypatch):
         assert np.max(np.abs(ours - ref)) < 1e-10
 
 
+def test_seed_flag_overrides_the_config_seed(tmp_path):
+    cfg = tmp_path / "ce.cfg"
+    cfg.write_text(CLASSICAL_CFG)  # seed = 3
+    flag, config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    assert main(["classical-echo", "--config", str(cfg), "--seed", "4",
+                 "--out", str(flag)]) == 0
+    cfg.write_text(CLASSICAL_CFG.replace("seed = 3", "seed = 4"))
+    assert main(["classical-echo", "--config", str(cfg),
+                 "--out", str(config)]) == 0
+    assert flag.read_bytes() == config.read_bytes()
+    assert _read_csv(flag)[0]["seed"] == "4"
+
+
 @pytest.mark.parametrize("snapshot", ["5,abc", "5,,15", "-1", "5,-0.5", "nan",
                                       "inf"])
 def test_bad_snapshot_times_fail_before_the_run(tmp_path, capsys, snapshot):
@@ -319,6 +334,33 @@ time1 = 10.0
 t_max = 25.0
 dt_sample = 0.5
 """
+
+
+def test_quantum_echo_second_pulse(tmp_path):
+    """A nonzero amplitude2 adds a second kick to both spin branches."""
+    cfg = tmp_path / "qe.cfg"
+    cfg.write_text(QUANTUM_CFG +
+                   "amplitude2 = 0.2\nwidth2 = 0.5\ntime2 = 18.0\n")
+    out = tmp_path / "series.csv"
+    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 0
+    data = np.array(_read_csv(out)[2], dtype=float)
+    basis = build_basis(10)
+    pulses = [KickPulse(0.3, 0.5, 10.0), KickPulse(0.2, 0.5, 18.0)]
+    for col, s in ((1, 1), (2, -1)):
+        ref, _ = mean_height_trace(basis, ground_state(basis), pulses, s,
+                                   data[:, 0])
+        assert np.max(np.abs(data[:, col] - ref)) < 1e-12
+
+
+def test_uncaptured_packet_exits_2_without_output(tmp_path, capsys):
+    cfg = tmp_path / "qe.cfg"
+    cfg.write_text(QUANTUM_CFG.replace(
+        "initial = ground", "initial = gaussian\nmu_z = 2.0\nsigma_z = 8.0"))
+    out = tmp_path / "series.csv"
+    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "captured norm 0.6728 < 0.95" in capsys.readouterr().err
+    assert not out.exists()
+
 
 _BAD_CONFIGS = [
     ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "dtau", "-0.1"),

@@ -528,6 +528,20 @@ def test_trace_rejects_empty_or_non_finite_times(basis20, times):
                           KickPulse(0.5, 0.5, 5.0), 1, np.array(times))
 
 
+def test_trace_rejects_times_out_of_order_or_before_the_state(basis20):
+    state = ground_state(basis20, 1.0)
+    for times in ([1.0, 2.0, 1.5], [0.5, 2.0]):
+        with pytest.raises(ValueError, match="ascending"):
+            mean_height_trace(basis20, state, KickPulse(0.5, 0.5, 5.0), 1,
+                              np.array(times))
+
+
+def test_evolve_rejects_end_time_before_the_state(basis20):
+    with pytest.raises(ValueError, match="precede"):
+        evolve_pulsed(ground_state(basis20, 5.0), basis20,
+                      KickPulse(0.5, 0.5, 5.0), 1, 4.0)
+
+
 @pytest.mark.parametrize("t_to", [np.inf, np.nan])
 def test_evolve_rejects_non_finite_end_time(basis20, t_to):
     with pytest.raises(ValueError, match="finite"):

@@ -317,6 +317,20 @@ def test_constant_input_has_no_peaks(basis20):
     assert out.matches == []
 
 
+def test_spectrum_without_window():
+    pops = 0.5 + 0.1 * np.cos(1.75 * DELAYS)
+    spec = spectrum(DelayScan(DELAYS, pops, "magnetic"), window="none",
+                    zero_pad_factor=1)
+    assert np.array_equal(spec.amplitudes,
+                          np.abs(np.fft.rfft(pops - pops.mean())))
+
+
+def test_spectrum_rejects_unknown_window():
+    scan = DelayScan(DELAYS, 0.5 + 0.1 * np.cos(1.75 * DELAYS), "magnetic")
+    with pytest.raises(ValueError, match="unknown window"):
+        spectrum(scan, window="blackman")
+
+
 def test_spectrum_requires_enough_samples():
     scan = DelayScan(np.arange(100.0), np.ones(100), "magnetic")
     with pytest.raises(ValueError):
