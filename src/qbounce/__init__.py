@@ -4,7 +4,7 @@ from .airy import airy_ai, airy_ai_prime, airy_zeros
 from .basis import BasisProjectionError, EigenBasis, UnitSystem, build_basis
 from .classical import ClassicalEnsemble, ballistic_flight, sample_initial
 from .pulses import KickPulse
-from .quantum import (StateVector, evolve_pulsed, expectation_z, ground_state,
+from .quantum import (StateVector, evolve_pulsed, ground_state,
                       mean_height_trace, pulse_propagator)
 from .spectroscopy import (DelayScan, SpectrumResult, find_peaks_and_match,
                            impulsive_scan_analytic, perturbative_scan,
@@ -18,7 +18,7 @@ __all__ = [
     "BasisProjectionError", "EigenBasis", "UnitSystem", "build_basis",
     "ClassicalEnsemble", "ballistic_flight", "sample_initial",
     "KickPulse",
-    "StateVector", "evolve_pulsed", "expectation_z", "ground_state",
+    "StateVector", "evolve_pulsed", "ground_state",
     "mean_height_trace", "pulse_propagator",
     "DelayScan", "SpectrumResult", "find_peaks_and_match",
     "impulsive_scan_analytic", "perturbative_scan", "retrieve_amplitudes",

@@ -331,10 +331,12 @@ def cmd_quantum_echo(args):
     _check_span(cfg, t_start, "t_max")
     basis = build_basis(cfg["basis_size"])
 
+    health = []  # header items beside the final norms
     if cfg["initial"] == "gaussian":
         if cfg["mu_z"] <= 0 or cfg["sigma_z"] <= 0:
             raise ConfigError("gaussian initial state needs mu_z, sigma_z > 0")
-        coeffs, _ = basis.project_gaussian(cfg["mu_z"], cfg["sigma_z"])
+        coeffs, captured = basis.project_gaussian(cfg["mu_z"], cfg["sigma_z"])
+        health.append(("captured_norm", captured))
     elif cfg["initial"] == "ground":
         coeffs = ground_state(basis).coeffs
     else:
@@ -356,7 +358,7 @@ def cmd_quantum_echo(args):
     norm_keys = (["final_norm_plus", "final_norm_minus"] if len(spins) == 2
                  else ["final_norm"])
     write_csv(_resolve_out(args, args.out),
-              sorted(cfg.items()) + list(zip(norm_keys, norms)),
+              sorted(cfg.items()) + health + list(zip(norm_keys, norms)),
               ["t", "z_plus", "z_minus", "z_avg"],
               np.column_stack((times, z_plus, z_minus, avg)))
     return 0

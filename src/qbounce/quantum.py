@@ -35,7 +35,7 @@ from .pulses import (KickPulse, _check_sample_times, _check_target_time,
 
 __all__ = ["StateVector", "ground_state", "evolve_pulsed",
            "impulsive_kick_matrix", "pulse_propagator", "step_grid",
-           "strang_steps", "expectation_z", "mean_height_trace", "forcing"]
+           "strang_steps", "mean_height_trace", "forcing"]
 
 DEFAULT_STEPS_PER_SIGMA = 40
 
@@ -67,10 +67,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def population(self, i: int) -> float:
-        """|c_i|^2, 1-based index."""
-        return float(np.abs(self.coeffs[i - 1]) ** 2)
 
 
 def ground_state(basis: EigenBasis, time: float = 0.0) -> StateVector:
@@ -278,18 +274,21 @@ def pulse_propagator(basis: EigenBasis, pulse: KickPulse, spin: int = 1,
 
 
 def _mean_z(basis: EigenBasis, c: np.ndarray) -> np.ndarray:
-    """<z> = c^dag Z c of each row of ``c``; each imaginary residual <= 1e-12."""
-    val = np.einsum('ti,ti->t', c.conj(), c @ basis.z_matrix)
-    worst = float(np.max(np.abs(val.imag)))
-    if worst > 1e-12:
-        raise ArithmeticError(f"<z> has imaginary residual {worst:.3e}; "
-                              "Hermitian invariant broken")
-    return val.real
-
-
-def expectation_z(state: StateVector, basis: EigenBasis) -> float:
-    """<z> = c^dag Z c; the imaginary residual must be at rounding level."""
-    return float(_mean_z(basis, state.coeffs[None, :])[0])
+    """<z> = c^dag Z c = a^T Z a + b^T Z b of each row c = a + ib of ``c``,
+    from two real products.  Each value must lie within Z's Rayleigh bounds
+    [lambda_min, lambda_max] |c|^2, up to 1e-12 lambda_max |c|^2; one
+    outside them, or not finite, raises ArithmeticError."""
+    val = sum(np.einsum('ti,ti->t', p, p @ basis.z_matrix)
+              for p in (c.real, c.imag))
+    parts = np.ascontiguousarray(c).view(np.float64)  # a and b interleaved
+    lo, hi = np.multiply.outer(basis.z_eigvals[[0, -1]],
+                               np.einsum('tj,tj->t', parts, parts))
+    inside = (val >= lo - 1e-12 * hi) & (val <= hi + 1e-12 * hi)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ArithmeticError(f"<z> = {val[k]:.6e} at sample {k} lies outside "
+                              f"Z's Rayleigh bounds [{lo[k]:.6e}, {hi[k]:.6e}]")
+    return val
 
 
 def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spin: int,

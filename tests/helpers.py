@@ -8,14 +8,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from qbounce import __version__
 from qbounce.airy import _C1, _C2, airy_ai
+from qbounce.basis import _MAX_PANELS, _OVERLAP_TOL, QuadratureError
+from qbounce.basis import _CHUNK_ELEMENTS as _PSI_CHUNK_ELEMENTS
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
                                sample_initial)
 from qbounce.pulses import KickPulse, merged_windows, spin_branches, whole_steps
 from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector,
-                             _free_phases, _mean_z, evolve_pulsed,
-                             expectation_z, forcing, impulsive_kick_matrix,
-                             step_grid, strang_steps)
+                             _free_phases, _mean_z, evolve_pulsed, forcing,
+                             impulsive_kick_matrix, step_grid, strang_steps)
 
 
 def series_ai(x, derivative=True):
@@ -117,7 +118,7 @@ def quadrature_z_columns(basis, columns=None):
     """Columns of <i|z|j> by adaptive quadrature, independent of the closed form.
 
     Column j is the overlap of every eigenfunction with z psi_j(z), computed
-    by the package's Gauss-Kronrod refinement loop on [0, z_max].
+    by the package's Gauss-Legendre refinement loop on [0, z_max].
     """
     columns = range(basis.m) if columns is None else columns
     cols = []
@@ -127,6 +128,83 @@ def quadrature_z_columns(basis, columns=None):
         cols.append(_overlap_integrals(basis.zeros, basis.norms, z_psi_j,
                                        0.0, basis.z_max))
     return np.column_stack(cols)
+
+
+# Kronrod-15 abscissae and weights and the embedded Gauss-7 weights, listed
+# from the left end to the centre as in QUADPACK's qk15 and mirrored
+_XGK = np.array([0.991455371120813, 0.949107912342759, 0.864864423359769,
+                 0.741531185599394, 0.586087235467691, 0.405845151377397,
+                 0.207784955007898, 0.0])
+_WGK = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250,
+                 0.140653259715525, 0.169004726639267, 0.190350578064785,
+                 0.204432940075298, 0.209482141084728])
+_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119,
+                0.417959183673469])
+_KRONROD_X = np.r_[-_XGK[:-1], _XGK[::-1]]
+_KRONROD_W = np.r_[_WGK, _WGK[-2::-1]]
+_GAUSS_W = np.r_[_WG, _WG[-2::-1]]
+_GAUSS_SLOTS = np.arange(1, 15, 2)  # Gauss-7 points sit at the odd Kronrod slots
+
+
+def gauss_kronrod_overlaps(zeros, norms, func, a, b):
+    """<psi_i | func> for all i at once, shared adaptive panel set (oracle
+    for `basis._overlap_integrals`).
+
+    Gauss-Kronrod (G7, K15) panels, two per unit length at the start, are
+    bisected until every integral's summed Kronrod/Gauss discrepancy is
+    below ``_OVERLAP_TOL``.
+    """
+    edges = np.linspace(a, b, max(16, 2 * int(b - a)) + 1)
+    lo, hi = edges[:-1], edges[1:]
+
+    rows = max(1, _PSI_CHUNK_ELEMENTS // (len(_KRONROD_X) * len(zeros)))
+
+    def panel_integrals(lo, hi):
+        k = np.empty((len(lo), len(zeros)))
+        g = np.empty_like(k)
+        for c in range(0, len(lo), rows):  # bounds the psi working set
+            p = slice(c, c + rows)
+            half = 0.5 * (hi[p] - lo[p])
+            x = 0.5 * (lo[p] + hi[p])[:, None] + half[:, None] * _KRONROD_X
+            psi = airy_ai(x[:, :, None] - zeros) * norms
+            fx = func(x)
+            k[p] = np.einsum('pk,pki->pi', _KRONROD_W * fx * half[:, None], psi)
+            g[p] = np.einsum('pk,pki->pi', _GAUSS_W * fx[:, _GAUSS_SLOTS] * half[:, None],
+                             psi[:, _GAUSS_SLOTS])
+        return k, np.abs(k - g)
+
+    vals, errs = panel_integrals(lo, hi)
+    while True:
+        worst = float(errs.sum(axis=0).max())
+        if worst <= _OVERLAP_TOL:
+            return vals.sum(axis=0)
+        if len(lo) >= _MAX_PANELS:
+            i = int(np.argmax(errs.sum(axis=0)))
+            raise QuadratureError(
+                f"overlap with state {i + 1} did not converge: "
+                f"error {worst:.3e} > tol {_OVERLAP_TOL:.3e}")
+        panel_err = errs.max(axis=1)
+        split = panel_err >= max(_OVERLAP_TOL / (4.0 * len(lo)),
+                                 0.25 * panel_err.max())
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        new_vals, new_errs = panel_integrals(
+            np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+
+
+def expectation_z(state, basis):
+    """<z> = c^dag Z c in complex arithmetic (oracle for the real products
+    of `quantum._mean_z`); the imaginary residual must be at rounding level.
+    """
+    val = np.vdot(state.coeffs, basis.z_matrix @ state.coeffs)
+    if abs(val.imag) > 1e-12:
+        raise ArithmeticError(f"<z> has imaginary residual {abs(val.imag):.3e}; "
+                              "Hermitian invariant broken")
+    return float(val.real)
 
 
 def shake_potential_coefficient(pulses, t):

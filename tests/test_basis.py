@@ -1,14 +1,20 @@
 """Eigenbasis construction: orthonormality, matrix elements, units."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qbounce.basis import (BasisProjectionError, UnitSystem,
+from qbounce import basis as basis_module
+from qbounce.airy import airy_ai
+from qbounce.basis import (BasisProjectionError, QuadratureError, UnitSystem,
                            _overlap_integrals, build_basis)
 
-from helpers import eval_eigenstate, quadrature_z_columns
+from helpers import (eval_eigenstate, gauss_kronrod_overlaps,
+                     quadrature_z_columns)
 
 
 # ---------------------------------------------------------------- basis
@@ -130,6 +136,60 @@ def test_project_gaussian_over_the_packet_support(basis50, mu, sigma):
                               lambda z: amp * np.exp(-((z - mu) / sigma) ** 2),
                               0.0, basis50.z_max)
     assert np.max(np.abs(coeffs * math.sqrt(captured) - full)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:captured norm")
+@pytest.mark.parametrize("m,mu,sigma", [
+    (150, 20.0, 8.0), (100, 20.0, 8.0), (50, 20.0, 8.0), (50, 10.0, 2.0),
+    (50, 3.0, 1.5), (20, 15.0, 1.0)])
+def test_project_gaussian_matches_gauss_kronrod_oracle(m, mu, sigma):
+    """The Gauss-Legendre panels against the G7/K15 loop on the same window."""
+    basis = build_basis(m)
+    coeffs, captured = basis.project_gaussian(mu, sigma)
+    amp = (2.0 / (math.pi * sigma ** 2)) ** 0.25
+    half = basis_module._PACKET_SIGMAS * sigma
+    oracle = gauss_kronrod_overlaps(
+        basis.zeros, basis.norms,
+        lambda z: amp * np.exp(-((z - mu) / sigma) ** 2),
+        max(0.0, mu - half), min(basis.z_max, mu + half))
+    assert np.max(np.abs(coeffs * math.sqrt(captured) - oracle)) <= 1e-13
+
+
+def test_projection_evaluates_a_third_of_the_old_airy_pairs(monkeypatch):
+    """The fig2 packet at M = 150 takes at most 160500 (x, state) pairs of
+    Ai, a third of the G7/K15 loop's 481500."""
+    pairs = []
+
+    def counted(x):
+        pairs.append(np.size(x))
+        return airy_ai(x)
+
+    monkeypatch.setattr(basis_module, "airy_ai", counted)
+    build_basis(150).project_gaussian(20.0, 8.0)
+    assert 0 < sum(pairs) <= 160_500
+
+
+def test_unconverged_overlap_names_its_state(basis20, monkeypatch):
+    """Only state 3 is nonzero, and a step in the integrand cannot converge
+    within 8 panels."""
+    monkeypatch.setattr(basis_module, "_MAX_PANELS", 8)
+    norms = np.where(np.arange(basis20.m) == 2, basis20.norms, 0.0)
+    with pytest.raises(QuadratureError,
+                       match=r"overlap with state 3 did not converge: "
+                             r"error .* > tol 1\.000e-12"):
+        _overlap_integrals(basis20.zeros, norms,
+                           lambda z: np.where(z < 3.3, 1.0, 0.0),
+                           0.0, basis20.z_max)
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    """The Gauss-Legendre rule is built on first use, so commands that
+    project nothing do not pay numpy.polynomial's import time and memory."""
+    code = "import sys, qbounce.cli; print('numpy.polynomial' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.stdout.strip() == "False"
 
 
 def test_project_gaussian_rejects_unrepresentable(basis20):

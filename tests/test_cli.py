@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbounce import basis as basis_module
 from qbounce import classical, cli
 from qbounce.basis import build_basis
 from qbounce.classical import propagate, sample_initial
@@ -284,6 +285,8 @@ dt_sample = 0.5
     for key in ("final_norm_plus", "final_norm_minus"):
         assert abs(float(header[key]) - 1.0) < 1e-9, key
     assert "final_norm" not in header
+    assert float(header["captured_norm"]) == \
+        build_basis(10).project_gaussian(5.0, 2.0)[1]
     # spin branches split only after the kick
     assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), abs=1e-12)
 
@@ -307,6 +310,7 @@ spin_average = false
     assert columns == ["t", "z_plus", "z_minus", "z_avg"]
     assert abs(float(header["final_norm"]) - 1.0) < 1e-9
     assert "final_norm_plus" not in header
+    assert "captured_norm" not in header  # only a projected packet has one
 
 
 def test_quantum_echo_bad_initial_state(tmp_path):
@@ -359,6 +363,34 @@ def test_uncaptured_packet_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "series.csv"
     assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 2
     assert "captured norm 0.6728 < 0.95" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unconverged_projection_exits_2_without_output(tmp_path, capsys,
+                                                      monkeypatch):
+    """A projection that cannot reach its tolerance within the panel limit."""
+    monkeypatch.setattr(basis_module, "_OVERLAP_TOL", 1e-30)
+    monkeypatch.setattr(basis_module, "_MAX_PANELS", 16)
+    cfg = tmp_path / "qe.cfg"
+    cfg.write_text(QUANTUM_CFG.replace(
+        "initial = ground", "initial = gaussian\nmu_z = 5.0\nsigma_z = 2.0"))
+    out = tmp_path / "series.csv"
+    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 2
+    assert re.search(r"numerical failure: overlap with state \d+ did not "
+                     r"converge", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_packet_exits_2_without_output(tmp_path, capsys):
+    """sigma_z = 1e-160 overflows the packet's amplitude, so its overlaps are
+    NaN: the refinement stops at once instead of bisecting forever."""
+    cfg = tmp_path / "qe.cfg"
+    cfg.write_text(QUANTUM_CFG.replace(
+        "initial = ground", "initial = gaussian\nmu_z = 5.0\nsigma_z = 1e-160"))
+    out = tmp_path / "series.csv"
+    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error nan > tol" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qbounce import quantum
 from qbounce.basis import EigenBasis, build_basis
 from qbounce.pulses import KickPulse, merged_windows
-from qbounce.quantum import (StateVector, evolve_pulsed, expectation_z,
-                             forcing, ground_state, impulsive_kick_matrix,
+from qbounce.quantum import (StateVector, evolve_pulsed, forcing,
+                             ground_state, impulsive_kick_matrix,
                              mean_height_trace, pulse_propagator, step_grid,
                              strang_steps)
 
-from helpers import (NormDriftError, direct_free_phases, free_evolve,
-                     impulsive_kick, oscillation_envelope, per_run_trace,
-                     rk4_window, shake_potential_coefficient,
+from helpers import (NormDriftError, direct_free_phases, expectation_z,
+                     free_evolve, impulsive_kick, oscillation_envelope,
+                     per_run_trace, rk4_window, shake_potential_coefficient,
                      walk_mean_height_trace)
 
 
@@ -40,7 +41,7 @@ def test_stationary_state_mean_height(basis20):
     s = ground_state(basis20)
     for dt in (0.0, 7.3, 100.0):
         out = free_evolve(s, basis20, dt)
-        assert out.population(1) == pytest.approx(1.0, abs=1e-15)
+        assert abs(out.coeffs[0]) ** 2 == pytest.approx(1.0, abs=1e-15)
         assert expectation_z(out, basis20) == \
             pytest.approx(2.0 * basis20.zeros[0] / 3.0, rel=1e-6)
 
@@ -252,7 +253,7 @@ def test_shake_pulse_preserves_norm(basis20):
     s = ground_state(basis20, time=-6.0)
     out = evolve_pulsed(s, basis20, [KickPulse(1.5, 1.0, 0.0, "shake")], 1, 6.0)
     assert abs(out.norm - 1.0) < 1e-9
-    assert out.population(1) < 0.999  # the jolt actually excites
+    assert abs(out.coeffs[0]) ** 2 < 0.999  # the jolt actually excites
 
 
 # ----------------------------------------------------------- echo physics
@@ -370,14 +371,51 @@ def test_operators_built_once_per_step_size_and_window(basis20, basis50,
     assert runs >= 5 * distinct  # many runs share each step size
 
 
-def test_free_trace_checks_every_imaginary_residual(basis20):
-    """An asymmetric Z gives <z> an imaginary part, also in free flight."""
+def test_free_trace_checks_every_rayleigh_bound(basis20):
+    """A Z that its eigenvalues do not describe puts <z> outside the
+    Rayleigh bounds, also in free flight."""
     z = basis20.z_matrix.copy()
-    z[0, 1] += 1e-6
+    z[0, 1] += 100.0  # eigh reads the lower triangle only
     skewed = EigenBasis(basis20.m, basis20.zeros, basis20.norms, z)
-    with pytest.raises(ArithmeticError, match="imaginary residual"):
+    with pytest.raises(ArithmeticError, match="outside Z's Rayleigh bounds"):
         mean_height_trace(skewed, _two_state(skewed), [], 1,
                           np.arange(0.0, 5.0, 0.5))
+
+
+def test_mean_z_rejects_a_non_finite_row(basis20):
+    c = np.tile(_two_state(basis20).coeffs, (3, 1))
+    c[2, 4] = np.nan
+    with pytest.raises(ArithmeticError, match="at sample 2 lies outside"):
+        quantum._mean_z(basis20, c)
+
+
+def test_mean_z_matches_complex_oracle_on_fig2_trace():
+    """Real products against the complex c^dag Z c on every sample of the
+    fig2 echo at M = 150."""
+    basis = build_basis(150)
+    c0, _ = basis.project_gaussian(20.0, 8.0)
+    times = np.arange(0.0, 200.0 + 1e-9, 0.1)
+    rows = quantum._walk(basis, c0.astype(complex), 0.0,
+                         [KickPulse(0.5, 0.5, 60.0)], 1, times,
+                         quantum.DEFAULT_STEPS_PER_SIGMA)
+    fast = quantum._mean_z(basis, rows)
+    oracle = np.array([expectation_z(StateVector(c), basis) for c in rows])
+    assert np.max(np.abs(fast - oracle) / oracle) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.complex128, st.tuples(st.integers(1, 8), st.just(20)),
+                  elements=st.complex_numbers(min_magnitude=1e-3,
+                                              max_magnitude=1e3)))
+def test_mean_z_matches_complex_oracle_on_random_rows(basis20, c):
+    """Unit-norm rows: within 1e-13 of lambda_max, and inside the Rayleigh
+    bounds [lambda_min, lambda_max]."""
+    c = c / np.linalg.norm(c, axis=1)[:, None]
+    fast = quantum._mean_z(basis20, c)
+    oracle = np.array([expectation_z(StateVector(r), basis20) for r in c])
+    lam = basis20.z_eigvals
+    assert np.all(np.abs(fast - oracle) <= 1e-13 * lam[-1])
+    assert np.all((fast >= lam[0] * (1 - 1e-12)) & (fast <= lam[-1] * (1 + 1e-12)))
 
 
 def test_basis_size_convergence_on_echo_trace():

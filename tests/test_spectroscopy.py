@@ -77,7 +77,7 @@ def _direct_population(basis, pulse1, pulse2, tau, spin,
              KickPulse(pulse2.amplitude, pulse2.width, tau, pulse2.kind)]
     state = evolve_pulsed(ground_state(basis, time=-10.0), basis, kicks, spin,
                           tau + 10.0, steps_per_sigma)
-    return state.population(1)
+    return float(abs(state.coeffs[0]) ** 2)
 
 
 PER_DELAY_KICKS = [("magnetic", 1, 2.0, 1.0), ("magnetic", -1, 2.0, 1.0),
