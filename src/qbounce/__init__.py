@@ -4,8 +4,7 @@ from .airy import airy_ai, airy_ai_prime, airy_zeros
 from .basis import BasisProjectionError, EigenBasis, UnitSystem, build_basis
 from .classical import ClassicalEnsemble, ballistic_flight, sample_initial
 from .pulses import KickPulse
-from .quantum import (StateVector, evolve_pulsed, ground_state,
-                      mean_height_trace, pulse_propagator)
+from .quantum import StateVector, ground_state, mean_height_trace
 from .spectroscopy import (DelayScan, SpectrumResult, find_peaks_and_match,
                            impulsive_scan_analytic, perturbative_scan,
                            retrieve_amplitudes, scan_delay, spectrum)
@@ -18,8 +17,7 @@ __all__ = [
     "BasisProjectionError", "EigenBasis", "UnitSystem", "build_basis",
     "ClassicalEnsemble", "ballistic_flight", "sample_initial",
     "KickPulse",
-    "StateVector", "evolve_pulsed", "ground_state",
-    "mean_height_trace", "pulse_propagator",
+    "StateVector", "ground_state", "mean_height_trace",
     "DelayScan", "SpectrumResult", "find_peaks_and_match",
     "impulsive_scan_analytic", "perturbative_scan", "retrieve_amplitudes",
     "scan_delay", "spectrum",

@@ -150,10 +150,13 @@ class EigenBasis:
         basis window, |z - mu| <= 6.5 sigma, where it is above
         amp e^{-42.25}.  Returns (coefficients renormalized to unit norm,
         captured norm before renormalization).  Warns below 0.999 captured
-        norm, raises below 0.95.
+        norm, raises below 0.95.  A sigma_z whose square underflows, so that
+        the amplitude is not finite, raises ValueError before any integral.
         """
         if mu_z <= 0 or sigma_z <= 0:
             raise ValueError("mu_z and sigma_z must be positive")
+        if sigma_z ** 2 < np.finfo(np.float64).tiny:  # amp would overflow
+            raise ValueError(f"sigma_z = {sigma_z!r} underflows when squared")
         amp = (2.0 / (math.pi * sigma_z ** 2)) ** 0.25
 
         def packet(z):

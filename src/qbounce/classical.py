@@ -28,7 +28,7 @@ from .pulses import (KickPulse, _check_sample_times, _check_target_time,
                      check_step_count, merged_windows, whole_steps)
 
 __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
-           "propagate", "mean_height_series", "particle_energy"]
+           "propagate", "mean_height_series"]
 
 DEFAULT_STEPS_PER_SIGMA = 200
 # free-flight samples summed about one origin; rounding grows as its span^2
@@ -62,15 +62,6 @@ class ClassicalEnsemble:
     @property
     def n(self) -> int:
         return len(self.z)
-
-    @property
-    def mean_height(self) -> float:
-        return float(self.z.mean())
-
-
-def particle_energy(z, v):
-    """Conserved flight energy e = v^2/2 + 2z (constant while beta = 0)."""
-    return 0.5 * np.asarray(v) ** 2 + 2.0 * np.asarray(z)
 
 
 def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
@@ -358,9 +349,11 @@ def _locate(tau, keys):
     Guesses each index as if ``tau`` were evenly spaced and leaves the keys
     that ``tau`` puts elsewhere to a search.  The keys are clipped to
     [0, tau[-1]] before scaling: on a tiny tau[-1] the scale nears 1e308.
+    Below tau[-1] = 1e-300 (a subnormal, say) the scale would overflow, so
+    every key goes to the search.
     """
     ext = np.r_[-np.inf, tau, np.inf]  # ext[g] = tau[g - 1]
-    scale = (len(tau) - 1) / tau[-1] if tau[-1] > 0 else 0.0
+    scale = (len(tau) - 1) / tau[-1] if tau[-1] > 1e-300 else 0.0
     g = np.ceil(np.clip(keys, 0.0, tau[-1]) * scale).astype(np.intp)
     off = (ext[g] >= keys) | (ext[g + 1] < keys)
     if off.any():

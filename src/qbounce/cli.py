@@ -333,9 +333,13 @@ def cmd_quantum_echo(args):
 
     health = []  # header items beside the final norms
     if cfg["initial"] == "gaussian":
-        if cfg["mu_z"] <= 0 or cfg["sigma_z"] <= 0:
-            raise ConfigError("gaussian initial state needs mu_z, sigma_z > 0")
-        coeffs, captured = basis.project_gaussian(cfg["mu_z"], cfg["sigma_z"])
+        try:
+            coeffs, captured = basis.project_gaussian(cfg["mu_z"],
+                                                      cfg["sigma_z"])
+        except BasisProjectionError:
+            raise
+        except ValueError as exc:  # mu_z or sigma_z out of range
+            raise ConfigError(f"gaussian initial state: {exc}") from None
         health.append(("captured_norm", captured))
     elif cfg["initial"] == "ground":
         coeffs = ground_state(basis).coeffs
@@ -343,22 +347,16 @@ def cmd_quantum_echo(args):
         raise ConfigError(f"unknown initial state {cfg['initial']!r}")
 
     times = np.arange(t_start, cfg["t_max"] + 1e-9, cfg["dt_sample"])
-    state = StateVector(coeffs, t_start)
-
-    spins = spin_branches(cfg["kind"], cfg["spin_average"])
-    traces, norms = {}, []
-    for s in spins:
-        traces[s], final = mean_height_trace(
-            basis, state, pulses, s, times,
-            steps_per_sigma=cfg["steps_per_sigma"])
-        norms.append(final.norm)
-    z_plus = traces[spins[0]]
-    z_minus = traces[spins[-1]]
+    branches = mean_height_trace(
+        basis, StateVector(coeffs, t_start), pulses,
+        spin_branches(cfg["kind"], cfg["spin_average"]), times,
+        steps_per_sigma=cfg["steps_per_sigma"])
+    (z_plus, _), (z_minus, _) = branches[0], branches[-1]
     avg = 0.5 * (z_plus + z_minus)
-    norm_keys = (["final_norm_plus", "final_norm_minus"] if len(spins) == 2
+    norm_keys = (["final_norm_plus", "final_norm_minus"] if len(branches) == 2
                  else ["final_norm"])
-    write_csv(_resolve_out(args, args.out),
-              sorted(cfg.items()) + health + list(zip(norm_keys, norms)),
+    write_csv(_resolve_out(args, args.out), sorted(cfg.items()) + health +
+              [(k, final.norm) for k, (_, final) in zip(norm_keys, branches)],
               ["t", "z_plus", "z_minus", "z_avg"],
               np.column_stack((times, z_plus, z_minus, avg)))
     return 0

@@ -21,7 +21,6 @@ class KickPulse:
 
     ``kind`` selects the coupling: "magnetic" is the gradient potential
     -s * beta(t) * z; "shake" is a surface displacement h(t) of this shape.
-    ``spin`` is the branch s = +/-1 (ignored for shakes).
     """
 
     amplitude: float

@@ -9,17 +9,15 @@ the Hamiltonian is diag(z_i) + f(t) * Z with a scalar forcing f(t):
 The pulse stepper is a Strang splitting between the diagonal part and the
 Z part (Z's eigenpairs live on the basis), composed into Yoshida's
 fourth-order triple jump, and exactly unitary at every step.  One kernel,
-`strang_steps`, runs it for pulse windows, propagators and delay scans, on
-one vector or a block of columns with per-column forcing; its operators
-depend on the step size alone and are formed in one place, `_operators`.
-One walk through the merged pulse windows gives the state at each
-requested time; `evolve_pulsed` and `mean_height_trace` both take it.
-Inside a window the walk steps from sample to sample, and the runs of one
-window reuse the operators of each step size they share.  Between windows
-the free phases c e^{-i z tau} of all samples come from one kernel,
-`_free_phases`, which the delay scans' forward sum takes too: an `exp`
-every 32nd sample, and between those, products with one factor e^{-i z g}
-per distinct gap g between samples.
+`strang_steps`, runs it for pulse windows and delay scans, on one vector
+or a block of columns; its operators depend on the step size alone
+(`_operators`).  `mean_height_trace` walks the merged pulse windows once
+for all spin branches, which share each run's step grid, forcing and
+operators; in magnetic windows spin -1's phases are the conjugates of
+spin +1's.  The free stretches are filled afterwards, one branch at a
+time, by `_free_phases`, which the delay scans' forward sum takes too: an
+`exp` every 32nd sample, and between those, products with one factor
+e^{-i z g} per distinct gap g between samples.
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import (KickPulse, _check_sample_times, _check_target_time,
-                     check_step_count, merged_windows, whole_steps)
+from .pulses import (KickPulse, _check_sample_times, check_step_count,
+                     merged_windows, whole_steps)
 
-__all__ = ["StateVector", "ground_state", "evolve_pulsed",
-           "impulsive_kick_matrix", "pulse_propagator", "step_grid",
+__all__ = ["StateVector", "ground_state", "impulsive_kick_matrix", "step_grid",
            "strang_steps", "mean_height_trace", "forcing"]
 
 DEFAULT_STEPS_PER_SIGMA = 40
@@ -47,6 +44,8 @@ _WEIGHTS = (_W1, _W0, _W1)
 
 # rows of free phases chained by products from one exp anchor
 _ANCHOR_ROWS = 32
+
+_PHASE_ROWS = 48  # sub-step phase rows formed by one `exp` call
 
 # step sizes whose operators a pulse window keeps; one G pair is 0.72 MB
 # at M = 150
@@ -130,35 +129,42 @@ def _operators(basis: EigenBasis, h: float):
     return half, g_sub, g_step, -1j * h * basis.z_eigvals
 
 
-def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
-               ops, nodes=None) -> np.ndarray:
-    """The sub-step loop of `strang_steps`, with the operators given.
-
-    With ``nodes``, distinct ascending step counts in [0, n], it returns
-    the states after that many composed steps, stacked on a new first
-    axis, instead of the final state.
+def _sub_steps(basis: EigenBasis, cs, f_mid: np.ndarray, ops, signs=(1,),
+               nodes=None) -> list:
+    """The sub-step loop of `strang_steps`, with the operators given, for
+    states ``cs``, branch b driven by ``signs[b]`` (+1 or -1) times
+    ``f_mid``.  The phases exp(-i h' f lambda) of -f are the conjugates of
+    those of f, so one `exp` serves both signs; each branch takes its own
+    product with G.  Returns the final states, or with ``nodes`` (distinct
+    ascending step counts in [0, n]) each branch's states after that many
+    composed steps, stacked on a new first axis.
     """
     if len(f_mid) % 3:
         raise ValueError("the forcing needs three samples per step")
     v, vt = basis.v_complex, basis.vt_complex
     half, g_sub, g_step, lam = ops
-    if c.ndim == 2:
+    if cs[0].ndim == 2:  # one forcing column drives every column
         half, lam = half[:, None], lam[:, None]
+        f_mid = f_mid.reshape(len(f_mid), -1)
     w = np.resize(_WEIGHTS, len(f_mid))
     f_w = f_mid * (w[:, None] if f_mid.ndim == 2 else w)
     keep = set() if nodes is None else set(map(int, nodes))
-    kept = [c] if 0 in keep else []
-    y = np.exp(lam * f_w[0]) * (vt @ (half * c))
-    for j in range(1, len(f_w)):
-        if j % 3 == 0 and j // 3 in keep:  # y is the state after j/3 steps
-            kept.append(half * (v @ y))
-        y = np.exp(lam * f_w[j]) * ((g_sub if j % 3 else g_step) @ y)
-    c = half * (v @ y)
+    kept = [[c] if 0 in keep else [] for c in cs]
+    ys = [half * c for c in cs]
+    for j in range(len(f_w)):
+        if j and j % 3 == 0 and j // 3 in keep:  # ys: after j/3 steps
+            for k, y in zip(kept, ys):
+                k.append(half * (v @ y))
+        if j % _PHASE_ROWS == 0:  # the phases of the next rows, per sign
+            e = np.exp(lam * f_w[j:j + _PHASE_ROWS, None])
+            phases = {s: e if s > 0 else e.conj() for s in set(signs)}
+        g = (g_sub if j % 3 else g_step) if j else vt
+        ys = [phases[s][j % _PHASE_ROWS] * (g @ y) for s, y in zip(signs, ys)]
+    cs = [half * (v @ y) for y in ys]
     if nodes is None:
-        return c
-    if len(f_w) // 3 in keep:
-        kept.append(c)
-    return np.stack(kept)
+        return cs
+    return [np.stack(k + [c] if len(f_w) // 3 in keep else k)
+            for k, c in zip(kept, cs)]
 
 
 def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
@@ -177,7 +183,7 @@ def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
     drives each column with its own forcing.  The sub-step sizes are
     palindromic, so the forcing reversed gives the transposed product.
     """
-    return _sub_steps(basis, c, f_mid, _operators(basis, h))
+    return _sub_steps(basis, [c], f_mid, _operators(basis, h))[0]
 
 
 def _free_phases(out: np.ndarray, c, zeros: np.ndarray,
@@ -206,31 +212,32 @@ def _free_phases(out: np.ndarray, c, zeros: np.ndarray,
     return out
 
 
-def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spin: int,
-          times: np.ndarray, steps_per_sigma: int) -> np.ndarray:
-    """Coefficients at each of ``times`` (ascending, >= t0), shape (T, M).
+def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spins,
+          times: np.ndarray, steps_per_sigma: int) -> list:
+    """One walk through ``times`` (ascending, >= t0) for every spin branch.
 
-    Outside every pulse window (|t - t_k| > 6 sigma_k) the exact phases
-    c e^{-i z (t - t0)} cover a whole free stretch at once (`_free_phases`).
-    Inside each merged window the Strang steps integrate
-    i dc/dt = (diag(z_i) + f(t) Z) c from sample to sample and on to the
-    window's end, with step sigma / ``steps_per_sigma``, sigma the narrowest
-    active pulse width; a sample within a relative 1e-12 of the end is
-    taken at the end.  The runs of a window share a few step sizes, met
-    one after the other; the window keeps the operators of the last
-    ``_OPERATOR_SETS`` sizes, so each size is built once per window unless
-    more than that many interleave, and memory stays bounded however the
-    samples fall.
+    Returns its stops (k, n, t, states), one state per branch: samples
+    k..n-1 are the free flight of ``states`` from time t, or with t None,
+    sample k is ``states`` (`_branch_coeffs` fills them in).  Inside each
+    merged pulse window the Strang steps run from sample to sample and on to
+    the window's end, step sigma / ``steps_per_sigma`` for the narrowest
+    active width sigma; a sample within a relative 1e-12 of the end is
+    taken at the end.  A run's step grid, forcing and operators serve every
+    branch.  Where every active pulse is magnetic, spin s feels s times the
+    forcing of spin +1, so one `exp` gives both spins' phases.  A window
+    keeps the operators of its last ``_OPERATOR_SETS`` step sizes, so each
+    size is built once unless more than that many interleave.
     """
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
-    out = np.empty((len(times), basis.m), dtype=np.complex128)
-    k = 0
+    cs, stops, k = [c] * len(spins), [], 0
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
         n = int(np.searchsorted(times, lo, side="right"))
-        _free_phases(out[k:n], c, basis.zeros, times[k:n] - t0)
-        c, t0, k = c * np.exp(-1j * basis.zeros * (lo - t0)), lo, n
+        stops.append((k, n, t0, cs))
+        phase = np.exp(-1j * basis.zeros * (lo - t0))
+        cs, t0, k = [c * phase for c in cs], lo, n
         width = min(p.width for p in active)
+        magnetic = all(p.kind == "magnetic" for p in active)
         ops = lru_cache(_OPERATOR_SETS)(partial(_operators, basis))
         while t0 < hi:  # hi <= times[-1], so times[k] exists
             t = float(times[k])
@@ -238,39 +245,31 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spin: int,
             # end, as in `whole_steps`: no run of a few ulp after it
             end = hi if t > hi - 1e-12 * (hi - t0) else t
             t_mid, h = step_grid(t0, end, width, steps_per_sigma)
-            c = _sub_steps(basis, c, forcing(active, spin, t_mid), ops(h))
+            if magnetic:
+                cs = _sub_steps(basis, cs, forcing(active, 1, t_mid), ops(h),
+                                spins)
+            else:
+                cs = [_sub_steps(basis, [c], forcing(active, s, t_mid),
+                                 ops(h))[0] for c, s in zip(cs, spins)]
             t0 = end
             if t <= end:
-                out[k] = c
+                stops.append((k, k + 1, None, cs))
                 k += 1
-    _free_phases(out[k:], c, basis.zeros, times[k:] - t0)
+    stops.append((k, len(times), t0, cs))
+    return stops
+
+
+def _branch_coeffs(basis: EigenBasis, stops, times: np.ndarray,
+                   b: int) -> np.ndarray:
+    """Branch b's coefficients at each of ``times`` from the stops of
+    `_walk`, shape (T, M): its free stretches by `_free_phases`."""
+    out = np.empty((len(times), basis.m), dtype=np.complex128)
+    for k, n, t, cs in stops:
+        if t is None:
+            out[k] = cs[b]
+        else:
+            _free_phases(out[k:n], cs[b], basis.zeros, times[k:n] - t)
     return out
-
-
-def evolve_pulsed(state: StateVector, basis: EigenBasis, pulses, spin: int,
-                  t_to: float, steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA
-                  ) -> StateVector:
-    """Evolve from ``state.time`` to ``t_to`` through any pulse windows:
-    the walk of `mean_height_trace` at the single time ``t_to``."""
-    _check_target_time(t_to, state.time)
-    c = _walk(basis, state.coeffs, state.time, pulses, spin,
-              np.array([t_to], dtype=np.float64), steps_per_sigma)
-    return StateVector(c[0], t_to)
-
-
-def pulse_propagator(basis: EigenBasis, pulse: KickPulse, spin: int = 1,
-                     steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA
-                     ) -> np.ndarray:
-    """Full propagator matrix across one pulse window.
-
-    The Hamiltonian depends on time only through t - t_k, so the matrix is
-    independent of the pulse center.  It is the window's steps applied to
-    the identity.
-    """
-    centered = KickPulse(pulse.amplitude, pulse.width, 0.0, pulse.kind)
-    t_mid, h = step_grid(*centered.window, pulse.width, steps_per_sigma)
-    return strang_steps(basis, np.eye(basis.m, dtype=np.complex128),
-                        forcing([centered], spin, t_mid), h)
 
 
 def _mean_z(basis: EigenBasis, c: np.ndarray) -> np.ndarray:
@@ -291,16 +290,25 @@ def _mean_z(basis: EigenBasis, c: np.ndarray) -> np.ndarray:
     return val
 
 
-def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spin: int,
+def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spins,
                       times: np.ndarray,
                       steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA):
-    """<z> sampled on ``times`` (ascending, >= state.time).
+    """<z> sampled on ``times`` (ascending, >= state.time) for each spin in
+    ``spins``, a tuple of +1 and -1 as `spin_branches` gives it.
 
-    Returns (heights, final_state).  Free stretches are sampled analytically;
-    samples inside pulse windows are hit exactly by the stepper.  ``pulses``
-    is one `KickPulse` or a sequence of them.
+    Returns one (heights, final_state) pair per branch.  One walk steps all
+    branches through the pulse windows (`_walk`); then each branch's free
+    stretches are filled and its (T, M) coefficients freed before the next
+    branch's.  ``pulses`` is one `KickPulse` or a sequence of them.
     """
     times = _check_sample_times(times, state.time)
-    c = _walk(basis, state.coeffs, state.time, pulses, spin, times,
-              steps_per_sigma)
-    return _mean_z(basis, c), StateVector(c[-1], float(times[-1]))
+    if not isinstance(spins, tuple) or not spins or set(spins) - {1, -1}:
+        raise ValueError(f"spins must be a tuple of +1 and -1, got {spins!r}")
+    stops = _walk(basis, state.coeffs, state.time, pulses, spins, times,
+                  steps_per_sigma)
+
+    def branch(b):
+        c = _branch_coeffs(basis, stops, times, b)
+        return _mean_z(basis, c), StateVector(c[-1].copy(), float(times[-1]))
+
+    return [branch(b) for b in range(len(spins))]

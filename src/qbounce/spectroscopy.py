@@ -140,7 +140,8 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     def kept(c, f, h, nodes):
         """The run's states after each of ``nodes`` composed steps."""
         unique, at = np.unique(nodes, return_inverse=True)
-        return _sub_steps(basis, c, f, _operators(basis, h), unique)[at]
+        return _sub_steps(basis, [c], f, _operators(basis, h),
+                          nodes=unique)[0][at]
 
     # v's nodes and the row's, one per close delay and the run's end
     nodes1, nodes2 = np.r_[k1, n1], np.r_[n2 - k2, n2]

@@ -13,10 +13,12 @@ from qbounce.basis import _CHUNK_ELEMENTS as _PSI_CHUNK_ELEMENTS
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
                                sample_initial)
-from qbounce.pulses import KickPulse, merged_windows, spin_branches, whole_steps
+from qbounce.pulses import (KickPulse, _check_target_time, merged_windows,
+                            spin_branches, whole_steps)
 from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector,
-                             _free_phases, _mean_z, evolve_pulsed, forcing,
-                             impulsive_kick_matrix, step_grid, strang_steps)
+                             _free_phases, _mean_z, forcing,
+                             impulsive_kick_matrix, mean_height_trace,
+                             step_grid, strang_steps)
 
 
 def series_ai(x, derivative=True):
@@ -55,6 +57,31 @@ def series_ai(x, derivative=True):
     aip = _C1 * fp - _C2 * gp
     return (np.asarray(ai, dtype=np.float64),
             np.asarray(aip, dtype=np.float64))[:1 + derivative]
+
+
+def evolve_pulsed(state, basis, pulses, spin, t_to,
+                  steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
+    """Evolve from ``state.time`` to ``t_to`` through any pulse windows:
+    the walk of `mean_height_trace` at the single time ``t_to``, for one
+    spin."""
+    _check_target_time(t_to, state.time)
+    [(_, final)] = mean_height_trace(basis, state, pulses, (spin,), [t_to],
+                                     steps_per_sigma)
+    return final
+
+
+def pulse_propagator(basis, pulse, spin=1,
+                     steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
+    """Full propagator matrix across one pulse window.
+
+    The Hamiltonian depends on time only through t - t_k, so the matrix is
+    independent of the pulse center.  It is the window's steps applied to
+    the identity.
+    """
+    centered = KickPulse(pulse.amplitude, pulse.width, 0.0, pulse.kind)
+    t_mid, h = step_grid(*centered.window, pulse.width, steps_per_sigma)
+    return strang_steps(basis, np.eye(basis.m, dtype=np.complex128),
+                        forcing([centered], spin, t_mid), h)
 
 
 def free_evolve(state, basis, dt):
@@ -279,6 +306,11 @@ def bounce_flight(z, v, dt):
 _CHUNK_ELEMENTS = 1 << 17  # sample rows x particles per free-flight chunk
 
 
+def particle_energy(z, v):
+    """Conserved flight energy e = v^2/2 + 2z (constant while beta = 0)."""
+    return 0.5 * np.asarray(v) ** 2 + 2.0 * np.asarray(z)
+
+
 def _free_mean_height(ens: ClassicalEnsemble, times, z_cap: float):
     """<z> at ``times`` (>= ens.time) in free flight, a few rows at a time
     (oracle for `classical._flight_means`).
@@ -310,7 +342,7 @@ def walk_mean_height_series(n, mu_z, mu_v, sigma_z, sigma_v, seed, pulses,
         for k, t in enumerate(times):
             ens = propagate(ens, float(t), pulses,
                             steps_per_sigma=steps_per_sigma, z_cap=10.0 * mu_z)
-            out[k] = ens.mean_height
+            out[k] = ens.z.mean()
         series[s] = out
     return series
 

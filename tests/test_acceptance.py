@@ -63,13 +63,10 @@ def fig2_trace(basis50):
     coeffs, _ = basis50.project_gaussian(20.0, 8.0)
     times = np.arange(0.0, 200.0 + 1e-9, 0.1)
     pulse = KickPulse(0.5, 0.5, 60.0)
-    traces = {}
-    finals = {}
-    for s in (1, -1):
-        traces[s], finals[s] = mean_height_trace(
-            basis50, StateVector(coeffs.astype(complex)), [pulse], s, times)
-    avg = 0.5 * (traces[1] + traces[-1])
-    norm_drift = max(abs(finals[s].norm - 1.0) for s in (1, -1))
+    (z_plus, final_plus), (z_minus, final_minus) = mean_height_trace(
+        basis50, StateVector(coeffs.astype(complex)), [pulse], (1, -1), times)
+    avg = 0.5 * (z_plus + z_minus)
+    norm_drift = max(abs(f.norm - 1.0) for f in (final_plus, final_minus))
     return times, avg, norm_drift
 
 
@@ -78,8 +75,8 @@ def fig5_trace(basis50):
     pulses = [KickPulse(1.5, 1.0, 0.0, "shake"),
               KickPulse(0.10, 0.16, 150.0, "shake")]
     times = np.arange(-6.0, 470.0 + 1e-9, 0.1)
-    trace, final = mean_height_trace(basis50, ground_state(basis50, -6.0),
-                                     pulses, 1, times)
+    [(trace, final)] = mean_height_trace(basis50, ground_state(basis50, -6.0),
+                                         pulses, (1,), times)
     return times, trace, abs(final.norm - 1.0)
 
 

@@ -198,6 +198,24 @@ def test_project_gaussian_rejects_unrepresentable(basis20):
         basis20.project_gaussian(200.0, 2.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200, 1e-155])
+def test_project_gaussian_rejects_an_underflowing_width(basis20, monkeypatch,
+                                                        sigma):
+    """sigma^2 below the smallest normal double (subnormal or 0.0): a
+    ValueError naming sigma_z, before any integral is taken."""
+    monkeypatch.setattr(basis_module, "_overlap_integrals", None)
+    with pytest.raises(ValueError, match=f"sigma_z = {sigma!r} underflows"):
+        basis20.project_gaussian(5.0, sigma)
+
+
+def test_non_finite_integrand_stops_the_refinement(basis20):
+    """A NaN integrand ends the refinement at once instead of bisecting
+    until the panel limit."""
+    with pytest.raises(QuadratureError, match="error nan"):
+        _overlap_integrals(basis20.zeros, basis20.norms,
+                           lambda x: np.full_like(x, np.nan), 0.0, 10.0)
+
+
 def test_project_gaussian_warns_on_marginal_capture(basis20):
     # narrow packet near the top of the M=20 energy range: ~98% captured
     with pytest.warns(UserWarning):

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from qbounce import classical
 from qbounce.classical import (DEFAULT_STEPS_PER_SIGMA, ClassicalEnsemble,
-                               ballistic_flight,
-                               mean_height_series, particle_energy,
+                               ballistic_flight, mean_height_series,
                                propagate, sample_initial)
 from qbounce.pulses import KickPulse, merged_windows, whole_steps
 
 from helpers import (_free_mean_height, _verlet, bounce_flight,
-                     verlet_flight, walk_mean_height_series)
+                     particle_energy, verlet_flight, walk_mean_height_series)
 
 FIG1_PULSE = KickPulse(0.5, 0.5, 60.0)
 
@@ -388,7 +387,7 @@ def test_flight_means_at_the_ensemble_time_and_one_sample():
     ens = propagate(sample_initial(500, 20.0, 0.0, 4.0, 0.125, seed=2),
                     71.3, [FIG1_PULSE])
     at_start = classical._flight_means(ens, np.array([ens.time]), math.inf)
-    assert abs(at_start[0] - ens.mean_height) < 1e-12
+    assert abs(at_start[0] - ens.z.mean()) < 1e-12
     assert_flight_means_match_oracle(ens, np.array([ens.time + 37.9]))
 
 
@@ -416,6 +415,15 @@ def test_flight_means_of_particles_faster_than_the_samples():
 def test_locate_matches_searchsorted(steps, keys):
     tau = np.cumsum(np.r_[0.0, steps])
     keys = np.array(keys + [0.0, float(tau[-1])] + tau[::7].tolist())
+    assert np.array_equal(classical._locate(tau, keys),
+                          np.searchsorted(tau, keys))
+
+
+@pytest.mark.parametrize("last", [5e-324, 1e-310, 1e-300])
+def test_locate_on_a_subnormal_span(last):
+    """A span of a few subnormals would overflow the index scale."""
+    tau = np.array([0.0, 0.5 * last, last])
+    keys = np.array([-1.0, 0.0, 0.25 * last, 0.5 * last, last, 1.0])
     assert np.array_equal(classical._locate(tau, keys),
                           np.searchsorted(tau, keys))
 

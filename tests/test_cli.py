@@ -351,8 +351,8 @@ def test_quantum_echo_second_pulse(tmp_path):
     basis = build_basis(10)
     pulses = [KickPulse(0.3, 0.5, 10.0), KickPulse(0.2, 0.5, 18.0)]
     for col, s in ((1, 1), (2, -1)):
-        ref, _ = mean_height_trace(basis, ground_state(basis), pulses, s,
-                                   data[:, 0])
+        [(ref, _)] = mean_height_trace(basis, ground_state(basis), pulses,
+                                       (s,), data[:, 0])
         assert np.max(np.abs(data[:, col] - ref)) < 1e-12
 
 
@@ -381,16 +381,32 @@ def test_unconverged_projection_exits_2_without_output(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_packet_exits_2_without_output(tmp_path, capsys):
-    """sigma_z = 1e-160 overflows the packet's amplitude, so its overlaps are
-    NaN: the refinement stops at once instead of bisecting forever."""
+@pytest.mark.parametrize("sigma_z", ["1e-160", "1e-200"])
+def test_tiny_sigma_z_exits_1_without_output(tmp_path, capsys, sigma_z):
+    """sigma_z^2 underflows (1e-320 and 0.0), so the packet's amplitude is
+    not finite: a configuration error that names sigma_z, raised before any
+    integral, not a numerical failure."""
     cfg = tmp_path / "qe.cfg"
     cfg.write_text(QUANTUM_CFG.replace(
-        "initial = ground", "initial = gaussian\nmu_z = 5.0\nsigma_z = 1e-160"))
+        "initial = ground",
+        f"initial = gaussian\nmu_z = 5.0\nsigma_z = {sigma_z}"))
     out = tmp_path / "series.csv"
-    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "error nan > tol" in capsys.readouterr().err
+    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"sigma_z = {float(sigma_z)!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu_z,sigma_z", [("0.0", "8.0"), ("5.0", "-1.0")])
+def test_non_positive_packet_exits_1_without_output(tmp_path, capsys, mu_z,
+                                                    sigma_z):
+    cfg = tmp_path / "qe.cfg"
+    cfg.write_text(QUANTUM_CFG.replace(
+        "initial = ground",
+        f"initial = gaussian\nmu_z = {mu_z}\nsigma_z = {sigma_z}"))
+    out = tmp_path / "series.csv"
+    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "mu_z and sigma_z must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,14 +12,14 @@ from hypothesis.extra import numpy as hnp
 from qbounce import quantum
 from qbounce.basis import EigenBasis, build_basis
 from qbounce.pulses import KickPulse, merged_windows
-from qbounce.quantum import (StateVector, evolve_pulsed, forcing,
-                             ground_state, impulsive_kick_matrix,
-                             mean_height_trace, pulse_propagator, step_grid,
-                             strang_steps)
+from qbounce.quantum import (StateVector, forcing, ground_state,
+                             impulsive_kick_matrix, mean_height_trace,
+                             step_grid, strang_steps)
 
-from helpers import (NormDriftError, direct_free_phases, expectation_z,
-                     free_evolve, impulsive_kick, oscillation_envelope,
-                     per_run_trace, rk4_window, shake_potential_coefficient,
+from helpers import (NormDriftError, direct_free_phases, evolve_pulsed,
+                     expectation_z, free_evolve, impulsive_kick,
+                     oscillation_envelope, per_run_trace, pulse_propagator,
+                     rk4_window, shake_potential_coefficient,
                      walk_mean_height_trace)
 
 
@@ -262,8 +262,8 @@ def test_wave_packet_collapse_without_kick(basis50):
     """Free anharmonic dephasing: envelope at t=60 under 30% of early value."""
     coeffs, _ = basis50.project_gaussian(20.0, 8.0)
     times = np.arange(0.0, 80.0, 0.1)
-    trace, _ = mean_height_trace(basis50, StateVector(coeffs.astype(complex)),
-                                 [], 1, times)
+    [(trace, _)] = mean_height_trace(
+        basis50, StateVector(coeffs.astype(complex)), [], (1,), times)
     env = oscillation_envelope(times, trace, window=9.0)
     early = env[times < 10].max()
     assert env[np.searchsorted(times, 60.0)] < 0.3 * early
@@ -273,7 +273,7 @@ def test_mean_height_trace_matches_pointwise_evolution(basis20):
     s = _two_state(basis20)
     pulse = KickPulse(0.5, 0.5, 5.0)
     times = np.arange(0.0, 15.0, 0.5)
-    trace, final = mean_height_trace(basis20, s, [pulse], 1, times)
+    [(trace, final)] = mean_height_trace(basis20, s, [pulse], (1,), times)
     for k in (0, 10, 20, len(times) - 1):
         direct = evolve_pulsed(s, basis20, [pulse], 1, float(times[k]))
         assert trace[k] == pytest.approx(expectation_z(direct, basis20),
@@ -299,7 +299,7 @@ _WALK_CASES = {
 def test_one_walk_matches_per_sample_restarts(basis20, case):
     pulses, spin, times = _WALK_CASES[case]
     s = _two_state(basis20)
-    trace, final = mean_height_trace(basis20, s, pulses, spin, times)
+    [(trace, final)] = mean_height_trace(basis20, s, pulses, (spin,), times)
     ref, ref_final = walk_mean_height_trace(basis20, s, pulses, spin, times)
     assert np.max(np.abs(trace - ref)) < 1e-12
     assert np.max(np.abs(final.coeffs - ref_final.coeffs)) < 1e-12
@@ -312,7 +312,7 @@ def test_walk_through_mixed_widths_matches_rk4(basis20):
     pulses = [KickPulse(0.8, 0.2, 5.0), KickPulse(-0.5, 0.4, 6.0)]
     times = np.array([3.0, 4.1, 5.0, 5.9, 7.2, 8.4])  # window [3.6, 8.4]
     s = _two_state(basis20)
-    trace, _ = mean_height_trace(basis20, s, pulses, 1, times)
+    [(trace, _)] = mean_height_trace(basis20, s, pulses, (1,), times)
     c, t = free_evolve(s, basis20, 3.6).coeffs, 3.6
     for k in range(1, len(times)):
         c, t = rk4_window(c, basis20, pulses, 1, t, times[k]), times[k]
@@ -340,7 +340,7 @@ def _reuse_case(basis20, basis50, case):
 def test_trace_equals_fresh_operators_per_run(basis20, basis50, case):
     """Reusing a window's operators changes no bit of the trace."""
     basis, s, pulses, spin, times = _reuse_case(basis20, basis50, case)
-    trace, final = mean_height_trace(basis, s, pulses, spin, times)
+    [(trace, final)] = mean_height_trace(basis, s, pulses, (spin,), times)
     ref, ref_final = per_run_trace(basis, s, pulses, spin, times)
     assert np.array_equal(trace, ref)
     assert np.array_equal(final.coeffs, ref_final.coeffs)
@@ -349,6 +349,8 @@ def test_trace_equals_fresh_operators_per_run(basis20, basis50, case):
 @pytest.mark.parametrize("case", sorted(_REUSE_CASES))
 def test_operators_built_once_per_step_size_and_window(basis20, basis50,
                                                        monkeypatch, case):
+    """Each step size's operators once per window, and a spin-averaged
+    trace builds no more of them than one spin does."""
     basis, s, pulses, spin, times = _reuse_case(basis20, basis50, case)
     built = []
     build = quantum._operators
@@ -358,7 +360,11 @@ def test_operators_built_once_per_step_size_and_window(basis20, basis50,
         return build(basis, h)
 
     monkeypatch.setattr(quantum, "_operators", spy)
-    mean_height_trace(basis, s, pulses, spin, times)
+    mean_height_trace(basis, s, pulses, (1, -1), times)
+    pair = len(built)
+    built.clear()
+    mean_height_trace(basis, s, pulses, (spin,), times)
+    assert pair == len(built)
     distinct = runs = 0
     for lo, hi, active in merged_windows(pulses, s.time, float(times[-1])):
         inside = times[(times > lo) & (times < hi)]
@@ -371,6 +377,62 @@ def test_operators_built_once_per_step_size_and_window(basis20, basis50,
     assert runs >= 5 * distinct  # many runs share each step size
 
 
+@st.composite
+def pair_walks(draw):
+    """Magnetic pulses, overlapping or not, a random unit state and an
+    ascending grid whose start lies before, inside or after the windows."""
+    pulses = [KickPulse(draw(st.floats(-2.5, 2.5)), draw(st.floats(0.1, 0.5)),
+                        draw(st.floats(0.0, 8.0)))
+              for _ in range(draw(st.integers(1, 3)))]
+    t0 = draw(st.floats(-4.0, 12.0))
+    gaps = draw(st.lists(st.floats(0.02, 1.5), max_size=40))
+    start = t0 + draw(st.sampled_from([0.0, 0.3]))
+    times = start + np.cumsum(np.r_[0.0, gaps])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    return pulses, StateVector(c / np.linalg.norm(c), t0), times
+
+
+def _assert_pair_equals_single_walks(basis, state, pulses, times):
+    pair = mean_height_trace(basis, state, pulses, (1, -1), times)
+    for (trace, final), spin in zip(pair, (1, -1)):
+        ref, ref_final = per_run_trace(basis, state, pulses, spin, times)
+        assert np.array_equal(trace, ref)
+        assert np.array_equal(final.coeffs, ref_final.coeffs)
+        assert final.time == times[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=pair_walks())
+def test_pair_walk_equals_two_single_walks(basis20, case):
+    """Both spins walked together, spin -1 on the conjugate phases of spin
+    +1, give bitwise the traces and final states of two one-spin walks,
+    each on its own forcing."""
+    pulses, state, times = case
+    _assert_pair_equals_single_walks(basis20, state, pulses, times)
+
+
+def test_pair_walk_through_a_magnetic_and_shake_window(basis20):
+    """A merged window of a magnetic pulse and a shake: the forcing of
+    spin -1 is not the negated forcing of spin +1, so each branch takes
+    its own phases, and the walk still matches the one-spin walks bitwise."""
+    pulses = [KickPulse(0.8, 0.3, 4.0), KickPulse(0.6, 0.4, 5.0, "shake"),
+              KickPulse(-0.5, 0.2, 9.0)]  # [2.2, 7.4] merged, then [7.8, 10.2]
+    times = np.arange(0.0, 12.0, 0.15)
+    _assert_pair_equals_single_walks(basis20, _two_state(basis20), pulses,
+                                     times)
+    (plus, _), (minus, _) = mean_height_trace(basis20, _two_state(basis20),
+                                              pulses, (1, -1), times)
+    assert np.max(np.abs(plus - minus)) > 1e-3
+
+
+@pytest.mark.parametrize("spins", [1, (), (1, 2), [1, -1]])
+def test_trace_needs_a_tuple_of_unit_spins(basis20, spins):
+    with pytest.raises(ValueError, match="spins"):
+        mean_height_trace(basis20, ground_state(basis20), [], spins,
+                          np.arange(0.0, 1.0, 0.5))
+
+
 def test_free_trace_checks_every_rayleigh_bound(basis20):
     """A Z that its eigenvalues do not describe puts <z> outside the
     Rayleigh bounds, also in free flight."""
@@ -378,7 +440,7 @@ def test_free_trace_checks_every_rayleigh_bound(basis20):
     z[0, 1] += 100.0  # eigh reads the lower triangle only
     skewed = EigenBasis(basis20.m, basis20.zeros, basis20.norms, z)
     with pytest.raises(ArithmeticError, match="outside Z's Rayleigh bounds"):
-        mean_height_trace(skewed, _two_state(skewed), [], 1,
+        mean_height_trace(skewed, _two_state(skewed), [], (1,),
                           np.arange(0.0, 5.0, 0.5))
 
 
@@ -395,9 +457,10 @@ def test_mean_z_matches_complex_oracle_on_fig2_trace():
     basis = build_basis(150)
     c0, _ = basis.project_gaussian(20.0, 8.0)
     times = np.arange(0.0, 200.0 + 1e-9, 0.1)
-    rows = quantum._walk(basis, c0.astype(complex), 0.0,
-                         [KickPulse(0.5, 0.5, 60.0)], 1, times,
-                         quantum.DEFAULT_STEPS_PER_SIGMA)
+    stops = quantum._walk(basis, c0.astype(complex), 0.0,
+                          [KickPulse(0.5, 0.5, 60.0)], (1,), times,
+                          quantum.DEFAULT_STEPS_PER_SIGMA)
+    rows = quantum._branch_coeffs(basis, stops, times, 0)
     fast = quantum._mean_z(basis, rows)
     oracle = np.array([expectation_z(StateVector(c), basis) for c in rows])
     assert np.max(np.abs(fast - oracle) / oracle) <= 1e-13
@@ -431,8 +494,8 @@ def test_basis_size_convergence_on_echo_trace():
     for m in (150, 300):
         b = build_basis(m)
         c0, _ = b.project_gaussian(20.0, 8.0)
-        traces[m], _ = mean_height_trace(b, StateVector(c0.astype(complex)),
-                                         [pulse], 1, times)
+        [(traces[m], _)] = mean_height_trace(
+            b, StateVector(c0.astype(complex)), [pulse], (1,), times)
     assert np.max(np.abs(traces[150] - traces[300])) < 1e-6
 
 
@@ -514,7 +577,7 @@ def test_sample_next_to_a_window_end_is_taken_at_the_end(basis20, monkeypatch):
     monkeypatch.setattr(quantum, "_operators",
                         lambda basis, h: built.append(h) or build(basis, h))
     s = StateVector(_two_state(basis20).coeffs, -6.0)
-    trace, final = mean_height_trace(basis20, s, pulses, 1, times)
+    [(trace, final)] = mean_height_trace(basis20, s, pulses, (1,), times)
     assert min(built) > 1e-3
     ref, ref_final = walk_mean_height_trace(basis20, s, pulses, 1, times)
     assert np.max(np.abs(trace - ref)) < 1e-12
@@ -551,8 +614,9 @@ def test_pulse_propagator_rejects_negative_step_count(basis20):
 def test_trace_and_evolve_accept_a_single_pulse(basis20):
     pulse = KickPulse(0.5, 0.5, 5.0)
     s, times = _two_state(basis20), np.arange(0.0, 10.0, 0.5)
-    one, one_final = mean_height_trace(basis20, s, pulse, 1, times)
-    listed, listed_final = mean_height_trace(basis20, s, [pulse], 1, times)
+    [(one, one_final)] = mean_height_trace(basis20, s, pulse, (1,), times)
+    [(listed, listed_final)] = mean_height_trace(basis20, s, [pulse], (1,),
+                                                 times)
     assert np.array_equal(one, listed)
     assert np.array_equal(one_final.coeffs, listed_final.coeffs)
     assert np.array_equal(evolve_pulsed(s, basis20, pulse, 1, 9.5).coeffs,
@@ -563,14 +627,14 @@ def test_trace_and_evolve_accept_a_single_pulse(basis20):
 def test_trace_rejects_empty_or_non_finite_times(basis20, times):
     with pytest.raises(ValueError, match="sample times"):
         mean_height_trace(basis20, ground_state(basis20),
-                          KickPulse(0.5, 0.5, 5.0), 1, np.array(times))
+                          KickPulse(0.5, 0.5, 5.0), (1,), np.array(times))
 
 
 def test_trace_rejects_times_out_of_order_or_before_the_state(basis20):
     state = ground_state(basis20, 1.0)
     for times in ([1.0, 2.0, 1.5], [0.5, 2.0]):
         with pytest.raises(ValueError, match="ascending"):
-            mean_height_trace(basis20, state, KickPulse(0.5, 0.5, 5.0), 1,
+            mean_height_trace(basis20, state, KickPulse(0.5, 0.5, 5.0), (1,),
                               np.array(times))
 
 

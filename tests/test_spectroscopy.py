@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from qbounce import quantum, spectroscopy
 from qbounce.pulses import KickPulse
-from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, evolve_pulsed,
-                             ground_state, impulsive_kick_matrix)
+from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, ground_state,
+                             impulsive_kick_matrix)
 from qbounce.spectroscopy import (DelayScan, SpectrumResult,
                                   find_peaks_and_match,
                                   impulsive_scan_analytic, perturbative_scan,
                                   retrieve_amplitudes, scan_delay, spectrum)
 
-from helpers import stacked_overlap_scan
+from helpers import evolve_pulsed, stacked_overlap_scan
 
 DELAYS = 2.0 + 0.05 * np.arange(961)  # tau in [2, 50]
 
@@ -153,10 +153,11 @@ def test_overlap_runs_step_an_eighth_of_the_stacked_run(basis20, monkeypatch):
     seen = []
     sub_steps = quantum._sub_steps
 
-    def spy(basis, c, f_mid, ops, nodes=None):
+    def spy(basis, cs, f_mid, ops, signs=(1,), nodes=None):
         if nodes is None:  # not the v or row run, which every delay shares
-            seen.append(len(f_mid) * (c.shape[1] if c.ndim == 2 else 1))
-        return sub_steps(basis, c, f_mid, ops, nodes)
+            seen.append(len(f_mid) * sum(c.shape[1] if c.ndim == 2 else 1
+                                         for c in cs))
+        return sub_steps(basis, cs, f_mid, ops, signs, nodes)
 
     monkeypatch.setattr(quantum, "_sub_steps", spy)
     monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
@@ -185,15 +186,16 @@ def test_one_block_run_matches_two_runs(basis50, monkeypatch, kind, a1, a2,
     sub_steps = quantum._sub_steps
     blocks = []
 
-    def two_runs(basis, c, f_mid, ops, nodes=None):
+    def two_runs(basis, cs, f_mid, ops, signs=(1,), nodes=None):
         if nodes is None:
-            return sub_steps(basis, c, f_mid, ops)
+            return sub_steps(basis, cs, f_mid, ops, signs)
+        [c] = cs
         blocks.append(c.shape[1])
         s = c.shape[1] // 2
-        return np.concatenate([sub_steps(basis, c[:, :s], f_mid[:, :s], ops,
-                                         nodes),
-                               sub_steps(basis, c[:, s:], f_mid[:, s:], ops,
-                                         nodes)], axis=2)
+        return [np.concatenate([sub_steps(basis, [c[:, :s]], f_mid[:, :s],
+                                          ops, signs, nodes)[0],
+                                sub_steps(basis, [c[:, s:]], f_mid[:, s:],
+                                          ops, signs, nodes)[0]], axis=2)]
 
     p1, p2 = KickPulse(a1, 0.2, kind=kind), KickPulse(a2, 0.2, kind=kind)
     for delays in (2.0 + 0.05 * np.arange(300), 2.0123 + 0.05 * np.arange(300)):
@@ -214,9 +216,9 @@ def test_equal_widths_keep_nodes_in_one_run(basis20, monkeypatch, sigma2,
     sub_steps = quantum._sub_steps
     calls = []
 
-    def spy(basis, c, f_mid, ops, nodes=None):
+    def spy(basis, cs, f_mid, ops, signs=(1,), nodes=None):
         calls.append(nodes is not None)
-        return sub_steps(basis, c, f_mid, ops, nodes)
+        return sub_steps(basis, cs, f_mid, ops, signs, nodes)
 
     monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
     scan_delay(basis20, KickPulse(2.0, 0.2), KickPulse(1.0, sigma2),
