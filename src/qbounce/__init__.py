@@ -6,7 +6,6 @@ from .classical import ClassicalEnsemble, ballistic_flight, sample_initial
 from .pulses import KickPulse
 from .quantum import StateVector, ground_state, mean_height_trace
 from .spectroscopy import (DelayScan, SpectrumResult, find_peaks_and_match,
-                           impulsive_scan_analytic, perturbative_scan,
                            retrieve_amplitudes, scan_delay, spectrum)
 
 __version__ = "0.1.0"
@@ -19,6 +18,5 @@ __all__ = [
     "KickPulse",
     "StateVector", "ground_state", "mean_height_trace",
     "DelayScan", "SpectrumResult", "find_peaks_and_match",
-    "impulsive_scan_analytic", "perturbative_scan", "retrieve_amplitudes",
-    "scan_delay", "spectrum",
+    "retrieve_amplitudes", "scan_delay", "spectrum",
 ]

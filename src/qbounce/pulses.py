@@ -96,9 +96,9 @@ def whole_steps(length: float, dt: float) -> int:
     return max(1, math.ceil(length / dt * (1.0 - 1e-12)))
 
 
-def spin_branches(kind: str, spin_average: bool, spin: int = 1):
-    """Both spins for spin-averaged magnetic kicks, else ``spin`` alone."""
-    return (1, -1) if spin_average and kind == "magnetic" else (spin,)
+def spin_branches(kind: str, spin_average: bool):
+    """Both spins for spin-averaged magnetic kicks, else spin +1 alone."""
+    return (1, -1) if spin_average and kind == "magnetic" else (1,)
 
 
 def merged_windows(pulses, t_from, t_to):

@@ -31,8 +31,8 @@ from .basis import EigenBasis
 from .pulses import (KickPulse, _check_sample_times, check_step_count,
                      merged_windows, whole_steps)
 
-__all__ = ["StateVector", "ground_state", "impulsive_kick_matrix", "step_grid",
-           "strang_steps", "mean_height_trace", "forcing"]
+__all__ = ["StateVector", "ground_state", "step_grid", "strang_steps",
+           "mean_height_trace", "forcing"]
 
 DEFAULT_STEPS_PER_SIGMA = 40
 
@@ -84,19 +84,6 @@ def forcing(pulses, spin: int, t):
         else:
             f = f + 0.5 * p.envelope_second_derivative(t)
     return f
-
-
-def impulsive_kick_matrix(basis: EigenBasis, alpha: float, spin: int = 1,
-                          kind: str = "magnetic") -> np.ndarray:
-    """P = exp[-i alpha V(z)] in the eigenbasis.
-
-    V(z) = -s z for magnetic-gradient kicks (P = exp(+i alpha s Z)) and
-    V(z) = +z for a generic linear jolt (P = exp(-i alpha Z)).  Unitary by
-    construction via the eigendecomposition of Z.
-    """
-    factor = 1j * alpha * spin if kind == "magnetic" else -1j * alpha
-    v = basis.z_eigvecs
-    return (v * np.exp(factor * basis.z_eigvals)) @ v.T
 
 
 def step_grid(lo: float, hi: float, width: float,

@@ -18,15 +18,16 @@ import numpy as np
 from .basis import EigenBasis
 from .pulses import KickPulse, spin_branches
 from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_phases, _operators,
-                      _sub_steps, forcing, impulsive_kick_matrix, step_grid,
-                      strang_steps)
+                      _sub_steps, forcing, step_grid, strang_steps)
 
 __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
-           "impulsive_scan_analytic", "perturbative_scan", "spectrum",
-           "find_peaks_and_match", "retrieve_amplitudes"]
+           "spectrum", "find_peaks_and_match", "retrieve_amplitudes"]
 
 # a retrieval fit with a larger design-matrix condition number is refused
 _CONDITION_LIMIT = 1e8
+
+_ZERO_PAD = 8  # the FFT's length over the scan's
+DEFAULT_NOISE_FLOOR = 1e-4  # peak threshold, a share of the strongest line
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,10 @@ class DelayScan:
         steps = np.diff(d)
         if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("delay grid must be uniform")
-        # zero-kick scans read 1 +/- 2.3e-12 (M = 20, 50; widths 0.2/0.2,
-        # 0.1/0.5 and 0.5/0.1; tau in [0.05, 20]): each Strang sub-step is
-        # unitary only to rounding, and a sigma = 0.2 window takes 1440 of
-        # them (an overlapping delay adds one run across its overlap)
+        # zero-kick scans read 1 +/- 3.7e-12 (M = 20, 50; widths 0.2/0.2,
+        # 0.1/0.5, 0.5/0.1) and 1 +/- 2.3e-11 (M = 20; 0.05/1.0), tau in
+        # [0.05, 20]: each Strang sub-step is unitary only to rounding, and
+        # 12 max(sigma) in steps of min(sigma) / 40 takes 28800 at 0.05/1.0
         if np.any(p < -1e-10) or np.any(p > 1 + 1e-10):
             raise ValueError("populations must lie in [0, 1]")
         ov = self.overlap if self.overlap is not None else np.zeros(len(d), bool)
@@ -83,27 +84,29 @@ class SpectrumResult:
 
 def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
                delays: np.ndarray, spin_average: bool = True,
-               spin: int = 1,
                steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA) -> DelayScan:
     """Ground-state population after two kicks, versus their delay.
 
     Kick 1 is centered at t = 0, kick 2 at t = tau.  Two vector runs serve
-    every delay: v = W1 e_1 and row = e_1^T W2, the pulse-window
-    propagators W_k.  Each Strang sub-step is complex symmetric and their
-    sizes are palindromic, so W2^T is W2's sub-steps in reverse order and
-    the row is a vector run too; when both windows share one step grid
-    (equal widths), the two runs step as one block of columns.  For
-    well-separated pulses c_1 = row . exp(-i z gap) v.  Where the windows
-    overlap, the runs also keep their states at the step nodes each delay
-    needs, and c_1 = row(b) . U v(a): a is the last kick-1 node at or
-    before the start of kick 2's window, b the first kick-2 node at or
-    after the end of kick 1's, and U steps across [a, b] with each kick's forcing inside its
-    own window.  The state is the ground state before kick 1's window and
-    the row is e_1^T after kick 2's, so a and b clamp to those ends.
-    Every run steps at min(sigma_1, sigma_2) / ``steps_per_sigma``.
-    Delays with tau < 3 (sigma_1 + sigma_2) are marked as overlapping.
-    Magnetic scans average |c_1|^2 over s = +/-1 unless ``spin_average``
-    is off.
+    every delay: v = W1 e_1 and row = e_1^T W2, W_k the propagator across
+    [t_k - H, t_k + H], H = 6 max(sigma_1, sigma_2).  Both runs take one
+    step grid, and each run's forcing is zero outside its own kick's window
+    |t - t_k| <= 6 sigma_k, so the rest of the span is free flight.  Each
+    Strang sub-step is complex symmetric and their sizes are palindromic,
+    so W2^T is W2's sub-steps in reverse order: the row is a vector run
+    too, and v and the row step as one block of columns.  For separated
+    pulses c_1 = row . exp(-i z gap) v with gap = tau - 2H, negative for
+    tau < 2H, which is exact because nothing acts between the windows.
+    Where the windows overlap, the block also keeps its states at the step
+    nodes each delay needs, and c_1 = row(b) . U v(a): a is the last node
+    of v at or before the start of kick 2's window, b the first node of
+    the row at or after the end of kick 1's, and U steps across [a, b] with
+    each kick's forcing inside its own window.  Every run steps at
+    min(sigma_1, sigma_2) / ``steps_per_sigma``.  Delays with
+    tau < 3 (sigma_1 + sigma_2) are marked as overlapping.  Magnetic scans
+    average |c_1|^2 over s = +/-1 unless ``spin_average`` is off; a
+    single-spin scan is spin +1's, and spin -1's is the scan with both
+    amplitudes negated.
     """
     if pulse1.kind != pulse2.kind:
         raise ValueError("both kicks must share the same kind")
@@ -113,74 +116,49 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
         raise ValueError("delays must be positive")
     overlap = delays < 3.0 * (pulse1.width + pulse2.width)
 
-    spins = spin_branches(kind, spin_average, spin)
+    spins = spin_branches(kind, spin_average)
     p1 = KickPulse(pulse1.amplitude, pulse1.width, 0.0, kind)
     p2 = KickPulse(pulse2.amplitude, pulse2.width, 0.0, kind)
-    half1 = p1.window[1]
-    half2 = p2.window[1]
+    half1, half2 = p1.window[1], p2.window[1]
+    half = max(half1, half2)
     separated = delays >= (half1 + half2)
     tau = delays[~separated]
 
-    def spin_columns(pulse, t):
-        return np.stack([forcing([pulse], s, t) for s in spins], axis=1)
+    def driven(pulse, t):
+        """Per-spin forcing columns of ``pulse``, zero outside its window."""
+        f = np.stack([forcing([pulse], s, t) for s in spins], axis=1)
+        return f * (np.abs(t) <= pulse.window[1])[:, None]
 
     width = min(p1.width, p2.width)
-    t1, h1 = step_grid(*p1.window, width, steps_per_sigma)
-    t2, h2 = step_grid(*p2.window, width, steps_per_sigma)
-    n1, n2 = len(t1) // 3, len(t2) // 3
+    t, h = step_grid(-half, half, width, steps_per_sigma)
+    n = len(t) // 3
     # nodes within a relative 1e-12 of kick 2's start or kick 1's end
     # count as on it, as in `step_grid`
-    k1 = np.clip(np.floor((tau - half2 + half1) / h1 * (1.0 + 1e-12)),
-                 0, n1).astype(int)
-    k2 = np.clip(np.ceil((half1 + half2 - tau) / h2 * (1.0 - 1e-12)),
-                 0, n2).astype(int)
-    ground = np.zeros((basis.m, len(spins)), dtype=np.complex128)
+    k1 = np.floor((tau - half2 + half) / h * (1.0 + 1e-12)).astype(int)
+    k2 = np.ceil((half1 + half - tau) / h * (1.0 - 1e-12)).astype(int)
+    ground = np.zeros((basis.m, 2 * len(spins)), dtype=np.complex128)
     ground[0] = 1.0
 
-    def kept(c, f, h, nodes):
-        """The run's states after each of ``nodes`` composed steps."""
-        unique, at = np.unique(nodes, return_inverse=True)
-        return _sub_steps(basis, [c], f, _operators(basis, h),
-                          nodes=unique)[0][at]
-
-    # v's nodes and the row's, one per close delay and the run's end
-    nodes1, nodes2 = np.r_[k1, n1], np.r_[n2 - k2, n2]
-    f1, f2 = spin_columns(p1, t1), spin_columns(p2, t2)[::-1]
-    if h1 == h2 and n1 == n2:
-        # one step grid: v and the row step as one block [v | row]
-        both = kept(np.hstack([ground, ground]), np.hstack([f1, f2]), h1,
-                    np.r_[nodes1, nodes2])
-        k, ns = len(nodes1), len(spins)
-        v, row = both[:k, :, :ns], both[k:, :, ns:]
-    else:
-        v, row = kept(ground, f1, h1, nodes1), kept(ground, f2, h2, nodes2)
+    # one run of the block [v | row], keeping v's states at one node per
+    # close delay and the end, then the row's
+    unique, at = np.unique(np.r_[k1, n, n - k2, n], return_inverse=True)
+    both = _sub_steps(basis, [ground],
+                      np.hstack([driven(p1, t), driven(p2, t)[::-1]]),
+                      _operators(basis, h), nodes=unique)[0][at]
+    k, ns = len(tau) + 1, len(spins)
+    v, row = both[:k, :, :ns], both[k:, :, ns:]
 
     pops = np.empty(len(delays))
     pops[separated] = _spin_mean_forward(
-        basis, delays[separated] - (half1 + half2), v[-1] * row[-1])
-    start = np.where(k1 > 0, -half1 + k1 * h1, np.minimum(-half1, tau - half2))
-    stop = np.where(k2 < n2, tau - half2 + k2 * h2,
-                    np.maximum(half1, tau + half2))
+        basis, delays[separated] - 2.0 * half, v[-1] * row[-1])
+    start, stop = -half + k1 * h, tau - half + k2 * h
     c1 = np.empty((len(tau), len(spins)), dtype=np.complex128)
     for i, d in enumerate(tau):
         t, h = step_grid(start[i], stop[i], width, steps_per_sigma)
-        f = (spin_columns(p1, t) * (np.abs(t) <= half1)[:, None] +
-             spin_columns(p2, t - d) * (np.abs(t - d) <= half2)[:, None])
-        c = strang_steps(basis, v[i], f, h)
+        c = strang_steps(basis, v[i], driven(p1, t) + driven(p2, t - d), h)
         c1[i] = np.sum(row[i] * c, axis=0)
     pops[~separated] = np.mean(np.abs(c1) ** 2, axis=1)
     return DelayScan(delays, pops, kind, overlap)
-
-
-def impulsive_scan_analytic(basis: EigenBasis, alpha1: float, alpha2: float,
-                            delays: np.ndarray, kind: str = "magnetic",
-                            spin_average: bool = True, spin: int = 1) -> DelayScan:
-    """Closed-form impulsive-limit scan: c_1(tau) = sum_i P2_1i e^{-i z_i tau} P1_i1."""
-    delays = np.asarray(delays, dtype=np.float64)
-    amps = np.stack([impulsive_kick_matrix(basis, alpha2, s, kind)[0, :] *
-                     impulsive_kick_matrix(basis, alpha1, s, kind)[:, 0]
-                     for s in spin_branches(kind, spin_average, spin)], axis=1)
-    return DelayScan(delays, _spin_mean_forward(basis, delays, amps), kind)
 
 
 def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
@@ -197,49 +175,7 @@ def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
     return np.mean(np.abs(c1) ** 2, axis=1)
 
 
-def _first_order_amplitudes(basis: EigenBasis, pulse: KickPulse, spin: int):
-    """First-order transition amplitudes <i|U|1> - delta_i1 for one pulse.
-
-    Gaussian pulses excite with their spectral envelope at the transition
-    frequency: K_i = i s Z_i1 * area * exp(-w^2 sigma^2 / 4) for magnetic
-    kicks and K_i = i Z_i1 * (w^2/2) * area * exp(-w^2 sigma^2 / 4) for
-    shakes (the h''(t)/2 forcing integrates by parts to -w^2 h(w)/2).
-    """
-    w = basis.transition_frequencies()
-    envelope = pulse.area * np.exp(-0.25 * (w * pulse.width) ** 2)
-    z_col = basis.z_matrix[1:, 0]
-    if pulse.kind == "magnetic":
-        return 1j * spin * z_col * envelope
-    return 1j * z_col * 0.5 * w ** 2 * envelope
-
-
-def perturbative_scan(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
-                      delays: np.ndarray, spin_average: bool = True,
-                      spin: int = 1) -> DelayScan:
-    """Weak-kick scan from first-order perturbation theory.
-
-    Keeps only ground <-> excited interference, so the signal contains the
-    frequencies z_i - z_1 and nothing else:
-    |c_1|^2 = 1 - sum_i |K1_i + K2_i e^{i (z_i - z_1) tau}|^2.
-    """
-    if pulse1.kind != pulse2.kind:
-        raise ValueError("both kicks must share the same kind")
-    delays = np.asarray(delays, dtype=np.float64)
-    spins = spin_branches(pulse1.kind, spin_average, spin)
-    w = basis.transition_frequencies()
-    pops = np.zeros(len(delays))
-    for s in spins:
-        k1 = _first_order_amplitudes(basis, pulse1, s)
-        k2 = _first_order_amplitudes(basis, pulse2, s)
-        excited = np.abs(k1[None, :] + k2[None, :] *
-                         np.exp(1j * np.outer(delays, w))) ** 2
-        pops += 1.0 - excited.sum(axis=1)
-    pops /= len(spins)
-    return DelayScan(delays, pops, pulse1.kind)
-
-
-def spectrum(scan: DelayScan, window: str = "hann",
-             zero_pad_factor: int = 8) -> SpectrumResult:
+def spectrum(scan: DelayScan, window: str = "hann") -> SpectrumResult:
     """Magnitude spectrum of the mean-subtracted scan.
 
     Frequencies are dimensionless angular: 2 pi k / (n_padded * dtau).
@@ -252,10 +188,7 @@ def spectrum(scan: DelayScan, window: str = "hann",
         x = x * np.hanning(n)
     elif window != "none":
         raise ValueError(f"unknown window: {window!r}")
-    if not isinstance(zero_pad_factor, (int, np.integer)) or zero_pad_factor < 1:
-        raise ValueError("zero_pad_factor must be an integer >= 1, got "
-                         f"{zero_pad_factor!r}")
-    n_pad = n * int(zero_pad_factor)
+    n_pad = n * _ZERO_PAD
     amps = np.abs(np.fft.rfft(x, n_pad))
     freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, scan.delay_step)
     return SpectrumResult(freqs, amps)
@@ -274,7 +207,7 @@ def _refine_peak(freqs, amps, k):
 
 
 def find_peaks_and_match(spec: SpectrumResult, basis: EigenBasis, count: int,
-                         noise_floor: float = 0.05):
+                         noise_floor: float = DEFAULT_NOISE_FLOOR):
     """Extract up to ``count`` peaks and match them to the z_i - z_1 lines.
 
     Local maxima above ``noise_floor`` x global max are refined by quadratic

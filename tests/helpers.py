@@ -17,8 +17,8 @@ from qbounce.pulses import (KickPulse, _check_target_time, merged_windows,
                             spin_branches, whole_steps)
 from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector,
                              _free_phases, _mean_z, forcing,
-                             impulsive_kick_matrix, mean_height_trace,
-                             step_grid, strang_steps)
+                             mean_height_trace, step_grid, strang_steps)
+from qbounce.spectroscopy import DelayScan, _spin_mean_forward
 
 
 def series_ai(x, derivative=True):
@@ -88,6 +88,18 @@ def free_evolve(state, basis, dt):
     """c_i <- c_i exp(-i z_i dt); exactly norm preserving."""
     return StateVector(state.coeffs * np.exp(-1j * basis.zeros * dt),
                        state.time + dt)
+
+
+def impulsive_kick_matrix(basis, alpha, spin=1, kind="magnetic"):
+    """P = exp[-i alpha V(z)] in the eigenbasis (the impulsive oracle).
+
+    V(z) = -s z for magnetic-gradient kicks (P = exp(+i alpha s Z)) and
+    V(z) = +z for a generic linear jolt (P = exp(-i alpha Z)).  Unitary by
+    construction via the eigendecomposition of Z.
+    """
+    factor = 1j * alpha * spin if kind == "magnetic" else -1j * alpha
+    v = basis.z_eigvecs
+    return (v * np.exp(factor * basis.z_eigvals)) @ v.T
 
 
 def impulsive_kick(state, basis, alpha, spin=1, kind="magnetic"):
@@ -472,7 +484,7 @@ def verlet_flight(z, v, edges, pulses, spin, steps_per_sigma):
 
 
 def stacked_overlap_scan(basis, pulse1, pulse2, delays, spin_average=True,
-                         spin=1, steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
+                         steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
     """|c_1|^2 of overlapping delays from one run over stacked columns
     (oracle for the overlap runs of `scan_delay`).
 
@@ -481,7 +493,7 @@ def stacked_overlap_scan(basis, pulse1, pulse2, delays, spin_average=True,
     pulses inside that window and is free outside it.  Returns the spin
     mean of |c_1|^2 for each delay.
     """
-    spins = spin_branches(pulse1.kind, spin_average, spin)
+    spins = spin_branches(pulse1.kind, spin_average)
     p1 = KickPulse(pulse1.amplitude, pulse1.width, 0.0, pulse1.kind)
     p2 = KickPulse(pulse2.amplitude, pulse2.width, 0.0, pulse2.kind)
     half1, half2 = p1.window[1], p2.window[1]
@@ -499,6 +511,57 @@ def stacked_overlap_scan(basis, pulse1, pulse2, delays, spin_average=True,
     c[0] = 1.0
     c = strang_steps(basis, c, f, h)
     return np.mean(np.abs(c[0].reshape(len(spins), -1)) ** 2, axis=0)
+
+
+def impulsive_scan_analytic(basis, alpha1, alpha2, delays, kind="magnetic",
+                            spin_average=True):
+    """Closed-form impulsive-limit scan (the impulsive oracle for
+    `scan_delay`): c_1(tau) = sum_i P2_1i e^{-i z_i tau} P1_i1."""
+    delays = np.asarray(delays, dtype=np.float64)
+    amps = np.stack([impulsive_kick_matrix(basis, alpha2, s, kind)[0, :] *
+                     impulsive_kick_matrix(basis, alpha1, s, kind)[:, 0]
+                     for s in spin_branches(kind, spin_average)], axis=1)
+    return DelayScan(delays, _spin_mean_forward(basis, delays, amps), kind)
+
+
+def _first_order_amplitudes(basis, pulse, spin):
+    """First-order transition amplitudes <i|U|1> - delta_i1 for one pulse.
+
+    Gaussian pulses excite with their spectral envelope at the transition
+    frequency: K_i = i s Z_i1 * area * exp(-w^2 sigma^2 / 4) for magnetic
+    kicks and K_i = i Z_i1 * (w^2/2) * area * exp(-w^2 sigma^2 / 4) for
+    shakes (the h''(t)/2 forcing integrates by parts to -w^2 h(w)/2).
+    """
+    w = basis.transition_frequencies()
+    envelope = pulse.area * np.exp(-0.25 * (w * pulse.width) ** 2)
+    z_col = basis.z_matrix[1:, 0]
+    if pulse.kind == "magnetic":
+        return 1j * spin * z_col * envelope
+    return 1j * z_col * 0.5 * w ** 2 * envelope
+
+
+def perturbative_scan(basis, pulse1, pulse2, delays, spin_average=True):
+    """Weak-kick scan from first-order perturbation theory (the weak-kick
+    oracle for `scan_delay`).
+
+    Keeps only ground <-> excited interference, so the signal contains the
+    frequencies z_i - z_1 and nothing else:
+    |c_1|^2 = 1 - sum_i |K1_i + K2_i e^{i (z_i - z_1) tau}|^2.
+    """
+    if pulse1.kind != pulse2.kind:
+        raise ValueError("both kicks must share the same kind")
+    delays = np.asarray(delays, dtype=np.float64)
+    spins = spin_branches(pulse1.kind, spin_average)
+    w = basis.transition_frequencies()
+    pops = np.zeros(len(delays))
+    for s in spins:
+        k1 = _first_order_amplitudes(basis, pulse1, s)
+        k2 = _first_order_amplitudes(basis, pulse2, s)
+        excited = np.abs(k1[None, :] + k2[None, :] *
+                         np.exp(1j * np.outer(delays, w))) ** 2
+        pops += 1.0 - excited.sum(axis=1)
+    pops /= len(spins)
+    return DelayScan(delays, pops, pulse1.kind)
 
 
 def legacy_csv_text(header_items, columns, rows):

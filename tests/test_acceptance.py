@@ -18,13 +18,12 @@ import pytest
 from qbounce.classical import mean_height_series
 from qbounce.cli import main
 from qbounce.pulses import KickPulse
-from qbounce.quantum import (StateVector, ground_state, impulsive_kick_matrix,
-                             mean_height_trace)
-from qbounce.spectroscopy import (find_peaks_and_match,
-                                  impulsive_scan_analytic, perturbative_scan,
-                                  retrieve_amplitudes, scan_delay, spectrum)
+from qbounce.quantum import StateVector, ground_state, mean_height_trace
+from qbounce.spectroscopy import (find_peaks_and_match, retrieve_amplitudes,
+                                  scan_delay, spectrum)
 
-from helpers import oscillation_envelope
+from helpers import (impulsive_kick_matrix, impulsive_scan_analytic,
+                     oscillation_envelope, perturbative_scan)
 
 ENVELOPE_WINDOW = 9.0  # about one bounce period 2 sqrt(20)
 

@@ -460,6 +460,23 @@ def test_bad_numbers_fail_before_the_run(tmp_path, capsys, mode, text, key,
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("mode,text", [
+    ("scan", SCAN_CFG.format(a1=0.5, a2=0.5)), ("quantum-echo", QUANTUM_CFG)])
+def test_unknown_kind_is_a_config_error_with_its_line(tmp_path, capsys, mode,
+                                                      text):
+    """Only magnetic and shake kicks exist: another kind fails on parsing,
+    naming its line, with exit 1 and no CSV."""
+    lineno = text.splitlines().index("kind = magnetic") + 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace("kind = magnetic", "kind = electric"))
+    assert main([mode, "--config", str(cfg), "--out-dir", str(tmp_path),
+                 "--out", "out.csv"]) == 1
+    err = capsys.readouterr().err
+    assert f"line {lineno}: bad value for 'kind'" in err
+    assert "unknown pulse kind: 'electric'" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("m", ["0", "-2", "401"])
 def test_basis_size_out_of_range_fails_before_the_run(tmp_path, capsys, m):
     out = tmp_path / "basis.csv"

@@ -13,14 +13,13 @@ from qbounce import quantum
 from qbounce.basis import EigenBasis, build_basis
 from qbounce.pulses import KickPulse, merged_windows
 from qbounce.quantum import (StateVector, forcing, ground_state,
-                             impulsive_kick_matrix, mean_height_trace,
-                             step_grid, strang_steps)
+                             mean_height_trace, step_grid, strang_steps)
 
 from helpers import (NormDriftError, direct_free_phases, evolve_pulsed,
                      expectation_z, free_evolve, impulsive_kick,
-                     oscillation_envelope, per_run_trace, pulse_propagator,
-                     rk4_window, shake_potential_coefficient,
-                     walk_mean_height_trace)
+                     impulsive_kick_matrix, oscillation_envelope,
+                     per_run_trace, pulse_propagator, rk4_window,
+                     shake_potential_coefficient, walk_mean_height_trace)
 
 
 def _two_state(basis):

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from qbounce import quantum, spectroscopy
 from qbounce.pulses import KickPulse
-from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, ground_state,
-                             impulsive_kick_matrix)
-from qbounce.spectroscopy import (DelayScan, SpectrumResult,
-                                  find_peaks_and_match,
-                                  impulsive_scan_analytic, perturbative_scan,
-                                  retrieve_amplitudes, scan_delay, spectrum)
+from qbounce.quantum import DEFAULT_STEPS_PER_SIGMA, ground_state
+from qbounce.spectroscopy import (_ZERO_PAD, DelayScan, SpectrumResult,
+                                  find_peaks_and_match, retrieve_amplitudes,
+                                  scan_delay, spectrum)
 
-from helpers import evolve_pulsed, stacked_overlap_scan
+from helpers import (evolve_pulsed, impulsive_kick_matrix,
+                     impulsive_scan_analytic, perturbative_scan,
+                     stacked_overlap_scan)
 
 DELAYS = 2.0 + 0.05 * np.arange(961)  # tau in [2, 50]
 
@@ -27,6 +27,17 @@ def test_zero_kicks_leave_ground_state(basis20):
     scan = scan_delay(basis20, KickPulse(0.0, 0.2), KickPulse(0.0, 0.2),
                       DELAYS[:300])
     assert np.allclose(scan.populations, 1.0, rtol=0, atol=1e-11)
+
+
+def test_zero_kicks_at_unequal_widths_stay_in_bound(basis20):
+    """sigma 0.05 and 1.0 share one grid of 9600 steps across [-6, 6], the
+    longest zero-kick run here: within the 1e-10 bound `DelayScan`
+    allows, on overlapping delays, separated ones with a negative gap
+    (tau in [6.3, 12)) and later ones."""
+    delays = 0.5 + 2.0 * np.arange(8)
+    scan = scan_delay(basis20, KickPulse(0.0, 0.05), KickPulse(0.0, 1.0),
+                      delays)
+    assert np.allclose(scan.populations, 1.0, rtol=0, atol=1e-10)
 
 
 def test_single_kick_population_independent_of_delay(basis20):
@@ -72,16 +83,35 @@ def test_population_outside_unit_interval_rejected(bad):
 def _direct_population(basis, pulse1, pulse2, tau, spin,
                        steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
     """|c_1|^2 from one evolve_pulsed run that starts and ends far outside
-    both pulse windows."""
+    both pulse windows.
+
+    Each window steps at min(sigma_1, sigma_2) / ``steps_per_sigma``, as
+    the scan does: a zero-amplitude pulse of the narrower width rides at
+    each kick's center.  With unequal widths and separated kicks the wider
+    window's step error otherwise differs from the scan's by up to 7e-9
+    (sigma 0.1 and 0.5, 40 steps per sigma)."""
+    width = min(pulse1.width, pulse2.width)
     kicks = [KickPulse(pulse1.amplitude, pulse1.width, 0.0, pulse1.kind),
-             KickPulse(pulse2.amplitude, pulse2.width, tau, pulse2.kind)]
+             KickPulse(pulse2.amplitude, pulse2.width, tau, pulse2.kind),
+             KickPulse(0.0, width, 0.0, pulse1.kind),
+             KickPulse(0.0, width, tau, pulse2.kind)]
     state = evolve_pulsed(ground_state(basis, time=-10.0), basis, kicks, spin,
                           tau + 10.0, steps_per_sigma)
     return float(abs(state.coeffs[0]) ** 2)
 
 
+# magnetic spin -1 is scanned as spin +1 with both amplitudes negated, the
+# forcing being -s a exp(-(t/sigma)^2)
 PER_DELAY_KICKS = [("magnetic", 1, 2.0, 1.0), ("magnetic", -1, 2.0, 1.0),
                    ("shake", 1, 0.6, 0.1)]
+
+
+def _single_spin_scan(basis, p1, p2, delays, spin, **kw):
+    """A spin_average=False scan of ``spin``'s branch."""
+    return scan_delay(basis, KickPulse(spin * p1.amplitude, p1.width,
+                                       kind=p1.kind),
+                      KickPulse(spin * p2.amplitude, p2.width, kind=p2.kind),
+                      delays, spin_average=False, **kw)
 
 
 @pytest.mark.parametrize("kind,spin,a1,a2", PER_DELAY_KICKS)
@@ -90,20 +120,35 @@ def test_scan_matches_per_delay_evolution(basis20, kind, spin, a1, a2):
     evolve_pulsed run per delay."""
     p1, p2 = KickPulse(a1, 0.2, kind=kind), KickPulse(a2, 0.2, kind=kind)
     delays = 0.3 + 0.5 * np.arange(6)  # the last one, 2.8, is separated
-    scan = scan_delay(basis20, p1, p2, delays, spin_average=False, spin=spin)
+    scan = _single_spin_scan(basis20, p1, p2, delays, spin)
     direct = [_direct_population(basis20, p1, p2, tau, spin) for tau in delays]
     assert np.max(np.abs(scan.populations - direct)) < 1e-10
 
 
 @pytest.mark.parametrize("sigma1,sigma2", [(0.1, 0.5), (0.5, 0.1)])
 def test_overlapping_scan_covers_both_pulses(basis20, sigma1, sigma2):
-    """Unequal widths: the run starts before the head of the earlier window
-    and ends after the tail of the later one."""
+    """Unequal widths on one step grid across [-3, 3]: overlapping delays,
+    where the run starts before the head of the earlier window and ends
+    after the tail of the later one, separated delays in [3.6, 6) (4.1 and
+    5.3), whose gap tau - 6 is negative, and one beyond."""
     p1, p2 = KickPulse(2.0, sigma1), KickPulse(1.0, sigma2)
-    scan = scan_delay(basis20, p1, p2, np.array([0.5]))
-    direct = np.mean([_direct_population(basis20, p1, p2, 0.5, s)
-                      for s in (1, -1)])
-    assert abs(scan.populations[0] - direct) < 1e-10
+    delays = 0.5 + 1.2 * np.arange(6)
+    scan = scan_delay(basis20, p1, p2, delays)
+    direct = [np.mean([_direct_population(basis20, p1, p2, tau, s)
+                       for s in (1, -1)]) for tau in delays]
+    assert np.max(np.abs(scan.populations - direct)) < 1e-10
+
+
+@pytest.mark.parametrize("sigma1,sigma2", [(0.2, 0.2), (0.1, 0.5)])
+def test_spin_average_is_mean_of_single_spins(basis20, sigma1, sigma2):
+    """The spin-averaged scan against the mean of the +a and -a
+    single-spin scans."""
+    p1, p2 = KickPulse(2.0, sigma1), KickPulse(1.0, sigma2)
+    delays = 0.3 + 0.5 * np.arange(16)
+    both = scan_delay(basis20, p1, p2, delays).populations
+    mean = np.mean([_single_spin_scan(basis20, p1, p2, delays, s).populations
+                    for s in (1, -1)], axis=0)
+    assert np.max(np.abs(both - mean)) < 1e-13
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,8 +165,8 @@ def test_any_overlapping_delay_matches_per_delay_evolution(
     kind, spin, a1, a2 = case
     p1, p2 = KickPulse(a1, sigma1, kind=kind), KickPulse(a2, sigma2, kind=kind)
     tau = share * (p1.window[1] + p2.window[1])
-    scan = scan_delay(basis20, p1, p2, np.array([tau]), spin_average=False,
-                      spin=spin, steps_per_sigma=100)
+    scan = _single_spin_scan(basis20, p1, p2, np.array([tau]), spin,
+                             steps_per_sigma=100)
     direct = _direct_population(basis20, p1, p2, tau, spin, 100)
     assert abs(scan.populations[0] - direct) < 1e-10
 
@@ -180,9 +225,9 @@ BLOCK_CASES = [("magnetic", 2.0, 1.0, True), ("magnetic", 2.0, 1.0, False),
 @pytest.mark.parametrize("kind,a1,a2,spin_average", BLOCK_CASES)
 def test_one_block_run_matches_two_runs(basis50, monkeypatch, kind, a1, a2,
                                         spin_average):
-    """Equal widths: v and the row stepped as one block agree within 1e-13
-    with the two runs stepped apart, on close and separated delays, on and
-    off the step nodes."""
+    """Equal and unequal widths: v and the row stepped as one block agree
+    within 1e-13 with the two runs stepped apart, on close and separated
+    delays, on and off the step nodes."""
     sub_steps = quantum._sub_steps
     blocks = []
 
@@ -197,22 +242,27 @@ def test_one_block_run_matches_two_runs(basis50, monkeypatch, kind, a1, a2,
                                 sub_steps(basis, [c[:, s:]], f_mid[:, s:],
                                           ops, signs, nodes)[0]], axis=2)]
 
-    p1, p2 = KickPulse(a1, 0.2, kind=kind), KickPulse(a2, 0.2, kind=kind)
-    for delays in (2.0 + 0.05 * np.arange(300), 2.0123 + 0.05 * np.arange(300)):
+    grids = [(0.2, 0.2, 2.0 + 0.05 * np.arange(300)),
+             (0.2, 0.2, 2.0123 + 0.05 * np.arange(300)),
+             (0.2, 0.5, 2.0123 + 0.05 * np.arange(100))]
+    for sigma1, sigma2, delays in grids:
+        p1 = KickPulse(a1, sigma1, kind=kind)
+        p2 = KickPulse(a2, sigma2, kind=kind)
         one = scan_delay(basis50, p1, p2, delays, spin_average=spin_average)
         with monkeypatch.context() as m:
             m.setattr(spectroscopy, "_sub_steps", two_runs)
             two = scan_delay(basis50, p1, p2, delays,
                              spin_average=spin_average)
         assert np.max(np.abs(one.populations - two.populations)) < 1e-13
-    assert blocks == [2 * (1 + spin_average)] * 2
+    assert blocks == [2 * (1 + spin_average)] * len(grids)
 
 
-@pytest.mark.parametrize("sigma2,runs", [(0.2, 1), (0.5, 2)])
-def test_equal_widths_keep_nodes_in_one_run(basis20, monkeypatch, sigma2,
-                                            runs):
-    """One node-keeping `_sub_steps` call for equal widths, two (v and the
-    row) for unequal widths."""
+@pytest.mark.parametrize("sigma1,sigma2", [(0.2, 0.2), (0.2, 0.5),
+                                           (0.5, 0.2)])
+def test_any_widths_keep_nodes_in_one_run(basis20, monkeypatch, sigma1,
+                                          sigma2):
+    """One node-keeping `_sub_steps` call, v and the row as one block, at
+    equal and at unequal widths."""
     sub_steps = quantum._sub_steps
     calls = []
 
@@ -221,9 +271,9 @@ def test_equal_widths_keep_nodes_in_one_run(basis20, monkeypatch, sigma2,
         return sub_steps(basis, cs, f_mid, ops, signs, nodes)
 
     monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
-    scan_delay(basis20, KickPulse(2.0, 0.2), KickPulse(1.0, sigma2),
+    scan_delay(basis20, KickPulse(2.0, sigma1), KickPulse(1.0, sigma2),
                2.0 + 0.05 * np.arange(40))
-    assert sum(calls) == runs
+    assert sum(calls) == 1
 
 
 # ------------------------------------------------------- impulsive oracle
@@ -315,16 +365,17 @@ def test_pure_tone_spectrum_peak(basis20):
 def test_constant_input_has_no_peaks(basis20):
     scan = DelayScan(DELAYS, np.full(len(DELAYS), 0.7), "magnetic")
     spec = spectrum(scan, window="hann")
-    out = find_peaks_and_match(spec, basis20, 3)
+    # the mean-subtracted input is rounding noise, whose lines clear the
+    # default floor of 1e-4 x its strongest one
+    out = find_peaks_and_match(spec, basis20, 3, noise_floor=0.05)
     assert out.matches == []
 
 
 def test_spectrum_without_window():
     pops = 0.5 + 0.1 * np.cos(1.75 * DELAYS)
-    spec = spectrum(DelayScan(DELAYS, pops, "magnetic"), window="none",
-                    zero_pad_factor=1)
-    assert np.array_equal(spec.amplitudes,
-                          np.abs(np.fft.rfft(pops - pops.mean())))
+    spec = spectrum(DelayScan(DELAYS, pops, "magnetic"), window="none")
+    assert np.array_equal(spec.amplitudes, np.abs(np.fft.rfft(
+        pops - pops.mean(), _ZERO_PAD * len(pops))))
 
 
 def test_spectrum_rejects_unknown_window():
@@ -340,19 +391,13 @@ def test_spectrum_requires_enough_samples():
 
 
 def test_zero_padding_refines_frequency_grid(basis20):
+    """The bins are 1/8 of the unpadded FFT's 2 pi / (n dtau) apart."""
     scan = DelayScan(DELAYS, 0.5 + 0.1 * np.cos(1.75 * DELAYS), "magnetic")
-    coarse = spectrum(scan, zero_pad_factor=1)
-    fine = spectrum(scan, zero_pad_factor=8)
-    ratio = (coarse.frequencies[1] - coarse.frequencies[0]) / \
-        (fine.frequencies[1] - fine.frequencies[0])
+    fine = spectrum(scan)
+    coarse = 2.0 * math.pi / (len(DELAYS) * scan.delay_step)
+    ratio = coarse / (fine.frequencies[1] - fine.frequencies[0])
+    assert _ZERO_PAD == 8
     assert ratio == pytest.approx(8.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("factor", [0, -1, 2.5])
-def test_zero_padding_must_be_a_positive_integer(factor):
-    scan = DelayScan(DELAYS, 0.5 + 0.1 * np.cos(1.75 * DELAYS), "magnetic")
-    with pytest.raises(ValueError, match="zero_pad_factor"):
-        spectrum(scan, zero_pad_factor=factor)
 
 
 def test_doubling_tau_max_halves_grid_spacing(basis20):
