@@ -402,6 +402,8 @@ def _scan_from_csv(path):
 
 
 def cmd_spectrum(args):
+    if not 0.0 <= args.noise_floor <= 1.0:
+        raise ConfigError(f"--noise-floor: not in [0, 1]: {args.noise_floor}")
     scan, basis_size, header = _scan_from_csv(args.infile)
     basis = build_basis(basis_size)
     spec = spectrum(scan, window=args.window)
@@ -506,7 +508,7 @@ def build_parser():
     sp = sub.add_parser("spectrum", help="FFT spectrum and peak extraction")
     sp.add_argument("--in", dest="infile", required=True, help="scan CSV")
     sp.add_argument("--peaks", default="peaks.json", help="peak list JSON path")
-    sp.add_argument("--count", type=int, default=5, help="peaks to extract")
+    sp.add_argument("--count", type=_count, default=5, help="peaks to extract")
     sp.add_argument("--window", default="hann", choices=("hann", "none"))
     sp.add_argument("--noise-floor", type=float, default=DEFAULT_NOISE_FLOOR,
                     help="peak threshold as a fraction of the strongest line")
@@ -515,7 +517,7 @@ def build_parser():
 
     sp = sub.add_parser("retrieve", help="amplitude/phase retrieval from a scan")
     sp.add_argument("--in", dest="infile", required=True, help="scan CSV")
-    sp.add_argument("--count", type=int, default=4,
+    sp.add_argument("--count", type=_count, default=4,
                     help="number of excited states to fit")
     sp.add_argument("--out", default="amps.json", help="output JSON path")
     sp.add_argument("--out-dir", default=None, help="directory for outputs")

@@ -8,22 +8,23 @@ the Hamiltonian is diag(z_i) + f(t) * Z with a scalar forcing f(t):
 
 The pulse stepper is a Strang splitting between the diagonal part and the
 Z part (Z's eigenpairs live on the basis), composed into Yoshida's
-fourth-order triple jump, and exactly unitary at every step.  One kernel,
-`strang_steps`, runs it for pulse windows and delay scans, on one vector
-or a block of columns; its operators depend on the step size alone
-(`_operators`).  `mean_height_trace` walks the merged pulse windows once
-for all spin branches, which share each run's step grid, forcing and
-operators; in magnetic windows spin -1's phases are the conjugates of
-spin +1's.  The free stretches are filled afterwards, one branch at a
-time, by `_free_phases`, which the delay scans' forward sum takes too: an
-`exp` every 32nd sample, and between those, products with one factor
-e^{-i z g} per distinct gap g between samples.
+fourth-order triple jump, and exactly unitary at every step.  One kernel
+loop, `_sub_steps`, runs it for pulse windows and delay scans: a sub-step
+is one product with G into a reused buffer and one phase multiply back,
+and the operators depend on the step size alone (`_operators`).
+`mean_height_trace` steps a merged pulse window's sample-to-sample runs
+and spin branches in one call; in magnetic windows spin -1's phases are
+the conjugates of spin +1's.  The free stretches are filled afterwards,
+one branch at a time, by `_free_phases`, which the delay scans' forward
+sum takes too: an `exp` every 32nd sample, and between those, products
+with one factor e^{-i z g} per distinct gap g between samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import pairwise
 
 import numpy as np
 
@@ -95,11 +96,21 @@ def step_grid(lo: float, hi: float, width: float,
     sizes w1 h, w0 h, w1 h.  Returns (t_mid, h), t_mid holding the 3n
     sub-step midpoints; they are symmetric about the middle of [lo, hi].
     """
+    t_mid, h, _ = _run_grids([lo, hi], width, steps_per_sigma)
+    return t_mid, float(h[0])
+
+
+def _run_grids(edges, width: float, steps_per_sigma: int):
+    """`step_grid` of each run between consecutive ``edges`` in one pass:
+    (t_mid of all runs, h and n per run)."""
     check_step_count(steps_per_sigma)
-    n = whole_steps(hi - lo, width / steps_per_sigma)
-    h = (hi - lo) / n
+    n = np.array([whole_steps(b - a, width / steps_per_sigma)
+                  for a, b in pairwise(edges)])
+    h = np.diff(edges) / n
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     offsets = np.array([0.5 * _W1, 0.5, 1.0 - 0.5 * _W1])
-    return lo + (np.arange(n)[:, None] + offsets).ravel() * h, h
+    return (np.repeat(edges[:-1], 3 * n) + (k[:, None] + offsets).ravel()
+            * np.repeat(h, 3 * n), h, n)
 
 
 def _operators(basis: EigenBasis, h: float):
@@ -116,42 +127,50 @@ def _operators(basis: EigenBasis, h: float):
     return half, g_sub, g_step, -1j * h * basis.z_eigvals
 
 
-def _sub_steps(basis: EigenBasis, cs, f_mid: np.ndarray, ops, signs=(1,),
-               nodes=None) -> list:
-    """The sub-step loop of `strang_steps`, with the operators given, for
-    states ``cs``, branch b driven by ``signs[b]`` (+1 or -1) times
-    ``f_mid``.  The phases exp(-i h' f lambda) of -f are the conjugates of
-    those of f, so one `exp` serves both signs; each branch takes its own
-    product with G.  Returns the final states, or with ``nodes`` (distinct
-    ascending step counts in [0, n]) each branch's states after that many
-    composed steps, stacked on a new first axis.
+def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray, runs,
+               nodes, signs=(1,)) -> np.ndarray:
+    """The sub-step loop of `strang_steps` from ``c`` through ``runs``, each
+    (n, ops) n composed steps on the next 3n rows of ``f_mid``, from the
+    state the run before ended in.  ``c`` is a stack (B, M) of vectors, a
+    product with G each, or a block (1, M, C), one product.  ``f_mid`` is
+    (3N,) or (3N, K); phase column k S + s is that of ``signs[s]`` times
+    column k, -f's being the conjugates of f's.  Vector b takes phase
+    column b, a block one per column (or one for all).  Returns the states
+    after each of ``nodes`` (ascending step counts, every run's end among
+    them), stacked on a new first axis.
     """
     if len(f_mid) % 3:
         raise ValueError("the forcing needs three samples per step")
-    v, vt = basis.v_complex, basis.vt_complex
-    half, g_sub, g_step, lam = ops
-    if cs[0].ndim == 2:  # one forcing column drives every column
-        half, lam = half[:, None], lam[:, None]
-        f_mid = f_mid.reshape(len(f_mid), -1)
-    w = np.resize(_WEIGHTS, len(f_mid))
-    f_w = f_mid * (w[:, None] if f_mid.ndim == 2 else w)
-    keep = set() if nodes is None else set(map(int, nodes))
-    kept = [[c] if 0 in keep else [] for c in cs]
-    ys = [half * c for c in cs]
-    for j in range(len(f_w)):
-        if j and j % 3 == 0 and j // 3 in keep:  # ys: after j/3 steps
-            for k, y in zip(kept, ys):
-                k.append(half * (v @ y))
-        if j % _PHASE_ROWS == 0:  # the phases of the next rows, per sign
-            e = np.exp(lam * f_w[j:j + _PHASE_ROWS, None])
-            phases = {s: e if s > 0 else e.conj() for s in set(signs)}
-        g = (g_sub if j % 3 else g_step) if j else vt
-        ys = [phases[s][j % _PHASE_ROWS] * (g @ y) for s, y in zip(signs, ys)]
-    cs = [half * (v @ y) for y in ys]
-    if nodes is None:
-        return cs
-    return [np.stack(k + [c] if len(f_w) // 3 in keep else k)
-            for k, c in zip(kept, cs)]
+    f_w = (f_mid.reshape(len(f_mid), -1)
+           * np.resize(_WEIGHTS, len(f_mid))[:, None])
+    nodes = [int(k) for k in nodes]
+    out = np.empty((len(nodes),) + c.shape, dtype=np.complex128)
+    y, tmp = np.empty_like(out[0]), np.empty_like(out[0])  # reused buffers
+    pairs = list(zip(y, tmp))  # one product per vector, one for a block
+    out[0], i, done = c, int(nodes[0] == 0), 0  # node 0 is c itself
+    for n, (half, g_sub, g_step, lam) in runs:
+        half = half.reshape((-1,) + (1,) * (c.ndim - 2))
+        np.multiply(half, c, out=y)
+        gs = [basis.vt_complex] + [g_sub, g_sub, g_step] * int(n)
+        taps = [3 * (k - done) for k in nodes[i:nodes.index(done + n, i) + 1]]
+        for a, b in pairwise(sorted({*range(0, 3 * n, _PHASE_ROWS), *taps})):
+            if a % _PHASE_ROWS == 0:  # the phases of the next rows, per sign
+                e = np.exp(lam[:, None] *
+                           f_w[a:min(a + _PHASE_ROWS, 3 * n), None])
+                ph = np.stack([e if s > 0 else e.conj() for s in signs],
+                              axis=-1).reshape(len(e), basis.m, -1)
+                ph = ph.transpose(0, 2, 1) if c.ndim == 2 else ph
+            for g, p in zip(gs[a:b], ph[a % _PHASE_ROWS:]):
+                for yy, t in pairs:
+                    np.dot(g, yy, out=t)
+                np.multiply(p, tmp, out=y)
+            if b in taps:  # y: after b/3 steps
+                for yy, t in pairs:
+                    np.dot(basis.v_complex, yy, out=t)
+                np.multiply(half, tmp, out=out[i])
+                i += 1
+        c, done, f_w = out[i - 1], done + n, f_w[3 * n:]
+    return out
 
 
 def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
@@ -164,13 +183,15 @@ def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
     Adjacent half phases merge into G = V^T exp(-i z h'') V, so in the
     eigenbasis of Z each sub-step is one product with G and one elementwise
     phase.  The operators depend on h alone (`_operators`); a call builds
-    them once, and a trace's walk reuses them for every run of the same h
-    in a pulse window.  ``c`` is a vector (M,) or a block of columns
-    (M, B); ``f_mid`` of shape (3n,) drives every column, shape (3n, B)
-    drives each column with its own forcing.  The sub-step sizes are
-    palindromic, so the forcing reversed gives the transposed product.
+    them once for its run of the kernel loop `_sub_steps`.  ``c`` is a
+    vector (M,) or a block of columns (M, B); ``f_mid`` of shape (3n,)
+    drives every column, shape (3n, B) drives each column with its own
+    forcing.  The sub-step sizes are palindromic, so the forcing reversed
+    gives the transposed product.
     """
-    return _sub_steps(basis, [c], f_mid, _operators(basis, h))[0]
+    n = len(f_mid) // 3
+    return _sub_steps(basis, c[None], f_mid, [(n, _operators(basis, h))],
+                      [n])[0, 0]
 
 
 def _free_phases(out: np.ndarray, c, zeros: np.ndarray,
@@ -205,43 +226,40 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spins,
 
     Returns its stops (k, n, t, states), one state per branch: samples
     k..n-1 are the free flight of ``states`` from time t, or with t None,
-    sample k is ``states`` (`_branch_coeffs` fills them in).  Inside each
-    merged pulse window the Strang steps run from sample to sample and on to
-    the window's end, step sigma / ``steps_per_sigma`` for the narrowest
-    active width sigma; a sample within a relative 1e-12 of the end is
-    taken at the end.  A run's step grid, forcing and operators serve every
-    branch.  Where every active pulse is magnetic, spin s feels s times the
-    forcing of spin +1, so one `exp` gives both spins' phases.  A window
-    keeps the operators of its last ``_OPERATOR_SETS`` step sizes, so each
-    size is built once unless more than that many interleave.
+    ``states[j]`` is sample k + j (`_branch_coeffs` fills them in).  In a
+    merged pulse window one `_sub_steps` call steps every branch from
+    sample to sample and on to the window's end, step sigma /
+    ``steps_per_sigma`` for the narrowest active width sigma; a sample
+    within a relative 1e-12 of the end is taken at the end.  Where every
+    active pulse is magnetic, spin s feels s times the forcing of spin +1,
+    so one `exp` gives both spins' phases.  A window keeps the operators of
+    its last ``_OPERATOR_SETS`` step sizes, so each is built once unless
+    more than that many interleave.
     """
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
-    cs, stops, k = [c] * len(spins), [], 0
+    cs, stops, k = np.array([c] * len(spins)), [], 0
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
         n = int(np.searchsorted(times, lo, side="right"))
         stops.append((k, n, t0, cs))
-        phase = np.exp(-1j * basis.zeros * (lo - t0))
-        cs, t0, k = [c * phase for c in cs], lo, n
-        width = min(p.width for p in active)
-        magnetic = all(p.kind == "magnetic" for p in active)
-        ops = lru_cache(_OPERATOR_SETS)(partial(_operators, basis))
-        while t0 < hi:  # hi <= times[-1], so times[k] exists
+        cs, k = cs * np.exp(-1j * basis.zeros * (lo - t0)), n
+        edges = [lo]  # run ends; each but the last one is a sample
+        while edges[-1] < hi:  # hi <= times[-1], so times[k] exists
             t = float(times[k])
             # a sample within a relative 1e-12 of the window's end is the
             # end, as in `whole_steps`: no run of a few ulp after it
-            end = hi if t > hi - 1e-12 * (hi - t0) else t
-            t_mid, h = step_grid(t0, end, width, steps_per_sigma)
-            if magnetic:
-                cs = _sub_steps(basis, cs, forcing(active, 1, t_mid), ops(h),
-                                spins)
-            else:
-                cs = [_sub_steps(basis, [c], forcing(active, s, t_mid),
-                                 ops(h))[0] for c, s in zip(cs, spins)]
-            t0 = end
-            if t <= end:
-                stops.append((k, k + 1, None, cs))
-                k += 1
+            edges.append(hi if t > hi - 1e-12 * (hi - edges[-1]) else t)
+            k += t <= edges[-1]
+        t_mid, h, steps = _run_grids(edges, min(p.width for p in active),
+                                     steps_per_sigma)
+        magnetic = all(p.kind == "magnetic" for p in active)
+        columns, signs = ((1,), spins) if magnetic else (spins, (1,))
+        f = np.stack([forcing(active, s, t_mid) for s in columns], axis=1)
+        ops = lru_cache(_OPERATOR_SETS)(partial(_operators, basis))
+        runs = [(m, ops(float(x))) for m, x in zip(steps, h)]
+        out = _sub_steps(basis, cs, f, runs, np.cumsum(steps), signs)
+        stops.append((n, k, None, out))
+        cs, t0 = out[-1], hi
     stops.append((k, len(times), t0, cs))
     return stops
 
@@ -253,7 +271,7 @@ def _branch_coeffs(basis: EigenBasis, stops, times: np.ndarray,
     out = np.empty((len(times), basis.m), dtype=np.complex128)
     for k, n, t, cs in stops:
         if t is None:
-            out[k] = cs[b]
+            out[k:n] = cs[:n - k, b]
         else:
             _free_phases(out[k:n], cs[b], basis.zeros, times[k:n] - t)
     return out

@@ -28,6 +28,7 @@ _CONDITION_LIMIT = 1e8
 
 _ZERO_PAD = 8  # the FFT's length over the scan's
 DEFAULT_NOISE_FLOOR = 1e-4  # peak threshold, a share of the strongest line
+_ROUNDING = 1e-10  # population tolerance; smaller oscillations are no lines
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class DelayScan:
         # 0.1/0.5, 0.5/0.1) and 1 +/- 2.3e-11 (M = 20; 0.05/1.0), tau in
         # [0.05, 20]: each Strang sub-step is unitary only to rounding, and
         # 12 max(sigma) in steps of min(sigma) / 40 takes 28800 at 0.05/1.0
-        if np.any(p < -1e-10) or np.any(p > 1 + 1e-10):
+        if np.any(p < -_ROUNDING) or np.any(p > 1 + _ROUNDING):
             raise ValueError("populations must lie in [0, 1]")
         ov = self.overlap if self.overlap is not None else np.zeros(len(d), bool)
         object.__setattr__(self, "delays", d)
@@ -79,6 +80,7 @@ class PeakMatch:
 class SpectrumResult:
     frequencies: np.ndarray
     amplitudes: np.ndarray
+    line_floor: float  # a population cosine of amplitude _ROUNDING peaks here
     matches: list = field(default_factory=list)    # PeakMatch
 
 
@@ -124,9 +126,9 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     separated = delays >= (half1 + half2)
     tau = delays[~separated]
 
-    def driven(pulse, t):
+    def driven(pulse, t, signs=spins):
         """Per-spin forcing columns of ``pulse``, zero outside its window."""
-        f = np.stack([forcing([pulse], s, t) for s in spins], axis=1)
+        f = np.stack([forcing([pulse], s, t) for s in signs], axis=1)
         return f * (np.abs(t) <= pulse.window[1])[:, None]
 
     width = min(p1.width, p2.width)
@@ -136,15 +138,15 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     # count as on it, as in `step_grid`
     k1 = np.floor((tau - half2 + half) / h * (1.0 + 1e-12)).astype(int)
     k2 = np.ceil((half1 + half - tau) / h * (1.0 - 1e-12)).astype(int)
-    ground = np.zeros((basis.m, 2 * len(spins)), dtype=np.complex128)
-    ground[0] = 1.0
+    ground = np.zeros((1, basis.m, 2 * len(spins)), dtype=np.complex128)
+    ground[0, 0] = 1.0
 
-    # one run of the block [v | row], keeping v's states at one node per
-    # close delay and the end, then the row's
+    # one run of the block [v | row] (spin -1 on spin +1's phases), keeping
+    # v's states at one node per close delay and the end, then the row's
     unique, at = np.unique(np.r_[k1, n, n - k2, n], return_inverse=True)
-    both = _sub_steps(basis, [ground],
-                      np.hstack([driven(p1, t), driven(p2, t)[::-1]]),
-                      _operators(basis, h), nodes=unique)[0][at]
+    f = np.hstack([driven(p1, t, (1,)), driven(p2, t, (1,))[::-1]])
+    both = _sub_steps(basis, ground, f, [(n, _operators(basis, h))], unique,
+                      spins)[at, 0]
     k, ns = len(tau) + 1, len(spins)
     v, row = both[:k, :, :ns], both[k:, :, ns:]
 
@@ -184,14 +186,13 @@ def spectrum(scan: DelayScan, window: str = "hann") -> SpectrumResult:
     n = len(x)
     if n < 256:
         raise ValueError(f"need at least 256 samples, got {n}")
-    if window == "hann":
-        x = x * np.hanning(n)
-    elif window != "none":
+    if window not in ("hann", "none"):
         raise ValueError(f"unknown window: {window!r}")
+    w = np.hanning(n) if window == "hann" else np.ones(n)
     n_pad = n * _ZERO_PAD
-    amps = np.abs(np.fft.rfft(x, n_pad))
+    amps = np.abs(np.fft.rfft(x * w, n_pad))
     freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, scan.delay_step)
-    return SpectrumResult(freqs, amps)
+    return SpectrumResult(freqs, amps, _ROUNDING * w.sum() / 2.0)
 
 
 def _refine_peak(freqs, amps, k):
@@ -210,15 +211,18 @@ def find_peaks_and_match(spec: SpectrumResult, basis: EigenBasis, count: int,
                          noise_floor: float = DEFAULT_NOISE_FLOOR):
     """Extract up to ``count`` peaks and match them to the z_i - z_1 lines.
 
-    Local maxima above ``noise_floor`` x global max are refined by quadratic
-    interpolation; each is matched to the nearest unmatched theoretical
-    transition.  Returns a SpectrumResult carrying the matches; fewer
-    than ``count`` peaks yields a partial result (the caller may warn).
+    Local maxima above ``noise_floor`` (in [0, 1]) x global max and above
+    ``spec.line_floor``, where rounding noise ends, are refined by quadratic
+    interpolation; each is matched to the nearest unmatched transition.
+    Returns a SpectrumResult carrying the matches; fewer than ``count`` (in
+    [1, M - 1]) peaks yields a partial result (the caller may warn).
     """
-    if count > basis.m - 1:
-        raise ValueError("cannot match more peaks than excited states")
+    if not 1 <= count <= basis.m - 1:
+        raise ValueError(f"count not in [1, {basis.m - 1}]: {count}")
+    if not 0.0 <= noise_floor <= 1.0:
+        raise ValueError(f"noise_floor not in [0, 1]: {noise_floor}")
     a = spec.amplitudes
-    floor = noise_floor * a.max()
+    floor = max(noise_floor * a.max(), spec.line_floor)
     interior = np.nonzero((a[1:-1] > a[:-2]) & (a[1:-1] >= a[2:]) &
                           (a[1:-1] >= floor))[0] + 1
     refined = [_refine_peak(spec.frequencies, a, k) for k in interior]
@@ -241,7 +245,8 @@ def find_peaks_and_match(spec: SpectrumResult, basis: EigenBasis, count: int,
         matches.append(PeakMatch(state=j + 2, omega_measured=omega,
                                  omega_theory=float(theory[j]), amplitude=amp))
     matches.sort(key=lambda m: m.omega_theory)
-    return SpectrumResult(spec.frequencies, spec.amplitudes, matches)
+    return SpectrumResult(spec.frequencies, spec.amplitudes, spec.line_floor,
+                          matches)
 
 
 @dataclass(frozen=True)
@@ -261,10 +266,10 @@ def retrieve_amplitudes(scan: DelayScan, basis: EigenBasis, n_states: int):
     line i equals (P_11^* P_1i)^2, so with the global phase fixed by taking
     P_11 real positive, |P_1i| and arg(P_1i) follow up to a pi ambiguity.
 
-    Returns (amplitudes, fit_residual_rms).
+    Returns (amplitudes, fit_residual_rms) for ``n_states`` in [1, M - 1].
     """
-    if n_states > basis.m - 1:
-        raise ValueError("n_states exceeds the basis size")
+    if not 1 <= n_states <= basis.m - 1:
+        raise ValueError(f"n_states not in [1, {basis.m - 1}]: {n_states}")
     tau = scan.delays
     w = basis.transition_frequencies()[:n_states]
     cols = [np.ones_like(tau)]

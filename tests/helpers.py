@@ -15,8 +15,8 @@ from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
                                sample_initial)
 from qbounce.pulses import (KickPulse, _check_target_time, merged_windows,
                             spin_branches, whole_steps)
-from qbounce.quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector,
-                             _free_phases, _mean_z, forcing,
+from qbounce.quantum import (_PHASE_ROWS, _WEIGHTS, DEFAULT_STEPS_PER_SIGMA,
+                             StateVector, _free_phases, _mean_z, forcing,
                              mean_height_trace, step_grid, strang_steps)
 from qbounce.spectroscopy import DelayScan, _spin_mean_forward
 
@@ -424,6 +424,44 @@ def per_run_trace(basis, state, pulses, spin, times,
                 k += 1
     _free_phases(out[k:], c, basis.zeros, times[k:] - t0)
     return _mean_z(basis, out), StateVector(out[-1], float(times[-1]))
+
+
+def reference_sub_steps(basis, cs, f_mid, ops, signs=(1,), nodes=None):
+    """The sub-step loop of `strang_steps` as a list of branch states, one
+    composed-step run with the operators given (oracle for the kernel loop
+    `quantum._sub_steps`), for states ``cs``, branch b driven by
+    ``signs[b]`` (+1 or -1) times ``f_mid``.  The phases exp(-i h' f lambda)
+    of -f are the conjugates of those of f, so one `exp` serves both signs;
+    each branch takes its own product with G.  Returns the final states, or
+    with ``nodes`` (distinct ascending step counts in [0, n]) each branch's
+    states after that many composed steps, stacked on a new first axis.
+    """
+    if len(f_mid) % 3:
+        raise ValueError("the forcing needs three samples per step")
+    v, vt = basis.v_complex, basis.vt_complex
+    half, g_sub, g_step, lam = ops
+    if cs[0].ndim == 2:  # one forcing column drives every column
+        half, lam = half[:, None], lam[:, None]
+        f_mid = f_mid.reshape(len(f_mid), -1)
+    w = np.resize(_WEIGHTS, len(f_mid))
+    f_w = f_mid * (w[:, None] if f_mid.ndim == 2 else w)
+    keep = set() if nodes is None else set(map(int, nodes))
+    kept = [[c] if 0 in keep else [] for c in cs]
+    ys = [half * c for c in cs]
+    for j in range(len(f_w)):
+        if j and j % 3 == 0 and j // 3 in keep:  # ys: after j/3 steps
+            for k, y in zip(kept, ys):
+                k.append(half * (v @ y))
+        if j % _PHASE_ROWS == 0:  # the phases of the next rows, per sign
+            e = np.exp(lam * f_w[j:j + _PHASE_ROWS, None])
+            phases = {s: e if s > 0 else e.conj() for s in set(signs)}
+        g = (g_sub if j % 3 else g_step) if j else vt
+        ys = [phases[s][j % _PHASE_ROWS] * (g @ y) for s, y in zip(signs, ys)]
+    cs = [half * (v @ y) for y in ys]
+    if nodes is None:
+        return cs
+    return [np.stack(k + [c] if len(f_w) // 3 in keep else k)
+            for k, c in zip(kept, cs)]
 
 
 def _verlet(z, v, t0, t1, pulses, spin, dt):

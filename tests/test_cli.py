@@ -654,3 +654,35 @@ def test_convert_round_trip(capsys):
 def test_convert_gradient_to_si_rejected(capsys):
     assert main(["convert", "0.8", "--quantity", "gradient",
                  "--direction", "to-si"]) == 1
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("retrieve", ["--count", "-45"]), ("retrieve", ["--count", "0"]),
+    ("spectrum", ["--count", "-2"]), ("spectrum", ["--count", "0"]),
+])
+def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flags):
+    """--count < 1 exits 1 naming the flag, before any work: a negative
+    count would otherwise slice its lines from the end."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--in", str(tmp_path / "scan.csv"), "--out-dir",
+              str(tmp_path)] + flags)
+    assert exc.value.code == 1
+    assert "argument --count" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("floor", ["-1", "1.5", "nan"])
+def test_noise_floor_outside_unit_interval_is_a_config_error(tmp_path, capsys,
+                                                             floor):
+    """--noise-floor outside [0, 1] exits 1 with a config error naming the
+    flag, and writes nothing: a negative floor would otherwise act as 0."""
+    scan_csv = tmp_path / "scan.csv"
+    delays = 2.0 + 0.1 * np.arange(300)
+    write_csv(str(scan_csv), [("basis_size", 50), ("kind", "magnetic")],
+              ["tau", "population", "overlap"],
+              np.column_stack((delays, 0.9 + 0.05 * np.cos(1.75 * delays),
+                               np.zeros(300))))
+    assert main(["spectrum", "--in", str(scan_csv), "--out-dir",
+                 str(tmp_path), "--noise-floor", floor]) == 1
+    assert "config error: --noise-floor" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scan.csv"]

@@ -1,5 +1,6 @@
 """Wave-packet propagation: free flight, pulses, impulsive kicks."""
 
+import functools
 import math
 
 import mpmath
@@ -18,8 +19,9 @@ from qbounce.quantum import (StateVector, forcing, ground_state,
 from helpers import (NormDriftError, direct_free_phases, evolve_pulsed,
                      expectation_z, free_evolve, impulsive_kick,
                      impulsive_kick_matrix, oscillation_envelope,
-                     per_run_trace, pulse_propagator, rk4_window,
-                     shake_potential_coefficient, walk_mean_height_trace)
+                     per_run_trace, pulse_propagator, reference_sub_steps,
+                     rk4_window, shake_potential_coefficient,
+                     walk_mean_height_trace)
 
 
 def _two_state(basis):
@@ -376,6 +378,30 @@ def test_operators_built_once_per_step_size_and_window(basis20, basis50,
     assert runs >= 5 * distinct  # many runs share each step size
 
 
+@pytest.mark.parametrize("case", sorted(_REUSE_CASES))
+def test_kernel_entered_once_per_window(basis20, basis50, monkeypatch, case):
+    """One `_sub_steps` call per merged window carries all of its
+    sample-to-sample runs for every spin branch at once, for one spin and
+    for both."""
+    basis, s, pulses, spin, times = _reuse_case(basis20, basis50, case)
+    calls = []
+    sub_steps = quantum._sub_steps
+
+    def spy(basis, c, f_mid, runs, nodes, signs=(1,)):
+        calls.append((len(c), len(runs)))
+        return sub_steps(basis, c, f_mid, runs, nodes, signs)
+
+    monkeypatch.setattr(quantum, "_sub_steps", spy)
+    windows = merged_windows(pulses, s.time, float(times[-1]))
+    runs = [len(times[(times > lo) & (times < hi)]) + 1
+            for lo, hi, _ in windows]
+    for spins in ((spin,), (1, -1)):
+        calls.clear()
+        mean_height_trace(basis, s, pulses, spins, times)
+        assert calls == [(len(spins), n) for n in runs]
+    assert sum(runs) >= 5 * len(windows)
+
+
 @st.composite
 def pair_walks(draw):
     """Magnetic pulses, overlapping or not, a random unit state and an
@@ -562,6 +588,86 @@ def test_free_phases_on_a_long_grid_against_mpmath():
     ours = np.max(np.abs(out[rows] - exact))
     direct = np.max(np.abs(direct_free_phases(c, zeros, tau[rows]) - exact))
     assert ours <= 1.1 * direct
+
+
+_kernel_basis = functools.cache(build_basis)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A basis of M in [5, 30], 1-3 runs of different step sizes, a kind,
+    spins, vector branches or one block, and nodes or only the run ends."""
+    m = draw(st.integers(5, 30))
+    sizes = draw(st.lists(st.floats(0.005, 0.05), min_size=1, max_size=3,
+                          unique=True))
+    counts = [draw(st.integers(1, 40)) for _ in sizes]
+    kind = draw(st.sampled_from(["magnetic", "shake"]))
+    spins = draw(st.sampled_from([(1,), (1, -1)]))
+    block = draw(st.sampled_from([None, 1, 3]))  # vectors or B columns
+    ends = np.cumsum(counts)
+    nodes = set(ends.tolist())
+    if draw(st.booleans()):
+        nodes |= set(draw(st.lists(st.integers(0, int(ends[-1])), max_size=6)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return (_kernel_basis(m), sizes, counts, kind, spins, block, sorted(nodes),
+            np.random.default_rng(seed))
+
+
+def _reference_runs(basis, cs, f, runs, nodes, signs):
+    """`reference_sub_steps` run after run, each branch's states at
+    ``nodes`` stacked."""
+    kept, done = [[] for _ in cs], 0
+    for n, ops in runs:
+        local = [k - done for k in nodes if done < k <= done + n
+                 or k == done == 0]
+        out = reference_sub_steps(basis, cs, f[3 * done:3 * (done + n)], ops,
+                                  signs, local)
+        for k, o in zip(kept, out):
+            k.extend(o)
+        cs, done = [o[-1] for o in out], done + n
+    return [np.stack(k) for k in kept]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kernel_cases())
+def test_kernel_loop_matches_reference_sub_steps(case):
+    """The kernel loop gives bitwise the states of the sub-step loop it
+    replaced, run after run, at every node: vector branches, each with its
+    own product, and one block of columns; one forcing for every sign
+    (magnetic) or one per branch or column (shake)."""
+    basis, sizes, counts, kind, spins, block, nodes, rng = case
+    m, n3 = basis.m, 3 * sum(counts)
+    runs = [(n, quantum._operators(basis, h)) for n, h in zip(counts, sizes)]
+
+    def states(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if block is None:
+        c = states(len(spins), m)
+        if kind == "magnetic":
+            f = 2.0 * rng.standard_normal(n3)
+            out = quantum._sub_steps(basis, c, f, runs, nodes, spins)
+            ref = _reference_runs(basis, list(c), f, runs, nodes, spins)
+        else:
+            f = 2.0 * rng.standard_normal((n3, len(spins)))
+            out = quantum._sub_steps(basis, c, f, runs, nodes)
+            ref = [_reference_runs(basis, [c[b]], f[:, b], runs, nodes, (1,))[0]
+                   for b in range(len(spins))]
+        for b, r in enumerate(ref):
+            assert np.array_equal(out[:, b], r)
+        return
+    if kind == "magnetic":  # columns (k, s): spin s driven by s f[:, k]
+        f = 2.0 * rng.standard_normal((n3, block))
+        full = (f[:, :, None] * np.array(spins)).reshape(n3, -1)
+        signs = spins
+    else:  # one forcing for every column, or one per column
+        cols = block * len(spins)
+        f = 2.0 * rng.standard_normal(n3 if block == 1 else (n3, cols))
+        full, signs = f, (1,)
+    c = states(1, m, block * len(spins))
+    out = quantum._sub_steps(basis, c, f, runs, nodes, signs)
+    [ref] = _reference_runs(basis, [c[0]], full, runs, nodes, (1,))
+    assert np.array_equal(out[:, 0], ref)
 
 
 def test_sample_next_to_a_window_end_is_taken_at_the_end(basis20, monkeypatch):

@@ -198,14 +198,13 @@ def test_overlap_runs_step_an_eighth_of_the_stacked_run(basis20, monkeypatch):
     seen = []
     sub_steps = quantum._sub_steps
 
-    def spy(basis, cs, f_mid, ops, signs=(1,), nodes=None):
-        if nodes is None:  # not the v or row run, which every delay shares
-            seen.append(len(f_mid) * sum(c.shape[1] if c.ndim == 2 else 1
-                                         for c in cs))
-        return sub_steps(basis, cs, f_mid, ops, signs, nodes)
+    def spy(basis, c, f_mid, runs, nodes, signs=(1,)):
+        # `strang_steps` calls only: not the v and row run, which every
+        # delay shares and which `scan_delay` calls directly
+        seen.append(len(f_mid) * c.shape[-1])
+        return sub_steps(basis, c, f_mid, runs, nodes, signs)
 
     monkeypatch.setattr(quantum, "_sub_steps", spy)
-    monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
     p1, p2 = KickPulse(2.0, 0.2), KickPulse(1.0, 0.2)
     delays = DELAYS[DELAYS <= 3.0]
     close = delays[delays < p1.window[1] + p2.window[1]]
@@ -231,16 +230,13 @@ def test_one_block_run_matches_two_runs(basis50, monkeypatch, kind, a1, a2,
     sub_steps = quantum._sub_steps
     blocks = []
 
-    def two_runs(basis, cs, f_mid, ops, signs=(1,), nodes=None):
-        if nodes is None:
-            return sub_steps(basis, cs, f_mid, ops, signs)
-        [c] = cs
-        blocks.append(c.shape[1])
-        s = c.shape[1] // 2
-        return [np.concatenate([sub_steps(basis, [c[:, :s]], f_mid[:, :s],
-                                          ops, signs, nodes)[0],
-                                sub_steps(basis, [c[:, s:]], f_mid[:, s:],
-                                          ops, signs, nodes)[0]], axis=2)]
+    def two_runs(basis, c, f_mid, runs, nodes, signs=(1,)):
+        blocks.append(c.shape[2])
+        s = c.shape[2] // 2
+        return np.concatenate([sub_steps(basis, c[:, :, :s], f_mid[:, :1],
+                                         runs, nodes, signs),
+                               sub_steps(basis, c[:, :, s:], f_mid[:, 1:],
+                                         runs, nodes, signs)], axis=3)
 
     grids = [(0.2, 0.2, 2.0 + 0.05 * np.arange(300)),
              (0.2, 0.2, 2.0123 + 0.05 * np.arange(300)),
@@ -266,14 +262,14 @@ def test_any_widths_keep_nodes_in_one_run(basis20, monkeypatch, sigma1,
     sub_steps = quantum._sub_steps
     calls = []
 
-    def spy(basis, cs, f_mid, ops, signs=(1,), nodes=None):
-        calls.append(nodes is not None)
-        return sub_steps(basis, cs, f_mid, ops, signs, nodes)
+    def spy(basis, c, f_mid, runs, nodes, signs=(1,)):
+        calls.append((len(nodes) > 1, c.shape[-1]))
+        return sub_steps(basis, c, f_mid, runs, nodes, signs)
 
     monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
     scan_delay(basis20, KickPulse(2.0, sigma1), KickPulse(1.0, sigma2),
                2.0 + 0.05 * np.arange(40))
-    assert sum(calls) == 1
+    assert calls == [(True, 4)]  # [v | row] for both spins
 
 
 # ------------------------------------------------------- impulsive oracle
@@ -363,12 +359,50 @@ def test_pure_tone_spectrum_peak(basis20):
 
 
 def test_constant_input_has_no_peaks(basis20):
+    """The mean-subtracted input is rounding noise: its maxima clear the
+    relative floor of 1e-4 x the strongest one, not the absolute one."""
     scan = DelayScan(DELAYS, np.full(len(DELAYS), 0.7), "magnetic")
-    spec = spectrum(scan, window="hann")
-    # the mean-subtracted input is rounding noise, whose lines clear the
-    # default floor of 1e-4 x its strongest one
-    out = find_peaks_and_match(spec, basis20, 3, noise_floor=0.05)
+    for window in ("hann", "none"):
+        out = find_peaks_and_match(spectrum(scan, window), basis20, 3)
+        assert out.matches == []
+
+
+def test_zero_kick_scan_has_no_peaks(basis20):
+    delays = 2.0 + 0.05 * np.arange(300)
+    scan = scan_delay(basis20, KickPulse(0.0, 0.2), KickPulse(0.0, 0.2),
+                      delays)
+    assert np.ptp(scan.populations) > 0  # rounding, not an exact constant
+    out = find_peaks_and_match(spectrum(scan), basis20, 3)
     assert out.matches == []
+
+
+def test_line_floor_is_the_height_of_a_rounding_sized_oscillation(basis20):
+    """An oscillation of amplitude 1e-10 peaks at `line_floor` to within
+    the Hann window's leakage; a slightly stronger one is a line."""
+    w = basis20.zeros[1] - basis20.zeros[0]
+    for amp, lines in ((0.9e-10, 0), (1.2e-10, 1)):
+        scan = DelayScan(DELAYS, 0.5 + amp * np.cos(w * DELAYS), "magnetic")
+        spec = spectrum(scan)
+        assert spec.amplitudes.max() == pytest.approx(
+            amp / 1e-10 * spec.line_floor, rel=0.02)
+        assert len(find_peaks_and_match(spec, basis20, 1).matches) == lines
+
+
+@pytest.mark.parametrize("count,noise_floor", [(0, 1e-4), (-2, 1e-4),
+                                               (20, 1e-4), (3, -1.0),
+                                               (3, 1.5), (3, math.nan)])
+def test_peak_search_rejects_out_of_range_arguments(basis20, count,
+                                                     noise_floor):
+    scan = DelayScan(DELAYS, 0.5 + 0.1 * np.cos(1.75 * DELAYS), "magnetic")
+    with pytest.raises(ValueError):
+        find_peaks_and_match(spectrum(scan), basis20, count, noise_floor)
+
+
+@pytest.mark.parametrize("n_states", [0, -45, 20])
+def test_retrieval_rejects_out_of_range_state_counts(basis20, n_states):
+    scan = DelayScan(DELAYS, 0.5 + 0.1 * np.cos(1.75 * DELAYS), "magnetic")
+    with pytest.raises(ValueError, match="n_states"):
+        retrieve_amplitudes(scan, basis20, n_states)
 
 
 def test_spectrum_without_window():
