@@ -1,9 +1,10 @@
 """Classical ensemble of bouncing particles with pulsed kicks.
 
 Dimensionless Newton equation matching the quantum unit system:
-z'' = -2 + 2 s beta(t) (the same scales that make the quantum equation
+z'' = -2 - 2 f(t), f = -s beta(t) the forcing of the kick model
+(`pulses.forcing`).  The same scales that make the quantum equation
 -psi'' + z psi = E psi give the classical particle acceleration -2; the
-algebra is in the README).  Between pulses a particle of energy
+algebra is in the README.  Between pulses a particle of energy
 e = v^2/2 + 2z bounces with period u = sqrt(2e), its floor speed, and
 between bounces flies a parabola in t; inside a pulse window a
 velocity-Verlet stepper takes over.  The kick force does not depend on z,
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .pulses import (KickPulse, _check_sample_times, _check_target_time,
-                     check_step_count, merged_windows, whole_steps)
+                     check_step_count, forcing, merged_windows, whole_steps)
 
 __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
            "propagate", "mean_height_series"]
@@ -117,7 +118,7 @@ def _step_grid(edges, pulses, spin, steps_per_sigma):
     Each stretch between two edges gets the grid a run over it alone takes:
     ``whole_steps(length, dt)`` equal steps, dt the narrowest width of the
     pulses active in it over ``steps_per_sigma``, step times accumulated as
-    t += h.
+    t += h, and the acceleration -2 - 2 f of the kick model's forcing f.
     Returns the step sizes, the accelerations at the start and at the end of
     each step, and the node index at which each stretch ends.
     """
@@ -129,7 +130,7 @@ def _step_grid(edges, pulses, spin, steps_per_sigma):
         n = whole_steps(t1 - t0, dt)
         h = (t1 - t0) / n
         t = np.cumsum(np.r_[t0, np.full(n, h)])
-        acc = -2.0 + sum(2.0 * spin * p.envelope(t) for p in active)
+        acc = -2.0 - 2.0 * forcing(active, spin, t)
         hs.append(np.full(n, h))
         starts.append(acc[:-1])
         finals.append(acc[1:])
@@ -214,7 +215,7 @@ def _advance(sums, j, k, z, v):
 
 
 def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
-    """Velocity-Verlet with z'' = -2 + 2 s beta(t) across one pulse window.
+    """Velocity-Verlet with z'' = -2 - 2 f(t) across one pulse window.
 
     The kick force does not depend on z, so off the floor the map from node
     j to a later node k of the step grid (``_step_grid``) is the same for

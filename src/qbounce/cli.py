@@ -401,10 +401,17 @@ def _scan_from_csv(path):
     return scan, basis_size, header
 
 
+def _check_count(count, basis_size):
+    if count > basis_size - 1:  # a scan on M states has M - 1 lines
+        raise ConfigError(f"--count: not in [1, {basis_size - 1}] for the "
+                          f"scan's basis_size {basis_size}: {count}")
+
+
 def cmd_spectrum(args):
     if not 0.0 <= args.noise_floor <= 1.0:
         raise ConfigError(f"--noise-floor: not in [0, 1]: {args.noise_floor}")
     scan, basis_size, header = _scan_from_csv(args.infile)
+    _check_count(args.count, basis_size)
     basis = build_basis(basis_size)
     spec = spectrum(scan, window=args.window)
     spec = find_peaks_and_match(spec, basis, args.count,
@@ -426,6 +433,7 @@ def cmd_spectrum(args):
 
 def cmd_retrieve(args):
     scan, basis_size, _ = _scan_from_csv(args.infile)
+    _check_count(args.count, basis_size)
     basis = build_basis(basis_size)
     amps, residual = retrieve_amplitudes(scan, basis, args.count)
     payload = {

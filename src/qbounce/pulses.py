@@ -1,4 +1,9 @@
-"""Gaussian kick pulses shared by the classical and quantum propagators."""
+"""Gaussian kick pulses and the one kick model both propagators share.
+
+`forcing` gives the f(t) of the quantum Hamiltonian diag(z_i) + f Z and of
+the classical acceleration -2 - 2 f: -s beta(t) for magnetic kicks, h''/2
+for shakes (comoving frame, see README), each on its closed window only.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KickPulse", "WINDOW_SIGMAS", "check_step_count", "merged_windows",
-           "spin_branches", "whole_steps"]
+__all__ = ["KickPulse", "WINDOW_SIGMAS", "check_step_count", "forcing",
+           "merged_windows", "spin_branches", "whole_steps"]
 
 # a pulse acts on |t - t_k| <= 6 sigma; the Gaussian tail beyond is < 1e-15
 WINDOW_SIGMAS = 6.0
@@ -56,6 +61,19 @@ class KickPulse:
         t = np.asarray(t, dtype=np.float64)
         u = (t - self.center) / self.width
         return self.amplitude / self.width ** 2 * (4.0 * u ** 2 - 2.0) * np.exp(-u ** 2)
+
+
+def forcing(pulses, spin: int, t):
+    """f(t) of ``pulses`` for ``spin``, each pulse zero outside its closed
+    window |t - t_k| <= 6 sigma_k."""
+    t = np.asarray(t, dtype=np.float64)
+    f = np.zeros_like(t)
+    for p in pulses:
+        lo, hi = p.window
+        kick = (-spin * p.envelope(t) if p.kind == "magnetic"
+                else 0.5 * p.envelope_second_derivative(t))
+        f = f + np.where((t >= lo) & (t <= hi), kick, 0.0)
+    return f
 
 
 def check_step_count(steps_per_sigma):

@@ -1,23 +1,15 @@
 """Wave-packet propagation in the truncated eigenbasis.
 
 Free flight multiplies each coefficient by exp(-i z_i dt).  During a pulse
-the Hamiltonian is diag(z_i) + f(t) * Z with a scalar forcing f(t):
-
-* magnetic gradient: f(t) = -s * beta(t)    (potential -s beta(t) z)
-* surface shake:     f(t) = h''(t) / 2      (comoving frame, see README)
-
-The pulse stepper is a Strang splitting between the diagonal part and the
-Z part (Z's eigenpairs live on the basis), composed into Yoshida's
-fourth-order triple jump, and exactly unitary at every step.  One kernel
-loop, `_sub_steps`, runs it for pulse windows and delay scans: a sub-step
-is one product with G into a reused buffer and one phase multiply back,
-and the operators depend on the step size alone (`_operators`).
-`mean_height_trace` steps a merged pulse window's sample-to-sample runs
-and spin branches in one call; in magnetic windows spin -1's phases are
-the conjugates of spin +1's.  The free stretches are filled afterwards,
-one branch at a time, by `_free_phases`, which the delay scans' forward
-sum takes too: an `exp` every 32nd sample, and between those, products
-with one factor e^{-i z g} per distinct gap g between samples.
+the Hamiltonian is diag(z_i) + f(t) Z, f the kick model's forcing
+(`pulses.forcing`).  Every pulse window, of an echo trace or a delay scan,
+is stepped by one kernel, `_sub_steps`: Strang steps composed into
+Yoshida's fourth-order triple jump, exactly unitary, on runs (steps, h)
+from `step_grid`; it builds each run's operators when it reaches the run
+and keeps at most ``_OPERATOR_SETS`` of them.  `mean_height_trace` steps
+a window's sample-to-sample runs and spin branches in one call, then fills
+the free stretches one branch at a time by `_free_phases`, which the
+delay scans' forward sum takes too.
 """
 
 from __future__ import annotations
@@ -30,10 +22,9 @@ import numpy as np
 
 from .basis import EigenBasis
 from .pulses import (KickPulse, _check_sample_times, check_step_count,
-                     merged_windows, whole_steps)
+                     forcing, merged_windows, whole_steps)
 
-__all__ = ["StateVector", "ground_state", "step_grid", "strang_steps",
-           "mean_height_trace", "forcing"]
+__all__ = ["StateVector", "ground_state", "step_grid", "mean_height_trace"]
 
 DEFAULT_STEPS_PER_SIGMA = 40
 
@@ -48,7 +39,7 @@ _ANCHOR_ROWS = 32
 
 _PHASE_ROWS = 48  # sub-step phase rows formed by one `exp` call
 
-# step sizes whose operators a pulse window keeps; one G pair is 0.72 MB
+# step sizes whose operators a kernel call keeps; one G pair is 0.72 MB
 # at M = 150
 _OPERATOR_SETS = 8
 
@@ -75,34 +66,15 @@ def ground_state(basis: EigenBasis, time: float = 0.0) -> StateVector:
     return StateVector(c, time)
 
 
-def forcing(pulses, spin: int, t):
-    """Scalar coefficient f(t) multiplying the position matrix."""
-    t = np.asarray(t, dtype=np.float64)
-    f = np.zeros_like(t)
-    for p in pulses:
-        if p.kind == "magnetic":
-            f = f - spin * p.envelope(t)
-        else:
-            f = f + 0.5 * p.envelope_second_derivative(t)
-    return f
+def step_grid(edges, width: float, steps_per_sigma: int):
+    """Sub-step midpoints and step sizes of the runs between consecutive
+    ``edges``: (t_mid of all runs, h and n per run).
 
-
-def step_grid(lo: float, hi: float, width: float,
-              steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA):
-    """Sub-step midpoints and step size across [lo, hi].
-
-    The step h is the largest one that is at most width / steps_per_sigma
-    and divides hi - lo into whole steps.  Each step is three sub-steps of
-    sizes w1 h, w0 h, w1 h.  Returns (t_mid, h), t_mid holding the 3n
-    sub-step midpoints; they are symmetric about the middle of [lo, hi].
+    Run r steps n_r times by h_r, the largest step that is at most
+    width / steps_per_sigma and divides its length into whole steps.  Each
+    step is three sub-steps of sizes w1 h, w0 h, w1 h, so t_mid holds
+    3 n_r midpoints per run, symmetric about the middle of the run.
     """
-    t_mid, h, _ = _run_grids([lo, hi], width, steps_per_sigma)
-    return t_mid, float(h[0])
-
-
-def _run_grids(edges, width: float, steps_per_sigma: int):
-    """`step_grid` of each run between consecutive ``edges`` in one pass:
-    (t_mid of all runs, h and n per run)."""
     check_step_count(steps_per_sigma)
     n = np.array([whole_steps(b - a, width / steps_per_sigma)
                   for a, b in pairwise(edges)])
@@ -129,15 +101,28 @@ def _operators(basis: EigenBasis, h: float):
 
 def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray, runs,
                nodes, signs=(1,)) -> np.ndarray:
-    """The sub-step loop of `strang_steps` from ``c`` through ``runs``, each
-    (n, ops) n composed steps on the next 3n rows of ``f_mid``, from the
-    state the run before ended in.  ``c`` is a stack (B, M) of vectors, a
-    product with G each, or a block (1, M, C), one product.  ``f_mid`` is
-    (3N,) or (3N, K); phase column k S + s is that of ``signs[s]`` times
-    column k, -f's being the conjugates of f's.  Vector b takes phase
-    column b, a block one per column (or one for all).  Returns the states
-    after each of ``nodes`` (ascending step counts, every run's end among
-    them), stacked on a new first axis.
+    """Composed steps from ``c`` through ``runs``, one sub-step per row of
+    ``f_mid``; unitary.
+
+    A step of size h is S(w1 h) S(w0 h) S(w1 h), with the Strang step
+    S(h') = H V E V^T H, H = exp(-i z h'/2), Z = V diag(lambda) V^T and
+    E = exp(-i f h' lambda), f the forcing at the sub-step's own midpoint.
+    Adjacent half phases merge into G = V^T exp(-i z h'') V, so in the
+    eigenbasis of Z each sub-step is one product with G into a reused
+    buffer and one elementwise phase back.  The sub-step sizes are
+    palindromic and each sub-step is complex symmetric, so the forcing
+    reversed gives the transposed product.
+
+    Each run (n, h) is n steps of size h on the next 3n rows of ``f_mid``,
+    from the state the run before ended in.  Its operators depend on h
+    alone (`_operators`); they are built when the run is reached, and the
+    call keeps those of its last ``_OPERATOR_SETS`` step sizes.  ``c`` is
+    a stack (B, M) of vectors, a product with G each, or a block (1, M, C),
+    one product.  ``f_mid`` is (3N,) or (3N, K); phase column k S + s is
+    that of ``signs[s]`` times column k, -f's being the conjugates of f's.
+    Vector b takes phase column b, a block one per column (or one for
+    all).  Returns the states after each of ``nodes`` (ascending step
+    counts, every run's end among them), stacked on a new first axis.
     """
     if len(f_mid) % 3:
         raise ValueError("the forcing needs three samples per step")
@@ -148,7 +133,9 @@ def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray, runs,
     y, tmp = np.empty_like(out[0]), np.empty_like(out[0])  # reused buffers
     pairs = list(zip(y, tmp))  # one product per vector, one for a block
     out[0], i, done = c, int(nodes[0] == 0), 0  # node 0 is c itself
-    for n, (half, g_sub, g_step, lam) in runs:
+    operators = lru_cache(_OPERATOR_SETS)(partial(_operators, basis))
+    for n, h in runs:
+        half, g_sub, g_step, lam = operators(float(h))
         half = half.reshape((-1,) + (1,) * (c.ndim - 2))
         np.multiply(half, c, out=y)
         gs = [basis.vt_complex] + [g_sub, g_sub, g_step] * int(n)
@@ -171,27 +158,6 @@ def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray, runs,
                 i += 1
         c, done, f_w = out[i - 1], done + n, f_w[3 * n:]
     return out
-
-
-def strang_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray,
-                 h: float) -> np.ndarray:
-    """Composed steps of size h, one sub-step per forcing sample; unitary.
-
-    A step is S(w1 h) S(w0 h) S(w1 h), with the Strang step
-    S(h') = H V E V^T H, H = exp(-i z h'/2), Z = V diag(lambda) V^T and
-    E = exp(-i f h' lambda), f the forcing at the sub-step's own midpoint.
-    Adjacent half phases merge into G = V^T exp(-i z h'') V, so in the
-    eigenbasis of Z each sub-step is one product with G and one elementwise
-    phase.  The operators depend on h alone (`_operators`); a call builds
-    them once for its run of the kernel loop `_sub_steps`.  ``c`` is a
-    vector (M,) or a block of columns (M, B); ``f_mid`` of shape (3n,)
-    drives every column, shape (3n, B) drives each column with its own
-    forcing.  The sub-step sizes are palindromic, so the forcing reversed
-    gives the transposed product.
-    """
-    n = len(f_mid) // 3
-    return _sub_steps(basis, c[None], f_mid, [(n, _operators(basis, h))],
-                      [n])[0, 0]
 
 
 def _free_phases(out: np.ndarray, c, zeros: np.ndarray,
@@ -232,9 +198,7 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spins,
     ``steps_per_sigma`` for the narrowest active width sigma; a sample
     within a relative 1e-12 of the end is taken at the end.  Where every
     active pulse is magnetic, spin s feels s times the forcing of spin +1,
-    so one `exp` gives both spins' phases.  A window keeps the operators of
-    its last ``_OPERATOR_SETS`` step sizes, so each is built once unless
-    more than that many interleave.
+    so one `exp` gives both spins' phases.
     """
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
@@ -250,14 +214,13 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spins,
             # end, as in `whole_steps`: no run of a few ulp after it
             edges.append(hi if t > hi - 1e-12 * (hi - edges[-1]) else t)
             k += t <= edges[-1]
-        t_mid, h, steps = _run_grids(edges, min(p.width for p in active),
-                                     steps_per_sigma)
+        t_mid, h, steps = step_grid(edges, min(p.width for p in active),
+                                    steps_per_sigma)
         magnetic = all(p.kind == "magnetic" for p in active)
         columns, signs = ((1,), spins) if magnetic else (spins, (1,))
         f = np.stack([forcing(active, s, t_mid) for s in columns], axis=1)
-        ops = lru_cache(_OPERATOR_SETS)(partial(_operators, basis))
-        runs = [(m, ops(float(x))) for m, x in zip(steps, h)]
-        out = _sub_steps(basis, cs, f, runs, np.cumsum(steps), signs)
+        out = _sub_steps(basis, cs, f, list(zip(steps, h)), np.cumsum(steps),
+                         signs)
         stops.append((n, k, None, out))
         cs, t0 = out[-1], hi
     stops.append((k, len(times), t0, cs))

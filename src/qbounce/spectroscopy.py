@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import KickPulse, spin_branches
-from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_phases, _operators,
-                      _sub_steps, forcing, step_grid, strang_steps)
+from .pulses import KickPulse, forcing, spin_branches
+from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_phases, _sub_steps,
+                      step_grid)
 
 __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
            "spectrum", "find_peaks_and_match", "retrieve_amplitudes"]
@@ -126,14 +126,8 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     separated = delays >= (half1 + half2)
     tau = delays[~separated]
 
-    def driven(pulse, t, signs=spins):
-        """Per-spin forcing columns of ``pulse``, zero outside its window."""
-        f = np.stack([forcing([pulse], s, t) for s in signs], axis=1)
-        return f * (np.abs(t) <= pulse.window[1])[:, None]
-
     width = min(p1.width, p2.width)
-    t, h = step_grid(-half, half, width, steps_per_sigma)
-    n = len(t) // 3
+    t, (h,), (n,) = step_grid([-half, half], width, steps_per_sigma)
     # nodes within a relative 1e-12 of kick 2's start or kick 1's end
     # count as on it, as in `step_grid`
     k1 = np.floor((tau - half2 + half) / h * (1.0 + 1e-12)).astype(int)
@@ -144,9 +138,8 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     # one run of the block [v | row] (spin -1 on spin +1's phases), keeping
     # v's states at one node per close delay and the end, then the row's
     unique, at = np.unique(np.r_[k1, n, n - k2, n], return_inverse=True)
-    f = np.hstack([driven(p1, t, (1,)), driven(p2, t, (1,))[::-1]])
-    both = _sub_steps(basis, ground, f, [(n, _operators(basis, h))], unique,
-                      spins)[at, 0]
+    f = np.stack([forcing([p1], 1, t), forcing([p2], 1, t)[::-1]], axis=1)
+    both = _sub_steps(basis, ground, f, [(n, h)], unique, spins)[at, 0]
     k, ns = len(tau) + 1, len(spins)
     v, row = both[:k, :, :ns], both[k:, :, ns:]
 
@@ -155,9 +148,10 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
         basis, delays[separated] - 2.0 * half, v[-1] * row[-1])
     start, stop = -half + k1 * h, tau - half + k2 * h
     c1 = np.empty((len(tau), len(spins)), dtype=np.complex128)
-    for i, d in enumerate(tau):
-        t, h = step_grid(start[i], stop[i], width, steps_per_sigma)
-        c = strang_steps(basis, v[i], driven(p1, t) + driven(p2, t - d), h)
+    for i, d in enumerate(tau):  # each close delay from its node of v
+        t, (h,), (n,) = step_grid([start[i], stop[i]], width, steps_per_sigma)
+        f = forcing([p1], 1, t) + forcing([p2], 1, t - d)
+        c = _sub_steps(basis, v[i][None], f, [(n, h)], [n], spins)[0, 0]
         c1[i] = np.sum(row[i] * c, axis=0)
     pops[~separated] = np.mean(np.abs(c1) ** 2, axis=1)
     return DelayScan(delays, pops, kind, overlap)

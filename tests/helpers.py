@@ -6,18 +6,18 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qbounce import __version__
+from qbounce import __version__, quantum
 from qbounce.airy import _C1, _C2, airy_ai
 from qbounce.basis import _MAX_PANELS, _OVERLAP_TOL, QuadratureError
 from qbounce.basis import _CHUNK_ELEMENTS as _PSI_CHUNK_ELEMENTS
 from qbounce.basis import _overlap_integrals
 from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
                                sample_initial)
-from qbounce.pulses import (KickPulse, _check_target_time, merged_windows,
-                            spin_branches, whole_steps)
+from qbounce.pulses import (KickPulse, _check_target_time, forcing,
+                            merged_windows, spin_branches, whole_steps)
 from qbounce.quantum import (_PHASE_ROWS, _WEIGHTS, DEFAULT_STEPS_PER_SIGMA,
-                             StateVector, _free_phases, _mean_z, forcing,
-                             mean_height_trace, step_grid, strang_steps)
+                             StateVector, _free_phases, _mean_z,
+                             mean_height_trace, step_grid)
 from qbounce.spectroscopy import DelayScan, _spin_mean_forward
 
 
@@ -70,6 +70,13 @@ def evolve_pulsed(state, basis, pulses, spin, t_to,
     return final
 
 
+def strang_steps(basis, c, f_mid, h):
+    """Composed steps of size h of a vector (M,) or block (M, B) ``c``, one
+    sub-step per row of ``f_mid``: one run of `quantum._sub_steps`."""
+    n = len(f_mid) // 3
+    return quantum._sub_steps(basis, c[None], f_mid, [(n, h)], [n])[0, 0]
+
+
 def pulse_propagator(basis, pulse, spin=1,
                      steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
     """Full propagator matrix across one pulse window.
@@ -79,7 +86,7 @@ def pulse_propagator(basis, pulse, spin=1,
     the identity.
     """
     centered = KickPulse(pulse.amplitude, pulse.width, 0.0, pulse.kind)
-    t_mid, h = step_grid(*centered.window, pulse.width, steps_per_sigma)
+    t_mid, (h,), _ = step_grid(centered.window, pulse.width, steps_per_sigma)
     return strang_steps(basis, np.eye(basis.m, dtype=np.complex128),
                         forcing([centered], spin, t_mid), h)
 
@@ -416,7 +423,7 @@ def per_run_trace(basis, state, pulses, spin, times,
         while t0 < hi:
             t = float(times[k])
             end = hi if t > hi - 1e-12 * (hi - t0) else t
-            t_mid, h = step_grid(t0, end, width, steps_per_sigma)
+            t_mid, (h,), _ = step_grid([t0, end], width, steps_per_sigma)
             c = strang_steps(basis, c, forcing(active, spin, t_mid), h)
             t0 = end
             if t <= end:
@@ -538,8 +545,8 @@ def stacked_overlap_scan(basis, pulse1, pulse2, delays, spin_average=True,
     tau = np.asarray(delays, dtype=np.float64)
     lo = np.minimum(-half1, tau - half2)
     hi = np.maximum(half1, tau + half2)
-    t, h = step_grid(lo.min(), hi.max(), min(p1.width, p2.width),
-                     steps_per_sigma)
+    t, (h,), _ = step_grid([lo.min(), hi.max()], min(p1.width, p2.width),
+                           steps_per_sigma)
     t = t[:, None]
     inside = (t >= lo) & (t <= hi)
     f = np.concatenate([np.where(inside, forcing([p1], s, t) +

@@ -12,7 +12,7 @@ from qbounce import classical
 from qbounce.classical import (DEFAULT_STEPS_PER_SIGMA, ClassicalEnsemble,
                                ballistic_flight, mean_height_series,
                                propagate, sample_initial)
-from qbounce.pulses import KickPulse, merged_windows, whole_steps
+from qbounce.pulses import KickPulse, forcing, merged_windows, whole_steps
 
 from helpers import (_free_mean_height, _verlet, bounce_flight,
                      particle_energy, verlet_flight, walk_mean_height_series)
@@ -498,3 +498,19 @@ def test_series_without_escapes_does_not_warn():
         warnings.simplefilter("error")
         mean_height_series(500, 20.0, 0.0, 4.0, 0.125, 4, [FIG1_PULSE],
                            np.arange(0.0, 100.0, 0.5))
+
+
+@pytest.mark.parametrize("spin", [1, -1])
+def test_two_pulse_window_takes_its_force_from_the_kick_model(spin):
+    """A merged window of two magnetic pulses is accelerated by -2 - 2 f,
+    f the kick model's forcing at each node, so that past the first
+    pulse's window only the second acts."""
+    pulses = [KickPulse(0.8, 0.3, 4.0), KickPulse(-0.5, 0.2, 5.0)]
+    [(lo, hi, active)] = merged_windows(pulses, 0.0, 10.0)
+    h, a0, a1, _ = classical._step_grid([lo, hi], active, spin, 50)
+    t = np.cumsum(np.r_[lo, h])
+    acc = -2.0 - 2.0 * forcing(pulses, spin, t)
+    assert np.array_equal(a0, acc[:-1]) and np.array_equal(a1, acc[1:])
+    past = t > pulses[0].window[1]
+    assert past.any() and np.array_equal(
+        acc[past], -2.0 - 2.0 * forcing(pulses[1:], spin, t[past]))

@@ -686,3 +686,23 @@ def test_noise_floor_outside_unit_interval_is_a_config_error(tmp_path, capsys,
                  str(tmp_path), "--noise-floor", floor]) == 1
     assert "config error: --noise-floor" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["scan.csv"]
+
+
+@pytest.mark.parametrize("command,count", [("spectrum", "60"),
+                                           ("spectrum", "50"),
+                                           ("retrieve", "50")])
+def test_count_above_the_scan_lines_is_a_config_error(tmp_path, capsys,
+                                                      command, count):
+    """A scan on M = 50 states has 49 lines: --count 50 or 60 exits 1 with
+    a config error naming the flag, not a traceback, and writes nothing."""
+    scan_csv = tmp_path / "scan.csv"
+    delays = 2.0 + 0.1 * np.arange(300)
+    write_csv(str(scan_csv), [("basis_size", 50), ("kind", "magnetic")],
+              ["tau", "population", "overlap"],
+              np.column_stack((delays, 0.9 + 0.05 * np.cos(1.75 * delays),
+                               np.zeros(300))))
+    assert main([command, "--in", str(scan_csv), "--out-dir", str(tmp_path),
+                 "--count", count]) == 1
+    assert (f"config error: --count: not in [1, 49] for the scan's "
+            f"basis_size 50: {count}") in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scan.csv"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qbounce.pulses import KickPulse, merged_windows
+from qbounce.pulses import KickPulse, forcing, merged_windows
 
 
 def test_area_matches_gaussian_integral():
@@ -69,3 +69,34 @@ def test_merged_windows_clip_to_range():
     wins = merged_windows([p], 0.0, 2.0)
     assert wins == [(0.0, 2.0, [p])]
     assert merged_windows([p], 10.0, 20.0) == []
+
+
+@pytest.mark.parametrize("kind", ["magnetic", "shake"])
+@pytest.mark.parametrize("spin", [1, -1])
+def test_forcing_acts_on_the_closed_window_only(kind, spin):
+    """-s beta(t) (magnetic) or h''(t)/2 (shake) on the closed window,
+    both end points included, and zero an ulp outside it."""
+    p = KickPulse(0.7, 0.3, 2.0, kind)
+    lo, hi = p.window
+    t = np.r_[lo - 1.0, np.nextafter(lo, -np.inf), np.linspace(lo, hi, 101),
+              np.nextafter(hi, np.inf), hi + 1.0]
+    f = forcing([p], spin, t)
+    inside = f[2:-2]
+    kick = (-spin * p.envelope(t[2:-2]) if kind == "magnetic"
+            else 0.5 * p.envelope_second_derivative(t[2:-2]))
+    assert np.array_equal(inside, kick)
+    assert inside[0] != 0.0 and inside[-1] != 0.0  # both end points act
+    assert np.all(f[[0, 1, -2, -1]] == 0.0)
+
+
+def test_forcing_of_two_pulses_is_the_sum_of_their_windows():
+    """Overlapping windows: each pulse adds its own forcing on its own
+    window, so past the end of the first only the second acts."""
+    first, second = KickPulse(0.8, 0.3, 4.0), KickPulse(0.6, 0.4, 5.0, "shake")
+    t = np.linspace(1.0, 8.0, 701)
+    both = forcing([first, second], -1, t)
+    assert np.array_equal(both, forcing([first], -1, t) +
+                          forcing([second], -1, t))
+    past = t > first.window[1]
+    assert past.any() and np.array_equal(both[past],
+                                         forcing([second], -1, t[past]))

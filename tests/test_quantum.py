@@ -2,6 +2,7 @@
 
 import functools
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -12,16 +13,16 @@ from hypothesis.extra import numpy as hnp
 
 from qbounce import quantum
 from qbounce.basis import EigenBasis, build_basis
-from qbounce.pulses import KickPulse, merged_windows
-from qbounce.quantum import (StateVector, forcing, ground_state,
-                             mean_height_trace, step_grid, strang_steps)
+from qbounce.pulses import KickPulse, forcing, merged_windows
+from qbounce.quantum import (StateVector, ground_state, mean_height_trace,
+                             step_grid)
 
 from helpers import (NormDriftError, direct_free_phases, evolve_pulsed,
                      expectation_z, free_evolve, impulsive_kick,
                      impulsive_kick_matrix, oscillation_envelope,
                      per_run_trace, pulse_propagator, reference_sub_steps,
                      rk4_window, shake_potential_coefficient,
-                     walk_mean_height_trace)
+                     strang_steps, walk_mean_height_trace)
 
 
 def _two_state(basis):
@@ -148,7 +149,7 @@ def test_pulse_propagator_matches_evolve_pulsed(basis20):
 def test_reversed_steps_give_first_row_of_propagator(basis20, kind):
     """e_1^T W from stepping e_1 with the forcing samples reversed."""
     pulse = KickPulse(0.8, 0.3, 0.0, kind)
-    t_mid, h = step_grid(*pulse.window, pulse.width)
+    t_mid, (h,), _ = step_grid(pulse.window, pulse.width, quantum.DEFAULT_STEPS_PER_SIGMA)
     row = strang_steps(basis20, ground_state(basis20).coeffs,
                        forcing([pulse], -1, t_mid)[::-1], h)
     w = pulse_propagator(basis20, pulse, spin=-1)
@@ -160,7 +161,7 @@ def test_reversed_steps_transpose_asymmetric_forcing(basis20):
     palindromic, so reversing the forcing transposes the product even when
     the forcing has no time symmetry."""
     pulses = [KickPulse(1.0, 0.2, -0.5), KickPulse(-0.6, 0.3, 0.4)]
-    t_mid, h = step_grid(-1.7, 2.2, 0.2, 100)
+    t_mid, (h,), _ = step_grid([-1.7, 2.2], 0.2, 100)
     f = forcing(pulses, 1, t_mid)
     w = strang_steps(basis20, np.eye(basis20.m, dtype=complex), f, h)
     assert np.max(np.abs(w - w.T)) > 1e-3
@@ -181,7 +182,7 @@ def test_block_steps_equal_column_steps(basis20, amplitude, sigma, kind,
                                         spin):
     """A block of columns, each with its own forcing, steps like each
     column on its own."""
-    t_mid, h = step_grid(-6.0 * sigma, 8.0 * sigma, sigma, 50)
+    t_mid, (h,), _ = step_grid([-6.0 * sigma, 8.0 * sigma], sigma, 50)
     f = np.stack([forcing([KickPulse(amplitude * w, sigma, t0, kind)], spin,
                           t_mid)
                   for w, t0 in ((1.0, 0.0), (-0.5, sigma), (0.25, 2 * sigma))],
@@ -371,7 +372,7 @@ def test_operators_built_once_per_step_size_and_window(basis20, basis50,
         inside = times[(times > lo) & (times < hi)]
         edges = np.r_[lo, inside, hi]
         width = min(p.width for p in active)
-        sizes = [step_grid(a, b, width)[1] for a, b in zip(edges[:-1], edges[1:])]
+        sizes = step_grid(edges, width, quantum.DEFAULT_STEPS_PER_SIGMA)[1].tolist()
         distinct += len(set(sizes))
         runs += len(sizes)
     assert len(built) <= distinct
@@ -400,6 +401,32 @@ def test_kernel_entered_once_per_window(basis20, basis50, monkeypatch, case):
         mean_height_trace(basis, s, pulses, spins, times)
         assert calls == [(len(spins), n) for n in runs]
     assert sum(runs) >= 5 * len(windows)
+
+
+def test_kernel_keeps_at_most_its_operator_sets_alive(basis20, monkeypatch):
+    """60 irregular samples give one window a step size per run.  Each
+    operator set is built when its run is reached, and whenever one is
+    built at most ``_OPERATOR_SETS`` others are alive."""
+    pulse = KickPulse(0.5, 0.5, 5.0)
+    inside = np.sort(np.random.default_rng(11).uniform(*pulse.window, 60))
+    times = np.r_[0.0, inside, 10.0]
+    live, alive_at_build = set(), []
+    build = quantum._operators
+
+    def spy(basis, h):
+        alive_at_build.append(len(live))
+        ops = build(basis, h)
+        live.add(h)
+        weakref.finalize(ops[1], live.discard, h)  # G_sub freed: set gone
+        return ops
+
+    monkeypatch.setattr(quantum, "_operators", spy)
+    mean_height_trace(basis20, _two_state(basis20), [pulse], (1, -1), times)
+    edges = np.r_[pulse.window[0], inside, pulse.window[1]]
+    h = step_grid(edges, pulse.width, quantum.DEFAULT_STEPS_PER_SIGMA)[1]
+    assert len(set(h.tolist())) >= 12
+    assert len(alive_at_build) == 61
+    assert max(alive_at_build) <= quantum._OPERATOR_SETS
 
 
 @st.composite
@@ -449,6 +476,28 @@ def test_pair_walk_through_a_magnetic_and_shake_window(basis20):
     (plus, _), (minus, _) = mean_height_trace(basis20, _two_state(basis20),
                                               pulses, (1, -1), times)
     assert np.max(np.abs(plus - minus)) > 1e-3
+
+
+def test_merged_window_takes_its_forcing_from_the_kick_model(basis20,
+                                                            monkeypatch):
+    """A merged window of two pulses evaluates the kick model's forcing of
+    both, once per forcing column: one for two magnetic pulses, whose
+    spin -1 phases are conjugates, and one per spin with a shake."""
+    calls = []
+
+    def spy(pulses, spin, t):
+        calls.append((list(pulses), spin))
+        return forcing(pulses, spin, t)
+
+    monkeypatch.setattr(quantum, "forcing", spy)
+    times = np.arange(0.0, 8.0, 0.1)
+    first = KickPulse(0.8, 0.3, 4.0)
+    for second, spins in ((KickPulse(-0.5, 0.2, 5.0), (1,)),
+                          (KickPulse(0.6, 0.4, 5.0, "shake"), (1, -1))):
+        calls.clear()
+        mean_height_trace(basis20, _two_state(basis20), [first, second],
+                          (1, -1), times)
+        assert calls == [([first, second], s) for s in spins]
 
 
 @pytest.mark.parametrize("spins", [1, (), (1, 2), [1, -1]])
@@ -595,11 +644,14 @@ _kernel_basis = functools.cache(build_basis)
 
 @st.composite
 def kernel_cases(draw):
-    """A basis of M in [5, 30], 1-3 runs of different step sizes, a kind,
+    """A basis of M in [5, 30]; runs whose step sizes, up to
+    ``_OPERATOR_SETS`` + 3 distinct ones, each once or twice, interleave,
+    so that the kernel evicts operator sets and builds them again; a kind,
     spins, vector branches or one block, and nodes or only the run ends."""
     m = draw(st.integers(5, 30))
-    sizes = draw(st.lists(st.floats(0.005, 0.05), min_size=1, max_size=3,
-                          unique=True))
+    distinct = draw(st.lists(st.floats(0.005, 0.05), min_size=1,
+                             max_size=quantum._OPERATOR_SETS + 3, unique=True))
+    sizes = draw(st.permutations(distinct * draw(st.integers(1, 2))))
     counts = [draw(st.integers(1, 40)) for _ in sizes]
     kind = draw(st.sampled_from(["magnetic", "shake"]))
     spins = draw(st.sampled_from([(1,), (1, -1)]))
@@ -617,27 +669,35 @@ def _reference_runs(basis, cs, f, runs, nodes, signs):
     """`reference_sub_steps` run after run, each branch's states at
     ``nodes`` stacked."""
     kept, done = [[] for _ in cs], 0
-    for n, ops in runs:
+    for n, h in runs:
         local = [k - done for k in nodes if done < k <= done + n
                  or k == done == 0]
-        out = reference_sub_steps(basis, cs, f[3 * done:3 * (done + n)], ops,
-                                  signs, local)
+        out = reference_sub_steps(basis, cs, f[3 * done:3 * (done + n)],
+                                  quantum._operators(basis, h), signs, local)
         for k, o in zip(kept, out):
             k.extend(o)
         cs, done = [o[-1] for o in out], done + n
     return [np.stack(k) for k in kept]
 
 
+# ten step sizes in turn, twice: every run misses the kernel's operator sets
+_EVICTING = [0.005 + 0.004 * k for k in range(10)] * 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=kernel_cases())
+@example(case=(_kernel_basis(8), _EVICTING, [3] * 20, "magnetic", (1, -1),
+               None, np.cumsum([3] * 20).tolist(), np.random.default_rng(5)))
 def test_kernel_loop_matches_reference_sub_steps(case):
     """The kernel loop gives bitwise the states of the sub-step loop it
-    replaced, run after run, at every node: vector branches, each with its
-    own product, and one block of columns; one forcing for every sign
-    (magnetic) or one per branch or column (shake)."""
+    replaced, run after run, at every node, with operators built afresh
+    for every run: vector branches, each with its own product, and one
+    block of columns; one forcing for every sign (magnetic) or one per
+    branch or column (shake); step sizes interleaved past the kernel's
+    ``_OPERATOR_SETS``."""
     basis, sizes, counts, kind, spins, block, nodes, rng = case
     m, n3 = basis.m, 3 * sum(counts)
-    runs = [(n, quantum._operators(basis, h)) for n, h in zip(counts, sizes)]
+    runs = list(zip(counts, sizes))
 
     def states(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -694,21 +754,21 @@ def test_sample_next_to_a_window_end_is_taken_at_the_end(basis20, monkeypatch):
 def test_step_grid_takes_whole_steps_despite_rounding():
     """Gaps an ulp over a whole number of steps take that number: a
     sigma = 0.2 window, and every 0.1 sample run in the fig2 window."""
-    t_mid, _ = step_grid(*KickPulse(1.0, 0.2).window, 0.2)
-    assert len(t_mid) == 3 * 480
+    t_mid, _, (n,) = step_grid(KickPulse(1.0, 0.2).window, 0.2, 40)
+    assert len(t_mid) == 3 * n == 3 * 480
     lo, hi = KickPulse(0.5, 0.5, 60.0).window
     times = np.arange(0.0, 200.0 + 1e-9, 0.1)
     edges = np.r_[lo, times[(times > lo) & (times < hi)], hi]
-    counts = [len(step_grid(a, b, 0.5)[0]) // 3
-              for a, b in zip(edges[:-1], edges[1:])]
+    t_mid, _, counts = step_grid(edges, 0.5, 40)
     assert len(counts) == 60 and set(counts) == {8}
-    assert len(step_grid(0.0, 1.0 + 1e-9, 0.5, 4)[0]) == 3 * 9
+    assert len(t_mid) == 3 * 480
+    assert len(step_grid([0.0, 1.0 + 1e-9], 0.5, 4)[0]) == 3 * 9
 
 
 @pytest.mark.parametrize("steps", [0, -1, 2.5, True])
 def test_step_grid_needs_a_whole_positive_step_count(steps):
     with pytest.raises(ValueError, match="steps_per_sigma"):
-        step_grid(0.0, 1.0, 0.5, steps)
+        step_grid([0.0, 1.0], 0.5, steps)
 
 
 def test_pulse_propagator_rejects_negative_step_count(basis20):

@@ -199,12 +199,14 @@ def test_overlap_runs_step_an_eighth_of_the_stacked_run(basis20, monkeypatch):
     sub_steps = quantum._sub_steps
 
     def spy(basis, c, f_mid, runs, nodes, signs=(1,)):
-        # `strang_steps` calls only: not the v and row run, which every
-        # delay shares and which `scan_delay` calls directly
-        seen.append(len(f_mid) * c.shape[-1])
+        # not the [v | row] block, one column per spin and run, which
+        # every delay shares
+        if c.shape[-1] != 2 * len(signs):
+            seen.append(len(f_mid) * c.shape[-1])
         return sub_steps(basis, c, f_mid, runs, nodes, signs)
 
-    monkeypatch.setattr(quantum, "_sub_steps", spy)
+    monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
+    monkeypatch.setattr(quantum, "_sub_steps", spy)  # the stacked run
     p1, p2 = KickPulse(2.0, 0.2), KickPulse(1.0, 0.2)
     delays = DELAYS[DELAYS <= 3.0]
     close = delays[delays < p1.window[1] + p2.window[1]]
@@ -231,6 +233,8 @@ def test_one_block_run_matches_two_runs(basis50, monkeypatch, kind, a1, a2,
     blocks = []
 
     def two_runs(basis, c, f_mid, runs, nodes, signs=(1,)):
+        if c.shape[2] != 2 * len(signs):  # a close delay's run
+            return sub_steps(basis, c, f_mid, runs, nodes, signs)
         blocks.append(c.shape[2])
         s = c.shape[2] // 2
         return np.concatenate([sub_steps(basis, c[:, :, :s], f_mid[:, :1],
@@ -258,7 +262,8 @@ def test_one_block_run_matches_two_runs(basis50, monkeypatch, kind, a1, a2,
 def test_any_widths_keep_nodes_in_one_run(basis20, monkeypatch, sigma1,
                                           sigma2):
     """One node-keeping `_sub_steps` call, v and the row as one block, at
-    equal and at unequal widths."""
+    equal and at unequal widths; each close delay then takes one call of
+    its own, from its node of v, one column per spin."""
     sub_steps = quantum._sub_steps
     calls = []
 
@@ -267,9 +272,13 @@ def test_any_widths_keep_nodes_in_one_run(basis20, monkeypatch, sigma1,
         return sub_steps(basis, c, f_mid, runs, nodes, signs)
 
     monkeypatch.setattr(spectroscopy, "_sub_steps", spy)
-    scan_delay(basis20, KickPulse(2.0, sigma1), KickPulse(1.0, sigma2),
-               2.0 + 0.05 * np.arange(40))
-    assert calls == [(True, 4)]  # [v | row] for both spins
+    p1, p2 = KickPulse(2.0, sigma1), KickPulse(1.0, sigma2)
+    delays = 2.0 + 0.05 * np.arange(40)
+    scan_delay(basis20, p1, p2, delays)
+    close = np.sum(delays < p1.window[1] + p2.window[1])
+    assert close > 0
+    # [v | row] for both spins, then one run per close delay
+    assert calls == [(True, 4)] + [(False, 2)] * close
 
 
 # ------------------------------------------------------- impulsive oracle
