@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulses import (KickPulse, _check_sample_times, _check_target_time,
-                     check_step_count, forcing, merged_windows, whole_steps)
+from .pulses import (KickPulse, _check_sample_times, check_step_count,
+                     forcing, merged_windows, whole_steps)
 
 __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
-           "propagate", "mean_height_series"]
+           "mean_height_series"]
 
 DEFAULT_STEPS_PER_SIGMA = 200
 # free-flight samples summed about one origin; rounding grows as its span^2
@@ -69,12 +70,23 @@ def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
                    sigma_v: float, seed: int, spin: int = 1) -> ClassicalEnsemble:
     """Gaussian phase-space sample; draws with z < 0 are redrawn.
 
-    Deterministic for a fixed seed.  Raises if the requested Gaussian puts
-    more than 25% of its weight below the floor: redrawing that much mass
-    would no longer resemble a Gaussian centered at mu_z.
+    Deterministic for a fixed seed.  Raises as `_check_sample` does.
     """
     if n < 1:
         raise ValueError("need at least one particle")
+    _check_sample(mu_z, sigma_z, sigma_v)
+    rng = np.random.default_rng(seed)
+    z = mu_z + sigma_z * rng.standard_normal(n)
+    v = mu_v + sigma_v * rng.standard_normal(n)
+    while (bad := z < 0).any():  # at most 25% redrawn: decays geometrically
+        z[bad] = mu_z + sigma_z * rng.standard_normal(int(bad.sum()))
+    return ClassicalEnsemble(z, v, spin=spin)
+
+
+def _check_sample(mu_z, sigma_z, sigma_v):
+    """Raise ValueError unless the widths are non-negative, mu_z positive
+    and at most 25% of the Gaussian lies below the floor: redrawing more
+    would no longer resemble a Gaussian centered at mu_z."""
     if sigma_z < 0 or sigma_v < 0 or mu_z <= 0:
         raise ValueError("widths must be non-negative and mu_z positive")
     if sigma_z > 0:
@@ -83,12 +95,6 @@ def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
             raise ValueError(
                 f"{100 * p_below:.0f}% of the requested Gaussian lies below "
                 f"the floor (mu_z={mu_z}, sigma_z={sigma_z})")
-    rng = np.random.default_rng(seed)
-    z = mu_z + sigma_z * rng.standard_normal(n)
-    v = mu_v + sigma_v * rng.standard_normal(n)
-    while (bad := z < 0).any():  # at most 25% redrawn: decays geometrically
-        z[bad] = mu_z + sigma_z * rng.standard_normal(int(bad.sum()))
-    return ClassicalEnsemble(z, v, spin=spin)
 
 
 def _orbit(z, v):
@@ -307,41 +313,26 @@ def _magnetic(pulses):
 
 def _warn_above(z, z_cap):
     """Warn the caller's caller of particles above ``z_cap``."""
-    if z_cap is not None and (high := int((z > z_cap).sum())):
+    if high := int((z > z_cap).sum()):
         warnings.warn(f"{high} particle(s) above z_cap={z_cap}", stacklevel=3)
 
 
+def _fly(ens, t):
+    """The ensemble in free flight at ``t`` >= ens.time."""
+    if t == ens.time:
+        return ens
+    z, v = ballistic_flight(ens.z, ens.v, t - ens.time)
+    return replace(ens, z=z, v=v, time=t)
+
+
 def _cross_window(ens, edges, pulses, steps_per_sigma):
-    """Free flight to edges[0], then the stepper across one pulse window.
+    """The stepper across one pulse window from ``ens`` at edges[0].
 
     Returns the ensemble at edges[-1] and <z> at every edge after the first.
     """
-    z, v = ens.z, ens.v
-    if edges[0] > ens.time:
-        z, v = ballistic_flight(z, v, edges[0] - ens.time)
-    z, v, means = _kick_flight(z, v, edges, pulses, ens.spin, steps_per_sigma)
+    z, v, means = _kick_flight(ens.z, ens.v, edges, pulses, ens.spin,
+                               steps_per_sigma)
     return replace(ens, z=z, v=v, time=float(edges[-1])), means
-
-
-def propagate(ens: ClassicalEnsemble, t_to: float, pulses=(),
-              steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA,
-              z_cap: float | None = None) -> ClassicalEnsemble:
-    """Advance the ensemble to ``t_to`` through any pulse windows.
-
-    Exact ballistic flight outside the windows (|t - t_k| > 6 sigma_k),
-    velocity-Verlet with step sigma_k / ``steps_per_sigma`` inside, taken
-    in rounds of bounces (``_kick_flight``).
-    Particles ending above ``z_cap`` trigger a warning (escape flag).
-    """
-    pulses = _magnetic(pulses)
-    _check_target_time(t_to, ens.time)
-    for lo, hi, active in merged_windows(pulses, ens.time, t_to):
-        ens, _ = _cross_window(ens, [lo, hi], active, steps_per_sigma)
-    z, v = ens.z, ens.v
-    if t_to > ens.time:
-        z, v = ballistic_flight(z, v, t_to - ens.time)
-    _warn_above(z, z_cap)
-    return replace(ens, z=z, v=v, time=t_to)
 
 
 def _locate(tau, keys):
@@ -423,8 +414,10 @@ def _flight_means(ens: ClassicalEnsemble, times, z_cap: float):
 def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
                        sigma_v: float, seed: int, pulses, times: np.ndarray,
                        spins=(1, -1),
-                       steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA):
-    """<z>(t) per spin branch on the sample grid ``times``.
+                       steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA,
+                       snapshots=()):
+    """<z>(t) per spin branch on the sample grid ``times``, and the branch's
+    ensemble at each of the ascending ``snapshots`` (repeats allowed).
 
     Every branch starts from the identical seeded sample (the branches
     differ only in the sign of the kick force), so the free flight before
@@ -432,14 +425,28 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     between the pulse windows is summed bounce by bounce
     (``_flight_means``), each pulse window by one stepper run that lands on
     its samples; both sum free stretches, never sample x particle pairs.
-    Heights above 10 mu_z (apexes of the free flight, and heights at each
-    window's end) warn; the flight before the first window warns once.
-    Returns a dict spin -> series; average them for the spin average.
+    The walk goes on to the last snapshot, through any window past the
+    samples.  A snapshot outside the windows is the exact flight of the
+    ensemble the walk holds (the sample, or the ensemble at the end of the
+    last window before it).  One inside a window reruns the window's
+    stepper from its start, on the series' edges before the snapshot and
+    then on to it; the rerun is not fed back, so the series does not depend
+    on the snapshots.  Heights above 10 mu_z (apexes of the free flight,
+    and heights at each window's end) warn; the flight before the first
+    window warns once.  Returns a dict spin -> (series, [ClassicalEnsemble
+    per snapshot]); average the series for the spin average.
     """
     times = _check_sample_times(times, 0.0)
+    snaps = [float(t) for t in snapshots]
+    if snaps != sorted(snaps) or not all(0.0 <= t < math.inf for t in snaps):
+        raise ValueError("snapshot times must be ascending, finite and >= 0")
     pulses = _magnetic(pulses)
     z_cap = 10.0 * mu_z
-    windows = merged_windows(pulses, 0.0, float(times[-1]))
+    t_end = float(times[-1])
+    # the series' windows end at the last sample, as without snapshots; the
+    # windows past it only carry the walk on to the last snapshot
+    windows = (merged_windows(pulses, 0.0, t_end) +
+               merged_windows(pulses, t_end, max([t_end] + snaps)))
     first = (int(np.searchsorted(times, windows[0][0], side="right"))
              if windows else len(times))
     head = _flight_means(sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed),
@@ -447,19 +454,25 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     series = {}
     for s in spins:
         ens = sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed, spin=s)
-        out = np.empty_like(times)
+        out, shots = np.empty_like(times), []
         out[:first] = head
         idx = first
         for lo, hi, _ in windows:
             start, stop = np.searchsorted(times, (lo, hi), side="right")
             out[idx:start] = _flight_means(ens, times[idx:start], z_cap)
+            shots += [_fly(ens, t)
+                      for t in snaps[len(shots):bisect_right(snaps, lo)]]
+            ens = _fly(ens, lo)
             # one stepper run lands on every sample in the window
             edges = np.r_[lo, times[start:stop]]
             edges = edges if edges[-1] == hi else np.r_[edges, hi]
+            shots += [_cross_window(ens, np.r_[edges[edges < t], t], pulses,
+                                    steps_per_sigma)[0]
+                      for t in snaps[len(shots):bisect_left(snaps, hi)]]
             ens, means = _cross_window(ens, edges, pulses, steps_per_sigma)
             out[start:stop] = means[:stop - start]
             _warn_above(ens.z, z_cap)
             idx = stop
         out[idx:] = _flight_means(ens, times[idx:], z_cap)
-        series[s] = out
+        series[s] = out, shots + [_fly(ens, t) for t in snaps[len(shots):]]
     return series

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .basis import (BasisProjectionError, QuadratureError, UnitSystem,
                     build_basis)
-from .classical import mean_height_series, propagate, sample_initial
+from .classical import _check_sample, mean_height_series
 from .pulses import KickPulse, spin_branches
 from .quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector, ground_state,
                       mean_height_trace)
@@ -291,29 +291,28 @@ def cmd_classical_echo(args):
     if not all(0.0 <= t < np.inf for t in snaps):
         raise ConfigError(f"--snapshot: times must be finite and >= 0: {args.snapshot!r}")
     _check_span(cfg, 0.0, "t_max")
+    try:
+        _check_sample(cfg["mu_z"], cfg["sigma_z"], cfg["sigma_v"])
+    except ValueError as exc:
+        raise ConfigError(f"initial sample: {exc}") from None
     pulse = KickPulse(cfg["kick_amplitude"], cfg["kick_width"],
                       cfg["kick_time"], "magnetic")
     sample = [cfg[k] for k in ("n", "mu_z", "mu_v", "sigma_z", "sigma_v", "seed")]
     times = np.arange(0.0, cfg["t_max"] + 1e-9, cfg["dt_sample"])
     series = mean_height_series(*sample, [pulse], times,
-                                steps_per_sigma=cfg["steps_per_sigma"])
-    avg = 0.5 * (series[1] + series[-1])
+                                steps_per_sigma=cfg["steps_per_sigma"],
+                                snapshots=snaps)
+    (z_plus, plus), (z_minus, minus) = series[1], series[-1]
     write_csv(_resolve_out(args, args.out), sorted(cfg.items()),
               ["t", "z_plus", "z_minus", "z_avg"],
-              np.column_stack((times, series[1], series[-1], avg)))
-
+              np.column_stack((times, z_plus, z_minus, 0.5 * (z_plus + z_minus))))
     if snaps:
-        blocks = []
-        for s in (1, -1):
-            start = sample_initial(*sample, spin=s)
-            for t in snaps:  # restart only outside the window, keeping its steps
-                ens = propagate(start, t, [pulse], cfg["steps_per_sigma"])
-                if not pulse.window[0] < t < pulse.window[1]:
-                    start = ens
-                blocks.append(np.column_stack(
-                    (np.full(ens.n, t), ens.z, ens.v, np.full(ens.n, s))))
+        rows = np.empty((2 * len(snaps), cfg["n"], 4))
+        for block, e in zip(rows, plus + minus):
+            block[:, 0], block[:, 3] = e.time, e.spin
+            block[:, 1], block[:, 2] = e.z, e.v
         write_csv(_resolve_out(args, "snapshots.csv"), sorted(cfg.items()),
-                  ["t", "z", "v", "s"], np.concatenate(blocks))
+                  ["t", "z", "v", "s"], rows.reshape(-1, 4))
     return 0
 
 
@@ -413,7 +412,10 @@ def cmd_spectrum(args):
     scan, basis_size, header = _scan_from_csv(args.infile)
     _check_count(args.count, basis_size)
     basis = build_basis(basis_size)
-    spec = spectrum(scan, window=args.window)
+    try:
+        spec = spectrum(scan, window=args.window)
+    except ValueError as exc:  # too few rows; --window is checked by argparse
+        raise ConfigError(f"{args.infile}: {exc}") from None
     spec = find_peaks_and_match(spec, basis, args.count,
                                 noise_floor=args.noise_floor)
     if len(spec.matches) < args.count:
@@ -456,11 +458,16 @@ def cmd_convert(args):
     if args.quantity == "gradient":
         if args.direction != "to-dimensionless":
             raise ConfigError("gradient converts only to-dimensionless (a_k)")
+        if args.mass is not None:
+            raise ConfigError("gradient converts for the neutron only: a "
+                              "custom particle has no magnetic moment")
         value = units.kick_amplitude(args.value)
     elif args.direction == "to-si":
         value = units.to_si(args.value, args.quantity)
     else:
         value = units.from_si(args.value, args.quantity)
+    if not math.isfinite(value):
+        raise ConfigError(f"{args.value} {args.quantity} converts to {value}")
     print(f"{value:.17g}")
     return 0
 
@@ -532,14 +539,14 @@ def build_parser():
     sp.set_defaults(fn=cmd_retrieve)
 
     sp = sub.add_parser("convert", help="dimensionless <-> SI unit conversion")
-    sp.add_argument("value", type=float)
+    sp.add_argument("value", type=_finite)
     sp.add_argument("--quantity", required=True,
                     choices=("length", "time", "energy", "gradient"))
     sp.add_argument("--direction", required=True,
                     choices=("to-si", "to-dimensionless"))
-    sp.add_argument("--mass", type=float, default=None,
+    sp.add_argument("--mass", type=_positive, default=None,
                     help="particle mass in kg (default: neutron)")
-    sp.add_argument("--gravity", type=float, default=None,
+    sp.add_argument("--gravity", type=_positive, default=None,
                     help="gravitational acceleration in m/s^2")
     sp.set_defaults(fn=cmd_convert)
     return parser

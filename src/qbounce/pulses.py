@@ -85,15 +85,6 @@ def check_step_count(steps_per_sigma):
                          f"{steps_per_sigma!r}")
 
 
-def _check_target_time(t_to, t_from):
-    """Raise ValueError unless ``t_to`` is finite and not before ``t_from``."""
-    if not math.isfinite(t_to):
-        raise ValueError(f"t_to must be finite, got {t_to}")
-    if t_to < t_from:
-        raise ValueError(f"t_to = {t_to} must not precede the start time "
-                         f"{t_from}")
-
-
 def _check_sample_times(times, t_from):
     """``times`` as a float64 array; raise ValueError unless it is a
     non-empty 1-d array of finite values, ascending from ``t_from`` on."""

@@ -6,15 +6,14 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qbounce import __version__, quantum
+from qbounce import __version__, classical, quantum
 from qbounce.airy import _C1, _C2, airy_ai
 from qbounce.basis import _MAX_PANELS, _OVERLAP_TOL, QuadratureError
 from qbounce.basis import _CHUNK_ELEMENTS as _PSI_CHUNK_ELEMENTS
 from qbounce.basis import _overlap_integrals
-from qbounce.classical import (ClassicalEnsemble, _orbit, propagate,
-                               sample_initial)
-from qbounce.pulses import (KickPulse, _check_target_time, forcing,
-                            merged_windows, spin_branches, whole_steps)
+from qbounce.classical import ClassicalEnsemble, _orbit, sample_initial
+from qbounce.pulses import (KickPulse, forcing, merged_windows, spin_branches,
+                            whole_steps)
 from qbounce.quantum import (_PHASE_ROWS, _WEIGHTS, DEFAULT_STEPS_PER_SIGMA,
                              StateVector, _free_phases, _mean_z,
                              mean_height_trace, step_grid)
@@ -57,6 +56,15 @@ def series_ai(x, derivative=True):
     aip = _C1 * fp - _C2 * gp
     return (np.asarray(ai, dtype=np.float64),
             np.asarray(aip, dtype=np.float64))[:1 + derivative]
+
+
+def _check_target_time(t_to, t_from):
+    """Raise ValueError unless ``t_to`` is finite and not before ``t_from``."""
+    if not math.isfinite(t_to):
+        raise ValueError(f"t_to must be finite, got {t_to}")
+    if t_to < t_from:
+        raise ValueError(f"t_to = {t_to} must not precede the start time "
+                         f"{t_from}")
 
 
 def evolve_pulsed(state, basis, pulses, spin, t_to,
@@ -349,6 +357,26 @@ def _free_mean_height(ens: ClassicalEnsemble, times, z_cap: float):
         y -= np.rint(y)
         out[k:k + rows] = 0.25 * u2.mean() - (y * y) @ u2 / ens.n
     return out
+
+
+def propagate(ens, t_to, pulses=(),
+              steps_per_sigma=classical.DEFAULT_STEPS_PER_SIGMA, z_cap=None):
+    """Advance the ensemble to ``t_to`` through any pulse windows (the
+    per-snapshot oracle for `mean_height_series`).
+
+    Exact ballistic flight outside the windows (|t - t_k| > 6 sigma_k), one
+    stepper run across each window clipped to [ens.time, t_to], whatever
+    the sample grid.  Particles ending above ``z_cap`` warn.
+    """
+    pulses = classical._magnetic(pulses)
+    _check_target_time(t_to, ens.time)
+    for lo, hi, active in merged_windows(pulses, ens.time, t_to):
+        ens, _ = classical._cross_window(classical._fly(ens, lo), [lo, hi],
+                                         active, steps_per_sigma)
+    ens = classical._fly(ens, t_to)
+    if z_cap is not None and (high := int((ens.z > z_cap).sum())):
+        warnings.warn(f"{high} particle(s) above z_cap={z_cap}", stacklevel=2)
+    return ens
 
 
 def walk_mean_height_series(n, mu_z, mu_v, sigma_z, sigma_v, seed, pulses,

@@ -146,7 +146,7 @@ def test_criterion_6_classical_echo():
     times = np.arange(0.0, 200.0 + 1e-9, 0.1)
     series = mean_height_series(20000, 20.0, 0.0, 4.0, 0.125, 7,
                                 [pulse], times)
-    avg = 0.5 * (series[1] + series[-1])
+    avg = 0.5 * (series[1][0] + series[-1][0])
     t_peak, peak, dead = _envelope_stats(times, avg, (110.0, 130.0),
                                          (90.0, 108.0))
     contrast = peak / dead

@@ -20,7 +20,7 @@ TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 PIPELINE_SPANS = ["cli.main", "cli.write_csv", "cli.read_csv", "basis.build",
                   "airy.zeros", "basis.project", "quantum.trace",
                   "spectroscopy.scan", "classical.series",
-                  "classical.snapshot", "classical.flight"]
+                  "classical.flight"]
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from qbounce import classical
 from qbounce.classical import (DEFAULT_STEPS_PER_SIGMA, ClassicalEnsemble,
                                ballistic_flight, mean_height_series,
-                               propagate, sample_initial)
+                               sample_initial)
 from qbounce.pulses import KickPulse, forcing, merged_windows, whole_steps
 
 from helpers import (_free_mean_height, _verlet, bounce_flight,
-                     particle_energy, verlet_flight, walk_mean_height_series)
+                     particle_energy, propagate, verlet_flight,
+                     walk_mean_height_series)
 
 FIG1_PULSE = KickPulse(0.5, 0.5, 60.0)
 
@@ -151,7 +152,7 @@ def test_flight_energy_conserved_to_rounding():
         assert np.max(np.abs(e1 / e0 - 1.0)) < 1e-12
 
 
-# ------------------------------------------------------------- propagate
+# ---------------------------------------- propagate, the snapshot oracle
 
 def test_zero_amplitude_pulse_is_ballistic():
     ens = sample_initial(300, 20.0, 0.0, 4.0, 0.125, seed=9)
@@ -435,14 +436,14 @@ def test_mean_height_starts_at_mu_z():
     series = mean_height_series(5000, 20.0, 0.0, 4.0, 0.125, 13,
                                 [KickPulse(0.5, 0.5, 60.0)], times)
     for s in (1, -1):
-        assert abs(series[s][0] - 20.0) < 3 * 4.0 / math.sqrt(5000)
+        assert abs(series[s][0][0] - 20.0) < 3 * 4.0 / math.sqrt(5000)
 
 
 def test_spin_branches_identical_before_kick():
     times = np.arange(0.0, 20.0, 1.0)
     series = mean_height_series(2000, 20.0, 0.0, 4.0, 0.125, 13,
                                 [KickPulse(0.5, 0.5, 60.0)], times)
-    assert np.array_equal(series[1], series[-1])
+    assert np.array_equal(series[1][0], series[-1][0])
 
 
 def test_series_matches_per_sample_walk(monkeypatch):
@@ -454,7 +455,7 @@ def test_series_matches_per_sample_walk(monkeypatch):
     walk = walk_mean_height_series(2000, 20.0, 0.0, 4.0, 0.125, 7,
                                    [FIG1_PULSE], times)
     for s in (1, -1):
-        assert np.max(np.abs(series[s] - walk[s])) < 1e-10
+        assert np.max(np.abs(series[s][0] - walk[s])) < 1e-10
 
 
 def test_series_lands_on_samples_inside_the_window():
@@ -465,7 +466,7 @@ def test_series_lands_on_samples_inside_the_window():
                                 times, spins=(-1,))
     walk = walk_mean_height_series(500, 20.0, 0.0, 4.0, 0.125, 3,
                                    [FIG1_PULSE], times, spins=(-1,))
-    assert np.max(np.abs(series[-1] - walk[-1])) < 1e-10
+    assert np.max(np.abs(series[-1][0] - walk[-1])) < 1e-10
 
 
 @pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [],
@@ -474,6 +475,33 @@ def test_series_rejects_bad_sample_times(times):
     with pytest.raises(ValueError, match="sample times"):
         mean_height_series(100, 20.0, 0.0, 4.0, 0.125, 1, [FIG1_PULSE],
                            np.array(times))
+
+
+def test_snapshot_past_a_window_across_the_samples_leaves_the_series():
+    """The fig1 kick window [57, 63] with samples up to t = 60 and a
+    snapshot at 70: the walk steps [57, 60] on the samples and [60, 63]
+    apart, so the series is bit for bit the one without the snapshot (one
+    stepper run over [57, 63] moved a sample of spin -1 by an ulp)."""
+    times = np.arange(0.0, 60.0 + 1e-9, 0.1)
+    plain = mean_height_series(20000, 20.0, 0.0, 4.0, 0.125, 7, [FIG1_PULSE],
+                               times)
+    snapped = mean_height_series(20000, 20.0, 0.0, 4.0, 0.125, 7,
+                                 [FIG1_PULSE], times, snapshots=[70.0])
+    for s in (1, -1):
+        assert np.array_equal(plain[s][0], snapped[s][0])
+        [shot] = snapped[s][1]
+        ref = propagate(sample_initial(20000, 20.0, 0.0, 4.0, 0.125, 7,
+                                       spin=s), 70.0, [FIG1_PULSE])
+        assert shot.time == 70.0 and shot.spin == s
+        assert_same_states(shot.z, shot.v, ref.z, ref.v, 1e-10)
+
+
+@pytest.mark.parametrize("snapshots", [[5.0, 2.0], [math.nan], [-1.0],
+                                       [1.0, math.inf]])
+def test_series_rejects_bad_snapshot_times(snapshots):
+    with pytest.raises(ValueError, match="snapshot times"):
+        mean_height_series(100, 20.0, 0.0, 4.0, 0.125, 1, [FIG1_PULSE],
+                           np.arange(0.0, 10.0, 0.5), snapshots=snapshots)
 
 
 def test_series_flags_escaping_particles():
@@ -490,7 +518,7 @@ def test_flight_before_the_first_window_warns_once():
         series = mean_height_series(200, 1.0, 10.0, 0.1, 0.1, 4,
                                     [FIG1_PULSE], times)
     assert len(record) == 1
-    assert np.array_equal(series[1], series[-1])
+    assert np.array_equal(series[1][0], series[-1][0])
 
 
 def test_series_without_escapes_does_not_warn():

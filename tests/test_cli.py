@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from qbounce import basis as basis_module
 from qbounce import classical, cli
 from qbounce.basis import build_basis
-from qbounce.classical import propagate, sample_initial
+from qbounce.classical import sample_initial
 from qbounce.cli import (_scan_from_csv, main, parse_config_text,
                          read_scan_csv, write_csv)
 from qbounce.pulses import KickPulse
 from qbounce.quantum import ground_state, mean_height_trace
 
-from helpers import legacy_csv_text, read_scan_csv_lines, verlet_flight
+from helpers import (legacy_csv_text, propagate, read_scan_csv_lines,
+                     verlet_flight)
 
 # hard-coded preset parameter tables; any drift in the shipped config files
 # is a bug
@@ -221,6 +222,61 @@ def test_snapshots_match_propagation_from_zero(tmp_path):
             ref = propagate(start, t, [pulse])
             assert np.max(np.abs(block[:, 1] - ref.z)) < 1e-10
             assert np.max(np.abs(block[:, 2] - ref.v)) < 1e-10
+
+
+def _snapshot_blocks(path, snaps, n):
+    """The snapshot CSV's (t, z, v, s) rows as one block per spin and time,
+    in the order the command writes them: spin +1's times, then spin -1's."""
+    data = np.array(_read_csv(path)[2], dtype=float)
+    keys = [(s, t) for s in (1, -1) for t in snaps]
+    assert data.shape == (len(keys) * n, 4)
+    return zip(keys, data.reshape(len(keys), n, 4))
+
+
+# the default kick window is [7, 13]; the samples run to t_max = 20
+_SNAPSHOT_CASES = {
+    "window start and end": ("kick_time = 10.0", [7.0, 13.0]),
+    "repeated times": ("kick_time = 10.0", [5.0, 10.2, 10.2, 15.0, 15.0]),
+    "kick after t_max": ("kick_time = 25.0", [18.5, 24.0, 30.0]),
+    "window across t_max": ("kick_time = 19.0", [17.3, 20.0, 21.0, 25.0]),
+}
+
+
+@pytest.mark.parametrize("kick,snaps", _SNAPSHOT_CASES.values(),
+                         ids=_SNAPSHOT_CASES)
+def test_snapshot_cases_match_propagation_from_zero(tmp_path, kick, snaps):
+    """Snapshots on a window's edges, repeated, and past t_max through a
+    kick that lies (in part) past t_max, each against one propagate from
+    t = 0 (1e-10)."""
+    cfg = tmp_path / "ce.cfg"
+    cfg.write_text(CLASSICAL_CFG.replace("kick_time = 10.0", kick))
+    assert main(["classical-echo", "--config", str(cfg), "--out-dir",
+                 str(tmp_path), "--snapshot", ",".join(map(str, snaps))]) == 0
+    pulse = KickPulse(0.5, 0.5, float(kick.split("=")[1]))
+    for (s, t), block in _snapshot_blocks(tmp_path / "snapshots.csv", snaps,
+                                          300):
+        ref = propagate(sample_initial(300, 20.0, 0.0, 4.0, 0.125, 3, spin=s),
+                        t, [pulse])
+        assert np.all(block[:, 0] == t) and np.all(block[:, 3] == s)
+        assert np.max(np.abs(block[:, 1] - ref.z)) < 1e-10
+        assert np.max(np.abs(block[:, 2] - ref.v)) < 1e-10
+
+
+@pytest.mark.parametrize("kick,snapshot", [("kick_time = 10.0", "10.2"),
+                                           ("kick_time = 10.0", "7.0,12.35"),
+                                           ("kick_time = 19.0", "19.5,25")])
+def test_series_does_not_depend_on_snapshots(tmp_path, kick, snapshot):
+    """In-window snapshots rerun their window, and one past t_max carries the
+    walk on: series.csv is byte-identical with and without them."""
+    cfg = tmp_path / "ce.cfg"
+    cfg.write_text(CLASSICAL_CFG.replace("kick_time = 10.0", kick))
+    plain, snapped = tmp_path / "plain.csv", tmp_path / "snapped.csv"
+    assert main(["classical-echo", "--config", str(cfg),
+                 "--out", str(plain)]) == 0
+    assert main(["classical-echo", "--config", str(cfg), "--out",
+                 str(snapped), "--out-dir", str(tmp_path),
+                 "--snapshot", snapshot]) == 0
+    assert plain.read_bytes() == snapped.read_bytes()
 
 
 def test_fig1_preset_matches_step_by_step_oracle(tmp_path, monkeypatch):
@@ -429,6 +485,11 @@ _BAD_CONFIGS = [
     ("classical-echo", CLASSICAL_CFG, "dt_sample", "-0.5"),
     ("classical-echo", CLASSICAL_CFG, "t_max", "-1.0"),
     ("classical-echo", CLASSICAL_CFG, "n", "0"),
+    ("classical-echo", CLASSICAL_CFG, "mu_z", "-1.0"),
+    ("classical-echo", CLASSICAL_CFG, "mu_z", "0.0"),
+    ("classical-echo", CLASSICAL_CFG, "sigma_z", "-4.0"),
+    ("classical-echo", CLASSICAL_CFG, "sigma_v", "-0.5"),
+    ("classical-echo", CLASSICAL_CFG, "sigma_z", "40.0"),
     ("classical-echo", CLASSICAL_CFG + "steps_per_sigma = 200\n",
      "steps_per_sigma", "-1"),
     ("quantum-echo", QUANTUM_CFG + "steps_per_sigma = 40\n",
@@ -448,7 +509,9 @@ _BAD_CONFIGS = [
 def test_bad_numbers_fail_before_the_run(tmp_path, capsys, mode, text, key,
                                          value):
     """Non-finite values, empty or reversed grids, non-positive steps,
-    widths and counts, and basis sizes outside [1, 400] are config errors:
+    widths and counts, basis sizes outside [1, 400], and a classical sample
+    with a non-positive mu_z, a negative width or more than 25 % of its
+    Gaussian below the floor (31 % at sigma_z = 40) are config errors:
     exit 1 and no CSV."""
     text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     assert n == 1
@@ -654,6 +717,47 @@ def test_convert_round_trip(capsys):
 def test_convert_gradient_to_si_rejected(capsys):
     assert main(["convert", "0.8", "--quantity", "gradient",
                  "--direction", "to-si"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["1", "--quantity", "length", "--direction", "to-si", "--mass", "-1",
+     "--gravity", "9.8"],
+    ["1", "--quantity", "length", "--direction", "to-si", "--mass", "inf",
+     "--gravity", "9.8"],
+    ["1", "--quantity", "time", "--direction", "to-si", "--mass", "1e-27",
+     "--gravity", "0"],
+    ["nan", "--quantity", "length", "--direction", "to-si"],
+    ["-inf", "--quantity", "energy", "--direction", "to-dimensionless"],
+    ["0.8", "--quantity", "gradient", "--direction", "to-dimensionless",
+     "--mass", "1e-27", "--gravity", "9.8"],
+    ["1e308", "--quantity", "length", "--direction", "to-dimensionless"],
+])
+def test_convert_bad_input_exits_1(capsys, argv):
+    """Non-finite or non-positive masses, gravities and values, a gradient
+    for a particle without a magnetic moment and a result that overflows
+    exit 1 with an error and print no value."""
+    try:
+        code = main(["convert"] + argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and "error" in err
+
+
+def test_short_scan_spectrum_is_a_config_error(tmp_path, capsys):
+    """A scan CSV with fewer rows than the spectrum needs (181 < 256)
+    exits 1 with a config error naming the file and writes nothing."""
+    scan_csv = tmp_path / "scan.csv"
+    delays = 2.0 + 0.1 * np.arange(181)
+    write_csv(str(scan_csv), [("basis_size", 50), ("kind", "magnetic")],
+              ["tau", "population", "overlap"],
+              np.column_stack((delays, 0.9 + 0.05 * np.cos(1.75 * delays),
+                               np.zeros(181))))
+    assert main(["spectrum", "--in", str(scan_csv), "--out-dir",
+                 str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {scan_csv}: need at least 256 samples" in err
+    assert os.listdir(tmp_path) == ["scan.csv"]
 
 
 @pytest.mark.parametrize("command,flags", [
