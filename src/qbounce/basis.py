@@ -69,11 +69,18 @@ class UnitSystem:
             raise ValueError("mass and gravity must be positive")
         if self.magnetic_moment is not None and self.magnetic_moment <= 0:
             raise ValueError("magnetic moment must be positive")
-        z_g = (HBAR ** 2 / (2.0 * self.mass ** 2 * self.gravity)) ** (1.0 / 3.0)
-        E_g = self.mass * self.gravity * z_g
+        try:
+            z_g = (HBAR ** 2 / (2.0 * self.mass ** 2 * self.gravity)) ** (1.0 / 3.0)
+            E_g = self.mass * self.gravity * z_g
+            t_g = HBAR / E_g
+        except (ZeroDivisionError, OverflowError):  # m^2 g out of range
+            z_g = E_g = t_g = math.nan
+        if not all(0.0 < x < math.inf for x in (z_g, E_g, t_g)):
+            raise ValueError(f"mass {self.mass} kg and gravity {self.gravity} "
+                             "m/s^2 give scales outside the float range")
         object.__setattr__(self, "z_g", z_g)
         object.__setattr__(self, "E_g", E_g)
-        object.__setattr__(self, "t_g", HBAR / E_g)
+        object.__setattr__(self, "t_g", t_g)
 
     @classmethod
     def neutron(cls) -> "UnitSystem":

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulses import (KickPulse, _check_sample_times, check_step_count,
-                     forcing, merged_windows, whole_steps)
+from .pulses import (KickPulse, _check_sample_times, forcing, merged_windows,
+                     run_steps, window_edges)
 
 __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
            "mean_height_series"]
@@ -118,33 +118,6 @@ def ballistic_flight(z, v, dt: float):
     return phi * (u - phi), u - 2.0 * phi
 
 
-def _step_grid(edges, pulses, spin, steps_per_sigma):
-    """Steps of the stepper across ``edges``, one stretch after the other.
-
-    Each stretch between two edges gets the grid a run over it alone takes:
-    ``whole_steps(length, dt)`` equal steps, dt the narrowest width of the
-    pulses active in it over ``steps_per_sigma``, step times accumulated as
-    t += h, and the acceleration -2 - 2 f of the kick model's forcing f.
-    Returns the step sizes, the accelerations at the start and at the end of
-    each step, and the node index at which each stretch ends.
-    """
-    check_step_count(steps_per_sigma)
-    hs, starts, finals, ends = [], [], [], [0]
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        (_, _, active), = merged_windows(pulses, t0, t1)
-        dt = min(p.width for p in active) / steps_per_sigma
-        n = whole_steps(t1 - t0, dt)
-        h = (t1 - t0) / n
-        t = np.cumsum(np.r_[t0, np.full(n, h)])
-        acc = -2.0 - 2.0 * forcing(active, spin, t)
-        hs.append(np.full(n, h))
-        starts.append(acc[:-1])
-        finals.append(acc[1:])
-        ends.append(ends[-1] + n)
-    return (np.concatenate(hs), np.concatenate(starts), np.concatenate(finals),
-            np.array(ends[1:]))
-
-
 def _floor_split(z, v, a, a_next, h):
     """Split a step that ends below the floor at its crossing time.
 
@@ -221,11 +194,12 @@ def _advance(sums, j, k, z, v):
 
 
 def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
-    """Velocity-Verlet with z'' = -2 - 2 f(t) across one pulse window.
-
-    The kick force does not depend on z, so off the floor the map from node
-    j to a later node k of the step grid (``_step_grid``) is the same for
-    every particle:
+    """Velocity-Verlet with z'' = -2 - 2 f(t) across one pulse window, f the
+    forcing of its active ``pulses``, each run between two edges on the
+    steps `run_steps` gives it at their narrowest width (node times t += h,
+    the run's last node at its end).  The kick force does not depend on z,
+    so off the floor the map from node j to a later node k of that grid is
+    the same for every particle:
         z_k = z_j + (v_j - C_j)(T_k - T_j) + P_k - P_j,  v_k = v_j + C_k - C_j,
     with T, C and P prefix sums of h, (a0 + a1) h / 2 and C h + a0 h^2 / 2.
     So the stepper runs in rounds of bounces, not of steps: each round finds
@@ -241,7 +215,12 @@ def _kick_flight(z, v, edges, pulses, spin, steps_per_sigma):
     Returns z and v at edges[-1] and <z> at every edge after the first, from
     the free stretches (``_stretch_means``).
     """
-    h, a0, a1, ends = _step_grid(edges, pulses, spin, steps_per_sigma)
+    steps, hs = run_steps(edges, min(p.width for p in pulses),
+                          steps_per_sigma)
+    t = np.concatenate([np.cumsum(np.r_[t0, np.full(k - 1, h)])
+                        for t0, k, h in zip(edges, steps, hs)] + [edges[-1:]])
+    acc = -2.0 - 2.0 * forcing(pulses, spin, t)
+    h, a0, a1, ends = np.repeat(hs, steps), acc[:-1], acc[1:], np.cumsum(steps)
     n_steps, n = len(h), len(z)
     ranges = _unimodal_ranges(a0, a1, h)
     # accumulated in extended precision, so each sum is rounded to double once
@@ -309,12 +288,6 @@ def _magnetic(pulses):
     if any(p.kind != "magnetic" for p in pulses):
         raise ValueError("classical propagation supports magnetic kicks only")
     return pulses
-
-
-def _warn_above(z, z_cap):
-    """Warn the caller's caller of particles above ``z_cap``."""
-    if high := int((z > z_cap).sum()):
-        warnings.warn(f"{high} particle(s) above z_cap={z_cap}", stacklevel=3)
 
 
 def _fly(ens, t):
@@ -419,7 +392,7 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     """<z>(t) per spin branch on the sample grid ``times``, and the branch's
     ensemble at each of the ascending ``snapshots`` (repeats allowed).
 
-    Every branch starts from the identical seeded sample (the branches
+    Every branch starts from one seeded sample, drawn once (the branches
     differ only in the sign of the kick force), so the free flight before
     the first pulse window is summed once for all of them.  Free flight
     between the pulse windows is summed bounce by bounce
@@ -449,29 +422,29 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
                merged_windows(pulses, t_end, max([t_end] + snaps)))
     first = (int(np.searchsorted(times, windows[0][0], side="right"))
              if windows else len(times))
-    head = _flight_means(sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed),
-                         times[:first], z_cap)
+    sample = sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed)
+    head = _flight_means(sample, times[:first], z_cap)
     series = {}
     for s in spins:
-        ens = sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed, spin=s)
+        ens = replace(sample, spin=s)
         out, shots = np.empty_like(times), []
         out[:first] = head
         idx = first
-        for lo, hi, _ in windows:
-            start, stop = np.searchsorted(times, (lo, hi), side="right")
+        for lo, hi, active in windows:
+            # one stepper run lands on every sample in the window
+            edges, start, stop = window_edges(times, lo, hi)
             out[idx:start] = _flight_means(ens, times[idx:start], z_cap)
             shots += [_fly(ens, t)
                       for t in snaps[len(shots):bisect_right(snaps, lo)]]
             ens = _fly(ens, lo)
-            # one stepper run lands on every sample in the window
-            edges = np.r_[lo, times[start:stop]]
-            edges = edges if edges[-1] == hi else np.r_[edges, hi]
-            shots += [_cross_window(ens, np.r_[edges[edges < t], t], pulses,
+            shots += [_cross_window(ens, np.r_[edges[edges < t], t], active,
                                     steps_per_sigma)[0]
                       for t in snaps[len(shots):bisect_left(snaps, hi)]]
-            ens, means = _cross_window(ens, edges, pulses, steps_per_sigma)
+            ens, means = _cross_window(ens, edges, active, steps_per_sigma)
             out[start:stop] = means[:stop - start]
-            _warn_above(ens.z, z_cap)
+            if high := int((ens.z > z_cap).sum()):
+                warnings.warn(f"{high} particle(s) above z_cap={z_cap}",
+                              stacklevel=2)
             idx = stop
         out[idx:] = _flight_means(ens, times[idx:], z_cap)
         series[s] = out, shots + [_fly(ens, t) for t in snaps[len(shots):]]

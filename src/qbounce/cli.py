@@ -76,6 +76,12 @@ def _kind(s):
     return KickPulse(0.0, 1.0, kind=s).kind  # KickPulse rejects other kinds
 
 
+def _initial(s):
+    if s not in ("gaussian", "ground"):
+        raise ValueError(f"not 'gaussian' or 'ground': {s!r}")
+    return s
+
+
 # schema: key -> (type, default); REQUIRED means no default
 REQUIRED = object()
 
@@ -97,7 +103,7 @@ _SCHEMAS = {
     "quantum-echo": {
         "basis_size": (_basis_size, REQUIRED),
         "kind": (_kind, REQUIRED),
-        "initial": (str, REQUIRED),
+        "initial": (_initial, REQUIRED),
         "mu_z": (_finite, 0.0),
         "sigma_z": (_finite, 0.0),
         "amplitude1": (_finite, REQUIRED),
@@ -343,10 +349,8 @@ def cmd_quantum_echo(args):
         except ValueError as exc:  # mu_z or sigma_z out of range
             raise ConfigError(f"gaussian initial state: {exc}") from None
         health.append(("captured_norm", captured))
-    elif cfg["initial"] == "ground":
-        coeffs = ground_state(basis).coeffs
     else:
-        raise ConfigError(f"unknown initial state {cfg['initial']!r}")
+        coeffs = ground_state(basis).coeffs
 
     times = np.arange(t_start, cfg["t_max"] + 1e-9, cfg["dt_sample"])
     branches = mean_height_trace(
@@ -451,10 +455,11 @@ def cmd_retrieve(args):
 def cmd_convert(args):
     if (args.mass is None) != (args.gravity is None):
         raise ConfigError("--mass and --gravity must be given together")
-    if args.mass is not None:
-        units = UnitSystem(mass=args.mass, gravity=args.gravity)
-    else:
-        units = UnitSystem.neutron()
+    try:
+        units = (UnitSystem.neutron() if args.mass is None
+                 else UnitSystem(mass=args.mass, gravity=args.gravity))
+    except ValueError as exc:  # scales out of range
+        raise ConfigError(str(exc)) from None
     if args.quantity == "gradient":
         if args.direction != "to-dimensionless":
             raise ConfigError("gradient converts only to-dimensionless (a_k)")

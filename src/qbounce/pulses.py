@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 __all__ = ["KickPulse", "WINDOW_SIGMAS", "check_step_count", "forcing",
-           "merged_windows", "spin_branches", "whole_steps"]
+           "merged_windows", "run_steps", "spin_branches", "whole_steps",
+           "window_edges"]
 
 # a pulse acts on |t - t_k| <= 6 sigma; the Gaussian tail beyond is < 1e-15
 WINDOW_SIGMAS = 6.0
@@ -40,11 +42,6 @@ class KickPulse:
             raise ValueError("pulse width must be positive")
         if self.kind not in ("magnetic", "shake"):
             raise ValueError(f"unknown pulse kind: {self.kind!r}")
-
-    @property
-    def area(self) -> float:
-        """Time integral of the envelope: a_k * sigma_k * sqrt(pi)."""
-        return self.amplitude * self.width * math.sqrt(math.pi)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -103,6 +100,29 @@ def whole_steps(length: float, dt: float) -> int:
     but a length within a relative 1e-12 of whole steps takes that many,
     so rounding in the ends of the span does not add one."""
     return max(1, math.ceil(length / dt * (1.0 - 1e-12)))
+
+
+def run_steps(edges, width: float, steps_per_sigma: int):
+    """Steps (n, h) of the runs between consecutive ``edges``: run r takes
+    n_r steps of h_r, the largest step that is at most width /
+    steps_per_sigma and divides its length into whole steps."""
+    check_step_count(steps_per_sigma)
+    n = np.array([whole_steps(b - a, width / steps_per_sigma)
+                  for a, b in pairwise(edges)])
+    return n, np.diff(edges) / n
+
+
+def window_edges(times, lo: float, hi: float):
+    """Run edges of the pulse window [lo, hi] on the ascending ``times``,
+    and the range (start, stop) of the samples that land on edges[1:]: lo,
+    the samples in (lo, hi], then hi.  A last sample within a relative
+    1e-12 of hi (of its run's length) is taken at hi, as in `whole_steps`:
+    no run of a few ulp follows it."""
+    start, stop = np.searchsorted(times, (lo, hi), side="right").tolist()
+    edges = np.r_[lo, times[start:stop], hi]
+    if len(edges) > 2 and edges[-2] > hi - 1e-12 * (hi - edges[-3]):
+        edges = np.delete(edges, -2)
+    return edges, start, stop
 
 
 def spin_branches(kind: str, spin_average: bool):

@@ -21,8 +21,8 @@ from itertools import pairwise
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import (KickPulse, _check_sample_times, check_step_count,
-                     forcing, merged_windows, whole_steps)
+from .pulses import (KickPulse, _check_sample_times, forcing, merged_windows,
+                     run_steps, window_edges)
 
 __all__ = ["StateVector", "ground_state", "step_grid", "mean_height_trace"]
 
@@ -70,15 +70,11 @@ def step_grid(edges, width: float, steps_per_sigma: int):
     """Sub-step midpoints and step sizes of the runs between consecutive
     ``edges``: (t_mid of all runs, h and n per run).
 
-    Run r steps n_r times by h_r, the largest step that is at most
-    width / steps_per_sigma and divides its length into whole steps.  Each
-    step is three sub-steps of sizes w1 h, w0 h, w1 h, so t_mid holds
-    3 n_r midpoints per run, symmetric about the middle of the run.
+    Run r steps n_r times by h_r (`run_steps`).  Each step is three
+    sub-steps of sizes w1 h, w0 h, w1 h, so t_mid holds 3 n_r midpoints per
+    run, symmetric about the middle of the run.
     """
-    check_step_count(steps_per_sigma)
-    n = np.array([whole_steps(b - a, width / steps_per_sigma)
-                  for a, b in pairwise(edges)])
-    h = np.diff(edges) / n
+    n, h = run_steps(edges, width, steps_per_sigma)
     k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     offsets = np.array([0.5 * _W1, 0.5, 1.0 - 0.5 * _W1])
     return (np.repeat(edges[:-1], 3 * n) + (k[:, None] + offsets).ravel()
@@ -193,27 +189,20 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spins,
     Returns its stops (k, n, t, states), one state per branch: samples
     k..n-1 are the free flight of ``states`` from time t, or with t None,
     ``states[j]`` is sample k + j (`_branch_coeffs` fills them in).  In a
-    merged pulse window one `_sub_steps` call steps every branch from
-    sample to sample and on to the window's end, step sigma /
-    ``steps_per_sigma`` for the narrowest active width sigma; a sample
-    within a relative 1e-12 of the end is taken at the end.  Where every
-    active pulse is magnetic, spin s feels s times the forcing of spin +1,
-    so one `exp` gives both spins' phases.
+    merged pulse window one `_sub_steps` call steps every branch on the
+    window's runs (`window_edges`), from sample to sample and on to the
+    window's end, step sigma / ``steps_per_sigma`` for the narrowest
+    active width sigma.  Where every active pulse is magnetic, spin s
+    feels s times the forcing of spin +1, so one `exp` gives both spins'
+    phases.
     """
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
     cs, stops, k = np.array([c] * len(spins)), [], 0
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
-        n = int(np.searchsorted(times, lo, side="right"))
+        edges, n, stop = window_edges(times, lo, hi)
         stops.append((k, n, t0, cs))
-        cs, k = cs * np.exp(-1j * basis.zeros * (lo - t0)), n
-        edges = [lo]  # run ends; each but the last one is a sample
-        while edges[-1] < hi:  # hi <= times[-1], so times[k] exists
-            t = float(times[k])
-            # a sample within a relative 1e-12 of the window's end is the
-            # end, as in `whole_steps`: no run of a few ulp after it
-            edges.append(hi if t > hi - 1e-12 * (hi - edges[-1]) else t)
-            k += t <= edges[-1]
+        cs, k = cs * np.exp(-1j * basis.zeros * (lo - t0)), stop
         t_mid, h, steps = step_grid(edges, min(p.width for p in active),
                                     steps_per_sigma)
         magnetic = all(p.kind == "magnetic" for p in active)

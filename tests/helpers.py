@@ -542,16 +542,15 @@ def _verlet(z, v, t0, t1, pulses, spin, dt):
 def verlet_flight(z, v, edges, pulses, spin, steps_per_sigma):
     """`_kick_flight` by one step-by-step `_verlet` run per stretch (oracle).
 
-    Each stretch between two edges is one run on its own grid, forced by the
-    pulses active in it, as one ``propagate`` per stretch would take it.
+    Each stretch between two edges is one run on its own grid, at the
+    narrowest width of the window's ``pulses``, forced by all of them.
     Returns z and v at edges[-1] and <z> at every edge after the first.
     """
     z, v = np.asarray(z, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    dt = min(p.width for p in pulses) / steps_per_sigma
     means = []
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        (_, _, active), = merged_windows(pulses, t0, t1)
-        dt = min(p.width for p in active) / steps_per_sigma
-        z, v = _verlet(z, v, t0, t1, active, spin, dt)
+        z, v = _verlet(z, v, t0, t1, pulses, spin, dt)
         means.append(z.mean())
     return z, v, np.array(means)
 
@@ -597,6 +596,11 @@ def impulsive_scan_analytic(basis, alpha1, alpha2, delays, kind="magnetic",
     return DelayScan(delays, _spin_mean_forward(basis, delays, amps), kind)
 
 
+def area(pulse):
+    """Time integral of the pulse envelope: a_k * sigma_k * sqrt(pi)."""
+    return pulse.amplitude * pulse.width * math.sqrt(math.pi)
+
+
 def _first_order_amplitudes(basis, pulse, spin):
     """First-order transition amplitudes <i|U|1> - delta_i1 for one pulse.
 
@@ -606,7 +610,7 @@ def _first_order_amplitudes(basis, pulse, spin):
     shakes (the h''(t)/2 forcing integrates by parts to -w^2 h(w)/2).
     """
     w = basis.transition_frequencies()
-    envelope = pulse.area * np.exp(-0.25 * (w * pulse.width) ** 2)
+    envelope = area(pulse) * np.exp(-0.25 * (w * pulse.width) ** 2)
     z_col = basis.z_matrix[1:, 0]
     if pulse.kind == "magnetic":
         return 1j * spin * z_col * envelope

@@ -247,3 +247,13 @@ def test_unit_round_trip_identity():
 def test_unknown_quantity_rejected():
     with pytest.raises(ValueError):
         UnitSystem.neutron().to_si(1.0, "mass")
+
+
+@pytest.mark.parametrize("mass,gravity", [(1e-300, 9.8), (1e300, 9.8),
+                                          (1e-27, 1e-300), (1e-27, math.inf),
+                                          (math.nan, 9.8)])
+def test_scales_outside_the_float_range_are_rejected(mass, gravity):
+    """m^2 g under- or overflowing, or a nan, is a ValueError, not an
+    ArithmeticError or an infinite scale."""
+    with pytest.raises(ValueError, match="float range"):
+        UnitSystem(mass=mass, gravity=gravity)

@@ -12,7 +12,9 @@ from qbounce import classical
 from qbounce.classical import (DEFAULT_STEPS_PER_SIGMA, ClassicalEnsemble,
                                ballistic_flight, mean_height_series,
                                sample_initial)
-from qbounce.pulses import KickPulse, forcing, merged_windows, whole_steps
+from qbounce.pulses import (KickPulse, forcing, merged_windows, run_steps,
+                            whole_steps)
+from qbounce.quantum import step_grid
 
 from helpers import (_free_mean_height, _verlet, bounce_flight,
                      particle_energy, propagate, verlet_flight,
@@ -528,17 +530,64 @@ def test_series_without_escapes_does_not_warn():
                            np.arange(0.0, 100.0, 0.5))
 
 
+def _spy_grids(monkeypatch):
+    """Record the step sizes and accelerations (h, a0, a1) of every
+    `_kick_flight` call."""
+    grids = []
+    ranges = classical._unimodal_ranges
+    monkeypatch.setattr(classical, "_unimodal_ranges", lambda a0, a1, h:
+                        grids.append((h, a0, a1)) or ranges(a0, a1, h))
+    return grids
+
+
 @pytest.mark.parametrize("spin", [1, -1])
-def test_two_pulse_window_takes_its_force_from_the_kick_model(spin):
+def test_two_pulse_window_takes_its_force_from_the_kick_model(monkeypatch,
+                                                              spin):
     """A merged window of two magnetic pulses is accelerated by -2 - 2 f,
-    f the kick model's forcing at each node, so that past the first
-    pulse's window only the second acts."""
+    f the kick model's forcing at each node of the shared grid, so that
+    past the first pulse's window only the second acts."""
     pulses = [KickPulse(0.8, 0.3, 4.0), KickPulse(-0.5, 0.2, 5.0)]
     [(lo, hi, active)] = merged_windows(pulses, 0.0, 10.0)
-    h, a0, a1, _ = classical._step_grid([lo, hi], active, spin, 50)
-    t = np.cumsum(np.r_[lo, h])
+    grids = _spy_grids(monkeypatch)
+    classical._kick_flight(np.array([3.0]), np.zeros(1), [lo, hi], active,
+                           spin, 50)
+    [(h, a0, a1)] = grids
+    [n], [step] = run_steps([lo, hi], 0.2, 50)
+    assert np.array_equal(h, np.full(n, step))
+    t = np.r_[np.cumsum(np.r_[lo, h[:-1]]), hi]  # t += h, ending on hi
     acc = -2.0 - 2.0 * forcing(pulses, spin, t)
     assert np.array_equal(a0, acc[:-1]) and np.array_equal(a1, acc[1:])
     past = t > pulses[0].window[1]
     assert past.any() and np.array_equal(
         acc[past], -2.0 - 2.0 * forcing(pulses[1:], spin, t[past]))
+
+
+def test_merged_window_steps_every_run_at_its_narrowest_width(monkeypatch):
+    """Samples inside a merged window of widths 0.3 and 0.1: every run of
+    the series' stepper takes the (n, h) that `quantum.step_grid` gives
+    for the same edges at the narrow width, also the runs before the
+    narrow pulse's window."""
+    pulses = [KickPulse(0.8, 0.3, 4.0), KickPulse(-0.5, 0.1, 5.0)]
+    [(lo, hi, _)] = merged_windows(pulses, 0.0, 10.0)
+    times = np.arange(0.0, 10.0, 0.25)
+    grids = _spy_grids(monkeypatch)
+    mean_height_series(50, 20.0, 0.0, 4.0, 0.125, 1, pulses, times,
+                       spins=(1,), steps_per_sigma=20)
+    [(h, _, _)] = grids
+    _, hs, n = step_grid(np.r_[lo, times[(times > lo) & (times < hi)], hi],
+                         0.1, 20)
+    assert len(n) > 10 and np.array_equal(h, np.repeat(hs, n))
+
+
+def test_sample_next_to_a_window_end_is_taken_at_the_end(monkeypatch):
+    """A sample 4e-14 before the end of the window [0, 6] is taken at the
+    end: no run of a few ulp follows it, and the series is the one with
+    that sample at 6 itself."""
+    pulses = [KickPulse(0.8, 0.5, 3.0)]
+    near = np.r_[0.5 * np.arange(1, 12), 6.0 - 4e-14, 7.0, 8.0]
+    grids = _spy_grids(monkeypatch)
+    series = [mean_height_series(50, 20.0, 0.0, 4.0, 0.125, 1, pulses, times,
+                                 spins=(1,))[1][0]
+              for times in (near, np.r_[near[:11], 6.0, near[12:]])]
+    assert min(h.min() for h, _, _ in grids) > 1e-3
+    assert np.array_equal(*series)

@@ -369,7 +369,7 @@ spin_average = false
     assert "captured_norm" not in header  # only a projected packet has one
 
 
-def test_quantum_echo_bad_initial_state(tmp_path):
+def test_quantum_echo_bad_initial_state(tmp_path, capsys):
     cfg = tmp_path / "qe.cfg"
     cfg.write_text("""\
 basis_size = 10
@@ -382,6 +382,7 @@ t_max = 25.0
 dt_sample = 0.5
 """)
     assert main(["quantum-echo", "--config", str(cfg)]) == 1
+    assert "line 3: bad value for 'initial'" in capsys.readouterr().err
 
 
 QUANTUM_CFG = """\
@@ -731,11 +732,18 @@ def test_convert_gradient_to_si_rejected(capsys):
     ["0.8", "--quantity", "gradient", "--direction", "to-dimensionless",
      "--mass", "1e-27", "--gravity", "9.8"],
     ["1e308", "--quantity", "length", "--direction", "to-dimensionless"],
+    ["1", "--quantity", "length", "--direction", "to-si", "--mass", "1e-300",
+     "--gravity", "9.8"],
+    ["1", "--quantity", "length", "--direction", "to-si", "--mass", "1e300",
+     "--gravity", "9.8"],
+    ["1", "--quantity", "time", "--direction", "to-si", "--mass", "1e-27",
+     "--gravity", "1e-300"],
 ])
 def test_convert_bad_input_exits_1(capsys, argv):
-    """Non-finite or non-positive masses, gravities and values, a gradient
-    for a particle without a magnetic moment and a result that overflows
-    exit 1 with an error and print no value."""
+    """Non-finite or non-positive masses, gravities and values, a particle
+    whose scales leave the float range, a gradient for a particle without a
+    magnetic moment and a result that overflows exit 1 with an error and
+    print no value."""
     try:
         code = main(["convert"] + argv)
     except SystemExit as exc:  # argparse rejects the value

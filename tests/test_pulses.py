@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qbounce.pulses import KickPulse, forcing, merged_windows
+from qbounce.pulses import KickPulse, forcing, merged_windows, window_edges
+
+from helpers import area
 
 
 def test_area_matches_gaussian_integral():
@@ -13,8 +15,8 @@ def test_area_matches_gaussian_integral():
     # numerically integrate the envelope over the full window
     t = np.linspace(*p.window, 200001)
     numeric = np.trapezoid(p.envelope(t), t)
-    assert p.area == pytest.approx(numeric, abs=1e-12)
-    assert p.area == pytest.approx(0.5 * 0.5 * math.sqrt(math.pi), abs=1e-15)
+    assert area(p) == pytest.approx(numeric, abs=1e-12)
+    assert area(p) == pytest.approx(0.5 * 0.5 * math.sqrt(math.pi), abs=1e-15)
 
 
 def test_second_derivative_matches_finite_differences():
@@ -100,3 +102,17 @@ def test_forcing_of_two_pulses_is_the_sum_of_their_windows():
     past = t > first.window[1]
     assert past.any() and np.array_equal(both[past],
                                          forcing([second], -1, t[past]))
+
+
+@pytest.mark.parametrize("times,edges,stop", [
+    ([7.0], [2.0, 6.0], 0),
+    ([3.0, 6.0, 7.0], [2.0, 3.0, 6.0], 2),
+    ([3.0, 6.0 - 1e-12, 7.0], [2.0, 3.0, 6.0], 2),
+    ([3.0, 6.0 - 1e-11, 7.0], [2.0, 3.0, 6.0 - 1e-11, 6.0], 2),
+])
+def test_window_edges_land_on_the_samples_inside(times, edges, stop):
+    """Runs end at the samples in (lo, hi] and at hi: none inside, one on
+    hi, one within a relative 1e-12 of hi (of its run's 3.0), taken at hi,
+    and one just outside that."""
+    got, start, end = window_edges(np.array([1.0, 2.0] + times), 2.0, 6.0)
+    assert got.tolist() == edges and (start, end) == (2, 2 + stop)
