@@ -19,13 +19,12 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__
+from . import __version__, classical, quantum
 from .basis import (BasisProjectionError, QuadratureError, UnitSystem,
                     build_basis)
 from .classical import _check_sample, mean_height_series
 from .pulses import KickPulse, spin_branches
-from .quantum import (DEFAULT_STEPS_PER_SIGMA, StateVector, ground_state,
-                      mean_height_trace)
+from .quantum import StateVector, ground_state, mean_height_trace
 from .spectroscopy import (DEFAULT_NOISE_FLOOR, DelayScan,
                            find_peaks_and_match, retrieve_amplitudes,
                            scan_delay, spectrum)
@@ -98,7 +97,7 @@ _SCHEMAS = {
         "kick_time": (_finite, REQUIRED),
         "t_max": (_finite, REQUIRED),
         "dt_sample": (_positive, REQUIRED),
-        "steps_per_sigma": (_count, 200),
+        "steps_per_sigma": (_count, classical.DEFAULT_STEPS_PER_SIGMA),
     },
     "quantum-echo": {
         "basis_size": (_basis_size, REQUIRED),
@@ -115,7 +114,7 @@ _SCHEMAS = {
         "t_max": (_finite, REQUIRED),
         "dt_sample": (_positive, REQUIRED),
         "spin_average": (_parse_bool, True),
-        "steps_per_sigma": (_count, DEFAULT_STEPS_PER_SIGMA),
+        "steps_per_sigma": (_count, quantum.DEFAULT_STEPS_PER_SIGMA),
     },
     "scan": {
         "basis_size": (_basis_size, REQUIRED),
@@ -128,7 +127,7 @@ _SCHEMAS = {
         "tau_max": (_finite, REQUIRED),
         "dtau": (_positive, REQUIRED),
         "spin_average": (_parse_bool, True),
-        "steps_per_sigma": (_count, DEFAULT_STEPS_PER_SIGMA),
+        "steps_per_sigma": (_count, quantum.DEFAULT_STEPS_PER_SIGMA),
     },
 }
 

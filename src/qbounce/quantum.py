@@ -26,7 +26,7 @@ from .pulses import (KickPulse, _check_sample_times, forcing, merged_windows,
 
 __all__ = ["StateVector", "ground_state", "step_grid", "mean_height_trace"]
 
-DEFAULT_STEPS_PER_SIGMA = 40
+DEFAULT_STEPS_PER_SIGMA = 20
 
 # Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): the Strang steps of
 # sizes w1 h, w0 h, w1 h compose into one step of size h, fourth order in h

@@ -48,10 +48,10 @@ class DelayScan:
         steps = np.diff(d)
         if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("delay grid must be uniform")
-        # zero-kick scans read 1 +/- 3.7e-12 (M = 20, 50; widths 0.2/0.2,
-        # 0.1/0.5, 0.5/0.1) and 1 +/- 2.3e-11 (M = 20; 0.05/1.0), tau in
+        # zero-kick scans read 1 +/- 3.6e-12 (M = 20, 50; widths 0.2/0.2,
+        # 0.1/0.5, 0.5/0.1) and 1 +/- 7.4e-12 (M = 20; 0.05/1.0), tau in
         # [0.05, 20]: each Strang sub-step is unitary only to rounding, and
-        # 12 max(sigma) in steps of min(sigma) / 40 takes 28800 at 0.05/1.0
+        # 12 max(sigma) in steps of min(sigma) / 20 takes 14400 at 0.05/1.0
         if np.any(p < -_ROUNDING) or np.any(p > 1 + _ROUNDING):
             raise ValueError("populations must lie in [0, 1]")
         ov = self.overlap if self.overlap is not None else np.zeros(len(d), bool)

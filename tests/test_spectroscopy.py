@@ -30,7 +30,7 @@ def test_zero_kicks_leave_ground_state(basis20):
 
 
 def test_zero_kicks_at_unequal_widths_stay_in_bound(basis20):
-    """sigma 0.05 and 1.0 share one grid of 9600 steps across [-6, 6], the
+    """sigma 0.05 and 1.0 share one grid of 4800 steps across [-6, 6], the
     longest zero-kick run here: within the 1e-10 bound `DelayScan`
     allows, on overlapping delays, separated ones with a negative gap
     (tau in [6.3, 12)) and later ones."""
@@ -180,11 +180,15 @@ CLOSE_GRIDS = [2.0 + 0.05 * np.arange(8), 2.0123 + 0.05 * np.arange(8),
 def test_overlap_runs_match_stacked_run(basis50, kind, a1, a2):
     """The strongest benchmark kicks on tau in [2, 2.4), on and off the step
     nodes: within 2e-9 of one stacked run over every delay, and no farther
-    from a 200-steps-per-sigma scan than that run is."""
+    from a 200-steps-per-sigma scan than that run is.  Both runs take 40
+    steps per sigma, where the bounds were measured: at 20 the off-node
+    shake grid's two runs are 1.2e-8 apart, each 1.2e-6 from the fine scan."""
     p1, p2 = KickPulse(a1, 0.2, kind=kind), KickPulse(a2, 0.2, kind=kind)
     for delays in CLOSE_GRIDS:
-        new = scan_delay(basis50, p1, p2, delays).populations
-        old = stacked_overlap_scan(basis50, p1, p2, delays)
+        new = scan_delay(basis50, p1, p2, delays,
+                         steps_per_sigma=40).populations
+        old = stacked_overlap_scan(basis50, p1, p2, delays,
+                                   steps_per_sigma=40)
         fine = scan_delay(basis50, p1, p2, delays,
                           steps_per_sigma=200).populations
         assert np.max(np.abs(new - old)) < 2e-9

@@ -1,6 +1,8 @@
-"""Write every preset pipeline's outputs into one directory.
+"""Write every preset pipeline's outputs into one directory, or measure
+the quantum presets' error budget.
 
 Usage: python tools/preset_outputs.py OUTDIR
+       python tools/preset_outputs.py --budget OUTDIR
 
 Runs the fig1 classical echo (with phase-space snapshots at t = 55, 60,
 65 and 120), the fig2 and fig5 quantum echoes, and the fig4 and fig6
@@ -8,15 +10,38 @@ delay scans with their spectrum, peak list and retrieved amplitudes,
 through `qbounce.cli.main` from this checkout's `src/`.  Each preset
 writes into OUTDIR/<preset>/, twelve files in all, so the outputs of two
 checkouts compare with `diff -r`.
+
+--budget runs the four quantum presets into OUTDIR/<variant>/: at the
+default steps per sigma, at half and at double it, and at twice the
+preset's basis size.  It prints the largest absolute change of every
+numeric output column (CSV columns, and the fields of the peak and
+amplitude JSON lists) from the default run in each variant, and the ratio
+of the change at double the steps to the change at twice the basis size:
+below 1, the basis, not the stepper, bounds that output.
 """
 
+import json
 import os
 import sys
+from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qbounce.cli import main  # noqa: E402
+from qbounce.cli import main, parse_config_text, read_scan_csv  # noqa: E402
+from qbounce.quantum import DEFAULT_STEPS_PER_SIGMA  # noqa: E402
+
+QUANTUM = ("fig2", "fig5", "fig4", "fig6")
+
+# variant -> config keys it replaces, from the preset's resolved config
+STEPS = DEFAULT_STEPS_PER_SIGMA
+VARIANTS = {
+    "half_steps": lambda cfg: {"steps_per_sigma": STEPS // 2},
+    "double_steps": lambda cfg: {"steps_per_sigma": 2 * STEPS},
+    "double_basis": lambda cfg: {"basis_size": 2 * cfg["basis_size"]},
+}
 
 
 def pipelines(out):
@@ -33,11 +58,32 @@ def pipelines(out):
                        ["retrieve", "--in", scan]]
 
 
-def run(out):
+def _from_config(argv, where, keys):
+    """``argv`` with its ``--preset`` replaced by a config file in ``where``:
+    the preset's resolved config with the entries ``keys(cfg)`` replaced."""
+    if "--preset" not in argv:
+        return argv
+    k = argv.index("--preset")
+    ref = resources.files("qbounce.presets") / f"{argv[k + 1]}.cfg"
+    cfg = parse_config_text(ref.read_text(), argv[0])
+    cfg |= keys(cfg)
+    path = os.path.join(where, "run.cfg")
+    with open(path, "w") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in cfg.items())
+    return argv[:k] + ["--config", path] + argv[k + 2:]
+
+
+def run(out, presets=None, keys=None):
+    """Run the pipelines of ``presets`` (all by default) into ``out``, each
+    preset's config changed by ``keys`` if given."""
     for preset, commands in pipelines(out):
+        if presets is not None and preset not in presets:
+            continue
         where = os.path.join(out, preset)
         os.makedirs(where, exist_ok=True)
         for argv in commands:
+            if keys is not None:
+                argv = _from_config(argv, where, keys)
             code = main(argv + ["--out-dir", where])
             if code:
                 print(f"{preset}: {' '.join(argv)} exited {code}",
@@ -46,7 +92,60 @@ def run(out):
     return 0
 
 
+def _columns(path):
+    """{column: values} of one output file: a CSV's columns, or the numeric
+    fields of a JSON list of records (the amplitudes' ``states``) and of
+    the JSON object around it."""
+    if path.suffix == ".csv":
+        _, names, data = read_scan_csv(path)
+        return dict(zip(names, data.T))
+    doc = json.loads(path.read_text())
+    rows = doc if isinstance(doc, list) else doc["states"]
+    cols = {k: np.array([r[k] for r in rows], dtype=float)
+            for k in (rows[0] if rows else {})}
+    if isinstance(doc, dict):
+        cols |= {k: np.array([v]) for k, v in doc.items()
+                 if isinstance(v, float)}
+    return cols
+
+
+def changes(old, new):
+    """{(preset, file, column): largest |new - old|} over the files of the
+    output directory ``old``; nan where the two columns differ in length."""
+    out = {}
+    for path in sorted(Path(old).glob("*/*")):
+        a, b = _columns(path), _columns(Path(new) / path.parent.name / path.name)
+        for col in a:
+            key = (path.parent.name, path.name, col)
+            out[key] = (float(np.max(np.abs(b[col] - a[col]), initial=0.0))
+                        if col in b and len(b[col]) == len(a[col]) else np.nan)
+    return out
+
+
+def budget(out):
+    base = os.path.join(out, "default")
+    code = run(base, QUANTUM)
+    for variant, keys in VARIANTS.items():
+        code = code or run(os.path.join(out, variant), QUANTUM, keys)
+    if code:
+        return code
+    moved = {v: changes(base, os.path.join(out, v)) for v in VARIANTS}
+    print(f"default steps_per_sigma = {STEPS}; largest "
+          "|change| from the default run")
+    print(f"{'preset':6} {'file':12} {'column':18} {'half_steps':>14} "
+          f"{'double_steps':>14} {'double_basis':>14} {'steps/basis':>14}")
+    for key in moved["half_steps"]:
+        half, double, basis = (moved[v][key] for v in VARIANTS)
+        ratio = double / basis if basis else np.nan
+        print(f"{key[0]:6} {key[1]:12} {key[2]:18} "
+              + " ".join(f"{x:14.2g}" for x in (half, double, basis, ratio)))
+    return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    if args[:1] == ["--budget"] and len(args) == 2:
+        sys.exit(budget(args[1]))
+    if len(args) != 1 or args[0].startswith("--"):
         sys.exit(__doc__.split("\n\n")[1])
-    sys.exit(run(sys.argv[1]))
+    sys.exit(run(args[0]))
