@@ -146,10 +146,6 @@ class EigenBasis:
         """Upper edge of the quadrature window used for this basis."""
         return float(self.zeros[-1] + _TAIL)
 
-    def transition_frequencies(self) -> np.ndarray:
-        """z_i - z_1 for i = 2..m (dimensionless angular frequencies)."""
-        return self.zeros[1:] - self.zeros[0]
-
     def project_gaussian(self, mu_z: float, sigma_z: float):
         """Expand the displaced Gaussian (2/pi sigma^2)^(1/4) exp[-(z-mu)^2/sigma^2].
 

@@ -326,7 +326,14 @@ def _locate(tau, keys):
     return g
 
 
-def _flight_means(ens: ClassicalEnsemble, times, z_cap: float):
+def _warn_escapes(ens: ClassicalEnsemble, z_cap: float):
+    """Warn if a particle's apex z + v^2/4 = e/2 lies above ``z_cap``."""
+    if high := int((ens.z + 0.25 * ens.v * ens.v > z_cap).sum()):
+        warnings.warn(f"{high} particle(s) rise above z_cap={z_cap}",
+                      stacklevel=3)
+
+
+def _flight_means(ens: ClassicalEnsemble, times):
     """<z> at ``times`` (>= ens.time) in free flight, from bounce sums.
 
     The samples go in blocks of at most ``_BLOCK_SAMPLES`` samples and
@@ -336,12 +343,9 @@ def _flight_means(ens: ClassicalEnsemble, times, z_cap: float):
     at tau_k + u: a free stretch.  Each particle's stretches in a block, from
     its last bounce before the block on, go to one ``_stretch_means`` call.
     A particle with more bounces in a block than the block has samples is
-    summed sample by sample instead.  Warns if an apex u^2/4 = e/2 exceeds
-    ``z_cap``.
+    summed sample by sample instead.
     """
     u, inv_u, phase = _orbit(ens.z, ens.v)
-    if len(times) and (high := int((u * u > 4.0 * z_cap).sum())):
-        warnings.warn(f"{high} particle(s) rise above z_cap={z_cap}", stacklevel=3)
     moving = u > 0  # a particle at rest on the floor adds 0
     u, inv_u, phase = u[moving], inv_u[moving], phase[moving]
     out = np.empty(len(times))
@@ -404,10 +408,10 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     last window before it).  One inside a window reruns the window's
     stepper from its start, on the series' edges before the snapshot and
     then on to it; the rerun is not fed back, so the series does not depend
-    on the snapshots.  Heights above 10 mu_z (apexes of the free flight,
-    and heights at each window's end) warn; the flight before the first
-    window warns once.  Returns a dict spin -> (series, [ClassicalEnsemble
-    per snapshot]); average the series for the spin average.
+    on the snapshots.  Apexes above 10 mu_z warn: the sample's once, and
+    each branch's at each window's end.  Returns a dict spin -> (series,
+    [ClassicalEnsemble per snapshot]); average the series for the spin
+    average.
     """
     times = _check_sample_times(times, 0.0)
     snaps = [float(t) for t in snapshots]
@@ -423,7 +427,8 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     first = (int(np.searchsorted(times, windows[0][0], side="right"))
              if windows else len(times))
     sample = sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed)
-    head = _flight_means(sample, times[:first], z_cap)
+    _warn_escapes(sample, z_cap)
+    head = _flight_means(sample, times[:first])
     series = {}
     for s in spins:
         ens = replace(sample, spin=s)
@@ -433,7 +438,7 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
         for lo, hi, active in windows:
             # one stepper run lands on every sample in the window
             edges, start, stop = window_edges(times, lo, hi)
-            out[idx:start] = _flight_means(ens, times[idx:start], z_cap)
+            out[idx:start] = _flight_means(ens, times[idx:start])
             shots += [_fly(ens, t)
                       for t in snaps[len(shots):bisect_right(snaps, lo)]]
             ens = _fly(ens, lo)
@@ -442,10 +447,8 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
                       for t in snaps[len(shots):bisect_left(snaps, hi)]]
             ens, means = _cross_window(ens, edges, active, steps_per_sigma)
             out[start:stop] = means[:stop - start]
-            if high := int((ens.z > z_cap).sum()):
-                warnings.warn(f"{high} particle(s) above z_cap={z_cap}",
-                              stacklevel=2)
+            _warn_escapes(ens, z_cap)
             idx = stop
-        out[idx:] = _flight_means(ens, times[idx:], z_cap)
+        out[idx:] = _flight_means(ens, times[idx:])
         series[s] = out, shots + [_fly(ens, t) for t in snaps[len(shots):]]
     return series

@@ -11,7 +11,7 @@ and phases encode the kick operator's first column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,35 +33,24 @@ _ROUNDING = 1e-10  # population tolerance; smaller oscillations are no lines
 
 @dataclass(frozen=True)
 class DelayScan:
-    """|c_1|^2 sampled on a uniform delay grid."""
+    """|c_1|^2 sampled at the kick delays."""
 
     delays: np.ndarray
     populations: np.ndarray
-    kind: str
-    overlap: np.ndarray = None  # samples where the two pulses overlap
 
     def __post_init__(self):
         d = np.asarray(self.delays, dtype=np.float64)
         p = np.asarray(self.populations, dtype=np.float64)
         if len(d) != len(p):
             raise ValueError("delay and population grids differ in length")
-        steps = np.diff(d)
-        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("delay grid must be uniform")
         # zero-kick scans read 1 +/- 3.6e-12 (M = 20, 50; widths 0.2/0.2,
         # 0.1/0.5, 0.5/0.1) and 1 +/- 7.4e-12 (M = 20; 0.05/1.0), tau in
         # [0.05, 20]: each Strang sub-step is unitary only to rounding, and
         # 12 max(sigma) in steps of min(sigma) / 20 takes 14400 at 0.05/1.0
         if np.any(p < -_ROUNDING) or np.any(p > 1 + _ROUNDING):
             raise ValueError("populations must lie in [0, 1]")
-        ov = self.overlap if self.overlap is not None else np.zeros(len(d), bool)
         object.__setattr__(self, "delays", d)
         object.__setattr__(self, "populations", p)
-        object.__setattr__(self, "overlap", np.asarray(ov, dtype=bool))
-
-    @property
-    def delay_step(self) -> float:
-        return float(self.delays[1] - self.delays[0])
 
 
 @dataclass(frozen=True)
@@ -81,7 +70,6 @@ class SpectrumResult:
     frequencies: np.ndarray
     amplitudes: np.ndarray
     line_floor: float  # a population cosine of amplitude _ROUNDING peaks here
-    matches: list = field(default_factory=list)    # PeakMatch
 
 
 def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
@@ -104,11 +92,10 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     of v at or before the start of kick 2's window, b the first node of
     the row at or after the end of kick 1's, and U steps across [a, b] with
     each kick's forcing inside its own window.  Every run steps at
-    min(sigma_1, sigma_2) / ``steps_per_sigma``.  Delays with
-    tau < 3 (sigma_1 + sigma_2) are marked as overlapping.  Magnetic scans
-    average |c_1|^2 over s = +/-1 unless ``spin_average`` is off; a
-    single-spin scan is spin +1's, and spin -1's is the scan with both
-    amplitudes negated.
+    min(sigma_1, sigma_2) / ``steps_per_sigma``.  The delays may lie on
+    any grid.  Magnetic scans average |c_1|^2 over s = +/-1 unless
+    ``spin_average`` is off; a single-spin scan is spin +1's, and spin -1's
+    is the scan with both amplitudes negated.
     """
     if pulse1.kind != pulse2.kind:
         raise ValueError("both kicks must share the same kind")
@@ -116,7 +103,6 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     delays = np.asarray(delays, dtype=np.float64)
     if np.any(delays <= 0):
         raise ValueError("delays must be positive")
-    overlap = delays < 3.0 * (pulse1.width + pulse2.width)
 
     spins = spin_branches(kind, spin_average)
     p1 = KickPulse(pulse1.amplitude, pulse1.width, 0.0, kind)
@@ -154,7 +140,7 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
         c = _sub_steps(basis, v[i][None], f, [(n, h)], [n], spins)[0, 0]
         c1[i] = np.sum(row[i] * c, axis=0)
     pops[~separated] = np.mean(np.abs(c1) ** 2, axis=1)
-    return DelayScan(delays, pops, kind, overlap)
+    return DelayScan(delays, pops)
 
 
 def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
@@ -172,7 +158,8 @@ def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
 
 
 def spectrum(scan: DelayScan, window: str = "hann") -> SpectrumResult:
-    """Magnitude spectrum of the mean-subtracted scan.
+    """Magnitude spectrum of the mean-subtracted scan, whose delays must
+    ascend on a uniform grid.
 
     Frequencies are dimensionless angular: 2 pi k / (n_padded * dtau).
     """
@@ -180,19 +167,22 @@ def spectrum(scan: DelayScan, window: str = "hann") -> SpectrumResult:
     n = len(x)
     if n < 256:
         raise ValueError(f"need at least 256 samples, got {n}")
+    steps = np.diff(scan.delays)
+    if not (steps[0] > 0 and
+            np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
+        raise ValueError("delay grid must be ascending and uniform")
     if window not in ("hann", "none"):
         raise ValueError(f"unknown window: {window!r}")
     w = np.hanning(n) if window == "hann" else np.ones(n)
     n_pad = n * _ZERO_PAD
     amps = np.abs(np.fft.rfft(x * w, n_pad))
-    freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, scan.delay_step)
+    freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, steps[0])
     return SpectrumResult(freqs, amps, _ROUNDING * w.sum() / 2.0)
 
 
 def _refine_peak(freqs, amps, k):
-    """3-point quadratic interpolation on log magnitude around bin k."""
-    if k <= 0 or k >= len(amps) - 1:
-        return freqs[k], amps[k]
+    """3-point quadratic interpolation on log magnitude around the interior
+    bin k."""
     la, lb, lc = np.log(amps[k - 1:k + 2])
     denom = la - 2.0 * lb + lc
     delta = 0.0 if denom == 0 else 0.5 * (la - lc) / denom
@@ -201,18 +191,20 @@ def _refine_peak(freqs, amps, k):
     return freqs[k] + delta * df, math.exp(lb - 0.25 * (la - lc) * delta)
 
 
-def find_peaks_and_match(spec: SpectrumResult, basis: EigenBasis, count: int,
+def find_peaks_and_match(spec: SpectrumResult, zeros: np.ndarray, count: int,
                          noise_floor: float = DEFAULT_NOISE_FLOOR):
-    """Extract up to ``count`` peaks and match them to the z_i - z_1 lines.
+    """Extract up to ``count`` peaks and match them to the lines
+    z_i - z_1, i = 2..M, of the energies ``zeros`` = z_1..z_M.
 
     Local maxima above ``noise_floor`` (in [0, 1]) x global max and above
     ``spec.line_floor``, where rounding noise ends, are refined by quadratic
     interpolation; each is matched to the nearest unmatched transition.
-    Returns a SpectrumResult carrying the matches; fewer than ``count`` (in
-    [1, M - 1]) peaks yields a partial result (the caller may warn).
+    Returns the PeakMatch list in line order; fewer than ``count`` (in
+    [1, M - 1]) peaks yields a partial list (the caller may warn).
     """
-    if not 1 <= count <= basis.m - 1:
-        raise ValueError(f"count not in [1, {basis.m - 1}]: {count}")
+    theory = zeros[1:] - zeros[0]
+    if not 1 <= count <= len(theory):
+        raise ValueError(f"count not in [1, {len(theory)}]: {count}")
     if not 0.0 <= noise_floor <= 1.0:
         raise ValueError(f"noise_floor not in [0, 1]: {noise_floor}")
     a = spec.amplitudes
@@ -224,9 +216,8 @@ def find_peaks_and_match(spec: SpectrumResult, basis: EigenBasis, count: int,
 
     # greedy assignment, strongest peak first; a peak may only claim a line
     # closer than half the minimum line spacing, which rejects window
-    # sidelobes clustered around strong lines
-    theory = basis.transition_frequencies()
-    max_dist = 0.5 * float(np.min(np.diff(theory)))
+    # sidelobes clustered around strong lines; a lone line takes any peak
+    max_dist = 0.5 * float(np.min(np.diff(theory), initial=np.inf))
     matches = []
     used = set()
     for omega, amp in refined:
@@ -239,8 +230,7 @@ def find_peaks_and_match(spec: SpectrumResult, basis: EigenBasis, count: int,
         matches.append(PeakMatch(state=j + 2, omega_measured=omega,
                                  omega_theory=float(theory[j]), amplitude=amp))
     matches.sort(key=lambda m: m.omega_theory)
-    return SpectrumResult(spec.frequencies, spec.amplitudes, spec.line_floor,
-                          matches)
+    return matches
 
 
 @dataclass(frozen=True)
@@ -251,21 +241,24 @@ class RetrievedAmplitude:
     phase_ambiguity: float = math.pi  # the fit cannot distinguish phase vs phase+pi
 
 
-def retrieve_amplitudes(scan: DelayScan, basis: EigenBasis, n_states: int):
+def retrieve_amplitudes(scan: DelayScan, zeros: np.ndarray, n_states: int):
     """Recover kick-operator amplitudes P_1i from a weak equal-kick scan.
 
     Fits |c_1|^2(tau) = const + sum_i A_i cos(w_i tau) + B_i sin(w_i tau)
-    at the known transition frequencies w_i = z_i - z_1 (linear least
-    squares).  In the weak-kick limit the complex Fourier coefficient of
-    line i equals (P_11^* P_1i)^2, so with the global phase fixed by taking
-    P_11 real positive, |P_1i| and arg(P_1i) follow up to a pi ambiguity.
+    at the transition frequencies w_i = z_i - z_1 of the energies
+    ``zeros`` = z_1..z_M (linear least squares, on delays in any order).
+    In the weak-kick limit the complex Fourier coefficient of line i equals
+    (P_11^* P_1i)^2 and const = |P_11|^4, so with the global phase fixed by
+    taking P_11 real positive, |P_1i| and arg(P_1i) follow up to a pi
+    ambiguity.  A fitted const <= 0 leaves the phases without a reference
+    and raises ArithmeticError.
 
     Returns (amplitudes, fit_residual_rms) for ``n_states`` in [1, M - 1].
     """
-    if not 1 <= n_states <= basis.m - 1:
-        raise ValueError(f"n_states not in [1, {basis.m - 1}]: {n_states}")
+    if not 1 <= n_states <= len(zeros) - 1:
+        raise ValueError(f"n_states not in [1, {len(zeros) - 1}]: {n_states}")
     tau = scan.delays
-    w = basis.transition_frequencies()[:n_states]
+    w = (zeros[1:] - zeros[0])[:n_states]
     cols = [np.ones_like(tau)]
     for wi in w:
         cols.append(np.cos(wi * tau))
@@ -280,14 +273,16 @@ def retrieve_amplitudes(scan: DelayScan, basis: EigenBasis, n_states: int):
     residual = float(np.sqrt(np.mean((design @ coef - scan.populations) ** 2)))
 
     const = coef[0]
-    # const ~ |P_11|^4 + O(alpha^4)
-    p11 = max(const, 0.0) ** 0.25
+    if not const > 0.0:
+        raise ArithmeticError(f"retrieval fit constant {const:.3e} is not "
+                              "positive: the phases have no reference")
+    p11 = const ** 0.25  # const ~ |P_11|^4 + O(alpha^4)
     out = []
     for j, wi in enumerate(w):
         a, b = coef[1 + 2 * j], coef[2 + 2 * j]
         # 2 Re[X e^{-i w tau}] = A cos + B sin  with  X = (A + iB)/2
         x = 0.5 * (a + 1j * b)          # = (P_11^* P_1i)^2
-        p1i_sq = x / p11 ** 2 if p11 > 0 else x
+        p1i_sq = x / p11 ** 2
         mag = abs(p1i_sq) ** 0.5
         phase = 0.5 * np.angle(p1i_sq)  # defined modulo pi
         out.append(RetrievedAmplitude(state=j + 2, magnitude=float(mag),

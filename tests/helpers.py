@@ -123,6 +123,11 @@ def impulsive_kick(state, basis, alpha, spin=1, kind="magnetic"):
                        state.coeffs, state.time)
 
 
+def transition_frequencies(basis):
+    """z_i - z_1 for i = 2..m (dimensionless angular frequencies)."""
+    return basis.zeros[1:] - basis.zeros[0]
+
+
 def eval_eigenstate(basis, i, z):
     """psi_i(z) = N_i Ai(z - z_i); 1-based state index, z >= 0."""
     if not 1 <= i <= basis.m:
@@ -338,17 +343,14 @@ def particle_energy(z, v):
     return 0.5 * np.asarray(v) ** 2 + 2.0 * np.asarray(z)
 
 
-def _free_mean_height(ens: ClassicalEnsemble, times, z_cap: float):
+def _free_mean_height(ens: ClassicalEnsemble, times):
     """<z> at ``times`` (>= ens.time) in free flight, a few rows at a time
     (oracle for `classical._flight_means`).
 
     With y = phase - 1/2 wrapped into [-1/2, 1/2], z = u^2 (1/4 - y^2).
-    Warns if an apex u^2/4 = e/2 exceeds ``z_cap``.
     """
     u, inv_u, phase = _orbit(ens.z, ens.v)
     u2, phase = u * u, phase - 0.5
-    if len(times) and (high := int((u2 > 4.0 * z_cap).sum())):
-        warnings.warn(f"{high} particle(s) rise above z_cap={z_cap}", stacklevel=3)
     out = np.empty(len(times))
     rows = max(1, _CHUNK_ELEMENTS // ens.n)
     for k in range(0, len(times), rows):
@@ -593,7 +595,7 @@ def impulsive_scan_analytic(basis, alpha1, alpha2, delays, kind="magnetic",
     amps = np.stack([impulsive_kick_matrix(basis, alpha2, s, kind)[0, :] *
                      impulsive_kick_matrix(basis, alpha1, s, kind)[:, 0]
                      for s in spin_branches(kind, spin_average)], axis=1)
-    return DelayScan(delays, _spin_mean_forward(basis, delays, amps), kind)
+    return DelayScan(delays, _spin_mean_forward(basis, delays, amps))
 
 
 def area(pulse):
@@ -609,7 +611,7 @@ def _first_order_amplitudes(basis, pulse, spin):
     kicks and K_i = i Z_i1 * (w^2/2) * area * exp(-w^2 sigma^2 / 4) for
     shakes (the h''(t)/2 forcing integrates by parts to -w^2 h(w)/2).
     """
-    w = basis.transition_frequencies()
+    w = transition_frequencies(basis)
     envelope = area(pulse) * np.exp(-0.25 * (w * pulse.width) ** 2)
     z_col = basis.z_matrix[1:, 0]
     if pulse.kind == "magnetic":
@@ -629,7 +631,7 @@ def perturbative_scan(basis, pulse1, pulse2, delays, spin_average=True):
         raise ValueError("both kicks must share the same kind")
     delays = np.asarray(delays, dtype=np.float64)
     spins = spin_branches(pulse1.kind, spin_average)
-    w = basis.transition_frequencies()
+    w = transition_frequencies(basis)
     pops = np.zeros(len(delays))
     for s in spins:
         k1 = _first_order_amplitudes(basis, pulse1, s)
@@ -638,7 +640,7 @@ def perturbative_scan(basis, pulse1, pulse2, delays, spin_average=True):
                          np.exp(1j * np.outer(delays, w))) ** 2
         pops += 1.0 - excited.sum(axis=1)
     pops /= len(spins)
-    return DelayScan(delays, pops, pulse1.kind)
+    return DelayScan(delays, pops)
 
 
 def legacy_csv_text(header_items, columns, rows):

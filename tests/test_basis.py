@@ -14,7 +14,7 @@ from qbounce.basis import (BasisProjectionError, QuadratureError, UnitSystem,
                            _overlap_integrals, build_basis)
 
 from helpers import (eval_eigenstate, gauss_kronrod_overlaps,
-                     quadrature_z_columns)
+                     quadrature_z_columns, transition_frequencies)
 
 
 # ---------------------------------------------------------------- basis
@@ -98,7 +98,7 @@ def test_z_eigenpairs_rebuild_z_and_are_read_only(basis50):
 
 
 def test_transition_frequencies(basis20):
-    w = basis20.transition_frequencies()
+    w = transition_frequencies(basis20)
     assert w[0] == pytest.approx(1.7498420336710, abs=1e-10)
     assert len(w) == 19
 

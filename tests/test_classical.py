@@ -311,8 +311,8 @@ def test_resting_particle_lifts_off_when_the_force_turns_up(monkeypatch):
 # -------------------------------------------- free flight by bounce sums
 
 def assert_flight_means_match_oracle(ens, times, tol=1e-12):
-    ours = classical._flight_means(ens, times, math.inf)
-    ref = _free_mean_height(ens, times, math.inf)
+    ours = classical._flight_means(ens, times)
+    ref = _free_mean_height(ens, times)
     assert np.max(np.abs(ours - ref)) < tol
 
 
@@ -357,12 +357,12 @@ def test_flight_means_with_resting_particles():
     """Particles at z = v = 0 add 0 but count in the mean."""
     z, v = np.array([0.0, 7.0, 0.0, 3.0]), np.array([0.0, 1.5, 0.0, -2.0])
     times = np.linspace(0.0, 40.0, 333)
-    ours = classical._flight_means(ClassicalEnsemble(z, v), times, math.inf)
+    ours = classical._flight_means(ClassicalEnsemble(z, v), times)
     moving = classical._flight_means(ClassicalEnsemble(z[1::2], v[1::2]),
-                                     times, math.inf)
+                                     times)
     assert np.max(np.abs(ours - 0.5 * moving)) < 1e-13
     resting = ClassicalEnsemble(np.zeros(3), np.zeros(3))
-    assert np.all(classical._flight_means(resting, times, math.inf) == 0.0)
+    assert np.all(classical._flight_means(resting, times) == 0.0)
 
 
 def test_flight_means_of_particles_on_the_floor():
@@ -371,7 +371,7 @@ def test_flight_means_of_particles_on_the_floor():
     times = np.linspace(0.0, 30.0, 301)
     exact = np.mean([ballistic_flight(ens.z, ens.v, t)[0] for t in times],
                     axis=1)
-    ours = classical._flight_means(ens, times, math.inf)
+    ours = classical._flight_means(ens, times)
     assert np.max(np.abs(ours - exact)) < 1e-12
     assert_flight_means_match_oracle(ens, times)
 
@@ -382,14 +382,14 @@ def test_flight_means_on_bounce_times():
     ens = ClassicalEnsemble(np.array([4.0]), np.array([0.0]))
     times = np.array([0.0, 1.0, 2.0, 3.0, 6.0, 10.0, 10.5])
     exact = np.array([4.0, 3.0, 0.0, 3.0, 0.0, 0.0, 1.75])
-    ours = classical._flight_means(ens, times, math.inf)
+    ours = classical._flight_means(ens, times)
     assert np.max(np.abs(ours - exact)) < 1e-13
 
 
 def test_flight_means_at_the_ensemble_time_and_one_sample():
     ens = propagate(sample_initial(500, 20.0, 0.0, 4.0, 0.125, seed=2),
                     71.3, [FIG1_PULSE])
-    at_start = classical._flight_means(ens, np.array([ens.time]), math.inf)
+    at_start = classical._flight_means(ens, np.array([ens.time]))
     assert abs(at_start[0] - ens.z.mean()) < 1e-12
     assert_flight_means_match_oracle(ens, np.array([ens.time + 37.9]))
 
@@ -521,6 +521,18 @@ def test_flight_before_the_first_window_warns_once():
                                     [FIG1_PULSE], times)
     assert len(record) == 1
     assert np.array_equal(series[1][0], series[-1][0])
+
+
+def test_a_strong_kick_warns_once_per_escaping_branch():
+    """The kick lifts spin +1's particles past z_cap = 50 at the window's
+    end: one warning, not one more from the flight after it; spin -1's
+    stay below."""
+    with pytest.warns(UserWarning, match="z_cap") as record:
+        mean_height_series(2000, 5.0, 0.0, 1.0, 0.1, 1,
+                           [KickPulse(30.0, 0.5, 60.0)],
+                           np.arange(0.0, 100.0, 0.5))
+    assert [str(w.message) for w in record] == [
+        "2000 particle(s) rise above z_cap=50.0"]
 
 
 def test_series_without_escapes_does_not_warn():

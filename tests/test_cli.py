@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qbounce import basis as basis_module
 from qbounce import classical, cli
+from qbounce.airy import airy_zeros
 from qbounce.basis import build_basis
 from qbounce.classical import sample_initial
 from qbounce.cli import (_scan_from_csv, main, parse_config_text,
@@ -161,6 +162,95 @@ def test_scan_spectrum_retrieve_pipeline(tmp_path):
     payload = json.loads(amps_json.read_text())
     assert [s["i"] for s in payload["states"]] == [2, 3]
     assert payload["fit_residual_rms"] < 0.05
+
+
+def test_overlap_column_labels_the_close_delays(tmp_path):
+    """The scan CSV's overlap column is 1 where tau < 3 (width1 + width2),
+    at unequal widths too."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SCAN_CFG.format(a1=0.5, a2=0.5).replace(
+        "width2 = 0.2", "width2 = 0.3").replace("tau_min = 2.0",
+                                                "tau_min = 0.1"))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    _, columns, data = read_scan_csv(str(out))
+    assert columns[2] == "overlap"
+    assert 0 < data[:, 2].sum() < len(data)
+    assert np.array_equal(data[:, 2], data[:, 0] < 3.0 * (0.2 + 0.3))
+
+
+def _pipeline_scan(tmp_path):
+    """A 300-row M = 10 scan CSV, written by `qbounce scan`."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SCAN_CFG.format(a1=0.5, a2=0.5))
+    scan_csv = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(scan_csv)]) == 0
+    return scan_csv
+
+
+def test_spectrum_and_retrieve_build_no_basis(tmp_path, monkeypatch):
+    """Both read the lines from the scan's energies, not from a basis."""
+    scan_csv = _pipeline_scan(tmp_path)
+
+    def refuse(m):
+        raise AssertionError(f"build_basis({m}) called")
+
+    monkeypatch.setattr(cli, "build_basis", refuse)
+    for command in ("spectrum", "retrieve"):
+        assert main([command, "--in", str(scan_csv), "--count", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert {"spec.csv", "peaks.json", "amps.json"} <= set(os.listdir(tmp_path))
+
+
+def test_spectrum_csv_names_one_version_and_the_scan_version(tmp_path):
+    """spec.csv carries this run's version once, and the scan's as
+    scan_version."""
+    scan_csv = _pipeline_scan(tmp_path)
+    text = scan_csv.read_text().replace(f"# version = {cli.__version__}",
+                                        "# version = 0.0.1")
+    scan_csv.write_text(text)
+    assert main(["spectrum", "--in", str(scan_csv), "--count", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "spec.csv").read_text().splitlines()
+    assert [x for x in lines if x.startswith("# version =")] == \
+        [f"# version = {cli.__version__}"]
+    assert "# scan_version = 0.0.1" in lines
+
+
+@pytest.mark.parametrize("grid", ["reversed", "nonuniform"])
+def test_spectrum_of_an_unsorted_or_nonuniform_scan_is_a_config_error(
+        tmp_path, capsys, grid):
+    """The FFT needs ascending, uniform delays: a scan CSV with its rows
+    reversed, or with one delay moved, exits 1 naming the file and writes
+    nothing."""
+    scan_csv = _pipeline_scan(tmp_path)
+    header, columns, data = read_scan_csv(str(scan_csv))
+    if grid == "reversed":
+        data = data[::-1]
+    else:
+        data[100, 0] += 0.01
+    write_csv(str(scan_csv), sorted(header.items()), columns, data)
+    assert main(["spectrum", "--in", str(scan_csv), "--count", "2",
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert (f"config error: {scan_csv}: delay grid must be ascending and "
+            "uniform") in err
+    assert set(os.listdir(tmp_path)) == {"scan.cfg", "scan.csv"}
+
+
+def test_retrieve_of_an_all_zero_scan_exits_2(tmp_path, capsys):
+    """A fitted constant of 0 gives the phases no reference: a numerical
+    failure, not a list of zeros."""
+    scan_csv = tmp_path / "scan.csv"
+    delays = 2.0 + 0.1 * np.arange(300)
+    write_csv(str(scan_csv), [("basis_size", 50)],
+              ["tau", "population", "overlap"],
+              np.column_stack((delays, np.zeros(300), np.zeros(300))))
+    assert main(["retrieve", "--in", str(scan_csv),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "numerical failure: retrieval fit constant" in \
+        capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scan.csv"]
 
 
 def test_out_dir_routes_outputs(tmp_path):
@@ -562,8 +652,8 @@ def test_basis_size_out_of_range_fails_before_the_run(tmp_path, capsys, m):
 def test_scan_csv_round_trip(tau_min, dtau, pops, flags, basis_size, kind,
                              extra):
     """write_csv -> read_scan_csv -> _scan_from_csv returns the floats
-    bitwise and keeps every provenance key; the reader agrees bitwise with
-    a line-by-line reader."""
+    bitwise, the header's basis_size as its energies, and every provenance
+    key; the reader agrees bitwise with a line-by-line reader."""
     delays = tau_min + dtau * np.arange(len(pops))
     pops = np.array(pops)
     flags = np.array(flags[:len(pops)])
@@ -572,15 +662,14 @@ def test_scan_csv_round_trip(tau_min, dtau, pops, flags, basis_size, kind,
         path = os.path.join(tmp, "scan.csv")
         write_csv(path, sorted(header.items()), ["tau", "population", "overlap"],
                   [(t, p, int(o)) for t, p, o in zip(delays, pops, flags)])
-        scan, m, back = _scan_from_csv(path)
+        scan, zeros, back = _scan_from_csv(path, 1)
         got, oracle = read_scan_csv(path), read_scan_csv_lines(path)
     assert got[:2] == oracle[:2]
     assert got[2].tobytes() == oracle[2].tobytes()
     assert got[2].shape == oracle[2].shape
     assert scan.delays.tobytes() == delays.tobytes()
     assert scan.populations.tobytes() == pops.tobytes()
-    assert np.array_equal(scan.overlap, flags)
-    assert (m, scan.kind) == (basis_size, kind)
+    assert np.array_equal(zeros, airy_zeros(basis_size))
     assert back == {"version": back["version"],
                     **{k: str(v) for k, v in header.items()}}
 

@@ -3,6 +3,7 @@ the quantum presets' error budget.
 
 Usage: python tools/preset_outputs.py OUTDIR
        python tools/preset_outputs.py --budget OUTDIR
+       python tools/preset_outputs.py --diff OLD NEW
 
 Runs the fig1 classical echo (with phase-space snapshots at t = 55, 60,
 65 and 120), the fig2 and fig5 quantum echoes, and the fig4 and fig6
@@ -18,6 +19,12 @@ numeric output column (CSV columns, and the fields of the peak and
 amplitude JSON lists) from the default run in each variant, and the ratio
 of the change at double the steps to the change at twice the basis size:
 below 1, the basis, not the stepper, bounds that output.
+
+--diff compares two such output directories file by file.  It prints
+``identical`` for a byte-identical file, ``header`` and the header keys
+that differ for a CSV whose data rows are byte-identical, and otherwise
+each column's largest absolute change.  It exits 1 if a file is missing
+on either side or a column is missing or changes length.
 """
 
 import json
@@ -114,12 +121,55 @@ def changes(old, new):
     output directory ``old``; nan where the two columns differ in length."""
     out = {}
     for path in sorted(Path(old).glob("*/*")):
-        a, b = _columns(path), _columns(Path(new) / path.parent.name / path.name)
+        other = Path(new) / path.parent.name / path.name
+        a, b = _columns(path), _columns(other) if other.exists() else {}
         for col in a:
             key = (path.parent.name, path.name, col)
             out[key] = (float(np.max(np.abs(b[col] - a[col]), initial=0.0))
                         if col in b and len(b[col]) == len(a[col]) else np.nan)
     return out
+
+
+def _header(text):
+    """{key: [values]} of a file's '# key = value' lines, and its other
+    lines."""
+    keys, rest = {}, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            k, _, v = line[1:].partition("=")
+            keys.setdefault(k.strip(), []).append(v.strip())
+        else:
+            rest.append(line)
+    return keys, rest
+
+
+def diff(old, new):
+    """Print how each output file moved from ``old`` to ``new``; 1 if a
+    file or column is missing on one side or a column changes length."""
+    old, new = Path(old), Path(new)
+    names = sorted({p.relative_to(d).as_posix()
+                    for d in (old, new) for p in d.glob("*/*")})
+    moved, code = changes(old, new), 0
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.exists() and b.exists()):
+            print(f"{name}: missing in {new if a.exists() else old}")
+            code = 1
+            continue
+        if a.read_bytes() == b.read_bytes():
+            print(f"{name}: identical")
+            continue
+        (ka, ra), (kb, rb) = _header(a.read_text()), _header(b.read_text())
+        if ra == rb:
+            keys = sorted(k for k in ka.keys() | kb.keys()
+                          if ka.get(k) != kb.get(k))
+            print(f"{name}: header " + " ".join(keys))
+            continue
+        cols = {key[2]: x for key, x in moved.items()
+                if f"{key[0]}/{key[1]}" == name}
+        code |= any(np.isnan(x) for x in cols.values())
+        print(f"{name}: " + ", ".join(f"{c} {x:.2g}" for c, x in cols.items()))
+    return int(code)
 
 
 def budget(out):
@@ -146,6 +196,8 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--budget"] and len(args) == 2:
         sys.exit(budget(args[1]))
+    if args[:1] == ["--diff"] and len(args) == 3:
+        sys.exit(diff(args[1], args[2]))
     if len(args) != 1 or args[0].startswith("--"):
         sys.exit(__doc__.split("\n\n")[1])
     sys.exit(run(args[0]))
