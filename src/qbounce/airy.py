@@ -17,7 +17,7 @@ Evaluation strategy
   zeta = (2/3)*8^(3/2) ~ 15.1 the remainder is ~exp(-2*zeta) ~ 1e-13.
 
 Both stay below 1e-12 absolute error on [-100, 100] (validated against
-mpmath in the test suite).  Non-finite input raises ValueError.
+mpmath in the test suite).  Non-finite input raises InputError.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .pulses import InputError
 
 __all__ = ["airy_ai", "airy_ai_prime", "airy_zeros"]
 
@@ -147,7 +149,7 @@ def _airy(x, derivative=True):
     skips the Ai' sums."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise ValueError("Airy function of a non-finite argument")
+        raise InputError("Airy function of a non-finite argument")
     out = np.empty((1 + derivative,) + x.shape)
     for branch, sel in ((_taylor_ai, np.abs(x) < _TAYLOR_CUTOFF),
                         (_asymptotic_pos, x >= _TAYLOR_CUTOFF),
@@ -177,7 +179,7 @@ def airy_zeros(m: int) -> np.ndarray:
     all zeros at once, until every step is below 1e-13 z_i.
     """
     if not 1 <= m <= 400:
-        raise ValueError(f"zero count must be in [1, 400], got {m}")
+        raise InputError(f"zero count must be in [1, 400], got {m}")
 
     i = np.arange(1, m + 1)
     t = 3.0 * math.pi * (4 * i - 1) / 8.0

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import airy_ai, airy_ai_prime, airy_zeros
+from .pulses import InputError
 
 __all__ = ["UnitSystem", "EigenBasis", "BasisProjectionError", "QuadratureError",
            "build_basis"]
@@ -45,11 +46,11 @@ _PACKET_SIGMAS = 6.5
 _PANEL_WAVELENGTHS = 7
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Raised when panel refinement fails to reach the tolerance."""
 
 
-class BasisProjectionError(ValueError):
+class BasisProjectionError(ArithmeticError):
     """Initial state is not representable in the truncated basis."""
 
 
@@ -66,9 +67,9 @@ class UnitSystem:
 
     def __post_init__(self):
         if self.mass <= 0 or self.gravity <= 0:
-            raise ValueError("mass and gravity must be positive")
+            raise InputError("mass and gravity must be positive")
         if self.magnetic_moment is not None and self.magnetic_moment <= 0:
-            raise ValueError("magnetic moment must be positive")
+            raise InputError("magnetic moment must be positive")
         try:
             z_g = (HBAR ** 2 / (2.0 * self.mass ** 2 * self.gravity)) ** (1.0 / 3.0)
             E_g = self.mass * self.gravity * z_g
@@ -76,7 +77,7 @@ class UnitSystem:
         except (ZeroDivisionError, OverflowError):  # m^2 g out of range
             z_g = E_g = t_g = math.nan
         if not all(0.0 < x < math.inf for x in (z_g, E_g, t_g)):
-            raise ValueError(f"mass {self.mass} kg and gravity {self.gravity} "
+            raise InputError(f"mass {self.mass} kg and gravity {self.gravity} "
                              "m/s^2 give scales outside the float range")
         object.__setattr__(self, "z_g", z_g)
         object.__setattr__(self, "E_g", E_g)
@@ -90,7 +91,7 @@ class UnitSystem:
     def kick_amplitude(self, gradient: float) -> float:
         """Dimensionless kick amplitude a_k = |mu| * gradient / (m g)."""
         if self.magnetic_moment is None:
-            raise ValueError("unit system has no magnetic moment")
+            raise InputError("unit system has no magnetic moment")
         return self.magnetic_moment * gradient / (self.mass * self.gravity)
 
     def to_si(self, value, quantity: str):
@@ -105,7 +106,7 @@ class UnitSystem:
         try:
             return {"length": self.z_g, "time": self.t_g, "energy": self.E_g}[quantity]
         except KeyError:
-            raise ValueError(f"unknown quantity kind: {quantity!r}") from None
+            raise InputError(f"unknown quantity kind: {quantity!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +155,12 @@ class EigenBasis:
         amp e^{-42.25}.  Returns (coefficients renormalized to unit norm,
         captured norm before renormalization).  Warns below 0.999 captured
         norm, raises below 0.95.  A sigma_z whose square underflows, so that
-        the amplitude is not finite, raises ValueError before any integral.
+        the amplitude is not finite, raises InputError before any integral.
         """
         if mu_z <= 0 or sigma_z <= 0:
-            raise ValueError("mu_z and sigma_z must be positive")
+            raise InputError("mu_z and sigma_z must be positive")
         if sigma_z ** 2 < np.finfo(np.float64).tiny:  # amp would overflow
-            raise ValueError(f"sigma_z = {sigma_z!r} underflows when squared")
+            raise InputError(f"sigma_z = {sigma_z!r} underflows when squared")
         amp = (2.0 / (math.pi * sigma_z ** 2)) ** 0.25
 
         def packet(z):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulses import (KickPulse, _check_sample_times, forcing, merged_windows,
-                     run_steps, window_edges)
+from .pulses import (InputError, KickPulse, _check_sample_times, forcing,
+                     merged_windows, run_steps, window_edges)
 
 __all__ = ["ClassicalEnsemble", "sample_initial", "ballistic_flight",
            "mean_height_series"]
@@ -51,11 +51,13 @@ class ClassicalEnsemble:
         z = np.asarray(self.z, dtype=np.float64)
         v = np.asarray(self.v, dtype=np.float64)
         if z.shape != v.shape or z.ndim != 1 or len(z) < 1:
-            raise ValueError("z and v must be equal-length 1-d arrays")
-        if np.any(z < 0):
-            raise ValueError("particle heights must be non-negative")
+            raise InputError("z and v must be equal-length 1-d arrays")
+        # a nan makes min and max nan: no temporary arrays for the check
+        if not (0 <= z.min() and z.max() < np.inf and
+                -np.inf < v.min() and v.max() < np.inf):
+            raise InputError("need finite heights >= 0 and finite velocities")
         if self.spin not in (-1, 1):
-            raise ValueError("spin branch must be +1 or -1")
+            raise InputError("spin branch must be +1 or -1")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "v", v)
         z.setflags(write=False)
@@ -73,7 +75,7 @@ def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
     Deterministic for a fixed seed.  Raises as `_check_sample` does.
     """
     if n < 1:
-        raise ValueError("need at least one particle")
+        raise InputError("need at least one particle")
     _check_sample(mu_z, sigma_z, sigma_v)
     rng = np.random.default_rng(seed)
     z = mu_z + sigma_z * rng.standard_normal(n)
@@ -84,15 +86,15 @@ def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
 
 
 def _check_sample(mu_z, sigma_z, sigma_v):
-    """Raise ValueError unless the widths are non-negative, mu_z positive
+    """Raise InputError unless the widths are non-negative, mu_z positive
     and at most 25% of the Gaussian lies below the floor: redrawing more
     would no longer resemble a Gaussian centered at mu_z."""
     if sigma_z < 0 or sigma_v < 0 or mu_z <= 0:
-        raise ValueError("widths must be non-negative and mu_z positive")
+        raise InputError("widths must be non-negative and mu_z positive")
     if sigma_z > 0:
         p_below = 0.5 * math.erfc(mu_z / (sigma_z * math.sqrt(2.0)))
         if p_below > 0.25:
-            raise ValueError(
+            raise InputError(
                 f"{100 * p_below:.0f}% of the requested Gaussian lies below "
                 f"the floor (mu_z={mu_z}, sigma_z={sigma_z})")
 
@@ -286,7 +288,7 @@ def _magnetic(pulses):
     """The pulses as a list; the classical force knows magnetic kicks only."""
     pulses = [pulses] if isinstance(pulses, KickPulse) else list(pulses)
     if any(p.kind != "magnetic" for p in pulses):
-        raise ValueError("classical propagation supports magnetic kicks only")
+        raise InputError("classical propagation supports magnetic kicks only")
     return pulses
 
 
@@ -305,7 +307,10 @@ def _cross_window(ens, edges, pulses, steps_per_sigma):
     """
     z, v, means = _kick_flight(ens.z, ens.v, edges, pulses, ens.spin,
                                steps_per_sigma)
-    return replace(ens, z=z, v=v, time=float(edges[-1])), means
+    try:
+        return replace(ens, z=z, v=v, time=float(edges[-1])), means
+    except InputError as exc:
+        raise ArithmeticError(f"classical walk: {exc}") from None
 
 
 def _locate(tau, keys):
@@ -327,8 +332,12 @@ def _locate(tau, keys):
 
 
 def _warn_escapes(ens: ClassicalEnsemble, z_cap: float):
-    """Warn if a particle's apex z + v^2/4 = e/2 lies above ``z_cap``."""
-    if high := int((ens.z + 0.25 * ens.v * ens.v > z_cap).sum()):
+    """Warn if a particle's apex z + v^2/4 = e/2 lies above ``z_cap``; one
+    that overflows is a numerical failure (ArithmeticError)."""
+    apex = ens.z + 0.25 * ens.v * ens.v
+    if not apex.max() < np.inf:  # apex >= 0; a nan makes the max nan
+        raise ArithmeticError(f"classical energy not finite at t = {ens.time}")
+    if high := int((apex > z_cap).sum()):
         warnings.warn(f"{high} particle(s) rise above z_cap={z_cap}",
                       stacklevel=3)
 
@@ -409,14 +418,15 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     stepper from its start, on the series' edges before the snapshot and
     then on to it; the rerun is not fed back, so the series does not depend
     on the snapshots.  Apexes above 10 mu_z warn: the sample's once, and
-    each branch's at each window's end.  Returns a dict spin -> (series,
-    [ClassicalEnsemble per snapshot]); average the series for the spin
-    average.
+    each branch's at each window's end; an apex that overflows, or a
+    window's end state that fails the ensemble's checks, raises
+    ArithmeticError.  Returns a dict spin -> (series, [ClassicalEnsemble
+    per snapshot]); average the series for the spin average.
     """
     times = _check_sample_times(times, 0.0)
     snaps = [float(t) for t in snapshots]
     if snaps != sorted(snaps) or not all(0.0 <= t < math.inf for t in snaps):
-        raise ValueError("snapshot times must be ascending, finite and >= 0")
+        raise InputError("snapshot times must be ascending, finite and >= 0")
     pulses = _magnetic(pulses)
     z_cap = 10.0 * mu_z
     t_end = float(times[-1])

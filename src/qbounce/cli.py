@@ -21,20 +21,15 @@ import numpy as np
 
 from . import __version__, classical, quantum
 from .airy import airy_zeros
-from .basis import (BasisProjectionError, QuadratureError, UnitSystem,
-                    build_basis)
-from .classical import _check_sample, mean_height_series
-from .pulses import KickPulse, spin_branches
+from .basis import UnitSystem, build_basis
+from .classical import mean_height_series
+from .pulses import InputError, KickPulse, spin_branches
 from .quantum import StateVector, ground_state, mean_height_trace
 from .spectroscopy import (DEFAULT_NOISE_FLOOR, DelayScan,
                            find_peaks_and_match, retrieve_amplitudes,
                            scan_delay, spectrum)
 
 PRESETS = ("fig1", "fig2", "fig4", "fig5", "fig6")
-
-
-class ConfigError(ValueError):
-    """Bad config file, unknown key, or inconsistent options."""
 
 
 # ---------------------------------------------------------------- config
@@ -44,27 +39,27 @@ def _parse_bool(s):
         return True
     if s.lower() in ("false", "no", "0"):
         return False
-    raise ValueError(f"not a boolean: {s!r}")
+    raise InputError(f"not a boolean: {s!r}")
 
 
 def _finite(s):
     x = float(s)
     if not np.isfinite(x):
-        raise ValueError(f"not a finite number: {s!r}")
+        raise InputError(f"not a finite number: {s!r}")
     return x
 
 
 def _positive(s):
     x = _finite(s)
     if x <= 0:
-        raise ValueError(f"not positive: {s!r}")
+        raise InputError(f"not positive: {s!r}")
     return x
 
 
 def _count(s, top=math.inf):
     n = int(s)
     if not 1 <= n <= top:
-        raise ValueError(f"not an integer in [1, {top}]: {s!r}")
+        raise InputError(f"not an integer in [1, {top}]: {s!r}")
     return n
 
 
@@ -78,7 +73,7 @@ def _kind(s):
 
 def _initial(s):
     if s not in ("gaussian", "ground"):
-        raise ValueError(f"not 'gaussian' or 'ground': {s!r}")
+        raise InputError(f"not 'gaussian' or 'ground': {s!r}")
     return s
 
 
@@ -142,27 +137,27 @@ def parse_config_text(text, mode):
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise InputError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in schema:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} for mode {mode!r}")
+            raise InputError(f"line {lineno}: unknown key {key!r} for mode {mode!r}")
         if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise InputError(f"line {lineno}: duplicate key {key!r}")
         conv = schema[key][0]
         try:
             raw[key] = conv(value)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+            raise InputError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     for key, (_, default) in schema.items():
         if default is REQUIRED and key not in raw:
-            raise ConfigError(f"missing required key {key!r} for mode {mode!r}")
+            raise InputError(f"missing required key {key!r} for mode {mode!r}")
     return {key: raw.get(key, default) for key, (_, default) in schema.items()}
 
 
 def load_config(args, mode):
     if (args.config is None) == (args.preset is None):
-        raise ConfigError("exactly one of --config and --preset is required")
+        raise InputError("exactly one of --config and --preset is required")
     if args.preset is not None:
         ref = resources.files("qbounce.presets") / f"{args.preset}.cfg"
         text = ref.read_text()
@@ -171,18 +166,28 @@ def load_config(args, mode):
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
+            raise InputError(f"cannot read config: {exc}") from None
     cfg = parse_config_text(text, mode)
     if getattr(args, "seed", None) is not None and "seed" in cfg:
         cfg["seed"] = args.seed
     return cfg
 
 
+def _snapshot_times(text):
+    try:
+        snaps = sorted(map(float, text.split(","))) if text else []
+    except ValueError:  # float() of the flag's text
+        raise InputError(f"--snapshot: not a list of numbers: {text!r}") from None
+    if not all(0.0 <= t < np.inf for t in snaps):
+        raise InputError(f"--snapshot: times must be finite and >= 0: {text!r}")
+    return snaps
+
+
 def _check_span(cfg, start, stop_key):
     """A sample grid from ``start`` to cfg[stop_key] must not run backwards."""
     if cfg[stop_key] < start:
-        raise ConfigError(f"{stop_key} = {cfg[stop_key]!r} precedes the grid "
-                          f"start {start!r}")
+        raise InputError(f"{stop_key} = {cfg[stop_key]!r} precedes the grid "
+                         f"start {start!r}")
 
 
 # ---------------------------------------------------------------- output
@@ -239,7 +244,7 @@ def read_scan_csv(path):
     The '# key = value' lines and the column line are parsed here, the data
     rows by `np.loadtxt`.  A file that cannot be read, a ragged or
     non-numeric row, rows that do not match the column line and a file
-    without data rows raise ConfigError naming the file.
+    without data rows raise InputError naming the file.
     """
     header = {}
     columns = None
@@ -258,49 +263,31 @@ def read_scan_csv(path):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scan CSV: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # unreadable, ragged or not numbers
+        raise InputError(f"{path}: {exc}") from None
     if columns is None or not len(data):
-        raise ConfigError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     if data.shape[1] != len(columns):
-        raise ConfigError(f"{path}: {len(columns)} columns named, but the "
-                          f"rows hold {data.shape[1]}")
+        raise InputError(f"{path}: {len(columns)} columns named, but the "
+                         f"rows hold {data.shape[1]}")
     return header, columns, data
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_basis(args):
-    try:
-        m = _basis_size(args.M)
-    except ValueError as exc:
-        raise ConfigError(f"--M: {exc}") from None
-    basis = build_basis(m)
-    rows = []
-    for i in range(1, basis.m + 1):
-        omega = basis.zeros[i - 1] - basis.zeros[0]
-        rows.append((i, float(basis.zeros[i - 1]), float(basis.norms[i - 1]),
-                     float(omega)))
+    basis = build_basis(args.M)  # airy_zeros rejects M outside [1, 400]
     write_csv(_resolve_out(args, args.out), [("M", args.M)],
-              ["i", "energy", "norm", "omega_i1"], rows)
+              ["i", "energy", "norm", "omega_i1"],
+              np.column_stack((np.arange(1, args.M + 1), basis.zeros,
+                               basis.norms, basis.zeros - basis.zeros[0])))
     return 0
 
 
 def cmd_classical_echo(args):
     cfg = load_config(args, "classical-echo")
-    try:  # checked before any computation
-        snaps = sorted(map(float, args.snapshot.split(","))) if args.snapshot else []
-    except ValueError:
-        raise ConfigError(f"--snapshot: not a list of numbers: {args.snapshot!r}") from None
-    if not all(0.0 <= t < np.inf for t in snaps):
-        raise ConfigError(f"--snapshot: times must be finite and >= 0: {args.snapshot!r}")
+    snaps = _snapshot_times(args.snapshot)  # checked before any computation
     _check_span(cfg, 0.0, "t_max")
-    try:
-        _check_sample(cfg["mu_z"], cfg["sigma_z"], cfg["sigma_v"])
-    except ValueError as exc:
-        raise ConfigError(f"initial sample: {exc}") from None
     pulse = KickPulse(cfg["kick_amplitude"], cfg["kick_width"],
                       cfg["kick_time"], "magnetic")
     sample = [cfg[k] for k in ("n", "mu_z", "mu_v", "sigma_z", "sigma_v", "seed")]
@@ -341,13 +328,7 @@ def cmd_quantum_echo(args):
 
     health = []  # header items beside the final norms
     if cfg["initial"] == "gaussian":
-        try:
-            coeffs, captured = basis.project_gaussian(cfg["mu_z"],
-                                                      cfg["sigma_z"])
-        except BasisProjectionError:
-            raise
-        except ValueError as exc:  # mu_z or sigma_z out of range
-            raise ConfigError(f"gaussian initial state: {exc}") from None
+        coeffs, captured = basis.project_gaussian(cfg["mu_z"], cfg["sigma_z"])
         health.append(("captured_norm", captured))
     else:
         coeffs = ground_state(basis).coeffs
@@ -374,7 +355,8 @@ def cmd_scan(args):
     basis = build_basis(cfg["basis_size"])
     p1 = KickPulse(cfg["amplitude1"], cfg["width1"], 0.0, cfg["kind"])
     p2 = KickPulse(cfg["amplitude2"], cfg["width2"], 0.0, cfg["kind"])
-    n = int(round((cfg["tau_max"] - cfg["tau_min"]) / cfg["dtau"])) + 1
+    n = math.floor((cfg["tau_max"] - cfg["tau_min"]) / cfg["dtau"]
+                   * (1.0 + 1e-12)) + 1  # to tau_max, as in whole_steps
     delays = cfg["tau_min"] + cfg["dtau"] * np.arange(n)
     scan = scan_delay(basis, p1, p2, delays,
                       spin_average=cfg["spin_average"],
@@ -394,31 +376,31 @@ def _scan_from_csv(path, count):
     lines, so ``count`` > M - 1 is a config error."""
     header, columns, data = read_scan_csv(path)
     if columns[:2] != ["tau", "population"]:
-        raise ConfigError(f"{path}: expected scan columns tau,population")
+        raise InputError(f"{path}: expected scan columns tau,population")
     try:
         scan = DelayScan(data[:, 0], data[:, 1])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if "basis_size" not in header:
-        raise ConfigError(f"{path}: provenance header lacks basis_size")
+        raise InputError(f"{path}: provenance header lacks basis_size")
     try:
         basis_size = _basis_size(header["basis_size"])
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad basis_size in header: {exc}") from None
+        raise InputError(f"{path}: bad basis_size in header: {exc}") from None
     if count > basis_size - 1:
-        raise ConfigError(f"--count: not in [1, {basis_size - 1}] for the "
-                          f"scan's basis_size {basis_size}: {count}")
+        raise InputError(f"--count: not in [1, {basis_size - 1}] for the "
+                         f"scan's basis_size {basis_size}: {count}")
     return scan, airy_zeros(basis_size), header
 
 
 def cmd_spectrum(args):
     if not 0.0 <= args.noise_floor <= 1.0:
-        raise ConfigError(f"--noise-floor: not in [0, 1]: {args.noise_floor}")
+        raise InputError(f"--noise-floor: not in [0, 1]: {args.noise_floor}")
     scan, zeros, header = _scan_from_csv(args.infile, args.count)
     try:
         spec = spectrum(scan, window=args.window)
-    except ValueError as exc:  # too few rows or a grid the FFT cannot take
-        raise ConfigError(f"{args.infile}: {exc}") from None
+    except InputError as exc:  # too few rows or a grid the FFT cannot take
+        raise InputError(f"{args.infile}: {exc}") from None
     matches = find_peaks_and_match(spec, zeros, args.count,
                                    noise_floor=args.noise_floor)
     if len(matches) < args.count:
@@ -453,25 +435,22 @@ def cmd_retrieve(args):
 
 def cmd_convert(args):
     if (args.mass is None) != (args.gravity is None):
-        raise ConfigError("--mass and --gravity must be given together")
-    try:
-        units = (UnitSystem.neutron() if args.mass is None
-                 else UnitSystem(mass=args.mass, gravity=args.gravity))
-    except ValueError as exc:  # scales out of range
-        raise ConfigError(str(exc)) from None
+        raise InputError("--mass and --gravity must be given together")
+    units = (UnitSystem.neutron() if args.mass is None
+             else UnitSystem(mass=args.mass, gravity=args.gravity))
     if args.quantity == "gradient":
         if args.direction != "to-dimensionless":
-            raise ConfigError("gradient converts only to-dimensionless (a_k)")
+            raise InputError("gradient converts only to-dimensionless (a_k)")
         if args.mass is not None:
-            raise ConfigError("gradient converts for the neutron only: a "
-                              "custom particle has no magnetic moment")
+            raise InputError("gradient converts for the neutron only: a "
+                             "custom particle has no magnetic moment")
         value = units.kick_amplitude(args.value)
     elif args.direction == "to-si":
         value = units.to_si(args.value, args.quantity)
     else:
         value = units.from_si(args.value, args.quantity)
     if not math.isfinite(value):
-        raise ConfigError(f"{args.value} {args.quantity} converts to {value}")
+        raise InputError(f"{args.value} {args.quantity} converts to {value}")
     print(f"{value:.17g}")
     return 0
 
@@ -560,11 +539,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, BasisProjectionError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -14,12 +14,16 @@ from itertools import pairwise
 
 import numpy as np
 
-__all__ = ["KickPulse", "WINDOW_SIGMAS", "check_step_count", "forcing",
-           "merged_windows", "run_steps", "spin_branches", "whole_steps",
-           "window_edges"]
+__all__ = ["InputError", "KickPulse", "WINDOW_SIGMAS", "check_step_count",
+           "forcing", "merged_windows", "run_steps", "spin_branches",
+           "whole_steps", "window_edges"]
 
 # a pulse acts on |t - t_k| <= 6 sigma; the Gaussian tail beyond is < 1e-15
 WINDOW_SIGMAS = 6.0
+
+
+class InputError(ValueError):
+    """A value the caller gave fails its check; the CLI exits 1."""
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,11 @@ class KickPulse:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.amplitude, self.width, self.center))):
-            raise ValueError("pulse amplitude, width and center must be finite")
+            raise InputError("pulse amplitude, width and center must be finite")
         if self.width <= 0:
-            raise ValueError("pulse width must be positive")
+            raise InputError("pulse width must be positive")
         if self.kind not in ("magnetic", "shake"):
-            raise ValueError(f"unknown pulse kind: {self.kind!r}")
+            raise InputError(f"unknown pulse kind: {self.kind!r}")
 
     @property
     def window(self) -> tuple[float, float]:
@@ -74,23 +78,23 @@ def forcing(pulses, spin: int, t):
 
 
 def check_step_count(steps_per_sigma):
-    """Raise ValueError unless ``steps_per_sigma`` is an integer >= 1."""
+    """Raise InputError unless ``steps_per_sigma`` is an integer >= 1."""
     if (isinstance(steps_per_sigma, bool)
             or not isinstance(steps_per_sigma, numbers.Integral)
             or steps_per_sigma < 1):
-        raise ValueError("steps_per_sigma must be an integer >= 1, got "
+        raise InputError("steps_per_sigma must be an integer >= 1, got "
                          f"{steps_per_sigma!r}")
 
 
 def _check_sample_times(times, t_from):
-    """``times`` as a float64 array; raise ValueError unless it is a
+    """``times`` as a float64 array; raise InputError unless it is a
     non-empty 1-d array of finite values, ascending from ``t_from`` on."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or not len(times) or not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be a non-empty 1-d array of "
+        raise InputError("sample times must be a non-empty 1-d array of "
                          "finite values")
     if np.any(np.diff(times) <= 0) or times[0] < t_from:
-        raise ValueError("sample times must be ascending and start at or "
+        raise InputError("sample times must be ascending and start at or "
                          f"after {t_from}")
     return times
 

@@ -21,8 +21,8 @@ from itertools import pairwise
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import (KickPulse, _check_sample_times, forcing, merged_windows,
-                     run_steps, window_edges)
+from .pulses import (InputError, KickPulse, _check_sample_times, forcing,
+                     merged_windows, run_steps, window_edges)
 
 __all__ = ["StateVector", "ground_state", "step_grid", "mean_height_trace"]
 
@@ -260,7 +260,7 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spins,
     """
     times = _check_sample_times(times, state.time)
     if not isinstance(spins, tuple) or not spins or set(spins) - {1, -1}:
-        raise ValueError(f"spins must be a tuple of +1 and -1, got {spins!r}")
+        raise InputError(f"spins must be a tuple of +1 and -1, got {spins!r}")
     stops = _walk(basis, state.coeffs, state.time, pulses, spins, times,
                   steps_per_sigma)
 

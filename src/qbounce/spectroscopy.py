@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import KickPulse, forcing, spin_branches
+from .pulses import InputError, KickPulse, forcing, spin_branches
 from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_phases, _sub_steps,
                       step_grid)
 
@@ -42,13 +42,15 @@ class DelayScan:
         d = np.asarray(self.delays, dtype=np.float64)
         p = np.asarray(self.populations, dtype=np.float64)
         if len(d) != len(p):
-            raise ValueError("delay and population grids differ in length")
+            raise InputError("delay and population grids differ in length")
+        if not np.all(np.isfinite(d)):
+            raise InputError("delays must be finite")
         # zero-kick scans read 1 +/- 3.6e-12 (M = 20, 50; widths 0.2/0.2,
         # 0.1/0.5, 0.5/0.1) and 1 +/- 7.4e-12 (M = 20; 0.05/1.0), tau in
         # [0.05, 20]: each Strang sub-step is unitary only to rounding, and
         # 12 max(sigma) in steps of min(sigma) / 20 takes 14400 at 0.05/1.0
-        if np.any(p < -_ROUNDING) or np.any(p > 1 + _ROUNDING):
-            raise ValueError("populations must lie in [0, 1]")
+        if not np.all((p >= -_ROUNDING) & (p <= 1 + _ROUNDING)):  # no nan
+            raise InputError("populations must be finite and lie in [0, 1]")
         object.__setattr__(self, "delays", d)
         object.__setattr__(self, "populations", p)
 
@@ -98,11 +100,11 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     is the scan with both amplitudes negated.
     """
     if pulse1.kind != pulse2.kind:
-        raise ValueError("both kicks must share the same kind")
+        raise InputError("both kicks must share the same kind")
     kind = pulse1.kind
     delays = np.asarray(delays, dtype=np.float64)
-    if np.any(delays <= 0):
-        raise ValueError("delays must be positive")
+    if not np.all((delays > 0) & (delays < np.inf)):
+        raise InputError("delays must be positive and finite")
 
     spins = spin_branches(kind, spin_average)
     p1 = KickPulse(pulse1.amplitude, pulse1.width, 0.0, kind)
@@ -140,7 +142,10 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
         c = _sub_steps(basis, v[i][None], f, [(n, h)], [n], spins)[0, 0]
         c1[i] = np.sum(row[i] * c, axis=0)
     pops[~separated] = np.mean(np.abs(c1) ** 2, axis=1)
-    return DelayScan(delays, pops)
+    try:
+        return DelayScan(delays, pops)
+    except InputError as exc:  # the delays passed above: the scan failed
+        raise ArithmeticError(f"scan {exc}") from None
 
 
 def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
@@ -166,13 +171,13 @@ def spectrum(scan: DelayScan, window: str = "hann") -> SpectrumResult:
     x = scan.populations - scan.populations.mean()
     n = len(x)
     if n < 256:
-        raise ValueError(f"need at least 256 samples, got {n}")
+        raise InputError(f"need at least 256 samples, got {n}")
     steps = np.diff(scan.delays)
     if not (steps[0] > 0 and
             np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
-        raise ValueError("delay grid must be ascending and uniform")
+        raise InputError("delay grid must be ascending and uniform")
     if window not in ("hann", "none"):
-        raise ValueError(f"unknown window: {window!r}")
+        raise InputError(f"unknown window: {window!r}")
     w = np.hanning(n) if window == "hann" else np.ones(n)
     n_pad = n * _ZERO_PAD
     amps = np.abs(np.fft.rfft(x * w, n_pad))
@@ -204,9 +209,9 @@ def find_peaks_and_match(spec: SpectrumResult, zeros: np.ndarray, count: int,
     """
     theory = zeros[1:] - zeros[0]
     if not 1 <= count <= len(theory):
-        raise ValueError(f"count not in [1, {len(theory)}]: {count}")
+        raise InputError(f"count not in [1, {len(theory)}]: {count}")
     if not 0.0 <= noise_floor <= 1.0:
-        raise ValueError(f"noise_floor not in [0, 1]: {noise_floor}")
+        raise InputError(f"noise_floor not in [0, 1]: {noise_floor}")
     a = spec.amplitudes
     floor = max(noise_floor * a.max(), spec.line_floor)
     interior = np.nonzero((a[1:-1] > a[:-2]) & (a[1:-1] >= a[2:]) &
@@ -256,7 +261,7 @@ def retrieve_amplitudes(scan: DelayScan, zeros: np.ndarray, n_states: int):
     Returns (amplitudes, fit_residual_rms) for ``n_states`` in [1, M - 1].
     """
     if not 1 <= n_states <= len(zeros) - 1:
-        raise ValueError(f"n_states not in [1, {len(zeros) - 1}]: {n_states}")
+        raise InputError(f"n_states not in [1, {len(zeros) - 1}]: {n_states}")
     tau = scan.delays
     w = (zeros[1:] - zeros[0])[:n_states]
     cols = [np.ones_like(tau)]

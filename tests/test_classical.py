@@ -12,8 +12,8 @@ from qbounce import classical
 from qbounce.classical import (DEFAULT_STEPS_PER_SIGMA, ClassicalEnsemble,
                                ballistic_flight, mean_height_series,
                                sample_initial)
-from qbounce.pulses import (KickPulse, forcing, merged_windows, run_steps,
-                            whole_steps)
+from qbounce.pulses import (InputError, KickPulse, forcing, merged_windows,
+                            run_steps, whole_steps)
 from qbounce.quantum import step_grid
 
 from helpers import (_free_mean_height, _verlet, bounce_flight,
@@ -54,6 +54,13 @@ def test_sample_degenerate_velocity_width():
 def test_sample_rejects_heavy_floor_leakage():
     with pytest.raises(ValueError):
         sample_initial(1000, 0.1, 0.0, 5.0, 0.1, seed=1)
+
+
+@pytest.mark.parametrize("z,v", [(math.nan, 0.0), (math.inf, 0.0),
+                                 (1.0, math.inf), (1.0, math.nan)])
+def test_ensemble_rejects_a_non_finite_state(z, v):
+    with pytest.raises(InputError, match="finite"):
+        ClassicalEnsemble(np.array([2.0, z]), np.array([0.0, v]))
 
 
 def test_sample_redraws_stay_above_floor():

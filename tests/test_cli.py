@@ -1,19 +1,22 @@
 """CLI plumbing: configs, presets, outputs, unit conversion, exit codes."""
 
+import ast
 import json
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbounce
 from qbounce import basis as basis_module
 from qbounce import classical, cli
 from qbounce.airy import airy_zeros
-from qbounce.basis import build_basis
+from qbounce.basis import BasisProjectionError, QuadratureError, build_basis
 from qbounce.classical import sample_initial
 from qbounce.cli import (_scan_from_csv, main, parse_config_text,
                          read_scan_csv, write_csv)
@@ -73,6 +76,19 @@ def test_basis_table_values(tmp_path):
                                    abs=1e-3)
 
 
+@pytest.mark.parametrize("m", [1, 6, 50, 400])
+def test_basis_table_matches_the_row_loop(tmp_path, m):
+    """The table equals its rows built one state at a time, (i, z_i, N_i,
+    z_i - z_1) with i an int, formatted one value at a time."""
+    out = tmp_path / "basis.csv"
+    assert main(["basis", "--M", str(m), "--out", str(out)]) == 0
+    basis = build_basis(m)
+    rows = [(i + 1, float(z), float(n), float(z - basis.zeros[0]))
+            for i, (z, n) in enumerate(zip(basis.zeros, basis.norms))]
+    assert out.read_text() == legacy_csv_text(
+        [("M", m)], ["i", "energy", "norm", "omega_i1"], rows)
+
+
 # ---------------------------------------------------------------- presets
 
 @pytest.mark.parametrize("preset,expected", sorted(EXPECTED_PRESETS.items()))
@@ -99,8 +115,8 @@ def test_missing_required_key_rejected(tmp_path):
 
 
 def test_duplicate_key_rejected():
-    from qbounce.cli import ConfigError
-    with pytest.raises(ConfigError):
+    from qbounce import InputError
+    with pytest.raises(InputError):
         parse_config_text("n = 1\nn = 2\n", "classical-echo")
 
 
@@ -251,6 +267,23 @@ def test_retrieve_of_an_all_zero_scan_exits_2(tmp_path, capsys):
     assert "numerical failure: retrieval fit constant" in \
         capsys.readouterr().err
     assert os.listdir(tmp_path) == ["scan.csv"]
+
+
+@pytest.mark.parametrize("tau_max,count", [("2.33", 7), ("2.35", 8),
+                                           ("30.0", 561)])
+def test_scan_delays_stop_at_tau_max(tmp_path, tau_max, count):
+    """The delays are tau_min + dtau k up to tau_max, counted with the
+    relative 1e-12 of whole steps, so none lies past tau_max by more than
+    rounding (2.33 ends at 2.30, not 2.35)."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SCAN_CFG.format(a1=0.0, a2=0.0).replace(
+        "tau_max = 30.0", f"tau_max = {tau_max}").replace("dtau = 0.1",
+                                                          "dtau = 0.05"))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    delays = read_scan_csv(str(out))[2][:, 0]
+    assert delays.tobytes() == (2.0 + 0.05 * np.arange(count)).tobytes()
+    assert delays[-1] <= float(tau_max) * (1.0 + 1e-15)
 
 
 def test_out_dir_routes_outputs(tmp_path):
@@ -528,6 +561,32 @@ def test_unconverged_projection_exits_2_without_output(tmp_path, capsys,
     assert not out.exists()
 
 
+_OVERFLOWS = {
+    "shake-scan-1e308": ("scan", SCAN_CFG.format(a1=1e308, a2=0.1).replace(
+        "kind = magnetic", "kind = shake").replace("dtau = 0.1",
+                                                   "dtau = 0.05")),
+    "classical-1e200": ("classical-echo", CLASSICAL_CFG.replace(
+        "kick_amplitude = 0.5", "kick_amplitude = 1e200")),
+    "classical-1e308": ("classical-echo", CLASSICAL_CFG.replace(
+        "kick_amplitude = 0.5", "kick_amplitude = 1e308")),
+}
+
+
+@pytest.mark.parametrize("mode,text", _OVERFLOWS.values(), ids=_OVERFLOWS)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow
+def test_overflowing_kick_exits_2_without_output(tmp_path, capsys, mode,
+                                                 text):
+    """A finite kick whose forcing overflows is a numerical failure, not a
+    scan of nan populations or a traceback: the shake scan's populations
+    and the classical energies stop being finite.  Exit 2 and no CSV."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main([mode, "--config", str(cfg), "--out-dir", str(tmp_path),
+                 "--out", "out.csv"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+
+
 @pytest.mark.parametrize("sigma_z", ["1e-160", "1e-200"])
 def test_tiny_sigma_z_exits_1_without_output(tmp_path, capsys, sigma_z):
     """sigma_z^2 underflows (1e-320 and 0.0), so the packet's amplitude is
@@ -682,6 +741,10 @@ _BREAK_SCAN_CSV = {
     "could not convert": lambda text: text.replace(",0\n", ",x\n", 1),
     "no data rows": lambda text: text[:text.index("tau,")] + "tau,population\n",
     "columns named": lambda text: text.replace("overlap\n", "overlap,s\n"),
+    "delays must be finite": lambda text: text.replace("overlap\n2,",
+                                                       "overlap\nnan,"),
+    "populations must be finite": lambda text: re.sub(
+        r"^2,[^,]*,", "2,nan,", text, count=1, flags=re.M),
 }
 
 
@@ -695,8 +758,9 @@ def test_bad_scan_csv_is_a_config_error(tmp_path, capsys, command,
                                         basis_size, top, what):
     """A missing scan CSV, one with a ragged or non-numeric row, with rows
     that do not match its column line or with no data rows, a basis size
-    outside [1, 400], or populations outside [0, 1], exits 1 with a config
-    error naming the file, not a traceback, and writes nothing."""
+    outside [1, 400], a nan delay, or populations nan or outside [0, 1],
+    exits 1 with a config error naming the file, not a traceback, and
+    writes nothing."""
     scan_csv = tmp_path / "scan.csv"
     delays = 2.0 + 0.1 * np.arange(300)
     write_csv(str(scan_csv), [("basis_size", basis_size), ("kind", "magnetic")],
@@ -907,3 +971,31 @@ def test_count_above_the_scan_lines_is_a_config_error(tmp_path, capsys,
     assert (f"config error: --count: not in [1, 49] for the scan's "
             f"basis_size 50: {count}") in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["scan.csv"]
+
+
+# ------------------------------------------------------------ exit codes
+
+def test_every_check_raises_one_of_the_two_families():
+    """A caller's bad value raises InputError (a ValueError, exit 1), a
+    failed number an ArithmeticError (exit 2).  No check under
+    src/qbounce raises a bare ValueError, except the private-call guard of
+    `quantum._sub_steps`."""
+    owner = {}  # (file, line) of each `raise ValueError` -> innermost scope
+    for path in sorted(Path(qbounce.__file__).parent.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):  # outer first
+            if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+                continue
+            for node in ast.walk(scope):
+                exc = getattr(node, "exc", None)
+                if (isinstance(node, ast.Raise) and
+                        getattr(getattr(exc, "func", exc), "id", None)
+                        == "ValueError"):
+                    owner[path.name, node.lineno] = getattr(scope, "name",
+                                                            "<module>")
+    assert {(f, name) for (f, _), name in owner.items()} == \
+        {("quantum.py", "_sub_steps")}
+    assert issubclass(qbounce.InputError, ValueError)
+    assert not issubclass(qbounce.InputError, ArithmeticError)
+    for error in (QuadratureError, BasisProjectionError):
+        assert issubclass(error, ArithmeticError)
+        assert not issubclass(error, ValueError)

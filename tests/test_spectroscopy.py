@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbounce import quantum, spectroscopy
-from qbounce.pulses import KickPulse
+from qbounce.pulses import InputError, KickPulse
 from qbounce.quantum import DEFAULT_STEPS_PER_SIGMA, ground_state
 from qbounce.spectroscopy import (_ZERO_PAD, DelayScan, SpectrumResult,
                                   find_peaks_and_match, retrieve_amplitudes,
@@ -87,10 +87,16 @@ def test_scan_on_a_nonuniform_grid_matches_the_uniform_scan(basis20):
                              uniform.populations[order])) < 1e-12
 
 
-@pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9])
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9, math.nan])
 def test_population_outside_unit_interval_rejected(bad):
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(InputError, match=r"\[0, 1\]"):
         DelayScan(np.array([1.0, 2.0, 3.0]), np.array([0.5, bad, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_delay_rejected(bad):
+    with pytest.raises(InputError, match="delays must be finite"):
+        DelayScan(np.array([1.0, bad, 3.0]), np.array([0.5, 0.5, 0.5]))
 
 
 # ------------------------------------------------------- stepping oracle
