@@ -28,7 +28,7 @@ import numpy as np
 
 from .pulses import InputError
 
-__all__ = ["airy_ai", "airy_ai_prime", "airy_zeros"]
+__all__ = ["MAX_ZEROS", "airy_ai", "airy_ai_prime", "airy_zeros"]
 
 # Ai(0) = 3^(-2/3)/Gamma(2/3) and -Ai'(0) = 3^(-1/3)/Gamma(1/3)
 _C1 = np.longdouble("0.35502805388781723926006318600418317639797917419917724058332651030081004245")
@@ -38,6 +38,7 @@ _TAYLOR_CUTOFF = 8.0
 _NODES = np.linspace(-8.0, 8.0, 129)  # Taylor nodes, 1/8 apart
 _TAYLOR_TERMS = 16  # the walk's 1/8 steps in longdouble settle by 16
 _NEWTON_MAX_ITER = 20
+MAX_ZEROS = 400  # the most zeros `airy_zeros` returns
 
 
 def _horner(coeffs, x):
@@ -178,8 +179,8 @@ def airy_zeros(m: int) -> np.ndarray:
     Asymptotic initial guess (DLMF 9.9.18) followed by Newton iterations on
     all zeros at once, until every step is below 1e-13 z_i.
     """
-    if not 1 <= m <= 400:
-        raise InputError(f"zero count must be in [1, 400], got {m}")
+    if not 1 <= m <= MAX_ZEROS:
+        raise InputError(f"zero count must be in [1, {MAX_ZEROS}], got {m}")
 
     i = np.arange(1, m + 1)
     t = 3.0 * math.pi * (4 * i - 1) / 8.0

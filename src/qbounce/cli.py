@@ -20,14 +20,13 @@ from importlib import resources
 import numpy as np
 
 from . import __version__, classical, quantum
-from .airy import airy_zeros
+from .airy import MAX_ZEROS, airy_zeros
 from .basis import UnitSystem, build_basis
 from .classical import mean_height_series
-from .pulses import InputError, KickPulse, spin_branches
+from .pulses import ON_GRID, InputError, KickPulse, spin_branches
 from .quantum import StateVector, ground_state, mean_height_trace
-from .spectroscopy import (DEFAULT_NOISE_FLOOR, DelayScan,
-                           find_peaks_and_match, retrieve_amplitudes,
-                           scan_delay, spectrum)
+from .spectroscopy import (DelayScan, find_peaks_and_match,
+                           retrieve_amplitudes, scan_delay, spectrum)
 
 PRESETS = ("fig1", "fig2", "fig4", "fig5", "fig6")
 
@@ -64,7 +63,7 @@ def _count(s, top=math.inf):
 
 
 def _basis_size(s):
-    return _count(s, 400)  # airy_zeros returns at most 400 zeros
+    return _count(s, MAX_ZEROS)
 
 
 def _kind(s):
@@ -167,10 +166,7 @@ def load_config(args, mode):
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read config: {exc}") from None
-    cfg = parse_config_text(text, mode)
-    if getattr(args, "seed", None) is not None and "seed" in cfg:
-        cfg["seed"] = args.seed
-    return cfg
+    return parse_config_text(text, mode)
 
 
 def _snapshot_times(text):
@@ -315,11 +311,17 @@ def _quantum_pulses(cfg):
     if cfg["amplitude2"] != 0.0:
         pulses.append(KickPulse(cfg["amplitude2"], cfg["width2"],
                                 cfg["time2"], cfg["kind"]))
+    elif (cfg["width2"], cfg["time2"]) != (1.0, 0.0):
+        raise InputError("width2 and time2 shape a second pulse, but "
+                         "amplitude2 = 0")
     return pulses
 
 
 def cmd_quantum_echo(args):
     cfg = load_config(args, "quantum-echo")
+    if cfg["initial"] == "ground" and (cfg["mu_z"], cfg["sigma_z"]) != (0, 0):
+        raise InputError("mu_z and sigma_z shape a Gaussian packet, but "
+                         "initial = ground")
     pulses = _quantum_pulses(cfg)
     # start early enough that the first pulse window is fully covered
     t_start = min(0.0, min(p.window[0] for p in pulses))
@@ -336,10 +338,11 @@ def cmd_quantum_echo(args):
     times = np.arange(t_start, cfg["t_max"] + 1e-9, cfg["dt_sample"])
     branches = mean_height_trace(
         basis, StateVector(coeffs, t_start), pulses,
-        spin_branches(cfg["kind"], cfg["spin_average"]), times,
+        spin_branches(cfg["kind"], True), times,
         steps_per_sigma=cfg["steps_per_sigma"])
     (z_plus, _), (z_minus, _) = branches[0], branches[-1]
-    avg = 0.5 * (z_plus + z_minus)
+    # a single-spin run is spin +1's, as in a scan
+    avg = 0.5 * (z_plus + z_minus) if cfg["spin_average"] else z_plus
     norm_keys = (["final_norm_plus", "final_norm_minus"] if len(branches) == 2
                  else ["final_norm"])
     write_csv(_resolve_out(args, args.out), sorted(cfg.items()) + health +
@@ -356,7 +359,7 @@ def cmd_scan(args):
     p1 = KickPulse(cfg["amplitude1"], cfg["width1"], 0.0, cfg["kind"])
     p2 = KickPulse(cfg["amplitude2"], cfg["width2"], 0.0, cfg["kind"])
     n = math.floor((cfg["tau_max"] - cfg["tau_min"]) / cfg["dtau"]
-                   * (1.0 + 1e-12)) + 1  # to tau_max, as in whole_steps
+                   * (1.0 + ON_GRID)) + 1  # to tau_max, as in whole_steps
     delays = cfg["tau_min"] + cfg["dtau"] * np.arange(n)
     scan = scan_delay(basis, p1, p2, delays,
                       spin_average=cfg["spin_average"],
@@ -394,15 +397,12 @@ def _scan_from_csv(path, count):
 
 
 def cmd_spectrum(args):
-    if not 0.0 <= args.noise_floor <= 1.0:
-        raise InputError(f"--noise-floor: not in [0, 1]: {args.noise_floor}")
     scan, zeros, header = _scan_from_csv(args.infile, args.count)
     try:
-        spec = spectrum(scan, window=args.window)
+        spec = spectrum(scan)
     except InputError as exc:  # too few rows or a grid the FFT cannot take
         raise InputError(f"{args.infile}: {exc}") from None
-    matches = find_peaks_and_match(spec, zeros, args.count,
-                                   noise_floor=args.noise_floor)
+    matches = find_peaks_and_match(spec, zeros, args.count)
     if len(matches) < args.count:
         print(f"warning: found {len(matches)} of {args.count} peaks",
               file=sys.stderr)
@@ -410,7 +410,7 @@ def cmd_spectrum(args):
     scan_keys = sorted(("scan_version" if k == "version" else k, v)
                        for k, v in header.items())
     write_csv(_resolve_out(args, args.out),
-              scan_keys + [("window", args.window)], ["omega", "magnitude"],
+              scan_keys + [("window", "hann")], ["omega", "magnitude"],
               np.column_stack((spec.frequencies, spec.amplitudes)))
     peaks = [{"i": m.state, "omega_measured": m.omega_measured,
               "omega_theory": m.omega_theory,
@@ -487,7 +487,6 @@ def build_parser():
 
     sp = sub.add_parser("classical-echo", help="classical ensemble echo trace")
     _add_config_flags(sp)
-    sp.add_argument("--seed", type=int, default=None, help="override config seed")
     sp.add_argument("--snapshot", default=None,
                     help="comma-separated times for phase-space CSV dumps")
     _add_io_flags(sp, "series.csv")
@@ -507,9 +506,6 @@ def build_parser():
     sp.add_argument("--in", dest="infile", required=True, help="scan CSV")
     sp.add_argument("--peaks", default="peaks.json", help="peak list JSON path")
     sp.add_argument("--count", type=_count, default=5, help="peaks to extract")
-    sp.add_argument("--window", default="hann", choices=("hann", "none"))
-    sp.add_argument("--noise-floor", type=float, default=DEFAULT_NOISE_FLOOR,
-                    help="peak threshold as a fraction of the strongest line")
     _add_io_flags(sp, "spec.csv")
     sp.set_defaults(fn=cmd_spectrum)
 

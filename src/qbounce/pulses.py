@@ -14,12 +14,14 @@ from itertools import pairwise
 
 import numpy as np
 
-__all__ = ["InputError", "KickPulse", "WINDOW_SIGMAS", "check_step_count",
-           "forcing", "merged_windows", "run_steps", "spin_branches",
-           "whole_steps", "window_edges"]
+__all__ = ["InputError", "KickPulse", "ON_GRID", "WINDOW_SIGMAS",
+           "check_step_count", "forcing", "merged_windows", "run_steps",
+           "spin_branches", "whole_steps", "window_edges"]
 
 # a pulse acts on |t - t_k| <= 6 sigma; the Gaussian tail beyond is < 1e-15
 WINDOW_SIGMAS = 6.0
+# a step count within this relative distance of a whole number is that number
+ON_GRID = 1e-12
 
 
 class InputError(ValueError):
@@ -101,9 +103,9 @@ def _check_sample_times(times, t_from):
 
 def whole_steps(length: float, dt: float) -> int:
     """Equal steps of at most ``dt`` across ``length``: ceil(length / dt),
-    but a length within a relative 1e-12 of whole steps takes that many,
-    so rounding in the ends of the span does not add one."""
-    return max(1, math.ceil(length / dt * (1.0 - 1e-12)))
+    but a length within a relative ``ON_GRID`` of whole steps takes that
+    many, so rounding in the ends of the span does not add one."""
+    return max(1, math.ceil(length / dt * (1.0 - ON_GRID)))
 
 
 def run_steps(edges, width: float, steps_per_sigma: int):
@@ -120,11 +122,11 @@ def window_edges(times, lo: float, hi: float):
     """Run edges of the pulse window [lo, hi] on the ascending ``times``,
     and the range (start, stop) of the samples that land on edges[1:]: lo,
     the samples in (lo, hi], then hi.  A last sample within a relative
-    1e-12 of hi (of its run's length) is taken at hi, as in `whole_steps`:
-    no run of a few ulp follows it."""
+    ``ON_GRID`` of hi (of its run's length) is taken at hi, as in
+    `whole_steps`: no run of a few ulp follows it."""
     start, stop = np.searchsorted(times, (lo, hi), side="right").tolist()
     edges = np.r_[lo, times[start:stop], hi]
-    if len(edges) > 2 and edges[-2] > hi - 1e-12 * (hi - edges[-3]):
+    if len(edges) > 2 and edges[-2] > hi - ON_GRID * (hi - edges[-3]):
         edges = np.delete(edges, -2)
     return edges, start, stop
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import InputError, KickPulse, forcing, spin_branches
+from .pulses import ON_GRID, InputError, KickPulse, forcing, spin_branches
 from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_phases, _sub_steps,
                       step_grid)
 
@@ -27,7 +27,7 @@ __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
 _CONDITION_LIMIT = 1e8
 
 _ZERO_PAD = 8  # the FFT's length over the scan's
-DEFAULT_NOISE_FLOOR = 1e-4  # peak threshold, a share of the strongest line
+_NOISE_FLOOR = 1e-4  # peak threshold, a share of the strongest line
 _ROUNDING = 1e-10  # population tolerance; smaller oscillations are no lines
 
 
@@ -116,10 +116,10 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
 
     width = min(p1.width, p2.width)
     t, (h,), (n,) = step_grid([-half, half], width, steps_per_sigma)
-    # nodes within a relative 1e-12 of kick 2's start or kick 1's end
+    # nodes within a relative ON_GRID of kick 2's start or kick 1's end
     # count as on it, as in `step_grid`
-    k1 = np.floor((tau - half2 + half) / h * (1.0 + 1e-12)).astype(int)
-    k2 = np.ceil((half1 + half - tau) / h * (1.0 - 1e-12)).astype(int)
+    k1 = np.floor((tau - half2 + half) / h * (1.0 + ON_GRID)).astype(int)
+    k2 = np.ceil((half1 + half - tau) / h * (1.0 - ON_GRID)).astype(int)
     ground = np.zeros((1, basis.m, 2 * len(spins)), dtype=np.complex128)
     ground[0, 0] = 1.0
 
@@ -162,9 +162,9 @@ def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
     return np.mean(np.abs(c1) ** 2, axis=1)
 
 
-def spectrum(scan: DelayScan, window: str = "hann") -> SpectrumResult:
-    """Magnitude spectrum of the mean-subtracted scan, whose delays must
-    ascend on a uniform grid.
+def spectrum(scan: DelayScan) -> SpectrumResult:
+    """Hann-windowed magnitude spectrum of the mean-subtracted scan, whose
+    delays must ascend on a uniform grid.
 
     Frequencies are dimensionless angular: 2 pi k / (n_padded * dtau).
     """
@@ -176,9 +176,7 @@ def spectrum(scan: DelayScan, window: str = "hann") -> SpectrumResult:
     if not (steps[0] > 0 and
             np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
         raise InputError("delay grid must be ascending and uniform")
-    if window not in ("hann", "none"):
-        raise InputError(f"unknown window: {window!r}")
-    w = np.hanning(n) if window == "hann" else np.ones(n)
+    w = np.hanning(n)
     n_pad = n * _ZERO_PAD
     amps = np.abs(np.fft.rfft(x * w, n_pad))
     freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, steps[0])
@@ -196,12 +194,11 @@ def _refine_peak(freqs, amps, k):
     return freqs[k] + delta * df, math.exp(lb - 0.25 * (la - lc) * delta)
 
 
-def find_peaks_and_match(spec: SpectrumResult, zeros: np.ndarray, count: int,
-                         noise_floor: float = DEFAULT_NOISE_FLOOR):
+def find_peaks_and_match(spec: SpectrumResult, zeros: np.ndarray, count: int):
     """Extract up to ``count`` peaks and match them to the lines
     z_i - z_1, i = 2..M, of the energies ``zeros`` = z_1..z_M.
 
-    Local maxima above ``noise_floor`` (in [0, 1]) x global max and above
+    Local maxima above 1e-4 x the global max and above
     ``spec.line_floor``, where rounding noise ends, are refined by quadratic
     interpolation; each is matched to the nearest unmatched transition.
     Returns the PeakMatch list in line order; fewer than ``count`` (in
@@ -210,10 +207,8 @@ def find_peaks_and_match(spec: SpectrumResult, zeros: np.ndarray, count: int,
     theory = zeros[1:] - zeros[0]
     if not 1 <= count <= len(theory):
         raise InputError(f"count not in [1, {len(theory)}]: {count}")
-    if not 0.0 <= noise_floor <= 1.0:
-        raise InputError(f"noise_floor not in [0, 1]: {noise_floor}")
     a = spec.amplitudes
-    floor = max(noise_floor * a.max(), spec.line_floor)
+    floor = max(_NOISE_FLOOR * a.max(), spec.line_floor)
     interior = np.nonzero((a[1:-1] > a[:-2]) & (a[1:-1] >= a[2:]) &
                           (a[1:-1] >= floor))[0] + 1
     refined = [_refine_peak(spec.frequencies, a, k) for k in interior]

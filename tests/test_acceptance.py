@@ -33,8 +33,7 @@ def _report(num, detail):
 
 
 def _extract_errors(basis, scan, count=5):
-    matches = find_peaks_and_match(spectrum(scan, window="hann"), basis.zeros,
-                                   count, noise_floor=1e-4)
+    matches = find_peaks_and_match(spectrum(scan), basis.zeros, count)
     assert len(matches) == count, f"found {len(matches)} of {count} peaks"
     return {m.state: m.rel_error_percent for m in matches}
 

@@ -1,5 +1,6 @@
 """CLI plumbing: configs, presets, outputs, unit conversion, exit codes."""
 
+import argparse
 import ast
 import json
 import os
@@ -164,8 +165,7 @@ def test_scan_spectrum_retrieve_pipeline(tmp_path):
     spec_csv = tmp_path / "spec.csv"
     peaks_json = tmp_path / "peaks.json"
     assert main(["spectrum", "--in", str(scan_csv), "--out", str(spec_csv),
-                 "--peaks", str(peaks_json), "--count", "3",
-                 "--noise-floor", "1e-4"]) == 0
+                 "--peaks", str(peaks_json), "--count", "3"]) == 0
     peaks = json.loads(peaks_json.read_text())
     assert len(peaks) == 3
     assert {p["i"] for p in peaks} == {2, 3, 4}
@@ -419,19 +419,6 @@ def test_fig1_preset_matches_step_by_step_oracle(tmp_path, monkeypatch):
         assert np.max(np.abs(ours - ref)) < 1e-10
 
 
-def test_seed_flag_overrides_the_config_seed(tmp_path):
-    cfg = tmp_path / "ce.cfg"
-    cfg.write_text(CLASSICAL_CFG)  # seed = 3
-    flag, config = tmp_path / "flag.csv", tmp_path / "config.csv"
-    assert main(["classical-echo", "--config", str(cfg), "--seed", "4",
-                 "--out", str(flag)]) == 0
-    cfg.write_text(CLASSICAL_CFG.replace("seed = 3", "seed = 4"))
-    assert main(["classical-echo", "--config", str(cfg),
-                 "--out", str(config)]) == 0
-    assert flag.read_bytes() == config.read_bytes()
-    assert _read_csv(flag)[0]["seed"] == "4"
-
-
 @pytest.mark.parametrize("snapshot", ["5,abc", "5,,15", "-1", "5,-0.5", "nan",
                                       "inf"])
 def test_bad_snapshot_times_fail_before_the_run(tmp_path, capsys, snapshot):
@@ -518,6 +505,27 @@ time1 = 10.0
 t_max = 25.0
 dt_sample = 0.5
 """
+
+
+def test_single_spin_magnetic_echo_writes_both_spins(tmp_path):
+    """With spin_average = false a magnetic echo still writes spin -1's
+    trace under z_minus and both final norms; z_avg is spin +1's trace,
+    as a single-spin scan is spin +1's."""
+    cfg = tmp_path / "qe.cfg"
+    cfg.write_text(QUANTUM_CFG.replace("basis_size = 10", "basis_size = 20")
+                   + "spin_average = false\n")
+    out = tmp_path / "series.csv"
+    assert main(["quantum-echo", "--config", str(cfg), "--out", str(out)]) == 0
+    header, _, rows = _read_csv(out)
+    data = np.array(rows, dtype=float)
+    basis = build_basis(20)
+    [(minus, _)] = mean_height_trace(basis, ground_state(basis),
+                                     KickPulse(0.3, 0.5, 10.0), (-1,),
+                                     data[:, 0])
+    assert np.max(np.abs(data[:, 2] - minus)) < 1e-12
+    assert np.max(np.abs(data[:, 2] - data[:, 1])) > 1e-3
+    assert np.array_equal(data[:, 3], data[:, 1])
+    assert {"final_norm_plus", "final_norm_minus"} <= header.keys()
 
 
 def test_quantum_echo_second_pulse(tmp_path):
@@ -648,6 +656,10 @@ _BAD_CONFIGS = [
      "steps_per_sigma", "0"),
     ("quantum-echo", QUANTUM_CFG, "basis_size", "401"),
     ("quantum-echo", QUANTUM_CFG, "basis_size", "0"),
+    ("quantum-echo", QUANTUM_CFG + "mu_z = 0.0\n", "mu_z", "7.0"),
+    ("quantum-echo", QUANTUM_CFG + "sigma_z = 0.0\n", "sigma_z", "2.0"),
+    ("quantum-echo", QUANTUM_CFG + "width2 = 1.0\n", "width2", "0.5"),
+    ("quantum-echo", QUANTUM_CFG + "time2 = 0.0\n", "time2", "18.0"),
     ("scan", SCAN_CFG.format(a1=0.5, a2=0.5) + "steps_per_sigma = 40\n",
      "steps_per_sigma", "0"),
     ("scan", SCAN_CFG.format(a1=0.5, a2=0.5), "basis_size", "401"),
@@ -659,9 +671,11 @@ _BAD_CONFIGS = [
 def test_bad_numbers_fail_before_the_run(tmp_path, capsys, mode, text, key,
                                          value):
     """Non-finite values, empty or reversed grids, non-positive steps,
-    widths and counts, basis sizes outside [1, 400], and a classical sample
+    widths and counts, basis sizes outside [1, 400], a classical sample
     with a non-positive mu_z, a negative width or more than 25 % of its
-    Gaussian below the floor (31 % at sigma_z = 40) are config errors:
+    Gaussian below the floor (31 % at sigma_z = 40), and a quantum key the
+    run would ignore (a packet's mu_z or sigma_z with initial = ground, a
+    second pulse's width2 or time2 with amplitude2 = 0) are config errors:
     exit 1 and no CSV."""
     text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     assert n == 1
@@ -924,33 +938,23 @@ def test_short_scan_spectrum_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("command,flags", [
     ("retrieve", ["--count", "-45"]), ("retrieve", ["--count", "0"]),
     ("spectrum", ["--count", "-2"]), ("spectrum", ["--count", "0"]),
+    ("spectrum", ["--window", "hann"]), ("spectrum", ["--noise-floor", "1e-4"]),
+    ("classical-echo", ["--seed", "4"]),
 ])
 def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flags):
     """--count < 1 exits 1 naming the flag, before any work: a negative
-    count would otherwise slice its lines from the end."""
+    count would otherwise slice its lines from the end.  A flag that no
+    command takes does too: the spectrum's window and peak floor are fixed,
+    and a classical ensemble's seed is its config's."""
+    source = (["--preset", "fig1"] if command == "classical-echo"
+              else ["--in", str(tmp_path / "scan.csv")])
     with pytest.raises(SystemExit) as exc:
-        main([command, "--in", str(tmp_path / "scan.csv"), "--out-dir",
-              str(tmp_path)] + flags)
+        main([command, *source, "--out-dir", str(tmp_path), *flags])
     assert exc.value.code == 1
-    assert "argument --count" in capsys.readouterr().err
+    assert (f"argument {flags[0]}" if flags[0] == "--count"
+            else f"unrecognized arguments: {' '.join(flags)}"
+            ) in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("floor", ["-1", "1.5", "nan"])
-def test_noise_floor_outside_unit_interval_is_a_config_error(tmp_path, capsys,
-                                                             floor):
-    """--noise-floor outside [0, 1] exits 1 with a config error naming the
-    flag, and writes nothing: a negative floor would otherwise act as 0."""
-    scan_csv = tmp_path / "scan.csv"
-    delays = 2.0 + 0.1 * np.arange(300)
-    write_csv(str(scan_csv), [("basis_size", 50), ("kind", "magnetic")],
-              ["tau", "population", "overlap"],
-              np.column_stack((delays, 0.9 + 0.05 * np.cos(1.75 * delays),
-                               np.zeros(300))))
-    assert main(["spectrum", "--in", str(scan_csv), "--out-dir",
-                 str(tmp_path), "--noise-floor", floor]) == 1
-    assert "config error: --noise-floor" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["scan.csv"]
 
 
 @pytest.mark.parametrize("command,count", [("spectrum", "60"),
@@ -999,3 +1003,21 @@ def test_every_check_raises_one_of_the_two_families():
     for error in (QuadratureError, BasisProjectionError):
         assert issubclass(error, ArithmeticError)
         assert not issubclass(error, ValueError)
+
+
+# ------------------------------------------------------------ documentation
+
+def test_every_cli_flag_is_documented():
+    """Each flag of `qbounce` and of every subcommand appears in README's
+    CLI section, as a whole flag (``--out`` is not found in ``--out-dir``)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    missing = [f"{name} {flag}"
+               for name, p in [("qbounce", parser), *sub.choices.items()]
+               for action in p._actions for flag in action.option_strings
+               if flag not in ("-h", "--help") and not re.search(
+                   rf"(?<![\w-]){re.escape(flag)}(?![\w-])", section)]
+    assert missing == []
