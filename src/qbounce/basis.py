@@ -38,7 +38,7 @@ _TAIL = 15.0
 # absolute tolerance on each overlap integral <psi_i | f>
 _OVERLAP_TOL = 1e-12
 _MAX_PANELS = 8192  # panels one overlap integration may bisect to
-_CHUNK_ELEMENTS = 1 << 17  # panels x nodes x states per psi evaluation
+_CHUNK_ELEMENTS = 1 << 15  # panels x nodes x states per psi evaluation
 # a Gaussian packet is integrated out to this many widths from its center
 _PACKET_SIGMAS = 6.5
 

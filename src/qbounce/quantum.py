@@ -7,9 +7,10 @@ is stepped by one kernel, `_sub_steps`: Strang steps composed into
 Yoshida's fourth-order triple jump, exactly unitary, on runs (steps, h)
 from `step_grid`; it builds each run's operators when it reaches the run
 and keeps at most ``_OPERATOR_SETS`` of them.  `mean_height_trace` steps
-a window's sample-to-sample runs and spin branches in one call, then fills
-the free stretches one branch at a time by `_free_phases`, which the
-delay scans' forward sum takes too.
+a window's sample-to-sample runs and spin branches in one call, and fills
+the free stretches ``_ROWS`` samples at a time into one reused block
+(`_free_blocks`), which the delay scans' forward sum takes too: the
+trace's memory is bounded by ``_ROWS`` x M, whatever its length.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ _WEIGHTS = (_W1, _W0, _W1)
 _ANCHOR_ROWS = 32
 
 _PHASE_ROWS = 48  # sub-step phase rows formed by one `exp` call
+
+# samples per block of the free stretches, the scans' forward sum and
+# `_mean_z`; a multiple of _ANCHOR_ROWS.  At M = 50, blocks of 192 rows or
+# fewer move some rows' <z> in the last bit from one product over a whole
+# fig2 or fig5 trace; 224 to 512 rows ran those traces equally fast, and
+# 256 keeps a margin above 224
+_ROWS = 256
 
 # step sizes whose operators a kernel call keeps; one G pair is 0.72 MB
 # at M = 150
@@ -186,19 +194,19 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spins,
           times: np.ndarray, steps_per_sigma: int) -> list:
     """One walk through ``times`` (ascending, >= t0) for every spin branch.
 
-    Returns its stops (k, n, t, states), one state per branch: samples
-    k..n-1 are the free flight of ``states`` from time t, or with t None,
-    ``states[j]`` is sample k + j (`_branch_coeffs` fills them in).  In a
-    merged pulse window one `_sub_steps` call steps every branch on the
-    window's runs (`window_edges`), from sample to sample and on to the
-    window's end, step sigma / ``steps_per_sigma`` for the narrowest
-    active width sigma.  Where every active pulse is magnetic, spin s
-    feels s times the forcing of spin +1, so one `exp` gives both spins'
-    phases.
+    Returns its stops (k, n, t, states): samples k..n-1 are the free flight
+    of ``states`` from time t, one state per branch or, at the first stop,
+    one for all; or with t None, ``states[j]`` holds the branches' states
+    at sample k + j.  In a merged pulse window one `_sub_steps` call steps
+    every branch on the window's runs (`window_edges`), from sample to
+    sample and on to the window's end, step sigma / ``steps_per_sigma``
+    for the narrowest active width sigma.  Where every active pulse is
+    magnetic, spin s feels s times the forcing of spin +1, so one `exp`
+    gives both spins' phases.
     """
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
-    cs, stops, k = np.array([c] * len(spins)), [], 0
+    cs, stops, k = c[None], [], 0
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
         edges, n, stop = window_edges(times, lo, hi)
         stops.append((k, n, t0, cs))
@@ -208,34 +216,57 @@ def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spins,
         magnetic = all(p.kind == "magnetic" for p in active)
         columns, signs = ((1,), spins) if magnetic else (spins, (1,))
         f = np.stack([forcing(active, s, t_mid) for s in columns], axis=1)
-        out = _sub_steps(basis, cs, f, list(zip(steps, h)), np.cumsum(steps),
-                         signs)
+        out = _sub_steps(basis, np.broadcast_to(cs, (len(spins), basis.m)),
+                         f, list(zip(steps, h)), np.cumsum(steps), signs)
         stops.append((n, k, None, out))
         cs, t0 = out[-1], hi
     stops.append((k, len(times), t0, cs))
     return stops
 
 
-def _branch_coeffs(basis: EigenBasis, stops, times: np.ndarray,
-                   b: int) -> np.ndarray:
-    """Branch b's coefficients at each of ``times`` from the stops of
-    `_walk`, shape (T, M): its free stretches by `_free_phases`."""
-    out = np.empty((len(times), basis.m), dtype=np.complex128)
-    for k, n, t, cs in stops:
-        if t is None:
-            out[k:n] = cs[:n - k, b]
-        else:
-            _free_phases(out[k:n], cs[b], basis.zeros, times[k:n] - t)
-    return out
+def _free_blocks(c, zeros: np.ndarray, tau: np.ndarray):
+    """Yield (rows, block) for each slice ``rows`` of ``_ROWS`` samples of
+    ``tau``: c e^{-i z tau[rows]} by `_free_phases` in the first rows of
+    one reused (``_ROWS``, M) block, zeros after them.  Each slice starts
+    on an anchor row, so every row is the one `_free_phases` writes over
+    all of ``tau``."""
+    block = np.empty((_ROWS, len(zeros)), dtype=np.complex128)
+    for j in range(0, len(tau), _ROWS):
+        rows = slice(j, min(j + _ROWS, len(tau)))
+        _free_phases(block[:rows.stop - j], c, zeros, tau[rows])
+        block[rows.stop - j:] = 0.0
+        yield rows, block
+
+
+def _free_mean_z(basis: EigenBasis, c: np.ndarray, tau: np.ndarray):
+    """<z> along the free flight of c on ``tau`` (non-empty), block by
+    block, and a copy of the state at tau[-1]."""
+    z = np.empty(len(tau))
+    for rows, block in _free_blocks(c, basis.zeros, tau):
+        n = rows.stop - rows.start
+        z[rows] = _mean_z(basis, block[:n])
+    return z, block[n - 1].copy()
 
 
 def _mean_z(basis: EigenBasis, c: np.ndarray) -> np.ndarray:
-    """<z> = c^dag Z c = a^T Z a + b^T Z b of each row c = a + ib of ``c``,
-    from two real products.  Each value must lie within Z's Rayleigh bounds
+    """<z> = c^dag Z c = a^T Z a + b^T Z b of each row c = a + ib of ``c``.
+
+    The a and b rows pass ``_ROWS`` at a time, zero-padded, through one
+    real product with Z, (2 ``_ROWS``, M) by (M, M).  BLAS picks its kernel
+    by the shape, so with the shape fixed a row's value depends on that
+    row alone.  Each value must lie within Z's Rayleigh bounds
     [lambda_min, lambda_max] |c|^2, up to 1e-12 lambda_max |c|^2; one
-    outside them, or not finite, raises ArithmeticError."""
-    val = sum(np.einsum('ti,ti->t', p, p @ basis.z_matrix)
-              for p in (c.real, c.imag))
+    outside them, or not finite, raises ArithmeticError naming its row of
+    ``c``."""
+    val = np.empty(len(c))
+    parts = np.empty((2, _ROWS, basis.m))
+    for j in range(0, len(c), _ROWS):
+        rows = (c[j:j + _ROWS].real, c[j:j + _ROWS].imag)
+        n = len(rows[0])
+        parts[:, :n], parts[:, n:] = rows, 0.0
+        zp = parts.reshape(2 * _ROWS, -1) @ basis.z_matrix
+        val[j:j + n] = sum(np.einsum('ti,ti->t', p, q[:n])
+                           for p, q in zip(rows, zp.reshape(parts.shape)))
     parts = np.ascontiguousarray(c).view(np.float64)  # a and b interleaved
     lo, hi = np.multiply.outer(basis.z_eigvals[[0, -1]],
                                np.einsum('tj,tj->t', parts, parts))
@@ -254,18 +285,28 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spins,
     ``spins``, a tuple of +1 and -1 as `spin_branches` gives it.
 
     Returns one (heights, final_state) pair per branch.  One walk steps all
-    branches through the pulse windows (`_walk`); then each branch's free
-    stretches are filled and its (T, M) coefficients freed before the next
-    branch's.  ``pulses`` is one `KickPulse` or a sequence of them.
+    branches through the pulse windows (`_walk`).  A window's samples take
+    <z> of the walk's states; each free stretch is filled and reduced
+    ``_ROWS`` samples at a time (`_free_mean_z`), once for the stretch
+    before the first window, which all branches share.  ``pulses`` is one
+    `KickPulse` or a sequence of them.
     """
     times = _check_sample_times(times, state.time)
     if not isinstance(spins, tuple) or not spins or set(spins) - {1, -1}:
         raise InputError(f"spins must be a tuple of +1 and -1, got {spins!r}")
     stops = _walk(basis, state.coeffs, state.time, pulses, spins, times,
                   steps_per_sigma)
-
-    def branch(b):
-        c = _branch_coeffs(basis, stops, times, b)
-        return _mean_z(basis, c), StateVector(c[-1].copy(), float(times[-1]))
-
-    return [branch(b) for b in range(len(spins))]
+    heights = np.empty((len(spins), len(times)))
+    final = np.empty((len(spins), basis.m), dtype=np.complex128)
+    for k, n, t, cs in stops:
+        if n == k:
+            continue
+        if t is None:  # window samples: the walk's states, branch by branch
+            rows = cs[:n - k].swapaxes(0, 1).reshape(-1, basis.m)
+            heights[:, k:n] = _mean_z(basis, rows).reshape(len(spins), -1)
+            final[:] = cs[n - k - 1]
+        else:  # one state per branch, or one for all
+            heights[:, k:n], final[:] = zip(
+                *(_free_mean_z(basis, c, times[k:n] - t) for c in cs))
+    return [(z, StateVector(c, float(times[-1])))
+            for z, c in zip(heights, final)]

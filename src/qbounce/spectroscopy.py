@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import EigenBasis
 from .pulses import ON_GRID, InputError, KickPulse, forcing, spin_branches
-from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_phases, _sub_steps,
+from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_blocks, _sub_steps,
                       step_grid)
 
 __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
@@ -153,12 +153,14 @@ def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
     """Spin mean of |sum_i A_i e^{-i z_i tau}|^2, one column of ``amps``
     (M, S) per spin branch.
 
-    The phases e^{-i z_i tau} fill one (T, M) matrix, the largest array a
-    scan makes, by `quantum._free_phases`: one `exp` per anchor row and
-    per distinct delay gap, products in between.
+    The phases e^{-i z_i tau} come ``_ROWS`` delays at a time in one
+    zero-padded block (`quantum._free_blocks`: one `exp` per anchor row
+    and per distinct delay gap, products in between), and each block
+    takes one product with ``amps``, of one shape for every block.
     """
-    phases = np.empty((len(tau), basis.m), dtype=np.complex128)
-    c1 = _free_phases(phases, 1.0, basis.zeros, tau) @ amps
+    c1 = np.empty((len(tau), amps.shape[1]), dtype=np.complex128)
+    for rows, block in _free_blocks(1.0, basis.zeros, tau):
+        c1[rows] = (block @ amps)[:rows.stop - rows.start]
     return np.mean(np.abs(c1) ** 2, axis=1)
 
 

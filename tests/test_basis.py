@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,20 @@ def test_projection_evaluates_a_third_of_the_old_airy_pairs(monkeypatch):
     monkeypatch.setattr(basis_module, "airy_ai", counted)
     build_basis(150).project_gaussian(20.0, 8.0)
     assert 0 < sum(pairs) <= 160_500
+
+
+def test_project_gaussian_working_set_is_bounded():
+    """At M = 150 the traced peak of a projection stays under 4 MB: the
+    Airy values of one chunk of panels, ``_CHUNK_ELEMENTS`` doubles, and
+    the panel sums (9.5 MB at four times the chunk)."""
+    basis = build_basis(150)
+    tracemalloc.start()
+    try:
+        basis.project_gaussian(20.0, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_unconverged_overlap_names_its_state(basis20, monkeypatch):

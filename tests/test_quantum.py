@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 import weakref
 
 import mpmath
@@ -536,7 +537,12 @@ def test_mean_z_matches_complex_oracle_on_fig2_trace():
     stops = quantum._walk(basis, c0.astype(complex), 0.0,
                           [KickPulse(0.5, 0.5, 60.0)], (1,), times,
                           quantum.DEFAULT_STEPS_PER_SIGMA)
-    rows = quantum._branch_coeffs(basis, stops, times, 0)
+    rows = np.empty((len(times), basis.m), dtype=np.complex128)
+    for k, n, t, cs in stops:  # window states, or free flight from t
+        if t is None:
+            rows[k:n] = cs[:n - k, 0]
+        else:
+            quantum._free_phases(rows[k:n], cs[0], basis.zeros, times[k:n] - t)
     fast = quantum._mean_z(basis, rows)
     oracle = np.array([expectation_z(StateVector(c), basis) for c in rows])
     assert np.max(np.abs(fast - oracle) / oracle) <= 1e-13
@@ -555,6 +561,52 @@ def test_mean_z_matches_complex_oracle_on_random_rows(basis20, c):
     lam = basis20.z_eigvals
     assert np.all(np.abs(fast - oracle) <= 1e-13 * lam[-1])
     assert np.all((fast >= lam[0] * (1 - 1e-12)) & (fast <= lam[-1] * (1 + 1e-12)))
+
+
+@st.composite
+def row_slices(draw):
+    """A row count t in [1, 700] and a slice [i, j) of the rows."""
+    t = draw(st.integers(1, 700))
+    i = draw(st.integers(0, t - 1))
+    return t, i, draw(st.integers(i + 1, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([20, 50, 100]), row_slices(), st.integers(0, 2**32 - 1))
+@example(20, (64, 10, 11), 0)
+@example(50, (300, 299, 300), 1)
+@example(100, (700, 3, 40), 2)
+def test_mean_z_of_a_row_depends_on_that_row_alone(m, cut, seed):
+    """A slice of rows, one row included, gets bitwise the values those
+    rows get among all of them: BLAS picks its kernel by the operands'
+    shape, so `_mean_z` gives every product one shape."""
+    t, i, j = cut
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(t, m)) + 1j * rng.normal(size=(t, m))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    basis = _kernel_basis(m)
+    assert np.array_equal(quantum._mean_z(basis, c)[i:j],
+                          quantum._mean_z(basis, c[i:j]))
+
+
+def test_trace_memory_does_not_grow_with_its_length():
+    """One kick at M = 100: ten times the samples, 2001 to 20001, raise the
+    traced peak by under 1 MB, the (T,) arrays of times and heights.  The
+    free stretches pass ``_ROWS`` samples at a time; the (T, M) coefficients
+    of every sample would take 29 MB more."""
+    basis = _kernel_basis(100)
+    state = StateVector(basis.project_gaussian(20.0, 8.0)[0])
+    peaks = []
+    for t_max in (200.0, 2000.0):
+        times = np.arange(0.0, t_max + 1e-9, 0.1)
+        tracemalloc.start()
+        try:
+            mean_height_trace(basis, state, [KickPulse(0.5, 0.5, 60.0)], (1,),
+                              times)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6
 
 
 def test_basis_size_convergence_on_echo_trace():
