@@ -23,7 +23,7 @@ from . import __version__, classical, quantum
 from .airy import MAX_ZEROS, airy_zeros
 from .basis import UnitSystem, build_basis
 from .classical import mean_height_series
-from .pulses import ON_GRID, InputError, KickPulse, spin_branches
+from .pulses import InputError, KickPulse, sample_grid, spin_branches
 from .quantum import StateVector, ground_state, mean_height_trace
 from .spectroscopy import (DelayScan, find_peaks_and_match,
                            retrieve_amplitudes, scan_delay, spectrum)
@@ -92,7 +92,6 @@ _SCHEMAS = {
         "kick_time": (_finite, REQUIRED),
         "t_max": (_finite, REQUIRED),
         "dt_sample": (_positive, REQUIRED),
-        "steps_per_sigma": (_count, classical.DEFAULT_STEPS_PER_SIGMA),
     },
     "quantum-echo": {
         "basis_size": (_basis_size, REQUIRED),
@@ -226,12 +225,17 @@ def write_csv(path, header_items, columns, rows):
 
 
 def _emit(path, chunks):
-    """Write the text ``chunks`` to ``path``, or to standard output if None."""
+    """Write the text ``chunks`` to ``path``, or to standard output if None;
+    a path that cannot be opened for writing raises InputError."""
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from None
+    with fh:
+        fh.writelines(chunks)
 
 
 def read_scan_csv(path):
@@ -282,15 +286,15 @@ def cmd_basis(args):
 
 def cmd_classical_echo(args):
     cfg = load_config(args, "classical-echo")
+    # not a key: the header records the stepper's fixed resolution
+    cfg["steps_per_sigma"] = classical.DEFAULT_STEPS_PER_SIGMA
     snaps = _snapshot_times(args.snapshot)  # checked before any computation
     _check_span(cfg, 0.0, "t_max")
     pulse = KickPulse(cfg["kick_amplitude"], cfg["kick_width"],
                       cfg["kick_time"], "magnetic")
     sample = [cfg[k] for k in ("n", "mu_z", "mu_v", "sigma_z", "sigma_v", "seed")]
-    times = np.arange(0.0, cfg["t_max"] + 1e-9, cfg["dt_sample"])
-    series = mean_height_series(*sample, [pulse], times,
-                                steps_per_sigma=cfg["steps_per_sigma"],
-                                snapshots=snaps)
+    times = sample_grid(0.0, cfg["t_max"], cfg["dt_sample"])
+    series = mean_height_series(*sample, [pulse], times, snapshots=snaps)
     (z_plus, plus), (z_minus, minus) = series[1], series[-1]
     write_csv(_resolve_out(args, args.out), sorted(cfg.items()),
               ["t", "z_plus", "z_minus", "z_avg"],
@@ -335,7 +339,7 @@ def cmd_quantum_echo(args):
     else:
         coeffs = ground_state(basis).coeffs
 
-    times = np.arange(t_start, cfg["t_max"] + 1e-9, cfg["dt_sample"])
+    times = sample_grid(t_start, cfg["t_max"], cfg["dt_sample"])
     branches = mean_height_trace(
         basis, StateVector(coeffs, t_start), pulses,
         spin_branches(cfg["kind"], True), times,
@@ -358,9 +362,7 @@ def cmd_scan(args):
     basis = build_basis(cfg["basis_size"])
     p1 = KickPulse(cfg["amplitude1"], cfg["width1"], 0.0, cfg["kind"])
     p2 = KickPulse(cfg["amplitude2"], cfg["width2"], 0.0, cfg["kind"])
-    n = math.floor((cfg["tau_max"] - cfg["tau_min"]) / cfg["dtau"]
-                   * (1.0 + ON_GRID)) + 1  # to tau_max, as in whole_steps
-    delays = cfg["tau_min"] + cfg["dtau"] * np.arange(n)
+    delays = sample_grid(cfg["tau_min"], cfg["tau_max"], cfg["dtau"])
     scan = scan_delay(basis, p1, p2, delays,
                       spin_average=cfg["spin_average"],
                       steps_per_sigma=cfg["steps_per_sigma"])

@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = ["InputError", "KickPulse", "ON_GRID", "WINDOW_SIGMAS",
            "check_step_count", "forcing", "merged_windows", "run_steps",
-           "spin_branches", "whole_steps", "window_edges"]
+           "sample_grid", "spin_branches", "whole_steps", "window_edges"]
 
 # a pulse acts on |t - t_k| <= 6 sigma; the Gaussian tail beyond is < 1e-15
 WINDOW_SIGMAS = 6.0
@@ -106,6 +106,14 @@ def whole_steps(length: float, dt: float) -> int:
     but a length within a relative ``ON_GRID`` of whole steps takes that
     many, so rounding in the ends of the span does not add one."""
     return max(1, math.ceil(length / dt * (1.0 - ON_GRID)))
+
+
+def sample_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start + step k up to ``stop``: a ``stop`` within a relative
+    ``ON_GRID`` of whole steps from ``start`` is on the grid, as in
+    `whole_steps`, and no point lies past it by more than rounding."""
+    n = math.floor((stop - start) / step * (1.0 + ON_GRID)) + 1
+    return start + step * np.arange(n)
 
 
 def run_steps(edges, width: float, steps_per_sigma: int):

@@ -6,11 +6,12 @@ the Hamiltonian is diag(z_i) + f(t) Z, f the kick model's forcing
 is stepped by one kernel, `_sub_steps`: Strang steps composed into
 Yoshida's fourth-order triple jump, exactly unitary, on runs (steps, h)
 from `step_grid`; it builds each run's operators when it reaches the run
-and keeps at most ``_OPERATOR_SETS`` of them.  `mean_height_trace` steps
-a window's sample-to-sample runs and spin branches in one call, and fills
-the free stretches ``_ROWS`` samples at a time into one reused block
-(`_free_blocks`), which the delay scans' forward sum takes too: the
-trace's memory is bounded by ``_ROWS`` x M, whatever its length.
+and keeps at most ``_OPERATOR_SETS`` of them.  `mean_height_trace` takes
+<z> in one pass over the pulse windows: it reduces each free stretch
+``_ROWS`` samples at a time in one reused block (`_free_blocks`, as the
+scans' forward sum does), then steps a window's runs and spin branches in
+one call.  The trace's memory is bounded by ``_ROWS`` x M, whatever its
+length.
 """
 
 from __future__ import annotations
@@ -190,40 +191,6 @@ def _free_phases(out: np.ndarray, c, zeros: np.ndarray,
     return out
 
 
-def _walk(basis: EigenBasis, c: np.ndarray, t0: float, pulses, spins,
-          times: np.ndarray, steps_per_sigma: int) -> list:
-    """One walk through ``times`` (ascending, >= t0) for every spin branch.
-
-    Returns its stops (k, n, t, states): samples k..n-1 are the free flight
-    of ``states`` from time t, one state per branch or, at the first stop,
-    one for all; or with t None, ``states[j]`` holds the branches' states
-    at sample k + j.  In a merged pulse window one `_sub_steps` call steps
-    every branch on the window's runs (`window_edges`), from sample to
-    sample and on to the window's end, step sigma / ``steps_per_sigma``
-    for the narrowest active width sigma.  Where every active pulse is
-    magnetic, spin s feels s times the forcing of spin +1, so one `exp`
-    gives both spins' phases.
-    """
-    if isinstance(pulses, KickPulse):
-        pulses = [pulses]
-    cs, stops, k = c[None], [], 0
-    for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
-        edges, n, stop = window_edges(times, lo, hi)
-        stops.append((k, n, t0, cs))
-        cs, k = cs * np.exp(-1j * basis.zeros * (lo - t0)), stop
-        t_mid, h, steps = step_grid(edges, min(p.width for p in active),
-                                    steps_per_sigma)
-        magnetic = all(p.kind == "magnetic" for p in active)
-        columns, signs = ((1,), spins) if magnetic else (spins, (1,))
-        f = np.stack([forcing(active, s, t_mid) for s in columns], axis=1)
-        out = _sub_steps(basis, np.broadcast_to(cs, (len(spins), basis.m)),
-                         f, list(zip(steps, h)), np.cumsum(steps), signs)
-        stops.append((n, k, None, out))
-        cs, t0 = out[-1], hi
-    stops.append((k, len(times), t0, cs))
-    return stops
-
-
 def _free_blocks(c, zeros: np.ndarray, tau: np.ndarray):
     """Yield (rows, block) for each slice ``rows`` of ``_ROWS`` samples of
     ``tau``: c e^{-i z tau[rows]} by `_free_phases` in the first rows of
@@ -238,14 +205,17 @@ def _free_blocks(c, zeros: np.ndarray, tau: np.ndarray):
         yield rows, block
 
 
-def _free_mean_z(basis: EigenBasis, c: np.ndarray, tau: np.ndarray):
-    """<z> along the free flight of c on ``tau`` (non-empty), block by
-    block, and a copy of the state at tau[-1]."""
-    z = np.empty(len(tau))
-    for rows, block in _free_blocks(c, basis.zeros, tau):
-        n = rows.stop - rows.start
-        z[rows] = _mean_z(basis, block[:n])
-    return z, block[n - 1].copy()
+def _free_mean_z(basis: EigenBasis, cs: np.ndarray, tau: np.ndarray):
+    """<z> along the free flight of each state of the stack ``cs`` (B, M)
+    on ``tau`` (non-empty), block by block: heights (B, T) and a copy of
+    the states at tau[-1] (B, M)."""
+    z, final = np.empty((len(cs), len(tau))), np.empty_like(cs)
+    for zc, fc, c in zip(z, final, cs):
+        for rows, block in _free_blocks(c, basis.zeros, tau):
+            n = rows.stop - rows.start
+            zc[rows] = _mean_z(basis, block[:n])
+        fc[:] = block[n - 1]
+    return z, final
 
 
 def _mean_z(basis: EigenBasis, c: np.ndarray) -> np.ndarray:
@@ -284,29 +254,44 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spins,
     """<z> sampled on ``times`` (ascending, >= state.time) for each spin in
     ``spins``, a tuple of +1 and -1 as `spin_branches` gives it.
 
-    Returns one (heights, final_state) pair per branch.  One walk steps all
-    branches through the pulse windows (`_walk`).  A window's samples take
-    <z> of the walk's states; each free stretch is filled and reduced
-    ``_ROWS`` samples at a time (`_free_mean_z`), once for the stretch
-    before the first window, which all branches share.  ``pulses`` is one
-    `KickPulse` or a sequence of them.
+    Returns one (heights, final_state) pair per branch.  One pass over the
+    merged pulse windows first reduces the free stretch before each window
+    ``_ROWS`` samples at a time (`_free_mean_z`); the stretch before the
+    first window holds one state, which all branches share.  One
+    `_sub_steps` call then steps every branch on the window's runs
+    (`window_edges`), from sample to sample and on to the window's end,
+    step sigma / ``steps_per_sigma`` for the narrowest active width sigma,
+    and the window's samples take <z> of its states.  Where every active
+    pulse is magnetic, spin s feels s times the forcing of spin +1, so one
+    `exp` gives both spins' phases.  ``pulses`` is one `KickPulse` or a
+    sequence of them.
     """
     times = _check_sample_times(times, state.time)
     if not isinstance(spins, tuple) or not spins or set(spins) - {1, -1}:
         raise InputError(f"spins must be a tuple of +1 and -1, got {spins!r}")
-    stops = _walk(basis, state.coeffs, state.time, pulses, spins, times,
-                  steps_per_sigma)
+    if isinstance(pulses, KickPulse):
+        pulses = [pulses]
     heights = np.empty((len(spins), len(times)))
-    final = np.empty((len(spins), basis.m), dtype=np.complex128)
-    for k, n, t, cs in stops:
-        if n == k:
-            continue
-        if t is None:  # window samples: the walk's states, branch by branch
-            rows = cs[:n - k].swapaxes(0, 1).reshape(-1, basis.m)
-            heights[:, k:n] = _mean_z(basis, rows).reshape(len(spins), -1)
-            final[:] = cs[n - k - 1]
-        else:  # one state per branch, or one for all
-            heights[:, k:n], final[:] = zip(
-                *(_free_mean_z(basis, c, times[k:n] - t) for c in cs))
+    cs, t0, k = state.coeffs[None], state.time, 0  # one state for all
+    for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
+        edges, n, stop = window_edges(times, lo, hi)
+        if n > k:
+            heights[:, k:n] = _free_mean_z(basis, cs, times[k:n] - t0)[0]
+        cs = cs * np.exp(-1j * basis.zeros * (lo - t0))
+        t_mid, h, steps = step_grid(edges, min(p.width for p in active),
+                                    steps_per_sigma)
+        magnetic = all(p.kind == "magnetic" for p in active)
+        columns, signs = ((1,), spins) if magnetic else (spins, (1,))
+        f = np.stack([forcing(active, s, t_mid) for s in columns], axis=1)
+        out = _sub_steps(basis, np.broadcast_to(cs, (len(spins), basis.m)),
+                         f, list(zip(steps, h)), np.cumsum(steps), signs)
+        rows = out[:stop - n].swapaxes(0, 1).reshape(-1, basis.m)
+        heights[:, n:stop] = _mean_z(basis, rows).reshape(len(spins), -1)
+        cs, t0, k = out[-1], hi, stop
+    if k < len(times):  # the last stretch ends in the states at times[-1]
+        heights[:, k:], cs = _free_mean_z(basis, cs, times[k:] - t0)
+    else:  # the last window's last sample is times[-1]
+        cs = out[stop - n - 1]
+    final = np.broadcast_to(cs, (len(spins), basis.m)).copy()  # frees out
     return [(z, StateVector(c, float(times[-1])))
             for z, c in zip(heights, final)]

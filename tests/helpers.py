@@ -434,13 +434,11 @@ def direct_free_phases(c, zeros, tau):
     return c * np.exp(-1j * np.outer(tau, zeros))
 
 
-def per_run_trace(basis, state, pulses, spin, times,
-                  steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
-    """<z>(t) by one `strang_steps` call per sample-to-sample run, each
-    building its own operators (oracle for the operator reuse in
-    `mean_height_trace`).  The free stretches take the package's
-    `_free_phases`, so only the windows are checked.  Returns (heights,
-    final_state)."""
+def per_run_rows(basis, state, pulses, spin, times,
+                 steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
+    """The state at every sample (T, M), by one `strang_steps` call per
+    sample-to-sample run, each building its own operators.  The free
+    stretches take the package's `_free_phases`."""
     times = np.asarray(times, dtype=np.float64)
     c, t0 = state.coeffs, state.time
     out = np.empty((len(times), basis.m), dtype=np.complex128)
@@ -460,6 +458,15 @@ def per_run_trace(basis, state, pulses, spin, times,
                 out[k] = c
                 k += 1
     _free_phases(out[k:], c, basis.zeros, times[k:] - t0)
+    return out
+
+
+def per_run_trace(basis, state, pulses, spin, times,
+                  steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
+    """<z>(t) of `per_run_rows` (oracle for the operator reuse in
+    `mean_height_trace`); only the windows are checked.  Returns (heights,
+    final_state)."""
+    out = per_run_rows(basis, state, pulses, spin, times, steps_per_sigma)
     return _mean_z(basis, out), StateVector(out[-1], float(times[-1]))
 
 

@@ -296,6 +296,33 @@ def test_out_dir_routes_outputs(tmp_path):
     assert (out_dir / "scan.csv").exists()
 
 
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    """An output path in a directory that does not exist exits 1 with a
+    message naming it, and writes nothing."""
+    missing = tmp_path / "missing"
+    assert main(["basis", "--M", "5", "--out-dir", str(missing),
+                 "--out", "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: cannot write output" in err
+    assert str(missing / "x.csv") in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_unwritable_peaks_keep_the_spectrum(tmp_path, capsys):
+    """`spectrum` writes spec.csv before the peaks: an unwritable --peaks
+    exits 1 naming its path, and spec.csv stays."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(SCAN_CFG.format(a1=0.5, a2=0.5))
+    scan_csv = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(scan_csv)]) == 0
+    peaks = tmp_path / "missing" / "peaks.json"
+    assert main(["spectrum", "--in", str(scan_csv), "--count", "2",
+                 "--out-dir", str(tmp_path), "--peaks", str(peaks)]) == 1
+    assert str(peaks) in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["scan.cfg", "scan.csv",
+                                            "spec.csv"]
+
+
 # ---------------------------------------------------------- echo commands
 
 CLASSICAL_CFG = """\
@@ -507,6 +534,45 @@ dt_sample = 0.5
 """
 
 
+_FIG5_LIKE = QUANTUM_CFG.replace("time1 = 10.0", "time1 = 0.0").replace(
+    "width1 = 0.5", "width1 = 1.0")  # the samples start at -6, as in fig5
+
+
+@pytest.mark.parametrize("mode,text,t_max,dt_sample,start,count", [
+    ("classical-echo", CLASSICAL_CFG, "1e-9", "1e-10", 0.0, 11),
+    ("classical-echo", CLASSICAL_CFG, "3e7", "1e6", 0.0, 31),
+    ("quantum-echo", QUANTUM_CFG, "3e7", "1e6", 0.0, 31),
+    ("quantum-echo", _FIG5_LIKE, "470.0", "0.1", -6.0, 4761),
+], ids=["classical-1e-9", "classical-3e7", "quantum-3e7", "quantum-fig5"])
+def test_echo_samples_stop_at_t_max(tmp_path, mode, text, t_max, dt_sample,
+                                    start, count):
+    """Echo samples are start + dt_sample k up to t_max, counted as the
+    scan's delays: none lies past t_max, and t_max on the grid is a sample.
+    An absolute slack of 1e-9 ran the 1e-9 grid to 1.9e-9, and at 3e7 it
+    is below the ulp, so the grid stopped a step short."""
+    cfg = tmp_path / "echo.cfg"
+    for key, value in (("t_max", t_max), ("dt_sample", dt_sample)):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    cfg.write_text(text)
+    out = tmp_path / "series.csv"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+    t = np.array([float(row[0]) for row in _read_csv(out)[2]])
+    step = float(dt_sample)
+    assert t.tobytes() == (start + step * np.arange(count)).tobytes()
+    assert t[-1] == float(t_max)
+
+
+def test_classical_steps_per_sigma_is_an_unknown_key(tmp_path, capsys):
+    """The classical echo takes its stepper's default: steps_per_sigma is
+    not one of its keys."""
+    cfg = tmp_path / "ce.cfg"
+    cfg.write_text(CLASSICAL_CFG + "steps_per_sigma = 200\n")
+    assert main(["classical-echo", "--config", str(cfg), "--out-dir",
+                 str(tmp_path)]) == 1
+    assert "unknown key 'steps_per_sigma'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["ce.cfg"]
+
+
 def test_single_spin_magnetic_echo_writes_both_spins(tmp_path):
     """With spin_average = false a magnetic echo still writes spin -1's
     trace under z_minus and both final norms; z_avg is spin +1's trace,
@@ -648,8 +714,6 @@ _BAD_CONFIGS = [
     ("classical-echo", CLASSICAL_CFG, "sigma_z", "-4.0"),
     ("classical-echo", CLASSICAL_CFG, "sigma_v", "-0.5"),
     ("classical-echo", CLASSICAL_CFG, "sigma_z", "40.0"),
-    ("classical-echo", CLASSICAL_CFG + "steps_per_sigma = 200\n",
-     "steps_per_sigma", "-1"),
     ("quantum-echo", QUANTUM_CFG + "steps_per_sigma = 40\n",
      "steps_per_sigma", "-3"),
     ("quantum-echo", QUANTUM_CFG + "steps_per_sigma = 40\n",

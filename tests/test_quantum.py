@@ -21,9 +21,10 @@ from qbounce.quantum import (StateVector, ground_state, mean_height_trace,
 from helpers import (NormDriftError, direct_free_phases, evolve_pulsed,
                      expectation_z, free_evolve, impulsive_kick,
                      impulsive_kick_matrix, oscillation_envelope,
-                     per_run_trace, pulse_propagator, reference_sub_steps,
-                     rk4_window, shake_potential_coefficient,
-                     strang_steps, walk_mean_height_trace)
+                     per_run_rows, per_run_trace, pulse_propagator,
+                     reference_sub_steps, rk4_window,
+                     shake_potential_coefficient, strang_steps,
+                     walk_mean_height_trace)
 
 
 def _two_state(basis):
@@ -534,18 +535,48 @@ def test_mean_z_matches_complex_oracle_on_fig2_trace():
     basis = build_basis(150)
     c0, _ = basis.project_gaussian(20.0, 8.0)
     times = np.arange(0.0, 200.0 + 1e-9, 0.1)
-    stops = quantum._walk(basis, c0.astype(complex), 0.0,
-                          [KickPulse(0.5, 0.5, 60.0)], (1,), times,
-                          quantum.DEFAULT_STEPS_PER_SIGMA)
-    rows = np.empty((len(times), basis.m), dtype=np.complex128)
-    for k, n, t, cs in stops:  # window states, or free flight from t
-        if t is None:
-            rows[k:n] = cs[:n - k, 0]
-        else:
-            quantum._free_phases(rows[k:n], cs[0], basis.zeros, times[k:n] - t)
+    rows = per_run_rows(basis, StateVector(c0.astype(complex)),
+                        [KickPulse(0.5, 0.5, 60.0)], 1, times)
     fast = quantum._mean_z(basis, rows)
     oracle = np.array([expectation_z(StateVector(c), basis) for c in rows])
     assert np.max(np.abs(fast - oracle) / oracle) <= 1e-13
+
+
+def test_shared_stretch_is_reduced_once(basis20, monkeypatch):
+    """A spin-averaged magnetic trace through one window fills free
+    stretches three times: once for the stretch before the window, which
+    both branches share, and once per branch after it."""
+    calls = []
+
+    def spy(c, zeros, tau):
+        calls.append(len(tau))
+        return free_blocks(c, zeros, tau)
+
+    free_blocks = quantum._free_blocks
+    monkeypatch.setattr(quantum, "_free_blocks", spy)
+    pulse = KickPulse(0.8, 0.3, 6.0)
+    times = np.arange(0.0, 12.0, 0.1)
+    mean_height_trace(basis20, _two_state(basis20), [pulse], (1, -1), times)
+    before, stop = np.searchsorted(times, pulse.window, side="right")
+    assert calls == [before, len(times) - stop, len(times) - stop]
+
+
+@pytest.mark.parametrize("end", ["free", "window"])
+def test_final_states_hold_only_themselves(basis20, end):
+    """A trace that ends in free flight or on a window's last sample
+    returns final states that are copies: their memory holds the branches'
+    final states only, not the window's stepped states."""
+    pulse = KickPulse(0.8, 0.3, 6.0)
+    times = np.arange(0.0, 12.0 if end == "free" else 7.75, 0.1)
+    if end == "window":
+        times = np.r_[times, pulse.window[1]]
+    pair = mean_height_trace(basis20, _two_state(basis20), [pulse], (1, -1),
+                             times)
+    for _, final in pair:
+        assert final.coeffs.base.nbytes == 2 * basis20.m * 16
+    ref, ref_final = per_run_trace(basis20, _two_state(basis20), [pulse], -1,
+                                   times)
+    assert np.array_equal(pair[1][1].coeffs, ref_final.coeffs)
 
 
 @settings(max_examples=60, deadline=None)
