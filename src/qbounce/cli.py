@@ -15,7 +15,9 @@ import math
 import os
 import sys
 import warnings
+from functools import cache
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -202,9 +204,8 @@ def write_csv(path, header_items, columns, rows):
 
     ``rows`` is a sequence of numeric rows, such as a list of tuples or a
     2-d array.  Each value is written as its double with 17 significant
-    digits, so an integer column reads as the integers themselves.  A
-    column that holds one bit pattern throughout a block is formatted once,
-    into the block's line format.
+    digits, so an integer column reads as the integers themselves.  Each
+    block of ``_CSV_BLOCK_ROWS`` rows is formatted by one `%` (`_csv_lines`).
     """
     head = [f"# version = {__version__}"]
     head += [f"# {k} = {v}" for k, v in header_items]
@@ -213,15 +214,37 @@ def write_csv(path, header_items, columns, rows):
     def blocks():
         yield "\n".join(head) + "\n"
         for k in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = np.asarray(rows[k:k + _CSV_BLOCK_ROWS], dtype=np.float64)
-            bits = block.view(np.int64)  # -0.0 and 0.0 stay apart
-            same = np.all(bits == bits[0], axis=0)
-            line = ",".join("%.17g" % x if c else "%.17g"
-                            for x, c in zip(block[0].tolist(), same))
-            yield (line + "\n") * len(block) % tuple(
-                block[:, ~same].ravel().tolist())
+            yield _csv_lines(np.asarray(rows[k:k + _CSV_BLOCK_ROWS],
+                                        dtype=np.float64))
 
     _emit(path, blocks())
+
+
+def _csv_lines(block):
+    """The CSV lines of the rows of ``block``, by one `%` with one line
+    format.  A column that holds one bit pattern throughout the block is
+    formatted once, into the line format.  A column bitwise equal to an
+    earlier one throughout the block takes that column's text, formatted
+    once per row; only columns that agree in row 0 are compared further.
+    The bytes are those of one "%.17g" per value."""
+    bits = block.view(np.int64)  # -0.0 and 0.0 stay apart
+    same = np.all(bits == bits[0], axis=0)
+    var = np.flatnonzero(~same).tolist()
+    first, src = {}, {}  # src: column -> the column whose text it takes
+    for j, b in zip(var, bits[0, var].tolist()):
+        i = first.setdefault(b, j)
+        if i != j and np.array_equal(bits[:, i], bits[:, j]):
+            src[j] = src[i] = i
+    text = {i: ("%.17g " * len(block) % tuple(block[:, i].tolist())).split()
+            for i in set(src.values())}
+    line = ",".join("%.17g" % x if c else "%s" if j in src else "%.17g"
+                    for j, (x, c) in enumerate(zip(block[0].tolist(), same)))
+    if src:
+        args = chain.from_iterable(zip(*(
+            text[src[j]] if j in src else block[:, j].tolist() for j in var)))
+    else:
+        args = block[:, var].ravel().tolist()
+    return (line + "\n") * len(block) % tuple(args)
 
 
 def _emit(path, chunks):
@@ -476,6 +499,7 @@ def _add_config_flags(sp):
                     help="built-in configuration")
 
 
+@cache  # argparse parsers keep no state between parse_args calls
 def build_parser():
     parser = _Parser(prog="qbounce",
                      description="Quantum bouncer echoes and kick spectroscopy")

@@ -131,10 +131,12 @@ def window_edges(times, lo: float, hi: float):
     and the range (start, stop) of the samples that land on edges[1:]: lo,
     the samples in (lo, hi], then hi.  A last sample within a relative
     ``ON_GRID`` of hi (of its run's length) is taken at hi, as in
-    `whole_steps`: no run of a few ulp follows it."""
+    `whole_steps`: no run of a few ulp, and none of length 0, follows it.
+    A sample on hi after a gap under ulp(hi) / ``ON_GRID`` meets that
+    bound with equality."""
     start, stop = np.searchsorted(times, (lo, hi), side="right").tolist()
     edges = np.r_[lo, times[start:stop], hi]
-    if len(edges) > 2 and edges[-2] > hi - ON_GRID * (hi - edges[-3]):
+    if len(edges) > 2 and edges[-2] >= hi - ON_GRID * (hi - edges[-3]):
         edges = np.delete(edges, -2)
     return edges, start, stop
 

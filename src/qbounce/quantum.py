@@ -6,12 +6,14 @@ the Hamiltonian is diag(z_i) + f(t) Z, f the kick model's forcing
 is stepped by one kernel, `_sub_steps`: Strang steps composed into
 Yoshida's fourth-order triple jump, exactly unitary, on runs (steps, h)
 from `step_grid`; it builds each run's operators when it reaches the run
-and keeps at most ``_OPERATOR_SETS`` of them.  `mean_height_trace` takes
-<z> in one pass over the pulse windows: it reduces each free stretch
-``_ROWS`` samples at a time in one reused block (`_free_blocks`, as the
-scans' forward sum does), then steps a window's runs and spin branches in
-one call.  The trace's memory is bounded by ``_ROWS`` x M, whatever its
-length.
+and keeps at most ``_OPERATOR_SETS`` of them; the phases of
+``_PHASE_ROWS`` sub-steps at a time come from one `exp`, across runs.
+`mean_height_trace` takes <z> in one pass over the pulse windows: it
+steps a window's runs and spin branches in one call, and reduces each
+free stretch ``_ROWS`` samples at a time in one block (`_free_blocks`, as
+the scans' forward sum does), in buffers held for the whole trace
+(`_z_scratch`).  The trace's memory is bounded by ``_ROWS`` x M, whatever
+its length.
 """
 
 from __future__ import annotations
@@ -91,17 +93,17 @@ def step_grid(edges, width: float, steps_per_sigma: int):
 
 
 def _operators(basis: EigenBasis, h: float):
-    """The operators of composed steps of size h: (half, G_sub, G_step, lam).
+    """The operators of composed steps of size h: (half, G_sub, G_step).
 
-    half = exp(-i z w1 h/2) and lam = -i h lambda; G = V^T exp(-i z h'') V
-    for h'' = (w1 + w0) h / 2 inside a step (G_sub) and h'' = w1 h between
-    steps (G_step).  The two G products are the only M^3 work of a run.
+    half = exp(-i z w1 h/2); G = V^T exp(-i z h'') V for h'' = (w1 + w0)
+    h / 2 inside a step (G_sub) and h'' = w1 h between steps (G_step).
+    The two G products are the only M^3 work of a run.
     """
     v = basis.z_eigvecs  # Z is real symmetric, eigenvectors are real
     half = np.exp(-0.5j * _W1 * h * basis.zeros)
     g_sub, g_step = (v.T @ (np.exp(-1j * hh * basis.zeros)[:, None] * v)
                      for hh in (0.5 * (_W1 + _W0) * h, _W1 * h))
-    return half, g_sub, g_step, -1j * h * basis.z_eigvals
+    return half, g_sub, g_step
 
 
 def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray, runs,
@@ -121,10 +123,12 @@ def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray, runs,
     Each run (n, h) is n steps of size h on the next 3n rows of ``f_mid``,
     from the state the run before ended in.  Its operators depend on h
     alone (`_operators`); they are built when the run is reached, and the
-    call keeps those of its last ``_OPERATOR_SETS`` step sizes.  ``c`` is
-    a stack (B, M) of vectors, a product with G each, or a block (1, M, C),
-    one product.  ``f_mid`` is (3N,) or (3N, K); phase column k S + s is
-    that of ``signs[s]`` times column k, -f's being the conjugates of f's.
+    call keeps those of its last ``_OPERATOR_SETS`` step sizes.  The
+    phases of ``_PHASE_ROWS`` rows at a time come from one `exp` into one
+    reused batch, whatever runs the rows belong to.  ``c`` is a stack
+    (B, M) of vectors, a product with G each, or a block (1, M, C), one
+    product.  ``f_mid`` is (3N,) or (3N, K); phase column k S + s is that
+    of ``signs[s]`` times column k, -f's being the conjugates of f's.
     Vector b takes phase column b, a block one per column (or one for
     all).  Returns the states after each of ``nodes`` (ascending step
     counts, every run's end among them), stacked on a new first axis.
@@ -134,34 +138,54 @@ def _sub_steps(basis: EigenBasis, c: np.ndarray, f_mid: np.ndarray, runs,
     f_w = (f_mid.reshape(len(f_mid), -1)
            * np.resize(_WEIGHTS, len(f_mid))[:, None])
     nodes = [int(k) for k in nodes]
+    runs = [(int(n), float(h)) for n, h in runs]
     out = np.empty((len(nodes),) + c.shape, dtype=np.complex128)
     y, tmp = np.empty_like(out[0]), np.empty_like(out[0])  # reused buffers
     pairs = list(zip(y, tmp))  # one product per vector, one for a block
+    # one batch: the phases e of f (rows, M, K), then one copy per sign
+    e = np.empty((_PHASE_ROWS, basis.m, f_w.shape[1]), dtype=np.complex128)
+    ph = np.empty(e.shape + (len(signs),), dtype=np.complex128)
+    batch = ph.reshape(_PHASE_ROWS, basis.m, -1)
+    batch = batch.transpose(0, 2, 1) if c.ndim == 2 else batch
+
+    def phase_rows():  # every row's phases in turn, a batch per `exp`
+        lams = (-1j * h * basis.z_eigvals for _, h in runs)
+        starts = set(np.cumsum([0] + [3 * n for n, _ in runs]).tolist())
+        cuts = starts | {*range(0, len(f_w), _PHASE_ROWS)}
+        for a, b in pairwise(sorted(cuts)):
+            if a in starts:
+                lam = next(lams)
+            j, k = a % _PHASE_ROWS, (b - 1) % _PHASE_ROWS + 1
+            np.multiply(lam[:, None], f_w[a:b, None], out=e[j:k])
+            if k == _PHASE_ROWS or b == len(f_w):
+                np.exp(e[:k], out=e[:k])
+                for s, p in zip(signs, np.moveaxis(ph[:k], -1, 0)):
+                    if s > 0:
+                        np.copyto(p, e[:k])
+                    else:
+                        np.conjugate(e[:k], out=p)
+                yield from batch[:k]
+
+    rows = phase_rows()
     out[0], i, done = c, int(nodes[0] == 0), 0  # node 0 is c itself
     operators = lru_cache(_OPERATOR_SETS)(partial(_operators, basis))
     for n, h in runs:
-        half, g_sub, g_step, lam = operators(float(h))
+        half, g_sub, g_step = operators(h)
         half = half.reshape((-1,) + (1,) * (c.ndim - 2))
         np.multiply(half, c, out=y)
-        gs = [basis.vt_complex] + [g_sub, g_sub, g_step] * int(n)
-        taps = [3 * (k - done) for k in nodes[i:nodes.index(done + n, i) + 1]]
-        for a, b in pairwise(sorted({*range(0, 3 * n, _PHASE_ROWS), *taps})):
-            if a % _PHASE_ROWS == 0:  # the phases of the next rows, per sign
-                e = np.exp(lam[:, None] *
-                           f_w[a:min(a + _PHASE_ROWS, 3 * n), None])
-                ph = np.stack([e if s > 0 else e.conj() for s in signs],
-                              axis=-1).reshape(len(e), basis.m, -1)
-                ph = ph.transpose(0, 2, 1) if c.ndim == 2 else ph
-            for g, p in zip(gs[a:b], ph[a % _PHASE_ROWS:]):
+        gs = [basis.vt_complex] + [g_sub, g_sub, g_step] * n
+        a = 0
+        for k in nodes[i:nodes.index(done + n, i) + 1]:
+            b = 3 * (k - done)
+            for g, p in zip(gs[a:b], rows):
                 for yy, t in pairs:
                     np.dot(g, yy, out=t)
                 np.multiply(p, tmp, out=y)
-            if b in taps:  # y: after b/3 steps
-                for yy, t in pairs:
-                    np.dot(basis.v_complex, yy, out=t)
-                np.multiply(half, tmp, out=out[i])
-                i += 1
-        c, done, f_w = out[i - 1], done + n, f_w[3 * n:]
+            for yy, t in pairs:  # y: after k steps
+                np.dot(basis.v_complex, yy, out=t)
+            np.multiply(half, tmp, out=out[i])
+            a, i = b, i + 1
+        c, done = out[i - 1], done + n
     return out
 
 
@@ -191,50 +215,63 @@ def _free_phases(out: np.ndarray, c, zeros: np.ndarray,
     return out
 
 
-def _free_blocks(c, zeros: np.ndarray, tau: np.ndarray):
-    """Yield (rows, block) for each slice ``rows`` of ``_ROWS`` samples of
-    ``tau``: c e^{-i z tau[rows]} by `_free_phases` in the first rows of
-    one reused (``_ROWS``, M) block, zeros after them.  Each slice starts
+def _free_blocks(block: np.ndarray, c, zeros: np.ndarray, tau: np.ndarray):
+    """Yield each slice ``rows`` of ``_ROWS`` samples of ``tau`` once the
+    caller's (``_ROWS``, M) ``block`` holds c e^{-i z tau[rows]} by
+    `_free_phases` in its first rows, zeros after them.  Each slice starts
     on an anchor row, so every row is the one `_free_phases` writes over
     all of ``tau``."""
-    block = np.empty((_ROWS, len(zeros)), dtype=np.complex128)
     for j in range(0, len(tau), _ROWS):
         rows = slice(j, min(j + _ROWS, len(tau)))
         _free_phases(block[:rows.stop - j], c, zeros, tau[rows])
         block[rows.stop - j:] = 0.0
-        yield rows, block
+        yield rows
 
 
-def _free_mean_z(basis: EigenBasis, cs: np.ndarray, tau: np.ndarray):
+def _free_mean_z(basis: EigenBasis, cs: np.ndarray, tau: np.ndarray,
+                 scratch):
     """<z> along the free flight of each state of the stack ``cs`` (B, M)
-    on ``tau`` (non-empty), block by block: heights (B, T) and a copy of
-    the states at tau[-1] (B, M)."""
+    on ``tau`` (non-empty), block by block in the buffers ``scratch``
+    (`_z_scratch`): heights (B, T) and a copy of the states at tau[-1]
+    (B, M)."""
     z, final = np.empty((len(cs), len(tau))), np.empty_like(cs)
+    block = scratch[0]
     for zc, fc, c in zip(z, final, cs):
-        for rows, block in _free_blocks(c, basis.zeros, tau):
+        for rows in _free_blocks(block, c, basis.zeros, tau):
             n = rows.stop - rows.start
-            zc[rows] = _mean_z(basis, block[:n])
+            zc[rows] = _mean_z(basis, block[:n], scratch)
         fc[:] = block[n - 1]
     return z, final
 
 
-def _mean_z(basis: EigenBasis, c: np.ndarray) -> np.ndarray:
+def _z_scratch(m: int):
+    """The buffers a trace reuses for <z>: the free-stretch block
+    (``_ROWS``, M) of `_free_blocks`, and the real parts (2, ``_ROWS``, M)
+    of a block of rows and their product with Z (2 ``_ROWS``, M), which
+    `_mean_z` takes."""
+    return (np.empty((_ROWS, m), dtype=np.complex128),
+            np.empty((2, _ROWS, m)), np.empty((2 * _ROWS, m)))
+
+
+def _mean_z(basis: EigenBasis, c: np.ndarray, scratch) -> np.ndarray:
     """<z> = c^dag Z c = a^T Z a + b^T Z b of each row c = a + ib of ``c``.
 
     The a and b rows pass ``_ROWS`` at a time, zero-padded, through one
-    real product with Z, (2 ``_ROWS``, M) by (M, M).  BLAS picks its kernel
-    by the shape, so with the shape fixed a row's value depends on that
-    row alone.  Each value must lie within Z's Rayleigh bounds
-    [lambda_min, lambda_max] |c|^2, up to 1e-12 lambda_max |c|^2; one
-    outside them, or not finite, raises ArithmeticError naming its row of
-    ``c``."""
+    real product with Z, (2 ``_ROWS``, M) by (M, M), in the buffers
+    ``scratch`` (`_z_scratch`), which a caller reuses from call to call;
+    no value they held before the call reaches its result.
+    BLAS picks its kernel by the shape, so with the shape fixed a row's
+    value depends on that row alone.  Each value must lie within Z's
+    Rayleigh bounds [lambda_min, lambda_max] |c|^2, up to 1e-12 lambda_max
+    |c|^2; one outside them, or not finite, raises ArithmeticError naming
+    its row of ``c``."""
     val = np.empty(len(c))
-    parts = np.empty((2, _ROWS, basis.m))
+    _, parts, zp = scratch
     for j in range(0, len(c), _ROWS):
         rows = (c[j:j + _ROWS].real, c[j:j + _ROWS].imag)
         n = len(rows[0])
         parts[:, :n], parts[:, n:] = rows, 0.0
-        zp = parts.reshape(2 * _ROWS, -1) @ basis.z_matrix
+        np.matmul(parts.reshape(2 * _ROWS, -1), basis.z_matrix, out=zp)
         val[j:j + n] = sum(np.einsum('ti,ti->t', p, q[:n])
                            for p, q in zip(rows, zp.reshape(parts.shape)))
     parts = np.ascontiguousarray(c).view(np.float64)  # a and b interleaved
@@ -255,13 +292,15 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spins,
     ``spins``, a tuple of +1 and -1 as `spin_branches` gives it.
 
     Returns one (heights, final_state) pair per branch.  One pass over the
-    merged pulse windows first reduces the free stretch before each window
-    ``_ROWS`` samples at a time (`_free_mean_z`); the stretch before the
-    first window holds one state, which all branches share.  One
-    `_sub_steps` call then steps every branch on the window's runs
-    (`window_edges`), from sample to sample and on to the window's end,
-    step sigma / ``steps_per_sigma`` for the narrowest active width sigma,
-    and the window's samples take <z> of its states.  Where every active
+    merged pulse windows steps every branch through each window in one
+    `_sub_steps` call, on the window's runs (`window_edges`), from sample
+    to sample and on to the window's end, step sigma / ``steps_per_sigma``
+    for the narrowest active width sigma.  It then reduces the free stretch
+    before the window ``_ROWS`` samples at a time (`_free_mean_z`), and the
+    window's samples take <z> of its states, all in one scratch
+    (`_z_scratch`) that the trace makes once, after its first window's
+    steps.  The stretch before the first window holds one state, which all
+    branches share.  Where every active
     pulse is magnetic, spin s feels s times the forcing of spin +1, so one
     `exp` gives both spins' phases.  ``pulses`` is one `KickPulse` or a
     sequence of them.
@@ -272,24 +311,31 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spins,
     if isinstance(pulses, KickPulse):
         pulses = [pulses]
     heights = np.empty((len(spins), len(times)))
+    # made after the first window's steps, so that in a one-window trace
+    # the kernel's operator sets and the scratch are never alive together
+    scratch = None
     cs, t0, k = state.coeffs[None], state.time, 0  # one state for all
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
         edges, n, stop = window_edges(times, lo, hi)
-        if n > k:
-            heights[:, k:n] = _free_mean_z(basis, cs, times[k:n] - t0)[0]
-        cs = cs * np.exp(-1j * basis.zeros * (lo - t0))
         t_mid, h, steps = step_grid(edges, min(p.width for p in active),
                                     steps_per_sigma)
         magnetic = all(p.kind == "magnetic" for p in active)
         columns, signs = ((1,), spins) if magnetic else (spins, (1,))
         f = np.stack([forcing(active, s, t_mid) for s in columns], axis=1)
-        out = _sub_steps(basis, np.broadcast_to(cs, (len(spins), basis.m)),
+        c_lo = cs * np.exp(-1j * basis.zeros * (lo - t0))
+        out = _sub_steps(basis, np.broadcast_to(c_lo, (len(spins), basis.m)),
                          f, list(zip(steps, h)), np.cumsum(steps), signs)
+        scratch = scratch or _z_scratch(basis.m)
+        if n > k:
+            heights[:, k:n] = _free_mean_z(basis, cs, times[k:n] - t0,
+                                           scratch)[0]
         rows = out[:stop - n].swapaxes(0, 1).reshape(-1, basis.m)
-        heights[:, n:stop] = _mean_z(basis, rows).reshape(len(spins), -1)
+        heights[:, n:stop] = _mean_z(basis, rows, scratch).reshape(len(spins),
+                                                                   -1)
         cs, t0, k = out[-1], hi, stop
     if k < len(times):  # the last stretch ends in the states at times[-1]
-        heights[:, k:], cs = _free_mean_z(basis, cs, times[k:] - t0)
+        heights[:, k:], cs = _free_mean_z(basis, cs, times[k:] - t0,
+                                          scratch or _z_scratch(basis.m))
     else:  # the last window's last sample is times[-1]
         cs = out[stop - n - 1]
     final = np.broadcast_to(cs, (len(spins), basis.m)).copy()  # frees out

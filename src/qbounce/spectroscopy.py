@@ -17,8 +17,8 @@ import numpy as np
 
 from .basis import EigenBasis
 from .pulses import ON_GRID, InputError, KickPulse, forcing, spin_branches
-from .quantum import (DEFAULT_STEPS_PER_SIGMA, _free_blocks, _sub_steps,
-                      step_grid)
+from .quantum import (_ROWS, DEFAULT_STEPS_PER_SIGMA, _free_blocks,
+                      _sub_steps, step_grid)
 
 __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
            "spectrum", "find_peaks_and_match", "retrieve_amplitudes"]
@@ -159,7 +159,8 @@ def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
     takes one product with ``amps``, of one shape for every block.
     """
     c1 = np.empty((len(tau), amps.shape[1]), dtype=np.complex128)
-    for rows, block in _free_blocks(1.0, basis.zeros, tau):
+    block = np.empty((_ROWS, basis.m), dtype=np.complex128)
+    for rows in _free_blocks(block, 1.0, basis.zeros, tau):
         c1[rows] = (block @ amps)[:rows.stop - rows.start]
     return np.mean(np.abs(c1) ** 2, axis=1)
 

@@ -15,7 +15,7 @@ from qbounce.classical import ClassicalEnsemble, _orbit, sample_initial
 from qbounce.pulses import (KickPulse, forcing, merged_windows, spin_branches,
                             whole_steps)
 from qbounce.quantum import (_PHASE_ROWS, _WEIGHTS, DEFAULT_STEPS_PER_SIGMA,
-                             StateVector, _free_phases, _mean_z,
+                             StateVector, _free_phases, _mean_z, _z_scratch,
                              mean_height_trace, step_grid)
 from qbounce.spectroscopy import DelayScan, _spin_mean_forward
 
@@ -467,7 +467,8 @@ def per_run_trace(basis, state, pulses, spin, times,
     `mean_height_trace`); only the windows are checked.  Returns (heights,
     final_state)."""
     out = per_run_rows(basis, state, pulses, spin, times, steps_per_sigma)
-    return _mean_z(basis, out), StateVector(out[-1], float(times[-1]))
+    return (_mean_z(basis, out, _z_scratch(basis.m)),
+            StateVector(out[-1], float(times[-1])))
 
 
 def reference_sub_steps(basis, cs, f_mid, ops, signs=(1,), nodes=None):
@@ -660,6 +661,17 @@ def legacy_csv_text(header_items, columns, rows):
         lines.append(",".join(
             f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def plain_csv_text(header_items, columns, rows):
+    """CSV text with every value formatted by one `%`, "%.17g" each
+    (oracle for the shortcuts of `cli.write_csv`)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    head = [f"# version = {__version__}"]
+    head += [f"# {k} = {v}" for k, v in header_items]
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return ("\n".join(head + [",".join(columns)]) + "\n"
+            + line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_scan_csv_lines(path):

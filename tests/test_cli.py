@@ -24,8 +24,8 @@ from qbounce.cli import (_scan_from_csv, main, parse_config_text,
 from qbounce.pulses import KickPulse
 from qbounce.quantum import ground_state, mean_height_trace
 
-from helpers import (legacy_csv_text, propagate, read_scan_csv_lines,
-                     verlet_flight)
+from helpers import (legacy_csv_text, plain_csv_text, propagate,
+                     read_scan_csv_lines, verlet_flight)
 
 # hard-coded preset parameter tables; any drift in the shipped config files
 # is a bug
@@ -918,6 +918,80 @@ def test_csv_constant_columns_match_the_per_value_formatter(tmp_path):
     write_csv(path, [("k", 1)], columns, rows)
     expected = legacy_csv_text([("k", 1)], columns, rows.tolist())
     assert path.read_text() == expected
+
+
+def _csv_case(name):
+    """Rows for one shortcut of `write_csv`: columns repeated, repeated over
+    part of a block only, repeated but for a signed zero, past one block,
+    with a one-row last block, and beside constant columns."""
+    rng = np.random.default_rng(4)
+    n = cli._CSV_BLOCK_ROWS
+    a, b = rng.standard_normal((2, 2 * n + 7))
+    if name == "repeated":
+        return np.column_stack((a, a, b, a, b))[:n - 5]
+    if name == "part_of_a_block":
+        c = a.copy()
+        c[n + 3] = b[n + 3]  # c repeats a in the first block, not the next
+        d = a.copy()
+        d[-1] = -d[-1]  # d agrees with a but in the last row
+        return np.column_stack((a, c, d, c))
+    if name == "signed_zero":
+        a[::3], a[5] = 0.0, -0.0
+        c = a.copy()
+        c[5] = 0.0
+        return np.column_stack((a, c, a, np.abs(a)))[:100]
+    if name == "past_one_block":
+        return np.column_stack((b, a, a, a))
+    if name == "one_row_block":
+        return np.column_stack((a, a, b))[:n + 1]
+    return np.column_stack((np.full(len(a), 5.0), a, a, np.full(len(a), -0.0),
+                            b, np.full(len(a), np.nan)))  # constant beside
+
+
+@pytest.mark.parametrize("name", ["repeated", "part_of_a_block",
+                                  "signed_zero", "past_one_block",
+                                  "one_row_block", "constant_beside"])
+def test_csv_repeated_columns_match_one_format_per_value(tmp_path, name):
+    """A column bitwise equal to an earlier one takes its text; the bytes
+    are those of one "%.17g" per value, block by block."""
+    rows = _csv_case(name)
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    path = tmp_path / "rows.csv"
+    write_csv(path, [("k", 1)], columns, rows)
+    assert path.read_text() == plain_csv_text([("k", 1)], columns, rows)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_consecutive_commands_match_a_fresh_parser_each(tmp_path, capsys):
+    """`main` calls with different subcommands, a usage error (exit 1)
+    among them, give the outputs and exit codes through the one cached
+    parser that they give with a parser built afresh for every call."""
+    def run(fresh):
+        argvs = [["convert", "1", "--quantity", "length",
+                  "--direction", "to-si"],
+                 ["basis", "--M", "4", "--out", str(fresh / "a.csv")],
+                 ["basis", "--out", str(fresh / "b.csv")],  # no --M
+                 ["convert", "2", "--quantity", "time",
+                  "--direction", "to-dimensionless"],
+                 ["basis", "--M", "5", "--out", str(fresh / "c.csv")]]
+        fresh.mkdir()
+        got = []
+        for argv in argvs:
+            if fresh.name == "fresh":
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got.append((code, capsys.readouterr()))
+        return got + sorted((p.name, p.read_text()) for p in fresh.iterdir())
+
+    cached = run(tmp_path / "cached")
+    assert [code for code, _ in cached[:5]] == [0, 0, 1, 0, 0]
+    assert cached == run(tmp_path / "fresh")
 
 
 # ----------------------------------------------------------------- units

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qbounce.pulses import KickPulse, forcing, merged_windows, window_edges
+from qbounce import classical, quantum
+from qbounce.basis import build_basis
+from qbounce.classical import mean_height_series
+from qbounce.pulses import (ON_GRID, KickPulse, forcing, merged_windows,
+                            run_steps, window_edges)
+from qbounce.quantum import ground_state, mean_height_trace
 
 from helpers import area
 
@@ -116,3 +121,28 @@ def test_window_edges_land_on_the_samples_inside(times, edges, stop):
     and one just outside that."""
     got, start, end = window_edges(np.array([1.0, 2.0] + times), 2.0, 6.0)
     assert got.tolist() == edges and (start, end) == (2, 2 + stop)
+
+
+def test_sample_on_a_window_end_after_a_short_gap_takes_no_empty_run(
+        monkeypatch):
+    """hi = 2.7 and a sample on hi 1e-4 after the one before: the gap is
+    under ulp(hi) / ON_GRID, so hi - ON_GRID * gap rounds to hi itself.
+    The sample is still taken at hi, and neither stepper, quantum or
+    classical, takes a step of length 0."""
+    pulse = KickPulse(0.5, 0.45, 0.0)
+    hi = pulse.window[1]
+    assert hi - ON_GRID * 1e-4 == hi
+    times = np.array([0.5, hi - 1e-4, hi, 3.0])
+    edges, start, stop = window_edges(times, 0.0, hi)
+    assert edges.tolist() == [0.0, 0.5, hi - 1e-4, hi]
+    assert (start, stop) == (0, 3)
+    steps = []
+    for module in (quantum, classical):
+        monkeypatch.setattr(module, "run_steps", lambda *a: steps.append(
+            run_steps(*a)[1]) or run_steps(*a))
+    basis = build_basis(10)
+    mean_height_trace(basis, ground_state(basis), [pulse], (1,), times)
+    mean_height_series(50, 20.0, 0.0, 4.0, 0.125, 1, [pulse], times,
+                       spins=(1,))
+    assert len(steps) == 2
+    assert all(len(h) == 3 and h.min() > 1e-5 for h in steps)

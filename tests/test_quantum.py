@@ -14,7 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from qbounce import quantum
 from qbounce.basis import EigenBasis, build_basis
-from qbounce.pulses import KickPulse, forcing, merged_windows
+from qbounce.pulses import (KickPulse, forcing, merged_windows,
+                            window_edges)
 from qbounce.quantum import (StateVector, ground_state, mean_height_trace,
                              step_grid)
 
@@ -526,7 +527,7 @@ def test_mean_z_rejects_a_non_finite_row(basis20):
     c = np.tile(_two_state(basis20).coeffs, (3, 1))
     c[2, 4] = np.nan
     with pytest.raises(ArithmeticError, match="at sample 2 lies outside"):
-        quantum._mean_z(basis20, c)
+        quantum._mean_z(basis20, c, quantum._z_scratch(20))
 
 
 def test_mean_z_matches_complex_oracle_on_fig2_trace():
@@ -537,7 +538,7 @@ def test_mean_z_matches_complex_oracle_on_fig2_trace():
     times = np.arange(0.0, 200.0 + 1e-9, 0.1)
     rows = per_run_rows(basis, StateVector(c0.astype(complex)),
                         [KickPulse(0.5, 0.5, 60.0)], 1, times)
-    fast = quantum._mean_z(basis, rows)
+    fast = quantum._mean_z(basis, rows, quantum._z_scratch(basis.m))
     oracle = np.array([expectation_z(StateVector(c), basis) for c in rows])
     assert np.max(np.abs(fast - oracle) / oracle) <= 1e-13
 
@@ -548,9 +549,9 @@ def test_shared_stretch_is_reduced_once(basis20, monkeypatch):
     both branches share, and once per branch after it."""
     calls = []
 
-    def spy(c, zeros, tau):
+    def spy(block, c, zeros, tau):
         calls.append(len(tau))
-        return free_blocks(c, zeros, tau)
+        return free_blocks(block, c, zeros, tau)
 
     free_blocks = quantum._free_blocks
     monkeypatch.setattr(quantum, "_free_blocks", spy)
@@ -587,7 +588,7 @@ def test_mean_z_matches_complex_oracle_on_random_rows(basis20, c):
     """Unit-norm rows: within 1e-13 of lambda_max, and inside the Rayleigh
     bounds [lambda_min, lambda_max]."""
     c = c / np.linalg.norm(c, axis=1)[:, None]
-    fast = quantum._mean_z(basis20, c)
+    fast = quantum._mean_z(basis20, c, quantum._z_scratch(20))
     oracle = np.array([expectation_z(StateVector(r), basis20) for r in c])
     lam = basis20.z_eigvals
     assert np.all(np.abs(fast - oracle) <= 1e-13 * lam[-1])
@@ -616,8 +617,9 @@ def test_mean_z_of_a_row_depends_on_that_row_alone(m, cut, seed):
     c = rng.normal(size=(t, m)) + 1j * rng.normal(size=(t, m))
     c /= np.linalg.norm(c, axis=1)[:, None]
     basis = _kernel_basis(m)
-    assert np.array_equal(quantum._mean_z(basis, c)[i:j],
-                          quantum._mean_z(basis, c[i:j]))
+    scratch = quantum._z_scratch(m)
+    assert np.array_equal(quantum._mean_z(basis, c, scratch)[i:j],
+                          quantum._mean_z(basis, c[i:j], scratch))
 
 
 def test_trace_memory_does_not_grow_with_its_length():
@@ -758,7 +760,8 @@ def _reference_runs(basis, cs, f, runs, nodes, signs):
         local = [k - done for k in nodes if done < k <= done + n
                  or k == done == 0]
         out = reference_sub_steps(basis, cs, f[3 * done:3 * (done + n)],
-                                  quantum._operators(basis, h), signs, local)
+                                  (*quantum._operators(basis, h),
+                                   -1j * h * basis.z_eigvals), signs, local)
         for k, o in zip(kept, out):
             k.extend(o)
         cs, done = [o[-1] for o in out], done + n
@@ -773,6 +776,14 @@ _EVICTING = [0.005 + 0.004 * k for k in range(10)] * 2
 @given(case=kernel_cases())
 @example(case=(_kernel_basis(8), _EVICTING, [3] * 20, "magnetic", (1, -1),
                None, np.cumsum([3] * 20).tolist(), np.random.default_rng(5)))
+# many short runs, a phase batch spanning several: 20 runs of 2 steps, a
+# tap at every run end, and those at steps 16 and 32 on batch boundaries
+@example(case=(_kernel_basis(8), [0.01, 0.02] * 10, [2] * 20, "shake", (1,),
+               None, np.cumsum([2] * 20).tolist(), np.random.default_rng(6)))
+# a tap on a batch boundary inside a run: step 16 of runs of 5 steps
+@example(case=(_kernel_basis(6), [0.01, 0.03] * 4, [5] * 8, "magnetic",
+               (1, -1), 3, sorted({16, *np.cumsum([5] * 8).tolist()}),
+               np.random.default_rng(7)))
 def test_kernel_loop_matches_reference_sub_steps(case):
     """The kernel loop gives bitwise the states of the sub-step loop it
     replaced, run after run, at every node, with operators built afresh
@@ -813,6 +824,72 @@ def test_kernel_loop_matches_reference_sub_steps(case):
     out = quantum._sub_steps(basis, c, f, runs, nodes, signs)
     [ref] = _reference_runs(basis, [c[0]], full, runs, nodes, (1,))
     assert np.array_equal(out[:, 0], ref)
+
+
+def test_a_sampled_window_takes_one_exp_per_phase_batch(basis20,
+                                                        monkeypatch):
+    """fig2's window at its 0.1 samples: 60 runs of 4 steps, 720 sub-steps.
+    Their phases come ``_PHASE_ROWS`` rows per `exp`, across the runs:
+    ceil(720 / 48) = 15 batches, not one per run."""
+    pulse = KickPulse(0.5, 0.5, 60.0)
+    times = np.arange(0.0, 200.0 + 1e-9, 0.1)
+    edges, _, _ = window_edges(times, *pulse.window)
+    t_mid, h, n = step_grid(edges, pulse.width,
+                            quantum.DEFAULT_STEPS_PER_SIGMA)
+    assert len(n) == 60 and set(n.tolist()) == {4} and len(t_mid) == 720
+    batches = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):  # batches are the only 3-d `exp` calls
+        batches.append(np.ndim(x) == 3)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    c = np.broadcast_to(_two_state(basis20).coeffs, (2, basis20.m))
+    quantum._sub_steps(basis20, c, forcing([pulse], 1, t_mid),
+                       list(zip(n, h)), np.cumsum(n), (1, -1))
+    assert sum(batches) == math.ceil(len(t_mid) / quantum._PHASE_ROWS) == 15
+
+
+def test_trace_makes_its_z_scratch_once_whatever_its_length(basis20,
+                                                            monkeypatch):
+    """One scratch per trace, for one window or two and 2001 or 20001
+    samples; and `per_run_trace` reduces its rows in one scratch to
+    bitwise the values each row gets alone in a fresh one."""
+    made = []
+    z_scratch = quantum._z_scratch
+    monkeypatch.setattr(quantum, "_z_scratch",
+                        lambda m: made.append(m) or z_scratch(m))
+    kicks = [KickPulse(0.5, 0.5, 60.0), KickPulse(0.3, 0.5, 120.0)]
+    for t_max in (200.0, 2000.0):
+        times = np.arange(0.0, t_max + 1e-9, 0.1)
+        for pulses in (kicks[:1], kicks):
+            made.clear()
+            mean_height_trace(basis20, _two_state(basis20), pulses, (1, -1),
+                              times)
+            assert made == [basis20.m]
+    times = np.arange(50.0, 70.0, 0.1)
+    rows = per_run_rows(basis20, _two_state(basis20), kicks[:1], 1, times)
+    heights, _ = per_run_trace(basis20, _two_state(basis20), kicks[:1], 1,
+                               times)
+    alone = [z_scratch(basis20.m) for _ in rows]
+    assert np.array_equal(heights, [quantum._mean_z(basis20, r[None], s)[0]
+                                    for r, s in zip(rows, alone)])
+
+
+def test_mean_z_ignores_what_its_scratch_held(basis20):
+    """A scratch that held nan, then more rows than the next call has,
+    gives bitwise the values of a fresh one."""
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal((600, 20)) + 1j * rng.standard_normal((600, 20))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    fresh = quantum._mean_z(basis20, c[:300], quantum._z_scratch(20))
+    used = quantum._z_scratch(20)
+    for buffer in used:
+        buffer.fill(np.nan)
+    assert np.array_equal(quantum._mean_z(basis20, c[:300], used), fresh)
+    quantum._mean_z(basis20, c[::-1], used)
+    assert np.array_equal(quantum._mean_z(basis20, c[:300], used), fresh)
 
 
 def test_sample_next_to_a_window_end_is_taken_at_the_end(basis20, monkeypatch):
