@@ -69,8 +69,8 @@ class ClassicalEnsemble:
 
 
 def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
-                   sigma_v: float, seed: int, spin: int = 1) -> ClassicalEnsemble:
-    """Gaussian phase-space sample; draws with z < 0 are redrawn.
+                   sigma_v: float, seed: int) -> ClassicalEnsemble:
+    """Gaussian phase-space sample of spin +1; draws with z < 0 are redrawn.
 
     Deterministic for a fixed seed.  Raises as `_check_sample` does.
     """
@@ -82,7 +82,7 @@ def sample_initial(n: int, mu_z: float, mu_v: float, sigma_z: float,
     v = mu_v + sigma_v * rng.standard_normal(n)
     while (bad := z < 0).any():  # at most 25% redrawn: decays geometrically
         z[bad] = mu_z + sigma_z * rng.standard_normal(int(bad.sum()))
-    return ClassicalEnsemble(z, v, spin=spin)
+    return ClassicalEnsemble(z, v)
 
 
 def _check_sample(mu_z, sigma_z, sigma_v):
@@ -300,13 +300,14 @@ def _fly(ens, t):
     return replace(ens, z=z, v=v, time=t)
 
 
-def _cross_window(ens, edges, pulses, steps_per_sigma):
-    """The stepper across one pulse window from ``ens`` at edges[0].
+def _cross_window(ens, edges, pulses):
+    """The stepper across one pulse window from ``ens`` at edges[0], at
+    ``DEFAULT_STEPS_PER_SIGMA``.
 
     Returns the ensemble at edges[-1] and <z> at every edge after the first.
     """
     z, v, means = _kick_flight(ens.z, ens.v, edges, pulses, ens.spin,
-                               steps_per_sigma)
+                               DEFAULT_STEPS_PER_SIGMA)
     try:
         return replace(ens, z=z, v=v, time=float(edges[-1])), means
     except InputError as exc:
@@ -399,18 +400,17 @@ def _flight_means(ens: ClassicalEnsemble, times):
 
 def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
                        sigma_v: float, seed: int, pulses, times: np.ndarray,
-                       spins=(1, -1),
-                       steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA,
                        snapshots=()):
-    """<z>(t) per spin branch on the sample grid ``times``, and the branch's
-    ensemble at each of the ascending ``snapshots`` (repeats allowed).
+    """<z>(t) of spin +1 and -1 on the sample grid ``times``, and each
+    spin's ensemble at each ascending ``snapshots`` time (repeats allowed).
 
     Every branch starts from one seeded sample, drawn once (the branches
     differ only in the sign of the kick force), so the free flight before
     the first pulse window is summed once for all of them.  Free flight
     between the pulse windows is summed bounce by bounce
-    (``_flight_means``), each pulse window by one stepper run that lands on
-    its samples; both sum free stretches, never sample x particle pairs.
+    (``_flight_means``), each pulse window by one stepper run at
+    ``DEFAULT_STEPS_PER_SIGMA`` that lands on its samples; both sum free
+    stretches, never sample x particle pairs.
     The walk goes on to the last snapshot, through any window past the
     samples.  A snapshot outside the windows is the exact flight of the
     ensemble the walk holds (the sample, or the ensemble at the end of the
@@ -440,7 +440,7 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
     _warn_escapes(sample, z_cap)
     head = _flight_means(sample, times[:first])
     series = {}
-    for s in spins:
+    for s in (1, -1):
         ens = replace(sample, spin=s)
         out, shots = np.empty_like(times), []
         out[:first] = head
@@ -452,10 +452,9 @@ def mean_height_series(n: int, mu_z: float, mu_v: float, sigma_z: float,
             shots += [_fly(ens, t)
                       for t in snaps[len(shots):bisect_right(snaps, lo)]]
             ens = _fly(ens, lo)
-            shots += [_cross_window(ens, np.r_[edges[edges < t], t], active,
-                                    steps_per_sigma)[0]
+            shots += [_cross_window(ens, np.r_[edges[edges < t], t], active)[0]
                       for t in snaps[len(shots):bisect_left(snaps, hi)]]
-            ens, means = _cross_window(ens, edges, active, steps_per_sigma)
+            ens, means = _cross_window(ens, edges, active)
             out[start:stop] = means[:stop - start]
             _warn_escapes(ens, z_cap)
             idx = stop

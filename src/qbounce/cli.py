@@ -25,8 +25,8 @@ from . import __version__, classical, quantum
 from .airy import MAX_ZEROS, airy_zeros
 from .basis import UnitSystem, build_basis
 from .classical import mean_height_series
-from .pulses import InputError, KickPulse, sample_grid, spin_branches
-from .quantum import StateVector, ground_state, mean_height_trace
+from .pulses import InputError, KickPulse, sample_grid
+from .quantum import mean_height_trace
 from .spectroscopy import (DelayScan, find_peaks_and_match,
                            retrieve_amplitudes, scan_delay, spectrum)
 
@@ -360,20 +360,18 @@ def cmd_quantum_echo(args):
         coeffs, captured = basis.project_gaussian(cfg["mu_z"], cfg["sigma_z"])
         health.append(("captured_norm", captured))
     else:
-        coeffs = ground_state(basis).coeffs
+        coeffs = np.eye(1, basis.m)[0]  # the ground state e_1
 
     times = sample_grid(t_start, cfg["t_max"], cfg["dt_sample"])
-    branches = mean_height_trace(
-        basis, StateVector(coeffs, t_start), pulses,
-        spin_branches(cfg["kind"], True), times,
-        steps_per_sigma=cfg["steps_per_sigma"])
-    (z_plus, _), (z_minus, _) = branches[0], branches[-1]
+    heights, finals = mean_height_trace(basis, coeffs, t_start, pulses, times,
+                                        cfg["steps_per_sigma"])
+    z_plus, z_minus = heights[0], heights[-1]
     # a single-spin run is spin +1's, as in a scan
     avg = 0.5 * (z_plus + z_minus) if cfg["spin_average"] else z_plus
-    norm_keys = (["final_norm_plus", "final_norm_minus"] if len(branches) == 2
+    norm_keys = (["final_norm_plus", "final_norm_minus"] if len(finals) == 2
                  else ["final_norm"])
     write_csv(_resolve_out(args, args.out), sorted(cfg.items()) + health +
-              [(k, final.norm) for k, (_, final) in zip(norm_keys, branches)],
+              list(zip(norm_keys, map(np.linalg.norm, finals))),
               ["t", "z_plus", "z_minus", "z_avg"],
               np.column_stack((times, z_plus, z_minus, avg)))
     return 0

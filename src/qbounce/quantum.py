@@ -10,25 +10,23 @@ and keeps at most ``_OPERATOR_SETS`` of them; the phases of
 ``_PHASE_ROWS`` sub-steps at a time come from one `exp`, across runs.
 `mean_height_trace` takes <z> in one pass over the pulse windows: it
 steps a window's runs and spin branches in one call, and reduces each
-free stretch ``_ROWS`` samples at a time in one block (`_free_blocks`, as
-the scans' forward sum does), in buffers held for the whole trace
-(`_z_scratch`).  The trace's memory is bounded by ``_ROWS`` x M, whatever
-its length.
+free stretch ``_ROWS`` samples at a time in one block, as the scans'
+forward sum does, in buffers held for the whole trace (`_z_scratch`).
+The trace's memory is bounded by ``_ROWS`` x M, whatever its length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import pairwise
 
 import numpy as np
 
 from .basis import EigenBasis
-from .pulses import (InputError, KickPulse, _check_sample_times, forcing,
-                     merged_windows, run_steps, window_edges)
+from .pulses import (KickPulse, _check_sample_times, forcing, merged_windows,
+                     run_steps, window_edges)
 
-__all__ = ["StateVector", "ground_state", "step_grid", "mean_height_trace"]
+__all__ = ["step_grid", "mean_height_trace"]
 
 DEFAULT_STEPS_PER_SIGMA = 20
 
@@ -53,28 +51,6 @@ _ROWS = 256
 # step sizes whose operators a kernel call keeps; one G pair is 0.72 MB
 # at M = 150
 _OPERATOR_SETS = 8
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex coefficients in the eigenbasis, tagged with their time."""
-
-    coeffs: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.complex128))
-        self.coeffs.setflags(write=False)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-def ground_state(basis: EigenBasis, time: float = 0.0) -> StateVector:
-    c = np.zeros(basis.m, dtype=np.complex128)
-    c[0] = 1.0
-    return StateVector(c, time)
 
 
 def step_grid(edges, width: float, steps_per_sigma: int):
@@ -215,38 +191,27 @@ def _free_phases(out: np.ndarray, c, zeros: np.ndarray,
     return out
 
 
-def _free_blocks(block: np.ndarray, c, zeros: np.ndarray, tau: np.ndarray):
-    """Yield each slice ``rows`` of ``_ROWS`` samples of ``tau`` once the
-    caller's (``_ROWS``, M) ``block`` holds c e^{-i z tau[rows]} by
-    `_free_phases` in its first rows, zeros after them.  Each slice starts
-    on an anchor row, so every row is the one `_free_phases` writes over
-    all of ``tau``."""
-    for j in range(0, len(tau), _ROWS):
-        rows = slice(j, min(j + _ROWS, len(tau)))
-        _free_phases(block[:rows.stop - j], c, zeros, tau[rows])
-        block[rows.stop - j:] = 0.0
-        yield rows
-
-
 def _free_mean_z(basis: EigenBasis, cs: np.ndarray, tau: np.ndarray,
                  scratch):
     """<z> along the free flight of each state of the stack ``cs`` (B, M)
-    on ``tau`` (non-empty), block by block in the buffers ``scratch``
-    (`_z_scratch`): heights (B, T) and a copy of the states at tau[-1]
-    (B, M)."""
+    on ``tau`` (non-empty), ``_ROWS`` samples at a time by `_free_phases`
+    into the block of the buffers ``scratch`` (`_z_scratch`); each slice
+    starts on an anchor row, so every row is the one `_free_phases` writes
+    over all of ``tau``.  Returns heights (B, T) and a copy of the states
+    at tau[-1] (B, M)."""
     z, final = np.empty((len(cs), len(tau))), np.empty_like(cs)
-    block = scratch[0]
     for zc, fc, c in zip(z, final, cs):
-        for rows in _free_blocks(block, c, basis.zeros, tau):
-            n = rows.stop - rows.start
-            zc[rows] = _mean_z(basis, block[:n], scratch)
-        fc[:] = block[n - 1]
+        for j in range(0, len(tau), _ROWS):
+            rows = _free_phases(scratch[0][:len(tau) - j], c, basis.zeros,
+                                tau[j:j + _ROWS])
+            zc[j:j + _ROWS] = _mean_z(basis, rows, scratch)
+        fc[:] = rows[-1]
     return z, final
 
 
 def _z_scratch(m: int):
     """The buffers a trace reuses for <z>: the free-stretch block
-    (``_ROWS``, M) of `_free_blocks`, and the real parts (2, ``_ROWS``, M)
+    (``_ROWS``, M) of `_free_mean_z`, and the real parts (2, ``_ROWS``, M)
     of a block of rows and their product with Z (2 ``_ROWS``, M), which
     `_mean_z` takes."""
     return (np.empty((_ROWS, m), dtype=np.complex128),
@@ -285,36 +250,34 @@ def _mean_z(basis: EigenBasis, c: np.ndarray, scratch) -> np.ndarray:
     return val
 
 
-def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spins,
-                      times: np.ndarray,
+def mean_height_trace(basis: EigenBasis, coeffs: np.ndarray, t0: float,
+                      pulses, times: np.ndarray,
                       steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA):
-    """<z> sampled on ``times`` (ascending, >= state.time) for each spin in
-    ``spins``, a tuple of +1 and -1 as `spin_branches` gives it.
+    """<z> sampled on ``times`` (ascending, >= ``t0``) from the state
+    ``coeffs`` (M,) at ``t0``, for spins +1 and -1 if any of ``pulses`` (one
+    `KickPulse` or a sequence of them) is magnetic, else for spin +1 alone.
 
-    Returns one (heights, final_state) pair per branch.  One pass over the
-    merged pulse windows steps every branch through each window in one
-    `_sub_steps` call, on the window's runs (`window_edges`), from sample
-    to sample and on to the window's end, step sigma / ``steps_per_sigma``
-    for the narrowest active width sigma.  It then reduces the free stretch
-    before the window ``_ROWS`` samples at a time (`_free_mean_z`), and the
-    window's samples take <z> of its states, all in one scratch
-    (`_z_scratch`) that the trace makes once, after its first window's
-    steps.  The stretch before the first window holds one state, which all
-    branches share.  Where every active
-    pulse is magnetic, spin s feels s times the forcing of spin +1, so one
-    `exp` gives both spins' phases.  ``pulses`` is one `KickPulse` or a
-    sequence of them.
+    Returns (heights, finals): <z> of each spin (B, T) and its state at
+    times[-1] (B, M), spin +1 first.  One pass over the merged pulse
+    windows steps every spin through each window in one `_sub_steps` call,
+    on the window's runs (`window_edges`), from sample to sample and on to
+    the window's end, step sigma / ``steps_per_sigma`` for the narrowest
+    active width sigma.  It then reduces the free stretch before the window
+    ``_ROWS`` samples at a time (`_free_mean_z`), and the window's samples
+    take <z> of its states, all in one scratch (`_z_scratch`) that the
+    trace makes once, after its first window's steps.  The stretch before
+    the first window holds one state, which both spins share.  Where every
+    active pulse is magnetic, spin s feels s times the forcing of spin +1,
+    so one `exp` gives both spins' phases.
     """
-    times = _check_sample_times(times, state.time)
-    if not isinstance(spins, tuple) or not spins or set(spins) - {1, -1}:
-        raise InputError(f"spins must be a tuple of +1 and -1, got {spins!r}")
-    if isinstance(pulses, KickPulse):
-        pulses = [pulses]
+    times = _check_sample_times(times, t0)
+    pulses = [pulses] if isinstance(pulses, KickPulse) else list(pulses)
+    spins = (1, -1) if any(p.kind == "magnetic" for p in pulses) else (1,)
     heights = np.empty((len(spins), len(times)))
     # made after the first window's steps, so that in a one-window trace
     # the kernel's operator sets and the scratch are never alive together
     scratch = None
-    cs, t0, k = state.coeffs[None], state.time, 0  # one state for all
+    cs, k = np.asarray(coeffs, dtype=np.complex128)[None], 0  # one for all
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
         edges, n, stop = window_edges(times, lo, hi)
         t_mid, h, steps = step_grid(edges, min(p.width for p in active),
@@ -338,6 +301,5 @@ def mean_height_trace(basis: EigenBasis, state: StateVector, pulses, spins,
                                           scratch or _z_scratch(basis.m))
     else:  # the last window's last sample is times[-1]
         cs = out[stop - n - 1]
-    final = np.broadcast_to(cs, (len(spins), basis.m)).copy()  # frees out
-    return [(z, StateVector(c, float(times[-1])))
-            for z, c in zip(heights, final)]
+    # a copy, which frees out
+    return heights, np.broadcast_to(cs, (len(spins), basis.m)).copy()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import EigenBasis
 from .pulses import ON_GRID, InputError, KickPulse, forcing, spin_branches
-from .quantum import (_ROWS, DEFAULT_STEPS_PER_SIGMA, _free_blocks,
+from .quantum import (_ROWS, DEFAULT_STEPS_PER_SIGMA, _free_phases,
                       _sub_steps, step_grid)
 
 __all__ = ["DelayScan", "SpectrumResult", "PeakMatch", "scan_delay",
@@ -79,7 +79,7 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
                steps_per_sigma: int = DEFAULT_STEPS_PER_SIGMA) -> DelayScan:
     """Ground-state population after two kicks, versus their delay.
 
-    Kick 1 is centered at t = 0, kick 2 at t = tau.  Two vector runs serve
+    Pulses come centered at 0; kick 2 moves to t = tau.  Two vector runs serve
     every delay: v = W1 e_1 and row = e_1^T W2, W_k the propagator across
     [t_k - H, t_k + H], H = 6 max(sigma_1, sigma_2).  Both runs take one
     step grid, and each run's forcing is zero outside its own kick's window
@@ -101,14 +101,15 @@ def scan_delay(basis: EigenBasis, pulse1: KickPulse, pulse2: KickPulse,
     """
     if pulse1.kind != pulse2.kind:
         raise InputError("both kicks must share the same kind")
-    kind = pulse1.kind
+    if pulse1.center or pulse2.center:
+        raise InputError("kick centers must be 0: the scan puts kick 2 at "
+                         "each delay")
+    p1, p2, kind = pulse1, pulse2, pulse1.kind
     delays = np.asarray(delays, dtype=np.float64)
     if not np.all((delays > 0) & (delays < np.inf)):
         raise InputError("delays must be positive and finite")
 
     spins = spin_branches(kind, spin_average)
-    p1 = KickPulse(pulse1.amplitude, pulse1.width, 0.0, kind)
-    p2 = KickPulse(pulse2.amplitude, pulse2.width, 0.0, kind)
     half1, half2 = p1.window[1], p2.window[1]
     half = max(half1, half2)
     separated = delays >= (half1 + half2)
@@ -153,15 +154,16 @@ def _spin_mean_forward(basis: EigenBasis, tau: np.ndarray,
     """Spin mean of |sum_i A_i e^{-i z_i tau}|^2, one column of ``amps``
     (M, S) per spin branch.
 
-    The phases e^{-i z_i tau} come ``_ROWS`` delays at a time in one
-    zero-padded block (`quantum._free_blocks`: one `exp` per anchor row
-    and per distinct delay gap, products in between), and each block
-    takes one product with ``amps``, of one shape for every block.
+    The phases e^{-i z_i tau} come ``_ROWS`` delays at a time into one
+    block (`quantum._free_phases`: one `exp` per anchor row and per
+    distinct delay gap, products in between); each block takes one product
+    with ``amps`` of one shape, whose row k depends on block row k alone.
     """
     c1 = np.empty((len(tau), amps.shape[1]), dtype=np.complex128)
-    block = np.empty((_ROWS, basis.m), dtype=np.complex128)
-    for rows in _free_blocks(block, 1.0, basis.zeros, tau):
-        c1[rows] = (block @ amps)[:rows.stop - rows.start]
+    block = np.zeros((_ROWS, basis.m), dtype=np.complex128)
+    for j in range(0, len(tau), _ROWS):
+        _free_phases(block[:len(tau) - j], 1.0, basis.zeros, tau[j:j + _ROWS])
+        c1[j:j + _ROWS] = (block @ amps)[:len(tau) - j]
     return np.mean(np.abs(c1) ** 2, axis=1)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,7 +16,7 @@ from qbounce.classical import ClassicalEnsemble, _orbit, sample_initial
 from qbounce.pulses import (KickPulse, forcing, merged_windows, spin_branches,
                             whole_steps)
 from qbounce.quantum import (_PHASE_ROWS, _WEIGHTS, DEFAULT_STEPS_PER_SIGMA,
-                             StateVector, _free_phases, _mean_z, _z_scratch,
+                             _free_phases, _mean_z, _z_scratch,
                              mean_height_trace, step_grid)
 from qbounce.spectroscopy import DelayScan, _spin_mean_forward
 
@@ -67,15 +68,26 @@ def _check_target_time(t_to, t_from):
                          f"{t_from}")
 
 
-def evolve_pulsed(state, basis, pulses, spin, t_to,
+def ground_coeffs(basis):
+    """e_1, the coefficients of the ground state."""
+    return np.eye(1, basis.m, dtype=np.complex128)[0]
+
+
+def spin_row(spin):
+    """The row of ``spin`` in a trace's (B, ...) output: spin +1 first, and
+    spin -1 last (a one-row trace is spin independent)."""
+    return 0 if spin == 1 else -1
+
+
+def evolve_pulsed(basis, c, t0, pulses, spin, t_to,
                   steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
-    """Evolve from ``state.time`` to ``t_to`` through any pulse windows:
-    the walk of `mean_height_trace` at the single time ``t_to``, for one
-    spin."""
-    _check_target_time(t_to, state.time)
-    [(_, final)] = mean_height_trace(basis, state, pulses, (spin,), [t_to],
-                                     steps_per_sigma)
-    return final
+    """The state ``c`` at ``t0`` evolved to ``t_to`` through any pulse
+    windows: spin ``spin``'s final state of `mean_height_trace` sampled at
+    the single time ``t_to``."""
+    _check_target_time(t_to, t0)
+    _, finals = mean_height_trace(basis, c, t0, pulses, [t_to],
+                                  steps_per_sigma)
+    return finals[spin_row(spin)]
 
 
 def strang_steps(basis, c, f_mid, h):
@@ -99,10 +111,9 @@ def pulse_propagator(basis, pulse, spin=1,
                         forcing([centered], spin, t_mid), h)
 
 
-def free_evolve(state, basis, dt):
+def free_evolve(c, basis, dt):
     """c_i <- c_i exp(-i z_i dt); exactly norm preserving."""
-    return StateVector(state.coeffs * np.exp(-1j * basis.zeros * dt),
-                       state.time + dt)
+    return c * np.exp(-1j * basis.zeros * dt)
 
 
 def impulsive_kick_matrix(basis, alpha, spin=1, kind="magnetic"):
@@ -117,10 +128,10 @@ def impulsive_kick_matrix(basis, alpha, spin=1, kind="magnetic"):
     return (v * np.exp(factor * basis.z_eigvals)) @ v.T
 
 
-def impulsive_kick(state, basis, alpha, spin=1, kind="magnetic"):
-    """Apply the impulsive kick operator to the state (zero duration)."""
-    return StateVector(impulsive_kick_matrix(basis, alpha, spin, kind) @
-                       state.coeffs, state.time)
+def impulsive_kick(c, basis, alpha, spin=1, kind="magnetic"):
+    """Apply the impulsive kick operator to the state ``c`` (zero
+    duration)."""
+    return impulsive_kick_matrix(basis, alpha, spin, kind) @ c
 
 
 def transition_frequencies(basis):
@@ -255,11 +266,11 @@ def gauss_kronrod_overlaps(zeros, norms, func, a, b):
         hi = np.concatenate([hi[keep], mid, hi[split]])
 
 
-def expectation_z(state, basis):
+def expectation_z(c, basis):
     """<z> = c^dag Z c in complex arithmetic (oracle for the real products
     of `quantum._mean_z`); the imaginary residual must be at rounding level.
     """
-    val = np.vdot(state.coeffs, basis.z_matrix @ state.coeffs)
+    val = np.vdot(c, basis.z_matrix @ c)
     if abs(val.imag) > 1e-12:
         raise ArithmeticError(f"<z> has imaginary residual {abs(val.imag):.3e}; "
                               "Hermitian invariant broken")
@@ -373,8 +384,10 @@ def propagate(ens, t_to, pulses=(),
     pulses = classical._magnetic(pulses)
     _check_target_time(t_to, ens.time)
     for lo, hi, active in merged_windows(pulses, ens.time, t_to):
-        ens, _ = classical._cross_window(classical._fly(ens, lo), [lo, hi],
-                                         active, steps_per_sigma)
+        ens = classical._fly(ens, lo)
+        z, v, _ = classical._kick_flight(ens.z, ens.v, [lo, hi], active,
+                                         ens.spin, steps_per_sigma)
+        ens = replace(ens, z=z, v=v, time=hi)
     ens = classical._fly(ens, t_to)
     if z_cap is not None and (high := int((ens.z > z_cap).sum())):
         warnings.warn(f"{high} particle(s) above z_cap={z_cap}", stacklevel=2)
@@ -382,50 +395,53 @@ def propagate(ens, t_to, pulses=(),
 
 
 def walk_mean_height_series(n, mu_z, mu_v, sigma_z, sigma_v, seed, pulses,
-                            times, spins=(1, -1), steps_per_sigma=200):
-    """<z>(t) by one ``propagate`` per sample (oracle for mean_height_series)."""
+                            times):
+    """<z>(t) of spin +1 and -1 by one ``propagate`` per sample (oracle for
+    mean_height_series)."""
     series = {}
-    for s in spins:
-        ens = sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed, spin=s)
+    for s in (1, -1):
+        ens = replace(sample_initial(n, mu_z, mu_v, sigma_z, sigma_v, seed),
+                      spin=s)
         out = np.empty(len(times))
         for k, t in enumerate(times):
-            ens = propagate(ens, float(t), pulses,
-                            steps_per_sigma=steps_per_sigma, z_cap=10.0 * mu_z)
+            ens = propagate(ens, float(t), pulses, z_cap=10.0 * mu_z)
             out[k] = ens.z.mean()
         series[s] = out
     return series
 
 
-def walk_mean_height_trace(basis, state, pulses, spin, times,
+def walk_mean_height_trace(basis, c, t0, pulses, spin, times,
                            steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
-    """<z>(t) by one ``evolve_pulsed`` per in-window sample (oracle for
-    mean_height_trace).
+    """<z>(t) of spin ``spin`` by one ``evolve_pulsed`` per in-window sample
+    (oracle for mean_height_trace).
 
     Free samples are free flights from the last state; each in-window
     sample restarts ``evolve_pulsed`` from the one before.  Returns
-    (heights, final_state).
+    (heights, state at times[-1]).
     """
     out = np.empty(len(times))
-    cur, idx = state, 0
+    idx = 0
 
     def free_to(stop):
         nonlocal idx
         while idx < len(times) and times[idx] <= stop:
             out[idx] = expectation_z(
-                free_evolve(cur, basis, float(times[idx]) - cur.time), basis)
+                free_evolve(c, basis, float(times[idx]) - t0), basis)
             idx += 1
 
-    for lo, hi, _ in merged_windows(pulses, state.time, float(times[-1])):
+    for lo, hi, _ in merged_windows(pulses, t0, float(times[-1])):
         free_to(lo)
         while idx < len(times) and times[idx] <= hi:
-            cur = evolve_pulsed(cur, basis, pulses, spin, float(times[idx]),
-                                steps_per_sigma)
-            out[idx] = expectation_z(cur, basis)
+            t = float(times[idx])
+            c, t0 = evolve_pulsed(basis, c, t0, pulses, spin, t,
+                                  steps_per_sigma), t
+            out[idx] = expectation_z(c, basis)
             idx += 1
-        if cur.time < hi:
-            cur = evolve_pulsed(cur, basis, pulses, spin, hi, steps_per_sigma)
+        if t0 < hi:
+            c, t0 = evolve_pulsed(basis, c, t0, pulses, spin, hi,
+                                  steps_per_sigma), hi
     free_to(np.inf)
-    return out, free_evolve(cur, basis, float(times[-1]) - cur.time)
+    return out, free_evolve(c, basis, float(times[-1]) - t0)
 
 
 def direct_free_phases(c, zeros, tau):
@@ -434,13 +450,12 @@ def direct_free_phases(c, zeros, tau):
     return c * np.exp(-1j * np.outer(tau, zeros))
 
 
-def per_run_rows(basis, state, pulses, spin, times,
+def per_run_rows(basis, c, t0, pulses, spin, times,
                  steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
-    """The state at every sample (T, M), by one `strang_steps` call per
-    sample-to-sample run, each building its own operators.  The free
-    stretches take the package's `_free_phases`."""
+    """The state at every sample (T, M) from ``c`` at ``t0``, by one
+    `strang_steps` call per sample-to-sample run, each building its own
+    operators.  The free stretches take the package's `_free_phases`."""
     times = np.asarray(times, dtype=np.float64)
-    c, t0 = state.coeffs, state.time
     out = np.empty((len(times), basis.m), dtype=np.complex128)
     k = 0
     for lo, hi, active in merged_windows(pulses, t0, float(times[-1])):
@@ -461,14 +476,13 @@ def per_run_rows(basis, state, pulses, spin, times,
     return out
 
 
-def per_run_trace(basis, state, pulses, spin, times,
+def per_run_trace(basis, c, t0, pulses, spin, times,
                   steps_per_sigma=DEFAULT_STEPS_PER_SIGMA):
     """<z>(t) of `per_run_rows` (oracle for the operator reuse in
     `mean_height_trace`); only the windows are checked.  Returns (heights,
-    final_state)."""
-    out = per_run_rows(basis, state, pulses, spin, times, steps_per_sigma)
-    return (_mean_z(basis, out, _z_scratch(basis.m)),
-            StateVector(out[-1], float(times[-1])))
+    state at times[-1])."""
+    out = per_run_rows(basis, c, t0, pulses, spin, times, steps_per_sigma)
+    return _mean_z(basis, out, _z_scratch(basis.m)), out[-1]
 
 
 def reference_sub_steps(basis, cs, f_mid, ops, signs=(1,), nodes=None):
@@ -509,20 +523,23 @@ def reference_sub_steps(basis, cs, f_mid, ops, signs=(1,), nodes=None):
             for k, c in zip(kept, cs)]
 
 
-def _verlet(z, v, t0, t1, pulses, spin, dt):
+def _verlet(z, v, t0, t1, pulses, spin, dt, nodes=None):
     """Velocity-Verlet with z'' = -2 + 2 s beta(t); bounces off the floor
     (oracle for `classical._kick_flight`).
 
     A step that would end below the floor is split at the crossing time
     (exact for the step's constant acceleration): fly to the floor, reflect
     the impact velocity, finish the remainder of the step.  With beta = 0
-    this reproduces the exact ballistic flight to rounding accuracy.
+    this reproduces the exact ballistic flight to rounding accuracy.  The
+    list ``nodes``, if given, gets (z, v, a, h) at the start of each step.
     """
     n = whole_steps(t1 - t0, dt)
     h = (t1 - t0) / n
     t = np.cumsum(np.r_[t0, np.full(n, h)])  # step times, accumulated as t += h
     acc = -2.0 + sum(2.0 * spin * p.envelope(t) for p in pulses)
     for a, a_next in zip(acc[:-1].tolist(), acc[1:].tolist()):
+        if nodes is not None:
+            nodes.append((z, v, a, h))
         z_new = z + v * h + 0.5 * a * h * h
         v_new = v + 0.5 * (a + a_next) * h
         below = z_new < 0
@@ -563,6 +580,22 @@ def verlet_flight(z, v, edges, pulses, spin, steps_per_sigma):
         z, v = _verlet(z, v, t0, t1, pulses, spin, dt)
         means.append(z.mean())
     return z, v, np.array(means)
+
+
+def verlet_floor_speeds(z, v, edges, pulses, spin, steps_per_sigma):
+    """The floor speed sqrt(v^2 - 2 a z) of each particle of `verlet_flight`
+    at each node whose step starts under a downward force a < 0, and the
+    floor speed |a| h at or below which `classical._kick_flight` rests a
+    particle at such a node: (speeds, rests), one row per node.
+    """
+    z, v = np.asarray(z, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    dt = min(p.width for p in pulses) / steps_per_sigma
+    nodes = []
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        z, v = _verlet(z, v, t0, t1, pulses, spin, dt, nodes)
+    down = [(z, v, a, h) for z, v, a, h in nodes if a < 0]
+    return (np.array([np.sqrt(v * v - 2.0 * a * z) for z, v, a, _ in down]),
+            np.array([np.full_like(z, -a * h) for z, _, a, h in down]))
 
 
 def stacked_overlap_scan(basis, pulse1, pulse2, delays, spin_average=True,

@@ -1,5 +1,6 @@
 """Eigenbasis construction: orthonormality, matrix elements, units."""
 
+import json
 import math
 import os
 import subprocess
@@ -205,6 +206,24 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert run.stdout.strip() == "False"
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_importing_qbounce_defaults_blas_to_one_thread(given):
+    """Importing qbounce sets each unset BLAS thread variable to 1 before
+    numpy loads, and leaves one the user set as it is."""
+    code = ("import json, os, qbounce, numpy; print(json.dumps("
+            f"[os.environ.get(v) for v in {_THREAD_VARS!r}]))")
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**env, **given})
+    assert json.loads(run.stdout) == [given.get(v, "1") for v in _THREAD_VARS]
 
 
 def test_project_gaussian_rejects_unrepresentable(basis20):

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from qbounce.classical import sample_initial
 from qbounce.cli import (_scan_from_csv, main, parse_config_text,
                          read_scan_csv, write_csv)
 from qbounce.pulses import KickPulse
-from qbounce.quantum import ground_state, mean_height_trace
+from qbounce.quantum import mean_height_trace
 
-from helpers import (legacy_csv_text, plain_csv_text, propagate,
-                     read_scan_csv_lines, verlet_flight)
+from helpers import (ground_coeffs, legacy_csv_text, plain_csv_text,
+                     propagate, read_scan_csv_lines, verlet_flight)
 
 # hard-coded preset parameter tables; any drift in the shipped config files
 # is a bug
@@ -366,7 +367,7 @@ def test_snapshots_match_propagation_from_zero(tmp_path):
     data = np.array(rows, dtype=float)
     pulse = KickPulse(0.5, 0.5, 10.0)
     for s in (1, -1):
-        start = sample_initial(300, 20.0, 0.0, 4.0, 0.125, 3, spin=s)
+        start = replace(sample_initial(300, 20.0, 0.0, 4.0, 0.125, 3), spin=s)
         for t in snaps:
             block = data[(data[:, 0] == t) & (data[:, 3] == s)]
             ref = propagate(start, t, [pulse])
@@ -405,8 +406,8 @@ def test_snapshot_cases_match_propagation_from_zero(tmp_path, kick, snaps):
     pulse = KickPulse(0.5, 0.5, float(kick.split("=")[1]))
     for (s, t), block in _snapshot_blocks(tmp_path / "snapshots.csv", snaps,
                                           300):
-        ref = propagate(sample_initial(300, 20.0, 0.0, 4.0, 0.125, 3, spin=s),
-                        t, [pulse])
+        ref = propagate(replace(sample_initial(300, 20.0, 0.0, 4.0, 0.125, 3),
+                                spin=s), t, [pulse])
         assert np.all(block[:, 0] == t) and np.all(block[:, 3] == s)
         assert np.max(np.abs(block[:, 1] - ref.z)) < 1e-10
         assert np.max(np.abs(block[:, 2] - ref.v)) < 1e-10
@@ -585,9 +586,8 @@ def test_single_spin_magnetic_echo_writes_both_spins(tmp_path):
     header, _, rows = _read_csv(out)
     data = np.array(rows, dtype=float)
     basis = build_basis(20)
-    [(minus, _)] = mean_height_trace(basis, ground_state(basis),
-                                     KickPulse(0.3, 0.5, 10.0), (-1,),
-                                     data[:, 0])
+    (_, minus), _ = mean_height_trace(basis, ground_coeffs(basis), 0.0,
+                                      KickPulse(0.3, 0.5, 10.0), data[:, 0])
     assert np.max(np.abs(data[:, 2] - minus)) < 1e-12
     assert np.max(np.abs(data[:, 2] - data[:, 1])) > 1e-3
     assert np.array_equal(data[:, 3], data[:, 1])
@@ -604,9 +604,9 @@ def test_quantum_echo_second_pulse(tmp_path):
     data = np.array(_read_csv(out)[2], dtype=float)
     basis = build_basis(10)
     pulses = [KickPulse(0.3, 0.5, 10.0), KickPulse(0.2, 0.5, 18.0)]
-    for col, s in ((1, 1), (2, -1)):
-        [(ref, _)] = mean_height_trace(basis, ground_state(basis), pulses,
-                                       (s,), data[:, 0])
+    heights, _ = mean_height_trace(basis, ground_coeffs(basis), 0.0, pulses,
+                                   data[:, 0])
+    for col, ref in zip((1, 2), heights):
         assert np.max(np.abs(data[:, col] - ref)) < 1e-12
 
 

@@ -10,9 +10,9 @@ from qbounce.basis import build_basis
 from qbounce.classical import mean_height_series
 from qbounce.pulses import (ON_GRID, KickPulse, forcing, merged_windows,
                             run_steps, window_edges)
-from qbounce.quantum import ground_state, mean_height_trace
+from qbounce.quantum import mean_height_trace
 
-from helpers import area
+from helpers import area, ground_coeffs
 
 
 def test_area_matches_gaussian_integral():
@@ -141,8 +141,7 @@ def test_sample_on_a_window_end_after_a_short_gap_takes_no_empty_run(
         monkeypatch.setattr(module, "run_steps", lambda *a: steps.append(
             run_steps(*a)[1]) or run_steps(*a))
     basis = build_basis(10)
-    mean_height_trace(basis, ground_state(basis), [pulse], (1,), times)
-    mean_height_series(50, 20.0, 0.0, 4.0, 0.125, 1, [pulse], times,
-                       spins=(1,))
-    assert len(steps) == 2
+    mean_height_trace(basis, ground_coeffs(basis), 0.0, [pulse], times)
+    mean_height_series(50, 20.0, 0.0, 4.0, 0.125, 1, [pulse], times)
+    assert len(steps) == 3  # the trace's one run, the series' one per spin
     assert all(len(h) == 3 and h.min() > 1e-5 for h in steps)

@@ -16,22 +16,21 @@ from qbounce import quantum
 from qbounce.basis import EigenBasis, build_basis
 from qbounce.pulses import (KickPulse, forcing, merged_windows,
                             window_edges)
-from qbounce.quantum import (StateVector, ground_state, mean_height_trace,
-                             step_grid)
+from qbounce.quantum import mean_height_trace, step_grid
 
 from helpers import (NormDriftError, direct_free_phases, evolve_pulsed,
-                     expectation_z, free_evolve, impulsive_kick,
-                     impulsive_kick_matrix, oscillation_envelope,
-                     per_run_rows, per_run_trace, pulse_propagator,
-                     reference_sub_steps, rk4_window,
-                     shake_potential_coefficient, strang_steps,
+                     expectation_z, free_evolve, ground_coeffs,
+                     impulsive_kick, impulsive_kick_matrix,
+                     oscillation_envelope, per_run_rows, per_run_trace,
+                     pulse_propagator, reference_sub_steps, rk4_window,
+                     shake_potential_coefficient, spin_row, strang_steps,
                      walk_mean_height_trace)
 
 
 def _two_state(basis):
     c = np.zeros(basis.m, dtype=np.complex128)
     c[0] = c[1] = 1.0 / math.sqrt(2.0)
-    return StateVector(c)
+    return c
 
 
 # ------------------------------------------------------------ free flight
@@ -39,14 +38,14 @@ def _two_state(basis):
 def test_free_evolve_zero_time_is_identity(basis20):
     s = _two_state(basis20)
     out = free_evolve(s, basis20, 0.0)
-    assert np.array_equal(out.coeffs, s.coeffs)
+    assert np.array_equal(out, s)
 
 
 def test_stationary_state_mean_height(basis20):
-    s = ground_state(basis20)
+    s = ground_coeffs(basis20)
     for dt in (0.0, 7.3, 100.0):
         out = free_evolve(s, basis20, dt)
-        assert abs(out.coeffs[0]) ** 2 == pytest.approx(1.0, abs=1e-15)
+        assert abs(out[0]) ** 2 == pytest.approx(1.0, abs=1e-15)
         assert expectation_z(out, basis20) == \
             pytest.approx(2.0 * basis20.zeros[0] / 3.0, rel=1e-6)
 
@@ -70,22 +69,23 @@ def test_two_state_oscillation_frequency_and_amplitude(basis20):
 
 def test_zero_amplitude_pulse_equals_free_evolution(basis20):
     s = _two_state(basis20)
-    pulsed = evolve_pulsed(s, basis20, [KickPulse(0.0, 0.5, 10.0)], 1, 20.0)
+    pulsed = evolve_pulsed(basis20, s, 0.0, [KickPulse(0.0, 0.5, 10.0)], 1,
+                           20.0)
     free = free_evolve(s, basis20, 20.0)
     # thousands of unitary substeps accumulate rounding at the 1e-12 level
-    assert np.max(np.abs(pulsed.coeffs - free.coeffs)) < 1e-11
+    assert np.max(np.abs(pulsed - free)) < 1e-11
 
 
 def test_strang_and_rk4_steppers_agree(basis20):
     pulse = KickPulse(0.5, 0.5, 10.0)
     lo, hi = pulse.window
-    a = evolve_pulsed(ground_state(basis20, lo), basis20, [pulse], 1, hi,
+    a = evolve_pulsed(basis20, ground_coeffs(basis20), lo, [pulse], 1, hi,
                       steps_per_sigma=40)
-    b = rk4_window(ground_state(basis20).coeffs, basis20, [pulse], 1, lo, hi)
+    b = rk4_window(ground_coeffs(basis20), basis20, [pulse], 1, lo, hi)
     # RK4 at 500 steps per sigma is good to ~1e-11: the agreement is the
     # composed steps' error at 40 steps per sigma (measured 1.2e-9; 1.9e-8
     # at 20, 16x more, as fourth order predicts)
-    assert np.max(np.abs(a.coeffs - b)) < 1e-8
+    assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_window_error_is_fourth_order(basis20):
@@ -99,15 +99,15 @@ def test_window_error_is_fourth_order(basis20):
 
 def test_unitarity_through_strong_pulse(basis50):
     coeffs, _ = basis50.project_gaussian(20.0, 8.0)
-    s = StateVector(coeffs.astype(complex))
-    out = evolve_pulsed(s, basis50, [KickPulse(2.0, 0.5, 10.0)], 1, 25.0)
-    assert abs(out.norm - 1.0) < 1e-9
+    out = evolve_pulsed(basis50, coeffs, 0.0, [KickPulse(2.0, 0.5, 10.0)], 1,
+                        25.0)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 def test_rk4_norm_drift_raises(basis20):
     pulse = KickPulse(40.0, 0.5, 10.0)
     with pytest.raises(NormDriftError):
-        rk4_window(ground_state(basis20).coeffs, basis20, [pulse], 1,
+        rk4_window(ground_coeffs(basis20), basis20, [pulse], 1,
                    *pulse.window, steps_per_sigma=2)
 
 
@@ -146,8 +146,8 @@ def test_pulse_propagator_matches_evolve_pulsed(basis20):
     w = pulse_propagator(basis20, pulse)
     s = _two_state(basis20)
     lo, hi = pulse.window
-    direct = evolve_pulsed(StateVector(s.coeffs, lo), basis20, [pulse], 1, hi)
-    assert np.max(np.abs(w @ s.coeffs - direct.coeffs)) < 1e-11
+    direct = evolve_pulsed(basis20, s, lo, [pulse], 1, hi)
+    assert np.max(np.abs(w @ s - direct)) < 1e-11
 
 
 @pytest.mark.parametrize("kind", ["magnetic", "shake"])
@@ -155,7 +155,7 @@ def test_reversed_steps_give_first_row_of_propagator(basis20, kind):
     """e_1^T W from stepping e_1 with the forcing samples reversed."""
     pulse = KickPulse(0.8, 0.3, 0.0, kind)
     t_mid, (h,), _ = step_grid(pulse.window, pulse.width, quantum.DEFAULT_STEPS_PER_SIGMA)
-    row = strang_steps(basis20, ground_state(basis20).coeffs,
+    row = strang_steps(basis20, ground_coeffs(basis20),
                        forcing([pulse], -1, t_mid)[::-1], h)
     w = pulse_propagator(basis20, pulse, spin=-1)
     assert np.max(np.abs(row - w[0, :])) < 1e-12
@@ -170,13 +170,13 @@ def test_reversed_steps_transpose_asymmetric_forcing(basis20):
     f = forcing(pulses, 1, t_mid)
     w = strang_steps(basis20, np.eye(basis20.m, dtype=complex), f, h)
     assert np.max(np.abs(w - w.T)) > 1e-3
-    row = strang_steps(basis20, ground_state(basis20).coeffs, f[::-1], h)
+    row = strang_steps(basis20, ground_coeffs(basis20), f[::-1], h)
     assert np.max(np.abs(row - w[0, :])) < 1e-12
 
 
 def test_steps_need_three_forcing_samples_each(basis20):
     with pytest.raises(ValueError, match="three samples"):
-        strang_steps(basis20, ground_state(basis20).coeffs, np.zeros(4), 0.1)
+        strang_steps(basis20, ground_coeffs(basis20), np.zeros(4), 0.1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -194,7 +194,7 @@ def test_block_steps_equal_column_steps(basis20, amplitude, sigma, kind,
                  axis=1)
     c = np.zeros((basis20.m, 3), dtype=complex)
     c[0, 0] = c[1, 1] = 1.0
-    c[:, 2] = _two_state(basis20).coeffs
+    c[:, 2] = _two_state(basis20)
     block = strang_steps(basis20, c, f, h)
     for j in range(3):
         alone = strang_steps(basis20, c[:, j], f[:, j], h)
@@ -206,7 +206,7 @@ def test_block_steps_equal_column_steps(basis20, amplitude, sigma, kind,
 def test_impulsive_kick_zero_area_is_identity(basis20):
     s = _two_state(basis20)
     out = impulsive_kick(s, basis20, 0.0)
-    assert np.max(np.abs(out.coeffs - s.coeffs)) < 1e-15
+    assert np.max(np.abs(out - s)) < 1e-15
 
 
 def test_impulsive_kick_matrix_unitary(basis20):
@@ -219,18 +219,14 @@ def test_impulsive_limit_of_integrated_pulse(basis50):
     alpha = 0.5 * 0.5 * math.sqrt(math.pi)  # area of the echo kick
     sigma = 1e-3
     pulse = KickPulse(alpha / (sigma * math.sqrt(math.pi)), sigma, 0.0)
-    s = ground_state(basis50, time=pulse.window[0])
-    integrated = evolve_pulsed(s, basis50, [pulse], 1, pulse.window[1])
-    # undo the free phases accumulated across the short window
-    kicked = impulsive_kick(ground_state(basis50), basis50, alpha)
-    kicked = free_evolve(StateVector(kicked.coeffs, pulse.window[0]),
-                         basis50, pulse.window[1] - pulse.window[0])
+    s = ground_coeffs(basis50)
+    integrated = evolve_pulsed(basis50, s, pulse.window[0], [pulse], 1,
+                               pulse.window[1])
     # the kick happens mid-window: compare with symmetric phase splitting
     half = np.exp(-1j * basis50.zeros * 0.5 *
                   (pulse.window[1] - pulse.window[0]))
-    p_int = impulsive_kick_matrix(basis50, alpha)
-    expected = half * (p_int @ (half * ground_state(basis50).coeffs))
-    assert np.linalg.norm(integrated.coeffs - expected) < 1e-4
+    expected = half * impulsive_kick(half * s, basis50, alpha)
+    assert np.linalg.norm(integrated - expected) < 1e-4
     survival = abs(expected[0]) ** 2
     assert survival < 1.0
 
@@ -257,10 +253,10 @@ def test_shake_effective_gravity_profile():
 
 
 def test_shake_pulse_preserves_norm(basis20):
-    s = ground_state(basis20, time=-6.0)
-    out = evolve_pulsed(s, basis20, [KickPulse(1.5, 1.0, 0.0, "shake")], 1, 6.0)
-    assert abs(out.norm - 1.0) < 1e-9
-    assert abs(out.coeffs[0]) ** 2 < 0.999  # the jolt actually excites
+    out = evolve_pulsed(basis20, ground_coeffs(basis20), -6.0,
+                        [KickPulse(1.5, 1.0, 0.0, "shake")], 1, 6.0)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-9
+    assert abs(out[0]) ** 2 < 0.999  # the jolt actually excites
 
 
 # ----------------------------------------------------------- echo physics
@@ -269,8 +265,7 @@ def test_wave_packet_collapse_without_kick(basis50):
     """Free anharmonic dephasing: envelope at t=60 under 30% of early value."""
     coeffs, _ = basis50.project_gaussian(20.0, 8.0)
     times = np.arange(0.0, 80.0, 0.1)
-    [(trace, _)] = mean_height_trace(
-        basis50, StateVector(coeffs.astype(complex)), [], (1,), times)
+    (trace,), _ = mean_height_trace(basis50, coeffs, 0.0, [], times)
     env = oscillation_envelope(times, trace, window=9.0)
     early = env[times < 10].max()
     assert env[np.searchsorted(times, 60.0)] < 0.3 * early
@@ -280,12 +275,12 @@ def test_mean_height_trace_matches_pointwise_evolution(basis20):
     s = _two_state(basis20)
     pulse = KickPulse(0.5, 0.5, 5.0)
     times = np.arange(0.0, 15.0, 0.5)
-    [(trace, final)] = mean_height_trace(basis20, s, [pulse], (1,), times)
+    heights, finals = mean_height_trace(basis20, s, 0.0, [pulse], times)
     for k in (0, 10, 20, len(times) - 1):
-        direct = evolve_pulsed(s, basis20, [pulse], 1, float(times[k]))
-        assert trace[k] == pytest.approx(expectation_z(direct, basis20),
-                                         abs=1e-9)
-    assert final.time == times[-1]
+        direct = evolve_pulsed(basis20, s, 0.0, [pulse], 1, float(times[k]))
+        assert heights[0, k] == pytest.approx(expectation_z(direct, basis20),
+                                              abs=1e-9)
+    assert np.max(np.abs(finals[0] - direct)) < 1e-9  # the state at times[-1]
 
 
 _WALK_CASES = {
@@ -306,11 +301,11 @@ _WALK_CASES = {
 def test_one_walk_matches_per_sample_restarts(basis20, case):
     pulses, spin, times = _WALK_CASES[case]
     s = _two_state(basis20)
-    [(trace, final)] = mean_height_trace(basis20, s, pulses, (spin,), times)
-    ref, ref_final = walk_mean_height_trace(basis20, s, pulses, spin, times)
-    assert np.max(np.abs(trace - ref)) < 1e-12
-    assert np.max(np.abs(final.coeffs - ref_final.coeffs)) < 1e-12
-    assert final.time == times[-1]
+    heights, finals = mean_height_trace(basis20, s, 0.0, pulses, times)
+    ref, ref_final = walk_mean_height_trace(basis20, s, 0.0, pulses, spin,
+                                            times)
+    assert np.max(np.abs(heights[spin_row(spin)] - ref)) < 1e-12
+    assert np.max(np.abs(finals[spin_row(spin)] - ref_final)) < 1e-12
 
 
 def test_walk_through_mixed_widths_matches_rk4(basis20):
@@ -319,12 +314,12 @@ def test_walk_through_mixed_widths_matches_rk4(basis20):
     pulses = [KickPulse(0.8, 0.2, 5.0), KickPulse(-0.5, 0.4, 6.0)]
     times = np.array([3.0, 4.1, 5.0, 5.9, 7.2, 8.4])  # window [3.6, 8.4]
     s = _two_state(basis20)
-    [(trace, _)] = mean_height_trace(basis20, s, pulses, (1,), times)
-    c, t = free_evolve(s, basis20, 3.6).coeffs, 3.6
+    heights, _ = mean_height_trace(basis20, s, 0.0, pulses, times)
+    c, t = free_evolve(s, basis20, 3.6), 3.6
     for k in range(1, len(times)):
         c, t = rk4_window(c, basis20, pulses, 1, t, times[k]), times[k]
-        assert trace[k] == pytest.approx(
-            expectation_z(StateVector(c), basis20), abs=1e-8)
+        assert heights[0, k] == pytest.approx(expectation_z(c, basis20),
+                                              abs=1e-8)
 
 
 # fig2-like: samples every 0.1 through a width-0.5 window; fig5-like: a
@@ -347,18 +342,20 @@ def _reuse_case(basis20, basis50, case):
 def test_trace_equals_fresh_operators_per_run(basis20, basis50, case):
     """Reusing a window's operators changes no bit of the trace."""
     basis, s, pulses, spin, times = _reuse_case(basis20, basis50, case)
-    [(trace, final)] = mean_height_trace(basis, s, pulses, (spin,), times)
-    ref, ref_final = per_run_trace(basis, s, pulses, spin, times)
-    assert np.array_equal(trace, ref)
-    assert np.array_equal(final.coeffs, ref_final.coeffs)
+    heights, finals = mean_height_trace(basis, s, 0.0, pulses, times)
+    ref, ref_final = per_run_trace(basis, s, 0.0, pulses, spin, times)
+    assert np.array_equal(heights[spin_row(spin)], ref)
+    assert np.array_equal(finals[spin_row(spin)], ref_final)
 
 
 @pytest.mark.parametrize("case", sorted(_REUSE_CASES))
 def test_operators_built_once_per_step_size_and_window(basis20, basis50,
                                                        monkeypatch, case):
-    """Each step size's operators once per window, and a spin-averaged
-    trace builds no more of them than one spin does."""
-    basis, s, pulses, spin, times = _reuse_case(basis20, basis50, case)
+    """Each step size's operators once per window, for both spins of a
+    magnetic trace at once: any walk builds each window's distinct step
+    sizes at least once, so a two-spin trace that builds no more than
+    those builds no more than one spin does."""
+    basis, s, pulses, _, times = _reuse_case(basis20, basis50, case)
     built = []
     build = quantum._operators
 
@@ -367,13 +364,9 @@ def test_operators_built_once_per_step_size_and_window(basis20, basis50,
         return build(basis, h)
 
     monkeypatch.setattr(quantum, "_operators", spy)
-    mean_height_trace(basis, s, pulses, (1, -1), times)
-    pair = len(built)
-    built.clear()
-    mean_height_trace(basis, s, pulses, (spin,), times)
-    assert pair == len(built)
+    mean_height_trace(basis, s, 0.0, pulses, times)
     distinct = runs = 0
-    for lo, hi, active in merged_windows(pulses, s.time, float(times[-1])):
+    for lo, hi, active in merged_windows(pulses, 0.0, float(times[-1])):
         inside = times[(times > lo) & (times < hi)]
         edges = np.r_[lo, inside, hi]
         width = min(p.width for p in active)
@@ -387,9 +380,10 @@ def test_operators_built_once_per_step_size_and_window(basis20, basis50,
 @pytest.mark.parametrize("case", sorted(_REUSE_CASES))
 def test_kernel_entered_once_per_window(basis20, basis50, monkeypatch, case):
     """One `_sub_steps` call per merged window carries all of its
-    sample-to-sample runs for every spin branch at once, for one spin and
-    for both."""
+    sample-to-sample runs for every spin branch at once: both spins of a
+    magnetic trace, spin +1 of a shake trace."""
     basis, s, pulses, spin, times = _reuse_case(basis20, basis50, case)
+    branches = {"fig2-like": 2, "two-window shake": 1}[case]
     calls = []
     sub_steps = quantum._sub_steps
 
@@ -398,13 +392,11 @@ def test_kernel_entered_once_per_window(basis20, basis50, monkeypatch, case):
         return sub_steps(basis, c, f_mid, runs, nodes, signs)
 
     monkeypatch.setattr(quantum, "_sub_steps", spy)
-    windows = merged_windows(pulses, s.time, float(times[-1]))
+    windows = merged_windows(pulses, 0.0, float(times[-1]))
     runs = [len(times[(times > lo) & (times < hi)]) + 1
             for lo, hi, _ in windows]
-    for spins in ((spin,), (1, -1)):
-        calls.clear()
-        mean_height_trace(basis, s, pulses, spins, times)
-        assert calls == [(len(spins), n) for n in runs]
+    mean_height_trace(basis, s, 0.0, pulses, times)
+    assert calls == [(branches, n) for n in runs]
     assert sum(runs) >= 5 * len(windows)
 
 
@@ -426,7 +418,7 @@ def test_kernel_keeps_at_most_its_operator_sets_alive(basis20, monkeypatch):
         return ops
 
     monkeypatch.setattr(quantum, "_operators", spy)
-    mean_height_trace(basis20, _two_state(basis20), [pulse], (1, -1), times)
+    mean_height_trace(basis20, _two_state(basis20), 0.0, [pulse], times)
     edges = np.r_[pulse.window[0], inside, pulse.window[1]]
     h = step_grid(edges, pulse.width, quantum.DEFAULT_STEPS_PER_SIGMA)[1]
     assert len(set(h.tolist())) >= 12
@@ -447,16 +439,16 @@ def pair_walks(draw):
     times = start + np.cumsum(np.r_[0.0, gaps])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    return pulses, StateVector(c / np.linalg.norm(c), t0), times
+    return pulses, c / np.linalg.norm(c), t0, times
 
 
-def _assert_pair_equals_single_walks(basis, state, pulses, times):
-    pair = mean_height_trace(basis, state, pulses, (1, -1), times)
-    for (trace, final), spin in zip(pair, (1, -1)):
-        ref, ref_final = per_run_trace(basis, state, pulses, spin, times)
+def _assert_pair_equals_single_walks(basis, c, t0, pulses, times):
+    heights, finals = mean_height_trace(basis, c, t0, pulses, times)
+    assert heights.shape == (2, len(times)) and finals.shape == (2, basis.m)
+    for trace, final, spin in zip(heights, finals, (1, -1)):
+        ref, ref_final = per_run_trace(basis, c, t0, pulses, spin, times)
         assert np.array_equal(trace, ref)
-        assert np.array_equal(final.coeffs, ref_final.coeffs)
-        assert final.time == times[-1]
+        assert np.array_equal(final, ref_final)
 
 
 @settings(max_examples=40, deadline=None)
@@ -465,8 +457,8 @@ def test_pair_walk_equals_two_single_walks(basis20, case):
     """Both spins walked together, spin -1 on the conjugate phases of spin
     +1, give bitwise the traces and final states of two one-spin walks,
     each on its own forcing."""
-    pulses, state, times = case
-    _assert_pair_equals_single_walks(basis20, state, pulses, times)
+    pulses, c, t0, times = case
+    _assert_pair_equals_single_walks(basis20, c, t0, pulses, times)
 
 
 def test_pair_walk_through_a_magnetic_and_shake_window(basis20):
@@ -476,10 +468,10 @@ def test_pair_walk_through_a_magnetic_and_shake_window(basis20):
     pulses = [KickPulse(0.8, 0.3, 4.0), KickPulse(0.6, 0.4, 5.0, "shake"),
               KickPulse(-0.5, 0.2, 9.0)]  # [2.2, 7.4] merged, then [7.8, 10.2]
     times = np.arange(0.0, 12.0, 0.15)
-    _assert_pair_equals_single_walks(basis20, _two_state(basis20), pulses,
-                                     times)
-    (plus, _), (minus, _) = mean_height_trace(basis20, _two_state(basis20),
-                                              pulses, (1, -1), times)
+    _assert_pair_equals_single_walks(basis20, _two_state(basis20), 0.0,
+                                     pulses, times)
+    (plus, minus), _ = mean_height_trace(basis20, _two_state(basis20), 0.0,
+                                         pulses, times)
     assert np.max(np.abs(plus - minus)) > 1e-3
 
 
@@ -500,16 +492,39 @@ def test_merged_window_takes_its_forcing_from_the_kick_model(basis20,
     for second, spins in ((KickPulse(-0.5, 0.2, 5.0), (1,)),
                           (KickPulse(0.6, 0.4, 5.0, "shake"), (1, -1))):
         calls.clear()
-        mean_height_trace(basis20, _two_state(basis20), [first, second],
-                          (1, -1), times)
+        mean_height_trace(basis20, _two_state(basis20), 0.0, [first, second],
+                          times)
         assert calls == [([first, second], s) for s in spins]
 
 
-@pytest.mark.parametrize("spins", [1, (), (1, 2), [1, -1]])
-def test_trace_needs_a_tuple_of_unit_spins(basis20, spins):
-    with pytest.raises(ValueError, match="spins"):
-        mean_height_trace(basis20, ground_state(basis20), [], spins,
-                          np.arange(0.0, 1.0, 0.5))
+@pytest.mark.parametrize("kinds,rows", [
+    ((), 1), (("shake",), 1), (("shake", "shake"), 1), (("magnetic",), 2),
+    (("magnetic", "magnetic"), 2), (("magnetic", "shake"), 2),
+    (("shake", "magnetic"), 2)])
+def test_trace_steps_both_spins_where_a_pulse_is_magnetic(basis20, kinds,
+                                                          rows):
+    """A trace without a magnetic pulse steps spin +1 alone: one row of
+    heights and final states.  One with a magnetic pulse, also beside a
+    shake, steps spin +1 and spin -1: two rows."""
+    pulses = [KickPulse(0.6, 0.3, 2.0 + 3.0 * k, kind)
+              for k, kind in enumerate(kinds)]
+    times = np.arange(0.0, 10.0, 0.25)
+    heights, finals = mean_height_trace(basis20, _two_state(basis20), 0.0,
+                                        pulses, times)
+    assert heights.shape == (rows, len(times))
+    assert finals.shape == (rows, basis20.m)
+
+
+def test_magnetic_kick_past_the_samples_gives_two_equal_rows(basis20):
+    """A magnetic kick whose window starts after the last sample still
+    makes a two-spin trace; both spins fly freely, so their rows agree
+    bitwise."""
+    times = np.arange(0.0, 10.0, 0.25)
+    heights, finals = mean_height_trace(basis20, _two_state(basis20), 0.0,
+                                        [KickPulse(0.6, 0.3, 50.0)], times)
+    assert heights.shape == (2, len(times))
+    assert np.array_equal(heights[0], heights[1])
+    assert np.array_equal(finals[0], finals[1])
 
 
 def test_free_trace_checks_every_rayleigh_bound(basis20):
@@ -519,12 +534,12 @@ def test_free_trace_checks_every_rayleigh_bound(basis20):
     z[0, 1] += 100.0  # eigh reads the lower triangle only
     skewed = EigenBasis(basis20.m, basis20.zeros, basis20.norms, z)
     with pytest.raises(ArithmeticError, match="outside Z's Rayleigh bounds"):
-        mean_height_trace(skewed, _two_state(skewed), [], (1,),
+        mean_height_trace(skewed, _two_state(skewed), 0.0, [],
                           np.arange(0.0, 5.0, 0.5))
 
 
 def test_mean_z_rejects_a_non_finite_row(basis20):
-    c = np.tile(_two_state(basis20).coeffs, (3, 1))
+    c = np.tile(_two_state(basis20), (3, 1))
     c[2, 4] = np.nan
     with pytest.raises(ArithmeticError, match="at sample 2 lies outside"):
         quantum._mean_z(basis20, c, quantum._z_scratch(20))
@@ -536,28 +551,29 @@ def test_mean_z_matches_complex_oracle_on_fig2_trace():
     basis = build_basis(150)
     c0, _ = basis.project_gaussian(20.0, 8.0)
     times = np.arange(0.0, 200.0 + 1e-9, 0.1)
-    rows = per_run_rows(basis, StateVector(c0.astype(complex)),
-                        [KickPulse(0.5, 0.5, 60.0)], 1, times)
+    rows = per_run_rows(basis, c0, 0.0, [KickPulse(0.5, 0.5, 60.0)], 1,
+                        times)
     fast = quantum._mean_z(basis, rows, quantum._z_scratch(basis.m))
-    oracle = np.array([expectation_z(StateVector(c), basis) for c in rows])
+    oracle = np.array([expectation_z(c, basis) for c in rows])
     assert np.max(np.abs(fast - oracle) / oracle) <= 1e-13
 
 
 def test_shared_stretch_is_reduced_once(basis20, monkeypatch):
-    """A spin-averaged magnetic trace through one window fills free
-    stretches three times: once for the stretch before the window, which
-    both branches share, and once per branch after it."""
+    """A magnetic trace through one window takes the free phases of its
+    stretches (each under ``_ROWS`` samples) three times: once for the
+    stretch before the window, which both spins share, and once per spin
+    after it."""
     calls = []
 
-    def spy(block, c, zeros, tau):
+    def spy(out, c, zeros, tau):
         calls.append(len(tau))
-        return free_blocks(block, c, zeros, tau)
+        return free_phases(out, c, zeros, tau)
 
-    free_blocks = quantum._free_blocks
-    monkeypatch.setattr(quantum, "_free_blocks", spy)
+    free_phases = quantum._free_phases
+    monkeypatch.setattr(quantum, "_free_phases", spy)
     pulse = KickPulse(0.8, 0.3, 6.0)
     times = np.arange(0.0, 12.0, 0.1)
-    mean_height_trace(basis20, _two_state(basis20), [pulse], (1, -1), times)
+    mean_height_trace(basis20, _two_state(basis20), 0.0, [pulse], times)
     before, stop = np.searchsorted(times, pulse.window, side="right")
     assert calls == [before, len(times) - stop, len(times) - stop]
 
@@ -565,19 +581,20 @@ def test_shared_stretch_is_reduced_once(basis20, monkeypatch):
 @pytest.mark.parametrize("end", ["free", "window"])
 def test_final_states_hold_only_themselves(basis20, end):
     """A trace that ends in free flight or on a window's last sample
-    returns final states that are copies: their memory holds the branches'
-    final states only, not the window's stepped states."""
+    returns final states that are a copy: their memory holds the spins'
+    (B, M) final states only, not the window's stepped states."""
     pulse = KickPulse(0.8, 0.3, 6.0)
     times = np.arange(0.0, 12.0 if end == "free" else 7.75, 0.1)
     if end == "window":
         times = np.r_[times, pulse.window[1]]
-    pair = mean_height_trace(basis20, _two_state(basis20), [pulse], (1, -1),
-                             times)
-    for _, final in pair:
-        assert final.coeffs.base.nbytes == 2 * basis20.m * 16
-    ref, ref_final = per_run_trace(basis20, _two_state(basis20), [pulse], -1,
-                                   times)
-    assert np.array_equal(pair[1][1].coeffs, ref_final.coeffs)
+    _, finals = mean_height_trace(basis20, _two_state(basis20), 0.0, [pulse],
+                                  times)
+    owner = finals if finals.base is None else finals.base
+    assert finals.shape == (2, basis20.m)
+    assert owner.nbytes == finals.nbytes == 2 * basis20.m * 16
+    ref, ref_final = per_run_trace(basis20, _two_state(basis20), 0.0,
+                                   [pulse], -1, times)
+    assert np.array_equal(finals[1], ref_final)
 
 
 @settings(max_examples=60, deadline=None)
@@ -589,7 +606,7 @@ def test_mean_z_matches_complex_oracle_on_random_rows(basis20, c):
     bounds [lambda_min, lambda_max]."""
     c = c / np.linalg.norm(c, axis=1)[:, None]
     fast = quantum._mean_z(basis20, c, quantum._z_scratch(20))
-    oracle = np.array([expectation_z(StateVector(r), basis20) for r in c])
+    oracle = np.array([expectation_z(r, basis20) for r in c])
     lam = basis20.z_eigvals
     assert np.all(np.abs(fast - oracle) <= 1e-13 * lam[-1])
     assert np.all((fast >= lam[0] * (1 - 1e-12)) & (fast <= lam[-1] * (1 + 1e-12)))
@@ -624,17 +641,17 @@ def test_mean_z_of_a_row_depends_on_that_row_alone(m, cut, seed):
 
 def test_trace_memory_does_not_grow_with_its_length():
     """One kick at M = 100: ten times the samples, 2001 to 20001, raise the
-    traced peak by under 1 MB, the (T,) arrays of times and heights.  The
-    free stretches pass ``_ROWS`` samples at a time; the (T, M) coefficients
-    of every sample would take 29 MB more."""
+    traced peak by under 1 MB, the (2, T) arrays of both spins' heights.
+    The free stretches pass ``_ROWS`` samples at a time; the (T, M)
+    coefficients of every sample would take 29 MB more per spin."""
     basis = _kernel_basis(100)
-    state = StateVector(basis.project_gaussian(20.0, 8.0)[0])
+    c0 = basis.project_gaussian(20.0, 8.0)[0]
     peaks = []
     for t_max in (200.0, 2000.0):
         times = np.arange(0.0, t_max + 1e-9, 0.1)
         tracemalloc.start()
         try:
-            mean_height_trace(basis, state, [KickPulse(0.5, 0.5, 60.0)], (1,),
+            mean_height_trace(basis, c0, 0.0, [KickPulse(0.5, 0.5, 60.0)],
                               times)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -655,8 +672,7 @@ def test_basis_size_convergence_on_echo_trace():
     for m in (150, 300):
         b = build_basis(m)
         c0, _ = b.project_gaussian(20.0, 8.0)
-        [(traces[m], _)] = mean_height_trace(
-            b, StateVector(c0.astype(complex)), [pulse], (1,), times)
+        traces[m] = mean_height_trace(b, c0, 0.0, [pulse], times)[0][0]
     assert np.max(np.abs(traces[150] - traces[300])) < 1e-6
 
 
@@ -664,7 +680,7 @@ def test_expectation_z_two_level_maximum(basis20):
     # at maximal constructive phase: Z11/2 + Z22/2 + |Z12|
     c = np.zeros(basis20.m, dtype=complex)
     c[0] = c[1] = 1.0 / math.sqrt(2.0)
-    val = expectation_z(StateVector(c), basis20)
+    val = expectation_z(c, basis20)
     expected = (0.5 * basis20.z_matrix[0, 0] + 0.5 * basis20.z_matrix[1, 1]
                 + abs(basis20.z_matrix[0, 1]))
     assert val == pytest.approx(expected, abs=1e-10)
@@ -845,7 +861,7 @@ def test_a_sampled_window_takes_one_exp_per_phase_batch(basis20,
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", spy)
-    c = np.broadcast_to(_two_state(basis20).coeffs, (2, basis20.m))
+    c = np.broadcast_to(_two_state(basis20), (2, basis20.m))
     quantum._sub_steps(basis20, c, forcing([pulse], 1, t_mid),
                        list(zip(n, h)), np.cumsum(n), (1, -1))
     assert sum(batches) == math.ceil(len(t_mid) / quantum._PHASE_ROWS) == 15
@@ -865,13 +881,14 @@ def test_trace_makes_its_z_scratch_once_whatever_its_length(basis20,
         times = np.arange(0.0, t_max + 1e-9, 0.1)
         for pulses in (kicks[:1], kicks):
             made.clear()
-            mean_height_trace(basis20, _two_state(basis20), pulses, (1, -1),
+            mean_height_trace(basis20, _two_state(basis20), 0.0, pulses,
                               times)
             assert made == [basis20.m]
     times = np.arange(50.0, 70.0, 0.1)
-    rows = per_run_rows(basis20, _two_state(basis20), kicks[:1], 1, times)
-    heights, _ = per_run_trace(basis20, _two_state(basis20), kicks[:1], 1,
-                               times)
+    rows = per_run_rows(basis20, _two_state(basis20), 0.0, kicks[:1], 1,
+                        times)
+    heights, _ = per_run_trace(basis20, _two_state(basis20), 0.0, kicks[:1],
+                               1, times)
     alone = [z_scratch(basis20.m) for _ in rows]
     assert np.array_equal(heights, [quantum._mean_z(basis20, r[None], s)[0]
                                     for r, s in zip(rows, alone)])
@@ -903,12 +920,12 @@ def test_sample_next_to_a_window_end_is_taken_at_the_end(basis20, monkeypatch):
     build = quantum._operators
     monkeypatch.setattr(quantum, "_operators",
                         lambda basis, h: built.append(h) or build(basis, h))
-    s = StateVector(_two_state(basis20).coeffs, -6.0)
-    [(trace, final)] = mean_height_trace(basis20, s, pulses, (1,), times)
+    s = _two_state(basis20)
+    (trace,), (final,) = mean_height_trace(basis20, s, -6.0, pulses, times)
     assert min(built) > 1e-3
-    ref, ref_final = walk_mean_height_trace(basis20, s, pulses, 1, times)
+    ref, ref_final = walk_mean_height_trace(basis20, s, -6.0, pulses, 1, times)
     assert np.max(np.abs(trace - ref)) < 1e-12
-    assert np.max(np.abs(final.coeffs - ref_final.coeffs)) < 1e-12
+    assert np.max(np.abs(final - ref_final)) < 1e-12
 
 
 # ---------------------------------------------------------- input checks
@@ -941,38 +958,36 @@ def test_pulse_propagator_rejects_negative_step_count(basis20):
 def test_trace_and_evolve_accept_a_single_pulse(basis20):
     pulse = KickPulse(0.5, 0.5, 5.0)
     s, times = _two_state(basis20), np.arange(0.0, 10.0, 0.5)
-    [(one, one_final)] = mean_height_trace(basis20, s, pulse, (1,), times)
-    [(listed, listed_final)] = mean_height_trace(basis20, s, [pulse], (1,),
-                                                 times)
+    one, one_final = mean_height_trace(basis20, s, 0.0, pulse, times)
+    listed, listed_final = mean_height_trace(basis20, s, 0.0, [pulse], times)
     assert np.array_equal(one, listed)
-    assert np.array_equal(one_final.coeffs, listed_final.coeffs)
-    assert np.array_equal(evolve_pulsed(s, basis20, pulse, 1, 9.5).coeffs,
-                          evolve_pulsed(s, basis20, [pulse], 1, 9.5).coeffs)
+    assert np.array_equal(one_final, listed_final)
+    assert np.array_equal(evolve_pulsed(basis20, s, 0.0, pulse, 1, 9.5),
+                          evolve_pulsed(basis20, s, 0.0, [pulse], 1, 9.5))
 
 
 @pytest.mark.parametrize("times", [[], [0.0, np.nan, 2.0], [1.0, np.inf]])
 def test_trace_rejects_empty_or_non_finite_times(basis20, times):
     with pytest.raises(ValueError, match="sample times"):
-        mean_height_trace(basis20, ground_state(basis20),
-                          KickPulse(0.5, 0.5, 5.0), (1,), np.array(times))
+        mean_height_trace(basis20, ground_coeffs(basis20), 0.0,
+                          KickPulse(0.5, 0.5, 5.0), np.array(times))
 
 
 def test_trace_rejects_times_out_of_order_or_before_the_state(basis20):
-    state = ground_state(basis20, 1.0)
     for times in ([1.0, 2.0, 1.5], [0.5, 2.0]):
         with pytest.raises(ValueError, match="ascending"):
-            mean_height_trace(basis20, state, KickPulse(0.5, 0.5, 5.0), (1,),
-                              np.array(times))
+            mean_height_trace(basis20, ground_coeffs(basis20), 1.0,
+                              KickPulse(0.5, 0.5, 5.0), np.array(times))
 
 
 def test_evolve_rejects_end_time_before_the_state(basis20):
     with pytest.raises(ValueError, match="precede"):
-        evolve_pulsed(ground_state(basis20, 5.0), basis20,
+        evolve_pulsed(basis20, ground_coeffs(basis20), 5.0,
                       KickPulse(0.5, 0.5, 5.0), 1, 4.0)
 
 
 @pytest.mark.parametrize("t_to", [np.inf, np.nan])
 def test_evolve_rejects_non_finite_end_time(basis20, t_to):
     with pytest.raises(ValueError, match="finite"):
-        evolve_pulsed(ground_state(basis20), basis20,
+        evolve_pulsed(basis20, ground_coeffs(basis20), 0.0,
                       KickPulse(0.5, 0.5, 5.0), 1, t_to)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from qbounce import quantum, spectroscopy
 from qbounce.pulses import InputError, KickPulse
-from qbounce.quantum import DEFAULT_STEPS_PER_SIGMA, ground_state
+from qbounce.quantum import DEFAULT_STEPS_PER_SIGMA
 from qbounce.spectroscopy import (_ZERO_PAD, DelayScan, SpectrumResult,
                                   find_peaks_and_match, retrieve_amplitudes,
                                   scan_delay, spectrum)
 
-from helpers import (evolve_pulsed, impulsive_kick_matrix,
+from helpers import (evolve_pulsed, ground_coeffs, impulsive_kick_matrix,
                      impulsive_scan_analytic, perturbative_scan,
                      stacked_overlap_scan)
 
@@ -58,6 +58,15 @@ def test_mismatched_kick_kinds_rejected(basis20):
     with pytest.raises(ValueError):
         scan_delay(basis20, KickPulse(0.5, 0.2, kind="magnetic"),
                    KickPulse(0.5, 0.2, kind="shake"), DELAYS[:300])
+
+
+@pytest.mark.parametrize("center1,center2", [(5.0, 0.0), (0.0, -0.3)])
+def test_kicks_off_center_rejected(basis20, center1, center2):
+    """The scan centers kick 1 at 0 and kick 2 at each delay, so a pulse
+    given at another center is refused, not scanned as if at 0."""
+    with pytest.raises(InputError, match="centers must be 0"):
+        scan_delay(basis20, KickPulse(2.0, 0.2, center1),
+                   KickPulse(1.0, 0.2, center2), DELAYS[:300])
 
 
 def test_nonuniform_grid_rejected():
@@ -116,9 +125,9 @@ def _direct_population(basis, pulse1, pulse2, tau, spin,
              KickPulse(pulse2.amplitude, pulse2.width, tau, pulse2.kind),
              KickPulse(0.0, width, 0.0, pulse1.kind),
              KickPulse(0.0, width, tau, pulse2.kind)]
-    state = evolve_pulsed(ground_state(basis, time=-10.0), basis, kicks, spin,
-                          tau + 10.0, steps_per_sigma)
-    return float(abs(state.coeffs[0]) ** 2)
+    c = evolve_pulsed(basis, ground_coeffs(basis), -10.0, kicks, spin,
+                      tau + 10.0, steps_per_sigma)
+    return float(abs(c[0]) ** 2)
 
 
 # magnetic spin -1 is scanned as spin +1 with both amplitudes negated, the
@@ -241,6 +250,22 @@ def test_overlap_runs_step_an_eighth_of_the_stacked_run(basis20, monkeypatch):
     seen.clear()
     stacked_overlap_scan(basis20, p1, p2, close)
     assert 0 < steps <= sum(seen) / 8
+
+
+def test_forward_sum_partial_block_holds_no_stale_rows(basis50):
+    """fig4's grid: 9 close delays and 2952 separated ones, so the forward
+    sum's last block holds the last 136 delays, after 11 full blocks.
+    Scanned on their own they fill a fresh block's first rows, and give
+    the full scan's populations bitwise: the rows the block held before
+    reach no value."""
+    delays = 2.0 + 0.05 * np.arange(2961)
+    p1, p2 = KickPulse(2.0, 0.2), KickPulse(1.0, 0.2)
+    close = delays < p1.window[1] + p2.window[1]
+    assert close.sum() == 9
+    assert (len(delays) - 9) % quantum._ROWS == 136
+    full = scan_delay(basis50, p1, p2, delays).populations
+    tail = scan_delay(basis50, p1, p2, delays[-136:]).populations
+    assert np.array_equal(full[-136:], tail)
 
 
 # fig4-like and fig6-like kicks, with and without the spin average
